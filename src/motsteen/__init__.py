@@ -17,6 +17,7 @@ from .elements import (
     algebra,
     bidegree_of,
     element_text,
+    mono_degree,
     mul,
     normalize,
     parse_element,
@@ -33,7 +34,6 @@ from .steenrod import (
     bidegree_basis,
     conjugate,
     eta,
-    eta_degree,
     mz_generators_in_a,
 )
 from .bockstein import (

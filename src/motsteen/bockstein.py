@@ -12,6 +12,11 @@ complexes: block slot i >= 0 holds xi_{i+1}-exponent-plus-tau_{i+1} mass m_i,
 and the block complex on a block vector m has basis all eta[m - chi_U, U]
 with U inside the support, graded by tau count.  Its homology vanishes unless
 m = 0, which beta_report and the kernel-basis machinery exploit.
+
+beta_report builds one beta matrix per bidegree and reads a dims row off it:
+the rank, the image (the rank one degree up), and both splitting checks as
+the ranks of its two diagonal blocks, the coefficient ring (Steenrod part 1)
+and the augmentation ideal.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .elements import (
 )
 from .linalg import FpBasis, FpMatrix, kernel_basis, rank, rank_of_columns
 from .schemes import COEFF_ORDER
-from .steenrod import basis_index, bidegree_basis, eta, eta_degree, index_of
+from .steenrod import basis_index, bidegree_basis, eta, index_of, monomial_index
 
 
 def _beta_coeff_monomial(c, h):
@@ -219,41 +224,19 @@ def scheme_kernel_data(scheme):
     beta_table = scheme.coeff_bockstein
     if not beta_table:
         return (lambda bd: coeff_monomials(bd, scheme)), (lambda bd: [])
+    if set(beta_table) != {"tau"}:
+        raise ValueError(f"no kernel data for scheme {scheme.id}")
+    p = scheme.p
 
-    if scheme.id in ("real-p2", "z-half"):
-        def z_h(bd):
-            keep = []
-            for c in coeff_monomials(bd, scheme):
-                if c.eps or c.tau % 2 == 0:
-                    keep.append(c)  # eps tau^k, or rho^i tau^even
-            return keep
+    # beta(tau^k x) = k tau^(k-1) beta(tau) x with beta(tau) = rho or eps:
+    # eps multiples and p | k are cycles, the rest meet the image bijectively
+    def z_h(bd):
+        return [c for c in coeff_monomials(bd, scheme) if c.eps or c.tau % p == 0]
 
-        def r_h(bd):
-            return [
-                c for c in coeff_monomials(bd, scheme)
-                if not c.eps and c.tau % 2 == 1
-            ]
+    def r_h(bd):
+        return [c for c in coeff_monomials(bd, scheme) if not c.eps and c.tau % p]
 
-        return z_h, r_h
-
-    if scheme.id == "finite-field":
-        p = scheme.p
-
-        def z_h(bd):
-            return [
-                c for c in coeff_monomials(bd, scheme)
-                if c.eps or c.tau % p == 0
-            ]
-
-        def r_h(bd):
-            return [
-                c for c in coeff_monomials(bd, scheme)
-                if not c.eps and c.tau % p != 0
-            ]
-
-        return z_h, r_h
-
-    raise ValueError(f"no kernel data for scheme {scheme.id}")
+    return z_h, r_h
 
 
 _umax_cache = {}
@@ -261,19 +244,19 @@ _umax_cache = {}
 
 def u_maximal_by_degree(p, budget):
     """Map eta-bidegree -> U-maximal indices, over all eta with d - w <= budget."""
-    from .steenrod import steenrod_monomials
-
     key = (p, budget)
     if key in _umax_cache:
         return _umax_cache[key]
     out = {}
-    for mono in steenrod_monomials(p, budget, 1):
-        if not mono.taus:
+    for eb, monos in monomial_index(p, budget, 1).items():
+        if eb.d - eb.w > budget:
             continue
-        idx = index_of(mono)
-        max_a = max((j for j, e in idx.a), default=0)
-        if max_a <= max(idx.U):
-            out.setdefault(eta_degree(idx, p), []).append(idx)
+        idxs = [
+            index_of(m) for m in monos
+            if m.taus and max((j for j, e in m.xi), default=0) <= m.taus[-1]
+        ]
+        if idxs:
+            out[eb] = idxs
     _umax_cache[key] = out
     return out
 
@@ -294,21 +277,14 @@ def free_bbeta_generators(bound, p, check=True):
     coefficient-free model).
     """
     from .elements import algebra
-    from .steenrod import steenrod_monomials
 
     h = algebra("bare", p)
     dmax, wmax = bound
     found = {}
-    for mono in steenrod_monomials(p, dmax + 1, 1):
-        if not mono.taus:
-            continue
-        idx = index_of(mono)
-        max_a = max((j for j, e in idx.a), default=0)
-        if max_a > max(idx.U):
-            continue
-        yb = eta_degree(idx, p) + BETA_SHIFT
+    for eb, idxs in u_maximal_by_degree(p, dmax + 1).items():
+        yb = eb + BETA_SHIFT
         if yb.d <= dmax and yb.w <= wmax:
-            found.setdefault(yb, []).append(idx)
+            found[yb] = idxs
     if check:
         for yb, idxs in sorted(found.items()):
             basis_list = bidegree_basis(yb, h)
@@ -406,77 +382,78 @@ def ker_beta_basis(bd, h):
 # Reports
 
 
-def homology_dims(bd, h):
-    """(dim, rank, ker, im, homology) of the Bockstein at one bidegree."""
-    M = beta_matrix(bd, h)
-    r = rank(M)
-    dim = M.ncols
-    im_rank = rank(beta_matrix(bd - BETA_SHIFT, h))
-    return dim, r, dim - r, im_rank, dim - r - im_rank
+def _split_ranks(bd, M, h):
+    """(dim, coefficient dim, coefficient rank, ideal rank) of beta at bd.
 
-
-def _ideal_basis(bd, h):
-    return [(c, m) for (c, m) in bidegree_basis(bd, h) if not m.is_one()]
-
-
-def _ideal_rank(bd, h):
-    src = _ideal_basis(bd, h)
-    dst = _ideal_basis(bd + BETA_SHIFT, h)
-    rows = {key: i for i, key in enumerate(dst)}
-    entries = {}
-    for col, (c, mono) in enumerate(src):
-        img = beta(term_element(h.p, 1, c, mono), h)
-        for key, s in img.terms.items():
-            entries[(rows[key], col)] = s
-    return len(src), rank(FpMatrix(h.p, len(dst), len(src), entries))
-
-
-def coeff_homology_dim(bd, h):
-    """Bockstein homology of the coefficient ring alone at one bidegree."""
-    from .steenrod import coeff_monomials
-
-    scheme = h.scheme
-    src = coeff_monomials(bd, scheme)
-    dst = coeff_monomials(bd + BETA_SHIFT, scheme)
-    pre = coeff_monomials(bd - BETA_SHIFT, scheme)
-
-    def mat(cols, rows_list):
-        rows = {c: i for i, c in enumerate(rows_list)}
-        entries = {}
-        for col, c in enumerate(cols):
-            for s, nc in _beta_coeff_monomial(c, h):
-                entries[(rows[nc], col)] = s
-        return FpMatrix(h.p, len(rows_list), len(cols), entries)
-
-    r1 = rank(mat(src, dst))
-    r2 = rank(mat(pre, src))
-    return len(src) - r1 - r2
-
-
-def beta_report(bidegrees, h):
-    """Per-bidegree dimension report with acyclicity and splitting checks.
-
-    Each row records (dim, rank, ker, im, homology); a note flags any
-    bidegree where the homology does not match the coefficient-ring
-    homology (the tensor splitting) or where the augmentation-ideal part
-    fails im = ker.
+    Columns and rows of M whose Steenrod part is 1 span the coefficient
+    ring, the others the augmentation ideal.  beta preserves that split in
+    the mz form; an entry crossing it raises.
     """
+    def blocks(basis):
+        sizes = [0, 0]
+        where = []
+        for _, m in basis:
+            one = m.is_one()
+            where.append((one, sizes[one]))
+            sizes[one] += 1
+        return where, sizes
+
+    cols, ncols = blocks(bidegree_basis(bd, h))
+    rows, nrows = blocks(bidegree_basis(bd + BETA_SHIFT, h))
+    entries = ({}, {})
+    for (r, c), v in M.entries.items():
+        one, col = cols[c]
+        row_one, row = rows[r]
+        if row_one != one:
+            raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
+        entries[one][(row, col)] = v
+    coeff = rank(FpMatrix(h.p, nrows[True], ncols[True], entries[True]))
+    ideal = rank(FpMatrix(h.p, nrows[False], ncols[False], entries[False]))
+    return len(cols), ncols[True], coeff, ideal
+
+
+def beta_report(bidegrees, h, matrix=None):
+    """Per-bidegree rows of (dim, rank, ker, im, homology), with notes.
+
+    matrix(bd) supplies the beta matrix at bd (beta_matrix by default); each
+    is built once per call and its ranks serve both as the rank at bd and
+    as the image at bd - (1,0).  A note flags any bidegree where the
+    homology does not match the coefficient-ring homology (the tensor
+    splitting) or where the augmentation-ideal part fails im = ker; both
+    are read off the two blocks of the same matrix.  Bidegrees with an
+    empty basis get no row.
+    """
+    if matrix is None:
+        def matrix(bd):
+            return beta_matrix(bd, h)
+
+    stats = {}
+
+    def at(bd):
+        if bd not in stats:
+            stats[bd] = _split_ranks(bd, matrix(bd), h)
+        return stats[bd]
+
     report = []
     for bd in bidegrees:
-        dim, r, ker, im, hom = homology_dims(bd, h)
+        if not bidegree_basis(bd, h):
+            continue
+        dim, coeff_dim, coeff_rank, ideal_rank = at(bd)
+        _, _, coeff_im, ideal_im = at(bd - BETA_SHIFT)
+        r = coeff_rank + ideal_rank
+        im = coeff_im + ideal_im
+        hom = dim - r - im
         notes = []
-        if hom != coeff_homology_dim(bd, h):
+        if hom != coeff_dim - coeff_rank - coeff_im:
             notes.append("homology does not match the coefficient tensor factor")
-        ideal_dim, ideal_rank = _ideal_rank(bd, h)
-        ideal_im = _ideal_rank(bd - BETA_SHIFT, h)[1]
-        if ideal_dim - ideal_rank != ideal_im:
+        if dim - coeff_dim - ideal_rank != ideal_im:
             notes.append("augmentation ideal has im != ker here")
         report.append(
             {
                 "bidegree": [bd.d, bd.w],
                 "dim": dim,
                 "rank": r,
-                "ker": ker,
+                "ker": dim - r,
                 "im": im,
                 "homology": hom,
                 "notes": notes,

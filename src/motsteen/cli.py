@@ -21,12 +21,12 @@ import sys
 from dataclasses import dataclass
 
 from .grading import BETA_SHIFT, tau_degree, xi_degree
-from .elements import Term, algebra, term_text
+from .elements import algebra, mono_degree
 from .schemes import SchemeError, make_scheme
-from .steenrod import bidegree_basis, populated_bidegrees
-from .bockstein import beta_matrix, coeff_homology_dim, _ideal_rank
+from .steenrod import populated_bidegrees
+from .bockstein import beta_matrix, beta_report
 from .cache import NullCache, ResultCache
-from .linalg import FpMatrix, rank
+from .linalg import FpMatrix
 from .integral import int_ring
 from .verify import SUITES, run_suite
 
@@ -117,15 +117,6 @@ def _matrix_from_payload(payload):
     )
 
 
-def cached_basis(bd, h, config, cache):
-    key = {**config.key_base(), "kind": "basis", "bidegree": [bd.d, bd.w]}
-    payload = cache.get_or_compute(
-        key,
-        lambda: [term_text(Term(1, c, m)) for c, m in bidegree_basis(bd, h)],
-    )
-    return payload
-
-
 def cached_beta_matrix(bd, h, config, cache):
     key = {**config.key_base(), "kind": "beta-matrix", "bidegree": [bd.d, bd.w]}
     payload = cache.get_or_compute(
@@ -152,33 +143,11 @@ def cmd_dims(config):
     """Per-bidegree table of dim, rank, kernel, image, and homology."""
     h = config.handle()
     cache = config.cache()
-    rows = []
-    for bd in populated_bidegrees(h, config.dmax, config.wmax):
-        labels = cached_basis(bd, h, config, cache)
-        if not labels:
-            continue
-        M = cached_beta_matrix(bd, h, config, cache)
-        r = rank(M)
-        im = rank(cached_beta_matrix(bd - BETA_SHIFT, h, config, cache))
-        hom = M.ncols - r - im
-        notes = []
-        if hom != coeff_homology_dim(bd, h):
-            notes.append("homology does not match the coefficient tensor factor")
-        ideal_dim, ideal_rank = _ideal_rank(bd, h)
-        if ideal_dim - ideal_rank != _ideal_rank(bd - BETA_SHIFT, h)[1]:
-            notes.append("augmentation ideal has im != ker here")
-        rows.append(
-            {
-                "bidegree": [bd.d, bd.w],
-                "dim": M.ncols,
-                "rank": r,
-                "ker": M.ncols - r,
-                "im": im,
-                "homology": hom,
-                "notes": notes,
-            }
-        )
-    return rows
+    return beta_report(
+        populated_bidegrees(h, config.dmax, config.wmax),
+        h,
+        lambda bd: cached_beta_matrix(bd, h, config, cache),
+    )
 
 
 def format_dims(rows, config):
@@ -292,7 +261,7 @@ def cmd_present(config, bound):
 
     y_gens = []
     if bound >= 1:
-        from .steenrod import basis_index, eta_degree
+        from .steenrod import basis_index
         from itertools import combinations
 
         idxs = list(range(1, bound + 1))
@@ -306,7 +275,7 @@ def cmd_present(config, bound):
                 if max(a, default=0) > max(U):
                     continue
                 idx = basis_index(a, U)
-                bd = eta_degree(idx, p) + BETA_SHIFT
+                bd = mono_degree(idx, p) + BETA_SHIFT
                 y_gens.append(
                     {
                         "a": sorted(a.items()),

@@ -112,12 +112,18 @@ def coeff_degree(c, scheme):
 
 
 def mono_degree(m, p):
-    bd = Bidegree(0, 0)
-    for j, e in m.xi:
-        bd = bd + xi_degree(p, j).scaled(e)
-    for j in m.taus:
-        bd = bd + tau_degree(p, j)
-    return bd
+    """Bidegree of an (xi, taus) monomial; a BasisIndex (a, U) has the same shape."""
+    xi, taus = m
+    d = w = 0
+    for j, e in xi:
+        xd, xw = xi_degree(p, j)
+        d += e * xd
+        w += e * xw
+    for j in taus:
+        td, tw = tau_degree(p, j)
+        d += td
+        w += tw
+    return Bidegree(d, w)
 
 
 def bidegree_of(item, scheme):

@@ -2,9 +2,7 @@
 
 Gaussian elimination with a deterministic pivot rule (columns left to right,
 lowest available row) so that ranks, kernel bases and image bases are
-reproducible bit for bit.  Matrices whose initial fill exceeds a quarter of
-the entries are eliminated on dense row lists instead of sparse row dicts;
-the arithmetic is identical either way.
+reproducible bit for bit.  Over GF(2) rows are packed into integers.
 """
 
 from __future__ import annotations
@@ -14,9 +12,6 @@ from dataclasses import dataclass, field
 
 class DimensionMismatch(ValueError):
     pass
-
-
-DENSE_FILL = 0.25
 
 
 @dataclass
@@ -76,10 +71,6 @@ class FpMatrix:
             out[r] = (out[r] + v * vec[c]) % self.p
         return tuple(out)
 
-    def density(self):
-        cells = self.nrows * self.ncols
-        return len(self.entries) / cells if cells else 0.0
-
 
 @dataclass
 class FpBasis:
@@ -137,20 +128,9 @@ def _rref(M):
     p = M.p
     if p == 2:
         return _rref_gf2(M)
-    sparse = M.density() <= DENSE_FILL
-
-    if sparse:
-        rows = [{} for _ in range(M.nrows)]
-        for (r, c), v in M.entries.items():
-            rows[r][c] = v
-    else:
-        dense = [[0] * M.ncols for _ in range(M.nrows)]
-        for (r, c), v in M.entries.items():
-            dense[r][c] = v
-        rows = [dict(enumerate(row)) for row in dense]
-        for row in rows:
-            for c in [c for c, v in row.items() if not v]:
-                del row[c]
+    rows = [{} for _ in range(M.nrows)]
+    for (r, c), v in M.entries.items():
+        rows[r][c] = v
 
     pivots = {}
     used = [False] * M.nrows
@@ -184,43 +164,36 @@ def _rref(M):
     return rows, pivots
 
 
+def _gf2_rank(rows):
+    """Rank of GF(2) vectors packed into integers, by insertion elimination."""
+    pivots = {}
+    for row in rows:
+        while row:
+            col = (row & -row).bit_length() - 1
+            hit = pivots.get(col)
+            if hit is None:
+                pivots[col] = row
+                break
+            row ^= hit
+    return len(pivots)
+
+
 def rank_of_columns(p, vectors):
     """Rank of the span of dense coordinate vectors."""
     if p == 2:
-        # byte-per-entry packing is a GF(2)-linear injection, so insertion
-        # elimination on the packed integers computes the same rank;
-        # residues are already reduced to 0/1
-        pivots = {}
-        for vec in vectors:
-            row = int.from_bytes(bytes(vec), "little")
-            while row:
-                col = (row & -row).bit_length() - 1
-                hit = pivots.get(col)
-                if hit is None:
-                    pivots[col] = row
-                    break
-                row ^= hit
-        return len(pivots)
+        # byte-per-entry packing is a GF(2)-linear injection, so it keeps
+        # the rank; residues are already reduced to 0/1
+        return _gf2_rank(int.from_bytes(bytes(vec), "little") for vec in vectors)
     n = len(vectors[0]) if vectors else 0
     return rank(FpMatrix.from_columns(p, vectors, n))
 
 
 def rank(M):
     if M.p == 2:
-        # insertion echelon on bitset rows; rank is pivot-rule independent
         bits = {}
         for (r, c), _ in M.entries.items():
             bits[r] = bits.get(r, 0) | (1 << c)
-        pivots = {}
-        for row in bits.values():
-            while row:
-                col = (row & -row).bit_length() - 1
-                hit = pivots.get(col)
-                if hit is None:
-                    pivots[col] = row
-                    break
-                row ^= hit
-        return len(pivots)
+        return _gf2_rank(bits.values())
     _, pivots = _rref(M)
     return len(pivots)
 

@@ -36,11 +36,12 @@ from .elements import (
     Element,
     algebra,
     element_text,
+    mono_degree,
     mul,
     term_element,
 )
 from .bockstein import beta, y
-from .steenrod import BasisIndex, basis_index, eta_degree
+from .steenrod import BasisIndex, basis_index
 from .integral import (
     PullbackElement,
     int_ring,
@@ -369,7 +370,7 @@ class FormalPoly:
 
 
 def _y_parity(idx, p):
-    return (eta_degree(idx, p).d - 1) & 1
+    return (mono_degree(idx, p).d - 1) & 1
 
 
 def formal_mul(x, z):

@@ -10,7 +10,9 @@ finite set U of tau indices (positive in the "mz" form, >= 0 in the full
 algebra).  basis_mz enumerates the coefficient-twisted monomial basis of one
 bidegree exhaustively; the search is bounded because every coefficient
 generator has nonpositive degree and weight while d - w is strictly positive
-on every xi/tau generator.
+on every xi/tau generator.  The xi/tau monomials come from one recursion,
+bucketed by bidegree once per (p, min_tau) in monomial_index; bases,
+populated bidegrees and the U-maximal sets read those buckets.
 
 The conjugation chi of the full algebra is computed from the generator
 recursions (with xi_0 = chi(xi_0) = 1)
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .grading import Bidegree, xi_degree, tau_degree
+from .grading import Bidegree, tau_degree
 from .elements import (
     COEFF_ONE,
     CoeffMonomial,
@@ -35,6 +37,7 @@ from .elements import (
     SteenrodMonomial,
     _coeff_zero,
     coeff_scale,
+    mono_degree,
     monomial_key,
     mul,
     power,
@@ -74,15 +77,6 @@ def eta(idx, h):
     return term_element(h.p, 1, COEFF_ONE, mono)
 
 
-def eta_degree(idx, p):
-    bd = Bidegree(0, 0)
-    for j, e in idx.a:
-        bd = bd + xi_degree(p, j).scaled(e)
-    for j in idx.U:
-        bd = bd + tau_degree(p, j)
-    return bd
-
-
 def index_of(mono):
     return BasisIndex(mono.xi, mono.taus)
 
@@ -90,19 +84,17 @@ def index_of(mono):
 # ---------------------------------------------------------------------------
 # Bidegree basis enumeration
 
-_mono_cache = {}
+_mono_index = {}
 _basis_cache = {}
 
 
 def steenrod_monomials(p, budget, min_tau):
-    """All (xi, taus) monomials with d - w <= budget, in a fixed order.
+    """All (xi, taus) monomials with d - w <= budget, sorted.
 
     xi_j costs p^j - 1 per exponent and tau_j costs p^j, so the enumeration
-    is finite for every budget.
+    is finite for every budget.  This is the one monomial recursion; the
+    other views read it through monomial_index.
     """
-    key = (p, budget, min_tau)
-    if key in _mono_cache:
-        return _mono_cache[key]
     gens = []
     j = 1
     while p**j - 1 <= budget:
@@ -131,47 +123,38 @@ def steenrod_monomials(p, budget, min_tau):
                 rec(i + 1, left - cost, xi, taus + [j])
 
     rec(0, budget, [], [])
-    out.sort(key=lambda m: (m.xi, m.taus))
-    _mono_cache[key] = out
+    out.sort()
     return out
+
+
+def monomial_index(p, budget, min_tau):
+    """{bidegree: sorted monomials} covering every monomial with d - w <= budget.
+
+    Memoized per (p, min_tau) and re-enumerated when a larger budget is
+    asked for, so buckets past the budget may be present: callers bound
+    d - w themselves.
+    """
+    hit = _mono_index.get((p, min_tau))
+    if hit is None or hit[0] < budget:
+        buckets = {}
+        for mono in steenrod_monomials(p, budget, min_tau):
+            buckets.setdefault(mono_degree(mono, p), []).append(mono)
+        hit = _mono_index[(p, min_tau)] = (budget, buckets)
+    return hit[1]
 
 
 def steenrod_monomials_by_degree(p, dmax, min_tau):
-    """All (xi, taus) monomials with topological degree <= dmax."""
-    key = ("bydeg", p, dmax, min_tau)
-    if key in _mono_cache:
-        return _mono_cache[key]
-    gens = []
-    j = 1
-    while 2 * (p**j - 1) <= dmax:
-        gens.append(("xi", j, 2 * (p**j - 1)))
-        j += 1
-    j = min_tau
-    while 2 * p**j - 1 <= dmax:
-        gens.append(("tau", j, 2 * p**j - 1))
-        j += 1
+    """All (xi, taus) monomials with topological degree <= dmax, sorted.
 
-    out = []
-
-    def rec(i, left, xi, taus):
-        if i == len(gens):
-            out.append(SteenrodMonomial(tuple(xi), tuple(taus)))
-            return
-        kind, j, cost = gens[i]
-        if kind == "xi":
-            e = 0
-            while e * cost <= left:
-                rec(i + 1, left - e * cost, xi + [(j, e)] if e else xi, taus)
-                e += 1
-        else:
-            rec(i + 1, left, xi, taus)
-            if cost <= left:
-                rec(i + 1, left - cost, xi, taus + [j])
-
-    rec(0, dmax, [], [])
-    out.sort(key=lambda m: (m.xi, m.taus))
-    _mono_cache[key] = out
-    return out
+    Every monomial has 2(d - w) = d + (number of taus), so all of these lie
+    in the index with d - w <= (dmax + T) / 2, T the number of tau_j of
+    degree <= dmax.
+    """
+    n_tau = 0
+    while tau_degree(p, min_tau + n_tau).d <= dmax:
+        n_tau += 1
+    buckets = monomial_index(p, (dmax + n_tau) // 2, min_tau)
+    return sorted(m for bd, monos in buckets.items() if bd.d <= dmax for m in monos)
 
 
 def coeff_monomials(bd, scheme):
@@ -217,17 +200,11 @@ def bidegree_basis(bd, h):
     d, w = bd
     out = []
     if d - w >= 0:
-        for mono in steenrod_monomials(h.p, d - w, h.min_tau):
-            md = Bidegree(0, 0)
-            for j, e in mono.xi:
-                md = md + xi_degree(h.p, j).scaled(e)
-            for j in mono.taus:
-                md = md + tau_degree(h.p, j)
-            if md.d < d or md.w < w:
+        for e, monos in monomial_index(h.p, d - w, h.min_tau).items():
+            if e.d < d or e.w < w or e.d - e.w > d - w:
                 continue
-            rem = Bidegree(d - md.d, w - md.w)
-            for c in coeff_monomials(rem, h.scheme):
-                out.append((c, mono))
+            for c in coeff_monomials(Bidegree(d - e.d, w - e.w), h.scheme):
+                out.extend((c, m) for m in monos)
     out.sort(key=monomial_key)
     _basis_cache[key] = out
     return out
@@ -278,14 +255,10 @@ def populated_bidegrees(h, dmax, wmax):
     key = (h.scheme.id, h.p, h.scheme.q, h.ambient, dmax, wmax)
     if key in _pop_cache:
         return _pop_cache[key]
-    eta_degs = set()
-    for mono in steenrod_monomials(h.p, dmax + wmax, h.min_tau):
-        bd = Bidegree(0, 0)
-        for j, e in mono.xi:
-            bd = bd + xi_degree(h.p, j).scaled(e)
-        for j in mono.taus:
-            bd = bd + tau_degree(h.p, j)
-        eta_degs.add(bd)
+    budget = dmax + wmax
+    eta_degs = [
+        e for e in monomial_index(h.p, budget, h.min_tau) if e.d - e.w <= budget
+    ]
     out = []
     for d in range(-dmax, dmax + 1):
         for w in range(-wmax, wmax + 1):

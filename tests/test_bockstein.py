@@ -5,7 +5,7 @@ import random
 import pytest
 
 from motsteen import algebra, element_text, mul, term_element
-from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial
+from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, mono_degree
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.bockstein import (
     beta,
@@ -17,7 +17,6 @@ from motsteen.bockstein import (
     block_of,
     constructive_kernel,
     free_bbeta_generators,
-    homology_dims,
     ker_beta_basis,
     u_maximal_indices,
     y,
@@ -25,7 +24,6 @@ from motsteen.bockstein import (
 from motsteen.steenrod import (
     basis_index,
     eta,
-    eta_degree,
     steenrod_monomials_by_degree,
 )
 
@@ -185,7 +183,7 @@ def test_free_generators_examples():
     assert free_bbeta_generators(Bidegree(2, 1), 2) == [basis_index({}, [1])]
     assert free_bbeta_generators(Bidegree(0, 0), 2) == []
     gens = free_bbeta_generators(Bidegree(9, 4), 2)
-    at_94 = [g for g in gens if eta_degree(g, 2) + BETA_SHIFT == Bidegree(9, 4)]
+    at_94 = [g for g in gens if mono_degree(g, 2) + BETA_SHIFT == Bidegree(9, 4)]
     assert at_94 == [basis_index({}, [1, 2])]
 
 
@@ -193,7 +191,7 @@ def test_u_maximal_filter():
     idxs = u_maximal_indices(Bidegree(9, 4), 2)  # eta degree (9,4): xi_2 tau_1
     assert basis_index({2: 1}, [1]) not in idxs  # max supp a = 2 > max U = 1
     all_with_deg = [basis_index({2: 1}, [1])]
-    assert eta_degree(all_with_deg[0], 2) == Bidegree(9, 4)
+    assert mono_degree(all_with_deg[0], 2) == Bidegree(9, 4)
 
 
 def test_ker_beta_examples():
@@ -223,8 +221,13 @@ def test_kernel_agreement_all_schemes(h):
 
 
 def test_homology_dims_examples():
-    assert homology_dims(Bidegree(0, 0), H2) == (1, 0, 1, 0, 1)
-    assert homology_dims(Bidegree(2, 1), H2) == (1, 0, 1, 1, 0)
+    # (dim, rank, ker, im, homology) as the dims rows report them
+    rows = beta_report([Bidegree(0, 0), Bidegree(2, 1)], H2)
+    fields = ("dim", "rank", "ker", "im", "homology")
+    assert [tuple(r[f] for f in fields) for r in rows] == [
+        (1, 0, 1, 0, 1),
+        (1, 0, 1, 1, 0),
+    ]
 
 
 def test_beta_report_schema_and_notes():

@@ -136,6 +136,18 @@ def test_verify_beta2_pass():
     assert out.startswith("PASS")
 
 
+def test_verify_chi_real_odd_has_no_tau():
+    # F_p[theta] has no tau, so the chi(tau) check does not apply there
+    code, out = run_cli(
+        ["verify", "chi", "--prime", "3", "--scheme", "real-odd",
+         "--dmax", "10", "--wmax", "5"]
+    )
+    assert code == 0
+    assert "FAIL" not in out
+    assert "chi(tau) = tau + rho tau_0" not in out
+    assert "PASS  chi is an involution" in out
+
+
 def test_verify_products_warn_not_fail_and_strict():
     args = ["verify", "products", "--prime", "2", "--scheme", "algclosed",
             "--dmax", "6", "--wmax", "6"]

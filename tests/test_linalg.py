@@ -121,7 +121,7 @@ def test_image_certificates_reproduce_columns():
 
 def test_dense_fallback_path():
     rng = random.Random(13)
-    M = _random_sparse(rng, 3, 15, 15, 0.6)  # above the sparse fill threshold
+    M = _random_sparse(rng, 3, 15, 15, 0.6)  # dense input through the one sparse path
     assert rank(M) == rank(M.transpose())
     kb = kernel_basis(M)
     for v in kb.vectors:

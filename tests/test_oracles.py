@@ -1,0 +1,87 @@
+"""The single-path enumeration, bases and dims report against the oracles.
+
+tests/oracles.py keeps the implementations these paths replaced; on small
+windows the outputs must be equal, element for element and row for row.
+"""
+
+import pytest
+
+import oracles
+from motsteen import algebra
+from motsteen.bockstein import beta_report, free_bbeta_generators, u_maximal_by_degree
+from motsteen.cli import Config, cmd_dims
+from motsteen.grading import BETA_SHIFT, Bidegree
+from motsteen.steenrod import (
+    bidegree_basis,
+    populated_bidegrees,
+    steenrod_monomials,
+    steenrod_monomials_by_degree,
+)
+
+ALL_MZ = [algebra("algclosed", 2), algebra("algclosed", 3), algebra("real-p2", 2),
+          algebra("z-half", 2), algebra("finite-field", 3, q=7), algebra("real-odd", 3),
+          algebra("finite-field", 2, q=3), algebra("finite-field", 2, q=5)]
+ALL_A = [algebra("algclosed", 2, ambient="a"), algebra("algclosed", 3, ambient="a"),
+         algebra("real-p2", 2, ambient="a"), algebra("z-half", 2, ambient="a")]
+
+
+def handle_id(h):
+    q = f"-q{h.scheme.q}" if h.scheme.q else ""
+    return f"{h.ambient}-{h.scheme.id}-p{h.p}{q}"
+
+
+@pytest.mark.parametrize("p,top", [(2, 24), (3, 40)])
+def test_enumeration_matches_oracle(p, top):
+    # descending, so every view below the first is read off a grown index
+    for min_tau in (0, 1):
+        for n in range(top, -1, -1):
+            assert steenrod_monomials(p, n, min_tau) == oracles.steenrod_monomials(p, n, min_tau)
+            assert steenrod_monomials_by_degree(p, n, min_tau) == (
+                oracles.steenrod_monomials_by_degree(p, n, min_tau)
+            )
+
+
+@pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
+def test_bases_match_oracle(h):
+    window = (10, 7) if h.p == 2 else (20, 9)
+    bds = populated_bidegrees(h, *window)
+    assert bds == oracles.populated_bidegrees(h, *window)
+    for bd in bds:
+        for b in (bd, bd + BETA_SHIFT, bd - BETA_SHIFT):
+            assert bidegree_basis(b, h) == oracles.bidegree_basis(b, h)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_u_maximal_matches_oracle(p):
+    for budget in range(-1, 20):
+        assert u_maximal_by_degree(p, budget) == oracles.u_maximal_by_degree(p, budget)
+    for bound in (Bidegree(0, 0), Bidegree(9, 4), Bidegree(16, 8), Bidegree(30, 12)):
+        assert free_bbeta_generators(bound, p, check=False) == (
+            oracles.free_bbeta_generators(bound, p)
+        )
+
+
+@pytest.mark.parametrize("h", ALL_MZ, ids=handle_id)
+def test_beta_report_matches_oracle(h):
+    window = (10, 7) if h.p == 2 else (20, 9)
+    bds = oracles.populated_bidegrees(h, *window)
+    assert beta_report(bds, h) == oracles.beta_report(bds, h)
+
+
+@pytest.mark.parametrize("scheme,p,q", [("real-p2", 2, None), ("finite-field", 3, 7)])
+def test_dims_rows_match_oracle(tmp_path, scheme, p, q):
+    config = Config(p=p, scheme=scheme, q=q, dmax=8, wmax=5, cache_dir=str(tmp_path))
+    h = config.handle()
+    want = oracles.beta_report(oracles.populated_bidegrees(h, 8, 5), h)
+    assert cmd_dims(config) == want
+    assert cmd_dims(config) == want  # warm disk cache
+
+
+def test_split_crossing_raises():
+    # in the full algebra beta(tau_0) = 1 maps the augmentation ideal onto
+    # the coefficient ring, so the report's block split does not exist
+    h = ALL_A[0]
+    with pytest.raises(KeyError):
+        oracles.beta_report([Bidegree(1, 0)], h)
+    with pytest.raises(ValueError, match="crosses"):
+        beta_report([Bidegree(1, 0)], h)

@@ -144,7 +144,7 @@ def test_formal_reduce_is_ring_map_to_pullback():
     import random
 
     from motsteen.bockstein import u_maximal_by_degree
-    from motsteen.steenrod import eta_degree
+    from motsteen.elements import mono_degree
 
     for p, h in ((2, H2), (3, H3)):
         ring = int_ring(h.scheme)
@@ -156,7 +156,7 @@ def test_formal_reduce_is_ring_map_to_pullback():
             (i1, i2)
             for i1 in idxs
             for i2 in idxs
-            if (eta_degree(i1, p).d - 1) + (eta_degree(i2, p).d - 1) <= 25
+            if (mono_degree(i1, p).d - 1) + (mono_degree(i2, p).d - 1) <= 25
         ]
         rng = random.Random(41)
         extra = [

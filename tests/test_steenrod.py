@@ -5,7 +5,7 @@ import random
 import pytest
 
 from motsteen import algebra, basis_mz, element_text, mul, term_element
-from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial
+from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, mono_degree
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
     basis_index,
@@ -15,7 +15,6 @@ from motsteen.steenrod import (
     coeff_monomials,
     conjugate,
     eta,
-    eta_degree,
     index_of,
     mz_generators_in_a,
     mz_image_in_a,
@@ -185,4 +184,4 @@ def test_eta_degree_matches_element():
     for idx in [basis_index({1: 2}, [1]), basis_index({2: 1, 3: 1}, [2, 4])]:
         for p, h in ((2, H2), (3, H3)):
             el = eta(idx, h)
-            assert el.homogeneous_bidegree(h.scheme) == eta_degree(idx, p)
+            assert el.homogeneous_bidegree(h.scheme) == mono_degree(idx, p)
