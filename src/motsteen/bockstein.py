@@ -5,7 +5,9 @@ the full algebra), beta(xi_j) = 0, extended by the Leibniz rule with Koszul
 sign (-1)^d on passing a factor of topological degree d.  In the mz form the
 coefficient symbols additionally carry the scheme's coefficient Bockstein
 (e.g. beta(tau) = rho over the reals at p = 2); in the full algebra the
-coefficient symbols are Bockstein-free.
+coefficient symbols are Bockstein-free.  beta works on normalized terms as
+they stand: the image of one term is already normalized, so it never calls
+normalize.
 
 The coefficient-free model splits as a tensor product of two-term acyclic
 complexes: block slot i >= 0 holds xi_{i+1}-exponent-plus-tau_{i+1} mass m_i,
@@ -16,7 +18,10 @@ m = 0, which beta_report and the kernel-basis machinery exploit.
 beta_report builds one beta matrix per bidegree and reads a dims row off it:
 the rank, the image (the rank one degree up), and both splitting checks as
 the ranks of its two diagonal blocks, the coefficient ring (Steenrod part 1)
-and the augmentation ideal.
+and the augmentation ideal.  ker_beta_basis builds the same matrix, takes
+the generic kernel from it and checks the constructive (Z u U) basis
+against it: that matrix must kill each constructive vector, and the two
+bases must span the same space.
 """
 
 from __future__ import annotations
@@ -25,13 +30,12 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
+    Element,
     SteenrodMonomial,
-    Term,
     _coeff_zero,
     coeff_degree,
     coeff_scale,
     mul,
-    normalize,
     term_element,
 )
 from .linalg import FpBasis, FpMatrix, kernel_basis, rank, rank_of_columns
@@ -70,28 +74,46 @@ def _beta_coeff_monomial(c, h):
 
 
 def beta(x, h):
-    """The Bockstein of a normalized homogeneous element."""
+    """The Bockstein of a normalized homogeneous element.
+
+    A normalized term (c, m) yields only (beta c, m) and (c, beta m) terms:
+    no tau square, no two alike, each normalized as it stands.  So the
+    scalars are summed mod p straight into the result and nothing goes
+    through normalize.  Terms are visited last to first, so the result
+    lists its terms in the order normalize would give them.
+    """
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
-    x.homogeneous_bidegree(h.scheme)  # rejects mixed degrees
+    scheme = h.scheme
+    if len(x.terms) > 1:
+        x.homogeneous_bidegree(scheme)  # rejects mixed degrees
     p = h.p
-    raw = []
-    for (c, m), s in x.terms.items():
+    out = {}
+
+    def add(key, s):
+        v = (out.get(key, 0) + s) % p
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+    for (c, m), s in reversed(x.terms.items()):
+        # xi/tau part: pass the whole coefficient, then earlier tau factors;
+        # coeff_degree also rejects foreign coefficient generators
+        sign_c = -1 if coeff_degree(c, scheme).d & 1 else 1
+        for t in range(len(m.taus) - 1, -1, -1):
+            j = m.taus[t]
+            xi = m.xi
+            if j > 0:  # beta(tau_0) = 1 in the full algebra
+                bumped = dict(xi)
+                bumped[j] = bumped.get(j, 0) + 1
+                xi = tuple(sorted(bumped.items()))
+            mono = SteenrodMonomial(xi, m.taus[:t] + m.taus[t + 1 :])
+            add((c, mono), s * sign_c * (-1 if t & 1 else 1))
         # coefficient part
-        for cs, nc in _beta_coeff_monomial(c, h):
-            raw.append(Term((s * cs) % p, nc, m))
-        # xi/tau part: pass the whole coefficient, then earlier tau factors
-        sign_c = -1 if coeff_degree(c, h.scheme).d & 1 else 1
-        for t, j in enumerate(m.taus):
-            sign = sign_c * (-1 if t & 1 else 1)
-            taus = m.taus[:t] + m.taus[t + 1 :]
-            xi = dict(m.xi)
-            if j > 0:
-                xi[j] = xi.get(j, 0) + 1
-            # beta(tau_0) = 1 in the full algebra
-            mono = SteenrodMonomial(tuple(sorted(xi.items())), taus)
-            raw.append(Term((s * sign) % p, c, mono))
-    return normalize(raw, h)
+        for cs, nc in reversed(_beta_coeff_monomial(c, h)):
+            add((nc, m), s * cs)
+    return Element(p, out)
 
 
 _y_cache = {}
@@ -213,30 +235,30 @@ def element_vector(x, basis_list, rows=None):
 
 
 def scheme_kernel_data(scheme):
-    """(Z_H, R_H) generators of the coefficient ring, as predicate enumerators.
+    """The split of a bidegree's coefficient monomials into (Z_H, R_H).
 
     Z_H spans ker(beta) on the coefficient ring; R_H is mapped bijectively
-    onto a basis of the image.  Both are returned as functions of a bidegree
-    which list the coefficient monomials of that degree.
+    onto a basis of the image.  Returns a function of a bidegree that lists
+    the coefficient monomials of that degree once and splits them.
     """
     from .steenrod import coeff_monomials
 
     beta_table = scheme.coeff_bockstein
     if not beta_table:
-        return (lambda bd: coeff_monomials(bd, scheme)), (lambda bd: [])
+        return lambda bd: (coeff_monomials(bd, scheme), [])
     if set(beta_table) != {"tau"}:
         raise ValueError(f"no kernel data for scheme {scheme.id}")
     p = scheme.p
 
     # beta(tau^k x) = k tau^(k-1) beta(tau) x with beta(tau) = rho or eps:
     # eps multiples and p | k are cycles, the rest meet the image bijectively
-    def z_h(bd):
-        return [c for c in coeff_monomials(bd, scheme) if c.eps or c.tau % p == 0]
+    def split(bd):
+        zs, rs = [], []
+        for c in coeff_monomials(bd, scheme):
+            (zs if c.eps or c.tau % p == 0 else rs).append(c)
+        return zs, rs
 
-    def r_h(bd):
-        return [c for c in coeff_monomials(bd, scheme) if not c.eps and c.tau % p]
-
-    return z_h, r_h
+    return split
 
 
 _umax_cache = {}
@@ -312,27 +334,26 @@ def constructive_kernel(bd, h):
     Z: coefficient cycles times (1 or a U-maximal y class).
     U: beta(r) eta[a,U] + (-1)^{deg r} r y[a,U] for coefficient preimages r
     and U-maximal eta; the sign is the one forced by the Leibniz rule (it
-    agrees with the stated one at p = 2).  Every element is verified to be
-    a beta cycle on construction.
+    agrees with the stated one at p = 2).  ker_beta_basis checks that every
+    element is a beta cycle.
     """
     from .steenrod import coeff_degree_populated
 
-    z_h, r_h = scheme_kernel_data(h.scheme)
+    split = scheme_kernel_data(h.scheme)
     p = h.p
     out = []
     d, w = bd
-    for c in z_h(bd):
+    for c in split(bd)[0]:
         out.append(term_element(p, 1, c))
     # every xi/tau generator costs at least 1 in d - w, and the coefficient
     # remainders below cost at least -1, so budget d - w + 1 is exhaustive
     if d - w + 1 >= 0:
         for eb, idxs in u_maximal_by_degree(p, d - w + 1).items():
-            rem_z = Bidegree(d - eb.d + 1, w - eb.w)
-            rem_r = rem_z  # |beta r| + |eta| = bd forces the same remainder
-            if not coeff_degree_populated(rem_z, h.scheme):
+            # |beta r| + |eta| = bd forces the same remainder for Z and R
+            rem = Bidegree(d - eb.d + 1, w - eb.w)
+            if not coeff_degree_populated(rem, h.scheme):
                 continue
-            zs = z_h(rem_z)
-            rs = r_h(rem_r)
+            zs, rs = split(rem)
             if not zs and not rs:
                 continue
             for idx in idxs:
@@ -345,17 +366,17 @@ def constructive_kernel(bd, h):
                         r, y(idx, h), h
                     ).scaled(sign)
                     out.append(el)
-    for el in out:
-        if not beta(el, h).is_zero():
-            raise AssertionError("constructive kernel element is not a beta cycle")
     return out
 
 
 def ker_beta_basis(bd, h):
     """Generic and constructive kernel bases of one bidegree; asserts agreement.
 
-    Agreement means: same count, the constructive vectors are independent,
-    and stacking them onto the generic kernel does not grow the rank.
+    The constructive elements are first checked to be beta cycles, by one
+    product of each of their vectors with the beta matrix the generic
+    kernel is taken from.  Agreement then means: same count, the
+    constructive vectors are independent, and stacking them onto the
+    generic kernel does not grow the rank.
     """
     basis_list = bidegree_basis(bd, h)
     M = beta_matrix(bd, h)
@@ -364,6 +385,16 @@ def ker_beta_basis(bd, h):
     construct = constructive_kernel(bd, h)
     rows_map = {key: i for i, key in enumerate(basis_list)}
     vecs = [element_vector(el, basis_list, rows_map) for el in construct]
+    cols = [[] for _ in range(M.ncols)]
+    for (r, c), v in M.entries.items():
+        cols[c].append((r, v))
+    for el in construct:
+        img = {}
+        for key, s in el.terms.items():  # the support of its vector
+            for r, v in cols[rows_map[key]]:
+                img[r] = (img.get(r, 0) + s * v) % h.p
+        if any(img.values()):
+            raise AssertionError("constructive kernel element is not a beta cycle")
     agrees = len(vecs) == len(generic.vectors)
     if agrees and vecs:
         agrees = rank_of_columns(h.p, vecs) == len(vecs)

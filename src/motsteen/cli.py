@@ -125,16 +125,6 @@ def cached_beta_matrix(bd, h, config, cache):
     return _matrix_from_payload(payload)
 
 
-def cached_kernel(bd, h, config, cache):
-    from .bockstein import ker_beta_basis
-
-    key = {**config.key_base(), "kind": "ker-basis", "bidegree": [bd.d, bd.w]}
-    return cache.get_or_compute(
-        key,
-        lambda: [list(v) for v in ker_beta_basis(bd, h).generic.vectors],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 

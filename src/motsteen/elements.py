@@ -103,12 +103,14 @@ class AmbientMismatch(ValueError):
 
 
 def coeff_degree(c, scheme):
-    bd = Bidegree(0, 0)
-    for name in COEFF_ORDER:
-        e = c.exp(name)
+    """Bidegree of a coefficient monomial; raises on a foreign generator."""
+    d = w = 0
+    for name, e in zip(COEFF_ORDER, c):
         if e:
-            bd = bd + scheme.degree(name).scaled(e)
-    return bd
+            gd, gw = scheme.degree(name)
+            d += e * gd
+            w += e * gw
+    return Bidegree(d, w)
 
 
 def mono_degree(m, p):
@@ -137,11 +139,6 @@ def bidegree_of(item, scheme):
     else:
         c, m = item
     return coeff_degree(c, scheme) + mono_degree(m, scheme.p)
-
-
-def _parity(c, m, scheme):
-    d = coeff_degree(c, scheme).d + mono_degree(m, scheme.p).d
-    return d & 1
 
 
 # ---------------------------------------------------------------------------

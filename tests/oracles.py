@@ -3,14 +3,22 @@
 These are the earlier, duplicated code paths that motsteen replaced with one
 path each: two enumeration recursions (one bounded on d - w, one on d), a
 per-bidegree re-scan of every monomial for bases and populated bidegrees,
-and a dimension report that rebuilds the Bockstein matrix of the
-augmentation ideal and of the coefficient ring beside the full one.  They
-carry no memo, and they build their matrices on their own bases, so
+a dimension report that rebuilds the Bockstein matrix of the augmentation
+ideal and of the coefficient ring beside the full one, and a Bockstein
+that builds raw terms and sends them through normalize.  They carry no
+memo, and they build their matrices on their own bases, so
 test_oracles.py can hold the single-path code to them on small windows.
 """
 
-from motsteen.bockstein import _beta_coeff_monomial, beta
-from motsteen.elements import SteenrodMonomial, monomial_key, term_element
+from motsteen.bockstein import _beta_coeff_monomial
+from motsteen.elements import (
+    SteenrodMonomial,
+    Term,
+    coeff_degree,
+    monomial_key,
+    normalize,
+    term_element,
+)
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.linalg import FpMatrix, rank
 from motsteen.steenrod import coeff_degree_populated, coeff_monomials, index_of
@@ -131,6 +139,31 @@ def free_bbeta_generators(bound, p):
         if yb.d <= dmax and yb.w <= wmax:
             found.setdefault(yb, []).append(idx)
     return [i for _, idxs in sorted(found.items()) for i in idxs]
+
+
+def beta(x, h):
+    """The Bockstein of a normalized homogeneous element, via normalize."""
+    if x.p != h.p:
+        raise ValueError("element prime does not match the handle")
+    x.homogeneous_bidegree(h.scheme)  # rejects mixed degrees
+    p = h.p
+    raw = []
+    for (c, m), s in x.terms.items():
+        # coefficient part
+        for cs, nc in _beta_coeff_monomial(c, h):
+            raw.append(Term((s * cs) % p, nc, m))
+        # xi/tau part: pass the whole coefficient, then earlier tau factors
+        sign_c = -1 if coeff_degree(c, h.scheme).d & 1 else 1
+        for t, j in enumerate(m.taus):
+            sign = sign_c * (-1 if t & 1 else 1)
+            taus = m.taus[:t] + m.taus[t + 1 :]
+            xi = dict(m.xi)
+            if j > 0:
+                xi[j] = xi.get(j, 0) + 1
+            # beta(tau_0) = 1 in the full algebra
+            mono = SteenrodMonomial(tuple(sorted(xi.items())), taus)
+            raw.append(Term((s * sign) % p, c, mono))
+    return normalize(raw, h)
 
 
 def _matrix(src, dst, h):

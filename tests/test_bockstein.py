@@ -210,6 +210,24 @@ def test_constructive_kernel_elements_are_cycles():
 
 
 @pytest.mark.parametrize(
+    "h,bd", [(H2, Bidegree(3, 1)), (HR, Bidegree(3, 0)), (HF3, Bidegree(5, 1))]
+)
+def test_ker_beta_basis_rejects_a_non_cycle(monkeypatch, h, bd):
+    """A constructive element that beta does not kill fails the matrix check."""
+    import motsteen.bockstein as bockstein
+
+    bad = next(
+        term_element(h.p, 1, c, m)
+        for c, m in bockstein.bidegree_basis(bd, h)
+        if not beta(term_element(h.p, 1, c, m), h).is_zero()
+    )
+    real = bockstein.constructive_kernel
+    monkeypatch.setattr(bockstein, "constructive_kernel", lambda b, g: real(b, g) + [bad])
+    with pytest.raises(AssertionError, match="not a beta cycle"):
+        ker_beta_basis(bd, h)
+
+
+@pytest.mark.parametrize(
     "h", ALL_MZ, ids=lambda h: f"{h.scheme.id}-p{h.p}" + (f"-q{h.scheme.q}" if h.scheme.q else "")
 )
 def test_kernel_agreement_all_schemes(h):

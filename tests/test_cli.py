@@ -87,23 +87,6 @@ def test_cache_env_override(tmp_path):
     assert any(env_dir.iterdir())
 
 
-def test_cached_kernel_round_trip(tmp_path):
-    from motsteen.cache import ResultCache
-    from motsteen.cli import Config, cached_kernel
-    from motsteen.grading import Bidegree
-
-    cfg = Config(p=2, scheme="real-p2", dmax=6, wmax=5)
-    cache = ResultCache(str(tmp_path))
-    h = cfg.handle()
-    cold = cached_kernel(Bidegree(2, 0), h, cfg, cache)
-    warm = cached_kernel(Bidegree(2, 0), h, cfg, cache)
-    assert cold == warm
-    from motsteen.bockstein import ker_beta_basis
-
-    direct = [list(v) for v in ker_beta_basis(Bidegree(2, 0), h).generic.vectors]
-    assert warm == direct
-
-
 def test_cache_version_mismatch_recomputes(tmp_path):
     from motsteen.cache import ResultCache
 

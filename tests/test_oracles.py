@@ -4,11 +4,14 @@ tests/oracles.py keeps the implementations these paths replaced; on small
 windows the outputs must be equal, element for element and row for row.
 """
 
+import random
+
 import pytest
 
 import oracles
 from motsteen import algebra
-from motsteen.bockstein import beta_report, free_bbeta_generators, u_maximal_by_degree
+from motsteen.bockstein import beta, beta_report, free_bbeta_generators, u_maximal_by_degree
+from motsteen.elements import Element, term_element
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.steenrod import (
@@ -75,6 +78,26 @@ def test_dims_rows_match_oracle(tmp_path, scheme, p, q):
     want = oracles.beta_report(oracles.populated_bidegrees(h, 8, 5), h)
     assert cmd_dims(config) == want
     assert cmd_dims(config) == want  # warm disk cache
+
+
+@pytest.mark.parametrize(
+    "h", ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)], ids=handle_id
+)
+def test_beta_matches_oracle(h):
+    # same terms in the same order: on every basis monomial of the window,
+    # and on seeded random homogeneous sums of 1 to 6 of them
+    rng = random.Random(f"beta-{handle_id(h)}")
+    p = h.p
+    window = (10, 7) if p == 2 else (20, 9)
+    for bd in populated_bidegrees(h, *window):
+        basis = bidegree_basis(bd, h)
+        xs = [term_element(p, 1, c, m) for c, m in basis]
+        for _ in range(8):
+            keys = rng.sample(basis, rng.randint(1, min(6, len(basis))))
+            xs.append(Element(p, {key: rng.randrange(1, p) for key in keys}))
+        for x in xs:
+            want = oracles.beta(x, h)
+            assert list(beta(x, h).terms.items()) == list(want.terms.items())
 
 
 def test_split_crossing_raises():

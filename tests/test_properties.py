@@ -1,0 +1,55 @@
+"""Properties of the Bockstein on random homogeneous sums, over every handle.
+
+Each example picks a handle, a populated bidegree of a small window and a
+sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
+examples are derandomized, so a run draws the same ones every time.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from motsteen import algebra, mul
+from motsteen.bockstein import beta
+from motsteen.elements import Element
+from motsteen.steenrod import bidegree_basis, populated_bidegrees
+from test_oracles import ALL_A, ALL_MZ, handle_id
+
+HANDLES = ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)]
+BASES = {
+    handle_id(h): [
+        bidegree_basis(bd, h)
+        for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (18, 9)))
+    ]
+    for h in HANDLES
+}
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def sums(draw, h):
+    basis = draw(st.sampled_from(BASES[handle_id(h)]))
+    keys = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=6, unique=True))
+    scalars = st.integers(1, h.p - 1)
+    return Element(h.p, {key: draw(scalars) for key in keys})
+
+
+handles = st.sampled_from(HANDLES)
+
+
+@PROPERTY
+@given(handles.flatmap(lambda h: st.tuples(st.just(h), sums(h))))
+def test_beta_squared_is_zero(hx):
+    h, x = hx
+    assert beta(beta(x, h), h).is_zero()
+
+
+@PROPERTY
+@given(handles.flatmap(lambda h: st.tuples(st.just(h), sums(h), sums(h))))
+def test_beta_is_a_derivation(hxz):
+    # beta(x z) = beta(x) z + (-1)^|x| x beta(z), with the Koszul sign of
+    # the topological degree
+    h, x, z = hxz
+    sign = -1 if x.homogeneous_bidegree(h.scheme).d & 1 else 1
+    lhs = beta(mul(x, z, h), h)
+    rhs = mul(beta(x, h), z, h) + mul(x, beta(z, h), h).scaled(sign)
+    assert lhs == rhs
