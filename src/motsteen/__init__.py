@@ -6,6 +6,8 @@ decomposition, kernel bases, and the integral/p-adic pullback model, all
 cross-checked against independent brute-force oracles.
 """
 
+__version__ = "0.1.0"
+
 from .grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from .schemes import SCHEME_IDS, SchemeError, SchemePresentation, make_scheme
 from .elements import (
@@ -26,7 +28,7 @@ from .elements import (
     term_element,
     term_text,
 )
-from .linalg import FpBasis, FpMatrix, image_basis, in_span, kernel_basis, rank
+from .linalg import FpBasis, FpMatrix, kernel_basis, rank
 from .steenrod import (
     BasisIndex,
     basis_index,
@@ -70,5 +72,3 @@ from .relations import (
     verify_product_relation,
     z12_relation_check,
 )
-
-__version__ = "0.1.0"

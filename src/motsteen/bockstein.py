@@ -381,7 +381,6 @@ def ker_beta_basis(bd, h):
     basis_list = bidegree_basis(bd, h)
     M = beta_matrix(bd, h)
     generic = kernel_basis(M)
-    generic.labels = basis_list
     construct = constructive_kernel(bd, h)
     rows_map = {key: i for i, key in enumerate(basis_list)}
     vecs = [element_vector(el, basis_list, rows_map) for el in construct]

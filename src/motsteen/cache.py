@@ -1,8 +1,8 @@
 """Result cache: one JSON file per entry, named by a stable key hash.
 
-Entries are versioned; a version mismatch invalidates.  Writers publish via
-create-then-rename in the cache directory, so concurrent processes never see
-a partial file.
+Entries are versioned with the package version; a version mismatch
+invalidates.  Writers publish via create-then-rename in the cache
+directory, so concurrent processes never see a partial file.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ import json
 import os
 import tempfile
 
-CACHE_VERSION = "1"
+from . import __version__
+
+CACHE_VERSION = f"1+{__version__}"
 
 
 def cache_key(parts):
@@ -55,14 +57,6 @@ class ResultCache:
                 pass
             raise
 
-    def get_or_compute(self, key_parts, compute):
-        hit = self.load(key_parts)
-        if hit is not None:
-            return hit
-        payload = compute()
-        self.store(key_parts, payload)
-        return payload
-
 
 class NullCache:
     def load(self, key_parts):
@@ -70,6 +64,3 @@ class NullCache:
 
     def store(self, key_parts, payload):
         pass
-
-    def get_or_compute(self, key_parts, compute):
-        return compute()

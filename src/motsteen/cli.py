@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .grading import BETA_SHIFT, tau_degree, xi_degree
 from .elements import algebra, mono_degree
 from .schemes import SchemeError, make_scheme
-from .steenrod import populated_bidegrees
+from .steenrod import bidegree_basis, populated_bidegrees
 from .bockstein import beta_matrix, beta_report
 from .cache import NullCache, ResultCache
 from .linalg import FpMatrix
@@ -118,10 +118,18 @@ def _matrix_from_payload(payload):
 
 
 def cached_beta_matrix(bd, h, config, cache):
+    """The beta matrix at bd, from the cache when its entry fits the bases.
+
+    An entry whose shape differs from the bases of bd and bd - (1, 0) built
+    now is recomputed and overwritten.
+    """
     key = {**config.key_base(), "kind": "beta-matrix", "bidegree": [bd.d, bd.w]}
-    payload = cache.get_or_compute(
-        key, lambda: _matrix_payload(beta_matrix(bd, h))
-    )
+    payload = cache.load(key)
+    if payload is None or (payload["nrows"], payload["ncols"]) != (
+        len(bidegree_basis(bd + BETA_SHIFT, h)), len(bidegree_basis(bd, h))
+    ):
+        payload = _matrix_payload(beta_matrix(bd, h))
+        cache.store(key, payload)
     return _matrix_from_payload(payload)
 
 

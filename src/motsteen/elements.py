@@ -465,12 +465,11 @@ def parse_term(s):
     return Term(scalar, coeff, mono)
 
 
-def parse_element(s, p):
+def parse_element(s, h):
+    """The element of h written in canonical text form, normalized.
+
+    normalize applies the coefficient relations, so a zero class parses to
+    zero, and it rejects generators foreign to h.
+    """
     s = s.strip()
-    if s == "0":
-        return Element.zero(p)
-    out = Element.zero(p)
-    for chunk in s.split(" + "):
-        t = parse_term(chunk)
-        out = out + term_element(p, t.scalar, t.coeff, t.mono)
-    return out
+    return normalize([] if s == "0" else [parse_term(c) for c in s.split(" + ")], h)

@@ -1,8 +1,10 @@
-"""Exact sparse linear algebra over F_p.
+"""Exact sparse linear algebra over F_p: ranks and kernel bases.
 
-Gaussian elimination with a deterministic pivot rule (columns left to right,
-lowest available row) so that ranks, kernel bases and image bases are
-reproducible bit for bit.  Over GF(2) rows are packed into integers.
+Two eliminations, one per kind of prime.  Over GF(2), rows are packed into
+integers and inserted one at a time into an echelon form keyed by the
+lowest set bit.  Over odd p, a column-major elimination on dict rows.  Both
+end in the unique reduced row echelon form when a kernel is asked for, so
+kernel bases are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,16 +34,6 @@ class FpMatrix:
         self.entries = clean
 
     @classmethod
-    def from_rows(cls, p, rows):
-        entries = {}
-        ncols = max((len(r) for r in rows), default=0)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v % p:
-                    entries[(i, j)] = v % p
-        return cls(p, len(rows), ncols, entries)
-
-    @classmethod
     def from_columns(cls, p, cols, nrows):
         entries = {}
         for j, col in enumerate(cols):
@@ -50,84 +42,78 @@ class FpMatrix:
                     entries[(i, j)] = v % p
         return cls(p, nrows, len(cols), entries)
 
-    def column(self, j):
-        col = [0] * self.nrows
-        for (r, c), v in self.entries.items():
-            if c == j:
-                col[r] = v
-        return tuple(col)
-
-    def transpose(self):
-        return FpMatrix(
-            self.p, self.ncols, self.nrows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-        )
-
-    def mul_vec(self, vec):
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(vec)} != {self.ncols} columns")
-        out = [0] * self.nrows
-        for (r, c), v in self.entries.items():
-            out[r] = (out[r] + v * vec[c]) % self.p
-        return tuple(out)
-
 
 @dataclass
 class FpBasis:
     p: int
     ambient_dim: int
     vectors: list           # tuples of length ambient_dim
-    labels: list | None = None      # parallel monomial labels for the ambient basis
-    certificates: list | None = None  # for image bases: source column indices
 
     def __len__(self):
         return len(self.vectors)
 
 
-def _rref_gf2(M):
-    """GF(2) reduced echelon by insertion on bitset rows.
+def _gf2_echelon(rows):
+    """Echelon form of GF(2) vectors packed into integers, by insertion.
 
-    The reduced row echelon form is unique, so this produces the same pivot
-    set and pivot-row contents as column-major elimination; only the
-    placement of untouched zero rows differs, which nothing downstream
-    reads.
+    Each row is reduced by the stored rows until its lowest set bit is a
+    column with no pivot yet, and is stored there.  Returns {pivot col:
+    row}; every stored row has its pivot as lowest set bit.
     """
-    packed = [0] * M.nrows
-    for (r, c), _ in M.entries.items():
-        packed[r] |= 1 << c
-    piv_bits = {}  # pivot col -> fully reduced row bits
-    for row in packed:
-        for c, bits in piv_bits.items():
-            if row >> c & 1:
-                row ^= bits
-        if row:
-            c = (row & -row).bit_length() - 1
-            for pc, pb in piv_bits.items():
-                if pb >> c & 1:
-                    piv_bits[pc] = pb ^ row
-            piv_bits[c] = row
-    rows = []
     pivots = {}
-    for c in sorted(piv_bits):
-        b = piv_bits[c]
-        row = {}
-        while b:
-            low = b & -b
-            row[low.bit_length() - 1] = 1
-            b ^= low
-        pivots[c] = len(rows)
-        rows.append(row)
-    return rows, pivots
+    for row in rows:
+        while row:
+            col = (row & -row).bit_length() - 1
+            hit = pivots.get(col)
+            if hit is None:
+                pivots[col] = row
+                break
+            row ^= hit
+    return pivots
+
+
+def _gf2_rows(M):
+    bits = {}
+    for r, c in M.entries:
+        bits[r] = bits.get(r, 0) | (1 << c)
+    return bits.values()
+
+
+def _gf2_rref(M):
+    """Reduced row echelon form over GF(2) as {pivot col: {col: 1}}.
+
+    Back-substitution runs highest pivot first, so every row it subtracts
+    is already reduced and holds no pivot bit but its own.
+    """
+    rows = _gf2_echelon(_gf2_rows(M))
+    mask = 0
+    for c in rows:
+        mask |= 1 << c
+    for c in sorted(rows, reverse=True):
+        row = rows[c]
+        hits = (row & mask) ^ (1 << c)
+        while hits:
+            low = hits & -hits
+            row ^= rows[low.bit_length() - 1]
+            hits ^= low
+        rows[c] = row
+    out = {}
+    for c, row in rows.items():
+        out[c] = entries = {}
+        while row:
+            low = row & -row
+            entries[low.bit_length() - 1] = 1
+            row ^= low
+    return out
 
 
 def _rref(M):
-    """Reduced row echelon form; returns (rows, pivots) with pivots col->row.
+    """Reduced row echelon form over odd p as {pivot col: {col: value}}.
 
-    rows is a list of dicts col -> value covering the nonzero rows.
+    Columns are scanned left to right; each takes the lowest unused row
+    that is nonzero there as its pivot.
     """
     p = M.p
-    if p == 2:
-        return _rref_gf2(M)
     rows = [{} for _ in range(M.nrows)]
     for (r, c), v in M.entries.items():
         rows[r][c] = v
@@ -143,11 +129,10 @@ def _rref(M):
         if pivot is None:
             continue
         used[pivot] = True
-        pivots[col] = pivot
-        inv = pow(rows[pivot][col], p - 2, p) if p > 2 else 1
+        inv = pow(rows[pivot][col], p - 2, p)
         if inv != 1:
             rows[pivot] = {c: (v * inv) % p for c, v in rows[pivot].items()}
-        prow = rows[pivot]
+        prow = pivots[col] = rows[pivot]
         for r in range(M.nrows):
             if r == pivot:
                 continue
@@ -161,21 +146,7 @@ def _rref(M):
                     row[c] = nv
                 else:
                     row.pop(c, None)
-    return rows, pivots
-
-
-def _gf2_rank(rows):
-    """Rank of GF(2) vectors packed into integers, by insertion elimination."""
-    pivots = {}
-    for row in rows:
-        while row:
-            col = (row & -row).bit_length() - 1
-            hit = pivots.get(col)
-            if hit is None:
-                pivots[col] = row
-                break
-            row ^= hit
-    return len(pivots)
+    return pivots
 
 
 def rank_of_columns(p, vectors):
@@ -183,79 +154,35 @@ def rank_of_columns(p, vectors):
     if p == 2:
         # byte-per-entry packing is a GF(2)-linear injection, so it keeps
         # the rank; residues are already reduced to 0/1
-        return _gf2_rank(int.from_bytes(bytes(vec), "little") for vec in vectors)
+        return len(_gf2_echelon(int.from_bytes(bytes(vec), "little") for vec in vectors))
     n = len(vectors[0]) if vectors else 0
     return rank(FpMatrix.from_columns(p, vectors, n))
 
 
 def rank(M):
     if M.p == 2:
-        bits = {}
-        for (r, c), _ in M.entries.items():
-            bits[r] = bits.get(r, 0) | (1 << c)
-        return _gf2_rank(bits.values())
-    _, pivots = _rref(M)
-    return len(pivots)
+        return len(_gf2_echelon(_gf2_rows(M)))
+    return len(_rref(M))
 
 
 def kernel_basis(M):
-    """Basis of the null space {v : M v = 0}; size = ncols - rank."""
-    rows, pivots = _rref(M)
-    free = [c for c in range(M.ncols) if c not in pivots]
-    vectors = []
-    for fc in free:
-        v = [0] * M.ncols
-        v[fc] = 1
-        for col, r in pivots.items():
-            # pivot row: x_col + sum_{free c} a_c x_c = 0
-            a = rows[r].get(fc, 0)
-            if a:
-                v[col] = (-a) % M.p
-        vectors.append(tuple(v))
-    return FpBasis(M.p, M.ncols, vectors)
+    """Basis of the null space {v : M v = 0}; size = ncols - rank.
 
-
-def image_basis(M):
-    """Basis of the column space: the original pivot columns, in column order.
-
-    Each basis vector keeps its source column index as a preimage
-    certificate; M applied to the matching standard vector reproduces it.
+    One vector per free column f, in column order: 1 at f, and -a at each
+    pivot column whose reduced row holds a at f.  The reduced row echelon
+    form is unique, so the basis does not depend on how it was reached.
     """
-    _, pivots = _rref(M)
-    cols = sorted(pivots)
+    p = M.p
+    reduced = _gf2_rref(M) if p == 2 else _rref(M)
+    at_free = {c: {c: 1} for c in range(M.ncols) if c not in reduced}
+    for col, row in reduced.items():
+        for c, a in row.items():
+            if c != col:
+                at_free[c][col] = (-a) % p
     vectors = []
-    for j in cols:
-        v = M.column(j)
-        unit = [0] * M.ncols
-        unit[j] = 1
-        if M.mul_vec(unit) != v:
-            raise AssertionError("image certificate failed to reproduce its column")
-        vectors.append(v)
-    return FpBasis(M.p, M.nrows, vectors, certificates=cols)
-
-
-def in_span(vec, basis):
-    """Decide v in span(basis); returns (True, coords) or (False, None)."""
-    if len(vec) != basis.ambient_dim:
-        raise DimensionMismatch(
-            f"vector length {len(vec)} != ambient dimension {basis.ambient_dim}"
-        )
-    p = basis.p
-    n = len(basis.vectors)
-    # augmented system [B | v] over the basis coordinates
-    M = FpMatrix(
-        p, basis.ambient_dim, n + 1,
-        {
-            **{(i, j): bv[i] for j, bv in enumerate(basis.vectors) for i in range(basis.ambient_dim) if bv[i] % p},
-            **{(i, n): vec[i] for i in range(basis.ambient_dim) if vec[i] % p},
-        },
-    )
-    rows, pivots = _rref(M)
-    if n in pivots:
-        return False, None
-    coords = [0] * n
-    for col, r in pivots.items():
-        coords[col] = rows[r].get(n, 0)
-    if tuple(FpMatrix.from_columns(p, [bv for bv in basis.vectors], basis.ambient_dim).mul_vec(coords)) != tuple(v % p for v in vec):
-        return False, None
-    return True, tuple(coords)
+    for entries in at_free.values():
+        v = [0] * M.ncols
+        for c, a in entries.items():
+            v[c] = a
+        vectors.append(tuple(v))
+    return FpBasis(p, M.ncols, vectors)

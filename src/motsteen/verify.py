@@ -37,6 +37,7 @@ from .bockstein import (
     ker_beta_basis,
     block,
     block_homology,
+    u_maximal_by_degree,
     y,
 )
 from .linalg import FpMatrix, rank
@@ -233,6 +234,17 @@ def suite_chi(config):
     return results
 
 
+def _torsion_probe_indices(p):
+    """The first 8 U-maximal indices (a, U) of topological degree <= 12.
+
+    Taken in monomial order; d - w <= d on every xi/tau monomial, so the
+    U-maximal sets up to budget 12 hold them all.
+    """
+    return sorted(
+        idx for eb, idxs in u_maximal_by_degree(p, 12).items() if eb.d <= 12 for idx in idxs
+    )[:8]
+
+
 def suite_products(config):
     """Closed product formula vs the multiplication oracle, plus the pullback."""
     p = config.p
@@ -262,14 +274,7 @@ def suite_products(config):
     # graded commutativity
     h = algebra("algclosed", p)
     ring = int_ring(h.scheme)
-    gens = []
-    for mono in steenrod_monomials_by_degree(p, 12, 1):
-        if not mono.taus:
-            continue
-        idx = index_of(mono)
-        if max((j for j, e in idx.a), default=0) <= max(idx.U):
-            gens.append(pb_torsion(y(idx, h), h, ring))
-    gens = gens[:8]
+    gens = [pb_torsion(y(idx, h), h, ring) for idx in _torsion_probe_indices(p)]
     tau_pb = PullbackElement(
         ring.element(1, ("tau", 1)), term_element(p, 1, CoeffMonomial(tau=1)), h
     )

@@ -4,9 +4,10 @@ These are the earlier, duplicated code paths that motsteen replaced with one
 path each: two enumeration recursions (one bounded on d - w, one on d), a
 per-bidegree re-scan of every monomial for bases and populated bidegrees,
 a dimension report that rebuilds the Bockstein matrix of the augmentation
-ideal and of the coefficient ring beside the full one, and a Bockstein
-that builds raw terms and sends them through normalize.  They carry no
-memo, and they build their matrices on their own bases, so
+ideal and of the coefficient ring beside the full one, a Bockstein
+that builds raw terms and sends them through normalize, and the generic
+column-major elimination over F_p that once also served p = 2.  They carry
+no memo, and they build their matrices on their own bases, so
 test_oracles.py can hold the single-path code to them on small windows.
 """
 
@@ -20,8 +21,73 @@ from motsteen.elements import (
     term_element,
 )
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
-from motsteen.linalg import FpMatrix, rank
+from motsteen.linalg import FpMatrix
 from motsteen.steenrod import coeff_degree_populated, coeff_monomials, index_of
+
+
+def _rref(M):
+    """Reduced row echelon form; returns (rows, pivots) with pivots col->row.
+
+    rows is a list of dicts col -> value covering the nonzero rows.  Columns
+    are scanned left to right and each takes the lowest unused row that is
+    nonzero there as its pivot, at every prime.
+    """
+    p = M.p
+    rows = [{} for _ in range(M.nrows)]
+    for (r, c), v in M.entries.items():
+        rows[r][c] = v
+
+    pivots = {}
+    used = [False] * M.nrows
+    for col in range(M.ncols):
+        pivot = None
+        for r in range(M.nrows):
+            if not used[r] and rows[r].get(col):
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        used[pivot] = True
+        pivots[col] = pivot
+        inv = pow(rows[pivot][col], p - 2, p) if p > 2 else 1
+        if inv != 1:
+            rows[pivot] = {c: (v * inv) % p for c, v in rows[pivot].items()}
+        prow = rows[pivot]
+        for r in range(M.nrows):
+            if r == pivot:
+                continue
+            f = rows[r].get(col)
+            if not f:
+                continue
+            row = rows[r]
+            for c, v in prow.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return rows, pivots
+
+
+def rank(M):
+    return len(_rref(M)[1])
+
+
+def kernel_basis(M):
+    """Basis vectors of the null space {v : M v = 0}, one per free column."""
+    rows, pivots = _rref(M)
+    free = [c for c in range(M.ncols) if c not in pivots]
+    vectors = []
+    for fc in free:
+        v = [0] * M.ncols
+        v[fc] = 1
+        for col, r in pivots.items():
+            # pivot row: x_col + sum_{free c} a_c x_c = 0
+            a = rows[r].get(fc, 0)
+            if a:
+                v[col] = (-a) % M.p
+        vectors.append(tuple(v))
+    return vectors
 
 
 def _enumerate(gens, budget):

@@ -99,7 +99,26 @@ def test_cache_version_mismatch_recomputes(tmp_path):
     doc["version"] = "0"
     open(path, "w").write(json.dumps(doc))
     assert c.load(key) is None
-    assert c.get_or_compute(key, lambda: [4]) == [4]
+    c.store(key, [4])  # a fresh store replaces the stale entry
+    assert c.load(key) == [4]
+
+
+def test_cache_recomputes_a_wrongly_shaped_matrix(tmp_path):
+    from motsteen import __version__
+    from motsteen.cache import CACHE_VERSION, ResultCache
+    from motsteen.grading import Bidegree
+    from motsteen.steenrod import bidegree_basis
+
+    config = cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5, cache_dir=str(tmp_path))
+    want = cli.cmd_dims(cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5))
+    d, w = max(want, key=lambda row: row["rank"])["bidegree"]
+    key = {**config.key_base(), "kind": "beta-matrix", "bidegree": [d, w]}
+    cache = ResultCache(str(tmp_path))
+    cache.store(key, {"p": 2, "nrows": 1, "ncols": 1, "entries": []})
+    assert cli.cmd_dims(config) == want
+    ncols = len(bidegree_basis(Bidegree(d, w), config.handle()))
+    assert cache.load(key)["ncols"] == ncols  # the entry was overwritten
+    assert __version__ in CACHE_VERSION
 
 
 def test_verify_and_present_deterministic():

@@ -200,8 +200,18 @@ def test_text_round_trip():
         assert term_text(t) == s
     el = eta(basis_index({1: 3, 3: 1}, [2, 4]), HR)
     el = coeff_scale(CoeffMonomial(rho=1, tau=2), el, HR)
-    assert parse_element(element_text(el), 2) == el
-    assert parse_element("0", 5).is_zero()
+    assert parse_element(element_text(el), HR) == el
+    assert parse_element("0", algebra("algclosed", 5)).is_zero()
+
+
+def test_parse_element_applies_coefficient_relations():
+    # eps^2 = 0 in the coefficients over F_7
+    h = algebra("finite-field", 3, q=7)
+    assert parse_element("eps^2*tau^1 | 1 | tau{}", h).is_zero()
+    x = parse_element("eps^1*tau^1 | 1 | tau{}", h)
+    assert element_text(x) == "eps^1*tau^1 | 1 | tau{}"
+    with pytest.raises(ValueError):
+        parse_element("rho^1 | 1 | tau{}", h)  # rho is not a generator here
 
 
 def test_parse_errors():

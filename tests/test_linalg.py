@@ -1,18 +1,31 @@
-"""Exact F_p linear algebra: ranks, kernels, images, span membership."""
+"""Exact F_p linear algebra: ranks and kernels."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from motsteen.linalg import (
-    DimensionMismatch,
-    FpBasis,
-    FpMatrix,
-    image_basis,
-    in_span,
-    kernel_basis,
-    rank,
-)
+import oracles
+from motsteen.linalg import DimensionMismatch, FpMatrix, kernel_basis, rank
+
+
+def column(M, j):
+    col = [0] * M.nrows
+    for (r, c), v in M.entries.items():
+        if c == j:
+            col[r] = v
+    return tuple(col)
+
+
+def transpose(M):
+    return FpMatrix(M.p, M.ncols, M.nrows, {(c, r): v for (r, c), v in M.entries.items()})
+
+
+def mul_vec(M, vec):
+    out = [0] * M.nrows
+    for (r, c), v in M.entries.items():
+        out[r] = (out[r] + v * vec[c]) % M.p
+    return tuple(out)
 
 
 def test_rank_trivial():
@@ -36,46 +49,6 @@ def test_kernel_bockstein_block_example():
     assert kb.vectors == [(1, 1)]
 
 
-def test_image_basis():
-    assert image_basis(FpMatrix(5, 3, 3)).vectors == []
-    eye = FpMatrix(5, 2, 2, {(0, 0): 1, (1, 1): 1})
-    assert image_basis(eye).vectors == [(1, 0), (0, 1)]
-    m = FpMatrix(2, 1, 2, {(0, 0): 1, (0, 1): 1})
-    ib = image_basis(m)
-    assert ib.vectors == [(1,)]
-    assert ib.certificates == [0]
-
-
-def test_in_span():
-    basis = FpBasis(2, 3, [(1, 0, 1), (0, 1, 1)])
-    ok, coords = in_span((0, 0, 0), basis)
-    assert ok and coords == (0, 0)
-    ok, coords = in_span((1, 1, 0), basis)
-    assert ok and coords == (1, 1)
-    ok, coords = in_span((1, 0, 0), basis)
-    assert not ok and coords is None
-    empty = FpBasis(2, 2, [])
-    assert in_span((1, 0), empty) == (False, None)
-    assert in_span((0, 0), empty)[0]
-
-
-def test_in_span_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        in_span((1, 0), FpBasis(2, 3, [(1, 0, 0)]))
-
-
-def test_in_span_odd_p_coordinates():
-    basis = FpBasis(5, 2, [(1, 2), (0, 1)])
-    ok, coords = in_span((3, 4), basis)  # 3*(1,2) + 3*(0,1)
-    assert ok and coords == (3, 3)
-    ok, _ = in_span((2, 4), basis)
-    assert ok  # the basis spans F_5^2
-    single = FpBasis(5, 2, [(1, 2)])
-    ok, coords = in_span((4, 3), single)
-    assert ok and coords == (4,)
-    assert in_span((1, 0), single) == (False, None)
-
-
 def test_entry_bounds_checked():
     with pytest.raises(DimensionMismatch):
         FpMatrix(2, 1, 1, {(1, 0): 1})
@@ -93,7 +66,7 @@ def test_rank_equals_rank_of_transpose():
     for p in (2, 3, 5):
         for n, m, fill in [(20, 30, 0.1), (60, 60, 0.05), (200, 200, 0.01)]:
             M = _random_sparse(rng, p, n, m, fill)
-            assert rank(M) == rank(M.transpose())
+            assert rank(M) == rank(transpose(M))
 
 
 def test_kernel_vectors_annihilated_and_dims_add_up():
@@ -104,28 +77,16 @@ def test_kernel_vectors_annihilated_and_dims_add_up():
             kb = kernel_basis(M)
             assert len(kb) + rank(M) == M.ncols
             for v in kb.vectors:
-                assert all(x == 0 for x in M.mul_vec(v))
-
-
-def test_image_certificates_reproduce_columns():
-    rng = random.Random(9)
-    for p in (2, 3):
-        M = _random_sparse(rng, p, 30, 30, 0.2)
-        ib = image_basis(M)
-        assert len(ib) == rank(M)
-        for v, j in zip(ib.vectors, ib.certificates):
-            unit = [0] * M.ncols
-            unit[j] = 1
-            assert M.mul_vec(unit) == v
+                assert all(x == 0 for x in mul_vec(M, v))
 
 
 def test_dense_fallback_path():
     rng = random.Random(13)
     M = _random_sparse(rng, 3, 15, 15, 0.6)  # dense input through the one sparse path
-    assert rank(M) == rank(M.transpose())
+    assert rank(M) == rank(transpose(M))
     kb = kernel_basis(M)
     for v in kb.vectors:
-        assert all(x == 0 for x in M.mul_vec(v))
+        assert all(x == 0 for x in mul_vec(M, v))
 
 
 def test_kernel_image_orthogonality_on_composites():
@@ -136,5 +97,26 @@ def test_kernel_image_orthogonality_on_composites():
     kb = kernel_basis(A)
     B = FpMatrix.from_columns(p, kb.vectors, A.ncols)  # maps into ker(A)
     for j in range(B.ncols):
-        col = B.column(j)
-        assert all(x == 0 for x in A.mul_vec(col))
+        col = column(B, j)
+        assert all(x == 0 for x in mul_vec(A, col))
+
+
+@st.composite
+def sparse_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, 12))
+    cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(m - 1, 0)))
+    entries = draw(st.dictionaries(cells, st.integers(1, p - 1), max_size=n * m // 3))
+    return FpMatrix(p, n, m, entries)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices())
+def test_elimination_properties(M):
+    kb = kernel_basis(M)
+    r = rank(M)
+    assert len(kb) + r == M.ncols
+    assert all(not any(mul_vec(M, v)) for v in kb.vectors)
+    assert r == rank(transpose(M))
+    assert kb.vectors == oracles.kernel_basis(M)

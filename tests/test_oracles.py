@@ -1,4 +1,5 @@
-"""The single-path enumeration, bases and dims report against the oracles.
+"""The single-path enumeration, bases, dims report, Bockstein and
+elimination against the oracles.
 
 tests/oracles.py keeps the implementations these paths replaced; on small
 windows the outputs must be equal, element for element and row for row.
@@ -10,16 +11,26 @@ import pytest
 
 import oracles
 from motsteen import algebra
-from motsteen.bockstein import beta, beta_report, free_bbeta_generators, u_maximal_by_degree
+from motsteen.bockstein import (
+    beta,
+    beta_matrix,
+    beta_report,
+    free_bbeta_generators,
+    u_maximal_by_degree,
+)
 from motsteen.elements import Element, term_element
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
+from motsteen.linalg import kernel_basis, rank, rank_of_columns
 from motsteen.steenrod import (
+    BasisIndex,
     bidegree_basis,
+    index_of,
     populated_bidegrees,
     steenrod_monomials,
     steenrod_monomials_by_degree,
 )
+from motsteen.verify import _torsion_probe_indices
 
 ALL_MZ = [algebra("algclosed", 2), algebra("algclosed", 3), algebra("real-p2", 2),
           algebra("z-half", 2), algebra("finite-field", 3, q=7), algebra("real-odd", 3),
@@ -64,6 +75,24 @@ def test_u_maximal_matches_oracle(p):
         )
 
 
+def test_torsion_probe_indices():
+    # verify products probes the pullback with these, in this order; they
+    # are the first 8 of the filter it once ran over the monomials itself
+    want = {
+        2: [((), (1,)), ((), (1, 2)), ((), (2,)), (((1, 1),), (1,)),
+            (((1, 1),), (1, 2)), (((1, 1),), (2,)), (((1, 2),), (1,)), (((1, 2),), (2,))],
+        3: [((), (1,)), (((1, 1),), (1,))],
+    }
+    for p, idxs in want.items():
+        got = _torsion_probe_indices(p)
+        assert got == [BasisIndex(*i) for i in idxs]
+        old = [
+            index_of(m) for m in oracles.steenrod_monomials_by_degree(p, 12, 1)
+            if m.taus and max((j for j, e in m.xi), default=0) <= max(m.taus)
+        ]
+        assert got == old[:8]
+
+
 @pytest.mark.parametrize("h", ALL_MZ, ids=handle_id)
 def test_beta_report_matches_oracle(h):
     window = (10, 7) if h.p == 2 else (20, 9)
@@ -98,6 +127,22 @@ def test_beta_matches_oracle(h):
         for x in xs:
             want = oracles.beta(x, h)
             assert list(beta(x, h).terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
+def test_kernel_basis_matches_oracle(h):
+    # the same kernel vectors, bit for bit, and the same rank, from the
+    # beta matrix of every populated bidegree of the window
+    window = (10, 7) if h.p == 2 else (20, 9)
+    for bd in populated_bidegrees(h, *window):
+        M = beta_matrix(bd, h)
+        assert kernel_basis(M).vectors == oracles.kernel_basis(M)
+        want = oracles.rank(M)
+        assert rank(M) == want
+        cols = [[0] * M.nrows for _ in range(M.ncols)]
+        for (r, c), v in M.entries.items():
+            cols[c][r] = v
+        assert rank_of_columns(h.p, cols) == want
 
 
 def test_split_crossing_raises():

@@ -1,4 +1,5 @@
-"""Properties of the Bockstein on random homogeneous sums, over every handle.
+"""Properties of the Bockstein and the text form on random homogeneous sums,
+over every handle.
 
 Each example picks a handle, a populated bidegree of a small window and a
 sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
@@ -7,7 +8,7 @@ examples are derandomized, so a run draws the same ones every time.
 
 from hypothesis import given, settings, strategies as st
 
-from motsteen import algebra, mul
+from motsteen import algebra, element_text, mul, parse_element
 from motsteen.bockstein import beta
 from motsteen.elements import Element
 from motsteen.steenrod import bidegree_basis, populated_bidegrees
@@ -53,3 +54,10 @@ def test_beta_is_a_derivation(hxz):
     lhs = beta(mul(x, z, h), h)
     rhs = mul(beta(x, h), z, h) + mul(x, beta(z, h), h).scaled(sign)
     assert lhs == rhs
+
+
+@PROPERTY
+@given(handles.flatmap(lambda h: st.tuples(st.just(h), sums(h))))
+def test_text_form_round_trip(hx):
+    h, x = hx
+    assert parse_element(element_text(x), h) == x
