@@ -24,7 +24,6 @@ from .elements import (
     normalize,
     parse_element,
     parse_term,
-    power,
     term_element,
     term_text,
 )
@@ -36,7 +35,6 @@ from .steenrod import (
     bidegree_basis,
     conjugate,
     eta,
-    mz_generators_in_a,
 )
 from .bockstein import (
     Block,

@@ -30,8 +30,10 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
+    CoeffMonomial,
     Element,
     SteenrodMonomial,
+    _add,
     _coeff_zero,
     coeff_degree,
     coeff_scale,
@@ -56,16 +58,19 @@ def _beta_coeff_monomial(c, h):
     scheme = h.scheme
     out = []
     passed_odd = 0
-    for name in COEFF_ORDER:
-        e = c.exp(name)
+    for i, e in enumerate(c):
         if not e:
             continue
+        name = COEFF_ORDER[i]
         target = table.get(name)
         if target is not None:
             # e * g^(e-1) * beta(g) * rest, beta(g) = target
             s = (e % p) * (-1 if passed_odd & 1 else 1)
             if s % p:
-                nc = c.bump(name, -1).bump(target)
+                nc = list(c)
+                nc[i] -= 1
+                nc[COEFF_ORDER.index(target)] += 1
+                nc = CoeffMonomial(*nc)
                 if not _coeff_zero(nc, scheme):
                     out.append((s % p, nc))
         if scheme.degree(name).d & 1:
@@ -89,14 +94,6 @@ def beta(x, h):
         x.homogeneous_bidegree(scheme)  # rejects mixed degrees
     p = h.p
     out = {}
-
-    def add(key, s):
-        v = (out.get(key, 0) + s) % p
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-
     for (c, m), s in reversed(x.terms.items()):
         # xi/tau part: pass the whole coefficient, then earlier tau factors;
         # coeff_degree also rejects foreign coefficient generators
@@ -109,10 +106,10 @@ def beta(x, h):
                 bumped[j] = bumped.get(j, 0) + 1
                 xi = tuple(sorted(bumped.items()))
             mono = SteenrodMonomial(xi, m.taus[:t] + m.taus[t + 1 :])
-            add((c, mono), s * sign_c * (-1 if t & 1 else 1))
+            _add(out, (c, mono), s * sign_c * (-1 if t & 1 else 1), p)
         # coefficient part
         for cs, nc in reversed(_beta_coeff_monomial(c, h)):
-            add((nc, m), s * cs)
+            _add(out, (nc, m), s * cs, p)
     return Element(p, out)
 
 

@@ -43,12 +43,6 @@ class CoeffMonomial(NamedTuple):
     rho: int = 0
     tau: int = 0
 
-    def is_one(self):
-        return not any(self)
-
-    def exp(self, name):
-        return getattr(self, name)
-
     def bump(self, name, by=1):
         return self._replace(**{name: getattr(self, name) + by})
 
@@ -180,11 +174,7 @@ class Element:
             raise AmbientMismatch("cannot add elements over different primes")
         out = dict(self.terms)
         for key, s in other.terms.items():
-            v = (out.get(key, 0) + s) % self.p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            _add(out, key, s, self.p)
         return Element(self.p, out)
 
     def __sub__(self, other):
@@ -231,21 +221,65 @@ def monomial_key(key):
 
 def _coeff_zero(c, scheme):
     """Apply the scheme's multiplicative coefficient relations; True if zero."""
-    for name, cap in scheme.caps.items():
-        if c.exp(name) > cap:
+    caps, pairs, _ = scheme.relation_positions
+    for i, cap in caps:
+        if c[i] > cap:
             return True
-    for pair in scheme.zero_pairs:
-        if all(c.exp(name) >= 1 for name in pair):
-            return True
-    return False
+    return any(all(c[i] >= 1 for i in pair) for pair in pairs)
 
 
-def _check_gens(c, scheme):
-    for name in COEFF_ORDER:
-        if c.exp(name) and name not in scheme.gens:
-            raise SchemeError(
-                f"coefficient generator {name!r} not present for scheme {scheme.id}"
-            )
+def _check_term(c, taus, h):
+    """Raise on a coefficient generator foreign to h or a tau index below its minimum."""
+    foreign = [COEFF_ORDER[i] for i in h.scheme.relation_positions[2] if c[i]]
+    if foreign:
+        raise SchemeError(
+            f"coefficient generator {foreign[0]!r} not present for scheme {h.scheme.id}"
+        )
+    if taus and min(taus) < h.min_tau:
+        raise ValueError(
+            f"tau index {min(taus)} below the minimum {h.min_tau} for this form"
+        )
+
+
+def _add(out, key, s, p):
+    v = (out.get(key, 0) + s) % p
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+def _rewrite(out, item, h):
+    """Normalize one checked raw term (scalar, nonzero coefficient, xi map, tau
+    counts) into out.  The work list is a stack: the newest pieces come out first.
+    The expansion adds only tau, rho and tau indices above the minimum, and
+    every scheme that expands (p = 2, not bare) has them."""
+    p, scheme = h.p, h.scheme
+    kills = scheme.caps or scheme.zero_pairs
+    rho = None if scheme.rho_element is None else COEFF_ORDER.index(scheme.rho_element)
+    work = [item]
+    while work:
+        s, c, xi, taus = work.pop()
+        sq = [j for j, e in taus.items() if e >= 2]
+        if not sq:
+            xi = tuple(sorted((j, e) for j, e in xi.items() if e))
+            taus = tuple(sorted(j for j, e in taus.items() if e))
+            _add(out, (c, SteenrodMonomial(xi, taus)), s, p)
+        elif p == 2 and scheme.id != "bare":  # else tau_j^2 = 0
+            # tau_j^2 -> xi_{j+1} tau [+ xi_{j+1} tau_0 rho] + tau_{j+1} rho
+            j = min(sq)
+            rest = dict(taus)
+            rest[j] -= 2
+            xi_up = {**xi, j + 1: xi.get(j + 1, 0) + 1}
+            pieces = [(s, CoeffMonomial(*c[:3], c[3] + 1), xi_up, rest)]
+            if rho is not None:
+                c_rho = CoeffMonomial(*(e + (i == rho) for i, e in enumerate(c)))
+                if h.ambient == "a":
+                    pieces.append((s, c_rho, xi_up, {**rest, 0: rest.get(0, 0) + 1}))
+                pieces.append((s, c_rho, xi, {**rest, j + 1: rest.get(j + 1, 0) + 1}))
+            if kills:
+                pieces = [t for t in pieces if not _coeff_zero(t[1], scheme)]
+            work.extend(pieces)
 
 
 def normalize(raw_terms, h):
@@ -255,68 +289,19 @@ def normalize(raw_terms, h):
     tau multiplicities, or plain Terms.  Splicing the p=2 expansion of
     tau_j^2 into a monomial costs no Koszul sign (the expansion terms all
     have even topological degree, and p = 2 anyway); at odd primes squares
-    of tau generators vanish.
+    of tau generators vanish.  Raw terms are taken last to first.
     """
     p = h.p
-    scheme = h.scheme
     out = {}
-    work = []
-    for t in raw_terms:
+    for t in reversed(list(raw_terms)):
         if isinstance(t, Term):
-            work.append((t.scalar, t.coeff, dict(t.mono.xi), {j: 1 for j in t.mono.taus}))
-        else:
-            s, c, xi, taus = t
-            work.append((s, c, dict(xi), dict(taus)))
-
-    while work:
-        s, c, xi, taus = work.pop()
-        s %= p
-        if not s:
-            continue
-        _check_gens(c, scheme)
-        if _coeff_zero(c, scheme):
-            continue
-        bad = [j for j, e in taus.items() if j < h.min_tau and e]
-        if bad:
-            raise ValueError(
-                f"tau index {min(bad)} below the minimum {h.min_tau} for this form"
-            )
-
-        sq = sorted(j for j, e in taus.items() if e >= 2)
-        if sq:
-            j = sq[0]
-            rest = dict(taus)
-            rest[j] -= 2
-            if rest[j] == 0:
-                del rest[j]
-            if p != 2 or scheme.id == "bare":
-                continue  # tau_j^2 = 0
-            # tau_j^2 -> xi_{j+1} tau [+ xi_{j+1} tau_0 rho] + tau_{j+1} rho
-            xi_up = dict(xi)
-            xi_up[j + 1] = xi_up.get(j + 1, 0) + 1
-            work.append((s, c.bump("tau"), xi_up, dict(rest)))
-            rho = scheme.rho_element
-            if rho is not None:
-                if h.ambient == "a":
-                    t0 = dict(rest)
-                    t0[0] = t0.get(0, 0) + 1
-                    work.append((s, c.bump(rho), dict(xi_up), t0))
-                t_up = dict(rest)
-                t_up[j + 1] = t_up.get(j + 1, 0) + 1
-                work.append((s, c.bump(rho), dict(xi), t_up))
-            continue
-
-        mono = SteenrodMonomial(
-            tuple(sorted((j, e) for j, e in xi.items() if e)),
-            tuple(sorted(j for j, e in taus.items() if e)),
-        )
-        key = (c, mono)
-        v = (out.get(key, 0) + s) % p
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-
+            t = (t.scalar, t.coeff, t.mono.xi, dict.fromkeys(t.mono.taus, 1))
+        s, c, xi, taus = t
+        xi, taus = dict(xi), dict(taus)
+        if s % p:
+            _check_term(c, [j for j, e in taus.items() if e], h)
+            if not _coeff_zero(c, h.scheme):
+                _rewrite(out, (s % p, c, xi, taus), h)
     return Element(p, out)
 
 
@@ -327,8 +312,7 @@ def normalize(raw_terms, h):
 def _odd_ranks(c, m, scheme):
     """Ranks of odd-degree factors of a monomial, in canonical order."""
     ranks = []
-    for pos, name in enumerate(COEFF_ORDER):
-        e = c.exp(name)
+    for pos, (name, e) in enumerate(zip(COEFF_ORDER, c)):
         if e and (scheme.degree(name).d & 1):
             ranks.extend([(0, pos)] * e)
     # xi factors are even at every prime; tau_j has odd degree 2p^j - 1
@@ -348,31 +332,48 @@ def koszul_sign(c1, m1, c2, m2, scheme):
     return -1 if inv & 1 else 1
 
 
+def _merge_xi(a, b):
+    if not a or not b:
+        return a or b
+    merged = dict(a)
+    for j, e in b:
+        merged[j] = merged.get(j, 0) + e
+    return tuple(sorted(merged.items()))
+
+
 def mul(x, y, h):
-    """Graded-commutative product of normalized elements."""
+    """Graded-commutative product of normalized elements.
+
+    Each pair of terms is merged directly: add the coefficient exponents,
+    merge the xi exponents and the two tau sets.  Only a pair whose tau sets
+    meet goes through the tau_j^2 rewrite.  Pairs are taken last to first,
+    so the terms come out in the order normalize gives the raw products.
+    """
     if x.p != y.p or x.p != h.p:
         raise AmbientMismatch("elements belong to different algebras")
-    raw = []
-    scheme = h.scheme
-    for (c1, m1), s1 in x.terms.items():
-        for (c2, m2), s2 in y.terms.items():
-            sign = koszul_sign(c1, m1, c2, m2, scheme)
-            c = CoeffMonomial(*(a + b for a, b in zip(c1, c2)))
-            xi = dict(m1.xi)
-            for j, e in m2.xi:
-                xi[j] = xi.get(j, 0) + e
-            taus = {j: 1 for j in m1.taus}
-            for j in m2.taus:
-                taus[j] = taus.get(j, 0) + 1
-            raw.append((s1 * s2 * sign, c, xi, taus))
-    return normalize(raw, h)
-
-
-def power(x, n, h):
-    out = Element.one(h.p)
-    for _ in range(n):
-        out = mul(out, x, h)
-    return out
+    p, scheme = h.p, h.scheme
+    kills = scheme.caps or scheme.zero_pairs
+    for c, m in (*x.terms, *y.terms):
+        _check_term(c, m.taus, h)
+    out = {}
+    ys = [(c2, m2, frozenset(m2.taus), s2) for (c2, m2), s2 in reversed(y.terms.items())]
+    for (c1, m1), s1 in reversed(x.terms.items()):
+        t1 = m1.taus
+        for c2, m2, t2, s2 in ys:
+            s = s1 * s2 if p == 2 else s1 * s2 * koszul_sign(c1, m1, c2, m2, scheme)
+            c = CoeffMonomial(c1[0] + c2[0], c1[1] + c2[1], c1[2] + c2[2], c1[3] + c2[3])
+            if kills and _coeff_zero(c, scheme):
+                continue
+            xi = _merge_xi(m1.xi, m2.xi)
+            if t2.isdisjoint(t1):
+                taus = tuple(sorted(t1 + m2.taus)) if t1 and m2.taus else t1 or m2.taus
+                _add(out, (c, SteenrodMonomial(xi, taus)), s, p)
+            else:
+                taus = dict.fromkeys(t1, 1)
+                for j in m2.taus:
+                    taus[j] = taus.get(j, 0) + 1
+                _rewrite(out, (s, c, dict(xi), taus), h)
+    return Element(p, out)
 
 
 def coeff_scale(c, x, h):
@@ -382,21 +383,17 @@ def coeff_scale(c, x, h):
     worklist: merge exponents, apply the coefficient relations, keep the
     Koszul sign of moving c past each term's own coefficient factors.
     """
-    scheme = h.scheme
-    _check_gens(c, scheme)
+    p, scheme = h.p, h.scheme
+    _check_term(c, (), h)
+    kills = scheme.caps or scheme.zero_pairs
     out = {}
     for (c2, m), s in x.terms.items():
-        sign = koszul_sign(c, STEENROD_ONE, c2, STEENROD_ONE, scheme)
-        merged = CoeffMonomial(*(a + b for a, b in zip(c, c2)))
-        if _coeff_zero(merged, scheme):
-            continue
-        key = (merged, m)
-        v = (out.get(key, 0) + sign * s) % h.p
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return Element(h.p, out)
+        if p != 2:
+            s *= koszul_sign(c, STEENROD_ONE, c2, STEENROD_ONE, scheme)
+        merged = CoeffMonomial(c[0] + c2[0], c[1] + c2[1], c[2] + c2[2], c[3] + c2[3])
+        if s % p and not (kills and _coeff_zero(merged, scheme)):
+            out[merged, m] = s % p  # distinct terms stay distinct
+    return Element(p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +409,7 @@ def coeff_scale(c, x, h):
 
 def term_text(t):
     c, m = t.coeff, t.mono
-    cs = "*".join(f"{g}^{c.exp(g)}" for g in COEFF_ORDER if c.exp(g)) or "1"
+    cs = "*".join(f"{g}^{e}" for g, e in zip(COEFF_ORDER, c) if e) or "1"
     xs = " ".join(f"xi{j}^{e}" for j, e in m.xi) or "1"
     ts = "tau{" + ",".join(str(j) for j in m.taus) + "}"
     body = f"{cs} | {xs} | {ts}"

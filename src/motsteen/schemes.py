@@ -21,6 +21,7 @@ square to zero at every prime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .grading import Bidegree
 
@@ -71,6 +72,17 @@ class SchemePresentation:
     zero_pairs: frozenset = frozenset()             # {frozenset({g1,g2})}: g1*g2 = 0
     rho_element: str | None = None                  # None means rho = 0
     coeff_bockstein: dict = field(default_factory=dict)  # name -> name, beta(g) = target
+
+    @cached_property
+    def relation_positions(self):
+        """(caps, pairs, foreign) as positions in a CoeffMonomial: ((i, max exponent),
+        ...), the position tuples of vanishing products, the absent generators."""
+        pos = COEFF_ORDER.index
+        return (
+            tuple((pos(name), cap) for name, cap in self.caps.items()),
+            tuple(tuple(pos(name) for name in pair) for pair in self.zero_pairs),
+            tuple(i for i, name in enumerate(COEFF_ORDER) if name not in self.gens),
+        )
 
     def degree(self, name):
         if name not in self.gens:

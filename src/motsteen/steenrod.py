@@ -21,8 +21,9 @@ recursions (with xi_0 = chi(xi_0) = 1)
     0 = tau_r + sum_{i=0..r} xi_i^(p^(r-i)) chi(tau_{r-i}),
     0 =         sum_{i=0..r} xi_i^(p^(r-i)) chi(xi_{r-i}),
 
-memoized per (p, r), and extended multiplicatively.  All coefficient symbols
-other than tau are fixed by chi.
+memoized per (scheme, p, r), and extended multiplicatively: chi of a monomial
+is chi of the monomial without its last factor times chi of that factor.
+All coefficient symbols other than tau are fixed by chi.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .elements import (
     mono_degree,
     monomial_key,
     mul,
-    power,
     term_element,
 )
 
@@ -287,16 +287,21 @@ def _tau_element(p, j):
     return term_element(p, 1, COEFF_ONE, SteenrodMonomial((), (j,)))
 
 
+def _require_full(h):
+    if h.ambient != "a":
+        raise ValueError("conjugation is defined on the full algebra only")
+
+
 def chi_generator(kind, r, h):
-    """chi(xi_r) or chi(tau_r) in the full algebra, memoized per (p, r)."""
+    """chi(xi_r) or chi(tau_r) in the full algebra, memoized per scheme, p and r."""
+    _require_full(h)
     p = h.p
-    key = (kind, p, r)
+    key = (h.scheme.id, p, h.scheme.q, kind, r)
     if key in _chi_gen_cache:
         return _chi_gen_cache[key]
     if kind == "xi" and r == 0:
         return Element.one(p)
-    base = _xi_element(p, r) if kind == "xi" else _tau_element(p, r)
-    acc = base
+    acc = _xi_element(p, r) if kind == "xi" else _tau_element(p, r)
     # the odd recursion ends in xi_r chi(tau_0); the even one stops at i = r-1
     top = r if kind == "tau" else r - 1
     for i in range(1, top + 1):
@@ -309,22 +314,40 @@ def chi_generator(kind, r, h):
     return result
 
 
-def _chi_coeff(c, h):
-    """chi on a coefficient monomial: fixes everything but tau."""
-    p = h.p
-    out = term_element(p, 1, CoeffMonomial(theta=c.theta, eps=c.eps, rho=c.rho))
-    if c.tau:
-        chi_tau = term_element(p, 1, CoeffMonomial(tau=1))
-        rho = h.scheme.rho_element
-        if rho is not None:
-            chi_tau = chi_tau + term_element(
-                p, 1, CoeffMonomial().bump(rho), SteenrodMonomial((), (0,))
-            )
-        out = mul(out, power(chi_tau, c.tau, h), h)
-    return out
-
-
 _chi_mono_cache = {}
+
+
+def _chi_monomial(c, m, h):
+    """chi(c | m), memoized: chi of c | m without its last factor, times chi of it.
+
+    The last factor in canonical order is the largest tau_j, else one power
+    of the largest xi_j, else one coefficient tau, with chi(tau) = tau + rho
+    tau_0; the rest of the coefficient is fixed by chi.
+    """
+    tag = (h.scheme.id, h.p, h.scheme.q)
+    rho = h.scheme.rho_element and CoeffMonomial().bump(h.scheme.rho_element)
+    chain = []  # (key, chi of the last factor), from c | m down to a known prefix
+    while (hit := _chi_mono_cache.get(tag + (c, m))) is None:
+        key = tag + (c, m)
+        if m.taus:
+            last = chi_generator("tau", m.taus[-1], h)
+            m = SteenrodMonomial(m.xi, m.taus[:-1])
+        elif m.xi:
+            j, e = m.xi[-1]
+            last = chi_generator("xi", j, h)
+            m = SteenrodMonomial(m.xi[:-1] + (((j, e - 1),) if e > 1 else ()), ())
+        elif c.tau:
+            last = term_element(h.p, 1, CoeffMonomial(tau=1))
+            if rho is not None:
+                last = last + term_element(h.p, 1, rho, SteenrodMonomial((), (0,)))
+            c = CoeffMonomial(c.theta, c.eps, c.rho, c.tau - 1)
+        else:
+            hit = _chi_mono_cache[key] = term_element(h.p, 1, c)
+            break
+        chain.append((key, last))
+    for key, last in reversed(chain):
+        hit = _chi_mono_cache[key] = mul(hit, last, h)
+    return hit
 
 
 def conjugate(x, h):
@@ -333,36 +356,13 @@ def conjugate(x, h):
     Only defined on the full algebra; the mz form carries the other module
     structure and is rejected.  Per-monomial values are memoized.
     """
-    if h.ambient != "a":
-        raise ValueError("conjugation is defined on the full algebra only")
+    _require_full(h)
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
     out = Element.zero(h.p)
     for (c, m), s in x.terms.items():
-        key = (h.scheme.id, h.p, h.scheme.q, c, m)
-        acc = _chi_mono_cache.get(key)
-        if acc is None:
-            acc = _chi_coeff(c, h)
-            for j, e in m.xi:
-                acc = mul(acc, power(chi_generator("xi", j, h), e, h), h)
-            for j in m.taus:
-                acc = mul(acc, chi_generator("tau", j, h), h)
-            _chi_mono_cache[key] = acc
-        out = out + acc.scaled(s)
+        out = out + _chi_monomial(c, m, h).scaled(s)
     return out
-
-
-def mz_generators_in_a(h, bound):
-    """[(chi tau_i, chi xi_i) for i = 1..bound] for cross-checks in the full algebra."""
-    if h.ambient != "a":
-        raise ValueError("expected the full algebra")
-    return [
-        (chi_generator("tau", i, h), chi_generator("xi", i, h))
-        for i in range(1, bound + 1)
-    ]
-
-
-_mz_image_cache = {}
 
 
 def mz_image_in_a(c, idx, h_a):
@@ -372,13 +372,5 @@ def mz_image_in_a(c, idx, h_a):
     right unit (stay put); this is the embedding whose image is generated by
     the chi'd generators.
     """
-    key = (h_a.scheme.id, h_a.p, h_a.scheme.q, idx)
-    out = _mz_image_cache.get(key)
-    if out is None:
-        out = Element.one(h_a.p)
-        for j, e in idx.a:
-            out = mul(out, power(chi_generator("xi", j, h_a), e, h_a), h_a)
-        for j in idx.U:
-            out = mul(out, chi_generator("tau", j, h_a), h_a)
-        _mz_image_cache[key] = out
-    return coeff_scale(c, out, h_a)
+    _require_full(h_a)
+    return coeff_scale(c, _chi_monomial(COEFF_ONE, SteenrodMonomial(idx.a, idx.U), h_a), h_a)

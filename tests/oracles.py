@@ -6,22 +6,28 @@ per-bidegree re-scan of every monomial for bases and populated bidegrees,
 a dimension report that rebuilds the Bockstein matrix of the augmentation
 ideal and of the coefficient ring beside the full one, a Bockstein
 that builds raw terms and sends them through normalize, and the generic
-column-major elimination over F_p that once also served p = 2.  They carry
-no memo, and they build their matrices on their own bases, so
-test_oracles.py can hold the single-path code to them on small windows.
+column-major elimination over F_p that once also served p = 2.  Below them
+are the product that sends every pair of terms through the rewrite
+worklist, and the conjugation that rebuilds each monomial from its
+generators with powers.  They carry no memo, and they build their matrices
+on their own bases, so test_oracles.py can hold the single-path code to
+them on small windows.
 """
 
-from motsteen.bockstein import _beta_coeff_monomial
 from motsteen.elements import (
+    COEFF_ONE,
+    CoeffMonomial,
+    Element,
     SteenrodMonomial,
     Term,
     coeff_degree,
+    koszul_sign,
     monomial_key,
-    normalize,
     term_element,
 )
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.linalg import FpMatrix
+from motsteen.schemes import COEFF_ORDER, SchemeError
 from motsteen.steenrod import coeff_degree_populated, coeff_monomials, index_of
 
 
@@ -307,3 +313,203 @@ def beta_report(bidegrees, h):
             }
         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# The product, the conjugation and the coefficient Bockstein, as they were
+# before the product merged normalized terms directly
+
+
+def _coeff_zero(c, scheme):
+    for name, cap in scheme.caps.items():
+        if getattr(c, name) > cap:
+            return True
+    for pair in scheme.zero_pairs:
+        if all(getattr(c, name) >= 1 for name in pair):
+            return True
+    return False
+
+
+def _check_gens(c, scheme):
+    for name in COEFF_ORDER:
+        if getattr(c, name) and name not in scheme.gens:
+            raise SchemeError(
+                f"coefficient generator {name!r} not present for scheme {scheme.id}"
+            )
+
+
+def normalize(raw_terms, h):
+    """Raw terms (Terms, or (scalar, coeff, xi map, tau counts)) to an Element."""
+    p = h.p
+    scheme = h.scheme
+    out = {}
+    work = []
+    for t in raw_terms:
+        if isinstance(t, Term):
+            work.append((t.scalar, t.coeff, dict(t.mono.xi), {j: 1 for j in t.mono.taus}))
+        else:
+            s, c, xi, taus = t
+            work.append((s, c, dict(xi), dict(taus)))
+
+    while work:
+        s, c, xi, taus = work.pop()
+        s %= p
+        if not s:
+            continue
+        _check_gens(c, scheme)
+        if _coeff_zero(c, scheme):
+            continue
+        bad = [j for j, e in taus.items() if j < h.min_tau and e]
+        if bad:
+            raise ValueError(
+                f"tau index {min(bad)} below the minimum {h.min_tau} for this form"
+            )
+
+        sq = sorted(j for j, e in taus.items() if e >= 2)
+        if sq:
+            j = sq[0]
+            rest = dict(taus)
+            rest[j] -= 2
+            if rest[j] == 0:
+                del rest[j]
+            if p != 2 or scheme.id == "bare":
+                continue  # tau_j^2 = 0
+            # tau_j^2 -> xi_{j+1} tau [+ xi_{j+1} tau_0 rho] + tau_{j+1} rho
+            xi_up = dict(xi)
+            xi_up[j + 1] = xi_up.get(j + 1, 0) + 1
+            work.append((s, c.bump("tau"), xi_up, dict(rest)))
+            rho = scheme.rho_element
+            if rho is not None:
+                if h.ambient == "a":
+                    t0 = dict(rest)
+                    t0[0] = t0.get(0, 0) + 1
+                    work.append((s, c.bump(rho), dict(xi_up), t0))
+                t_up = dict(rest)
+                t_up[j + 1] = t_up.get(j + 1, 0) + 1
+                work.append((s, c.bump(rho), dict(xi), t_up))
+            continue
+
+        mono = SteenrodMonomial(
+            tuple(sorted((j, e) for j, e in xi.items() if e)),
+            tuple(sorted(j for j, e in taus.items() if e)),
+        )
+        key = (c, mono)
+        v = (out.get(key, 0) + s) % p
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+    return Element(p, out)
+
+
+def mul(x, y, h):
+    """Every pair of terms as a raw term, then normalize."""
+    raw = []
+    scheme = h.scheme
+    for (c1, m1), s1 in x.terms.items():
+        for (c2, m2), s2 in y.terms.items():
+            sign = koszul_sign(c1, m1, c2, m2, scheme)
+            c = CoeffMonomial(*(a + b for a, b in zip(c1, c2)))
+            xi = dict(m1.xi)
+            for j, e in m2.xi:
+                xi[j] = xi.get(j, 0) + e
+            taus = {j: 1 for j in m1.taus}
+            for j in m2.taus:
+                taus[j] = taus.get(j, 0) + 1
+            raw.append((s1 * s2 * sign, c, xi, taus))
+    return normalize(raw, h)
+
+
+def power(x, n, h):
+    out = Element.one(h.p)
+    for _ in range(n):
+        out = mul(out, x, h)
+    return out
+
+
+def _xi_element(p, j, e=1):
+    if e == 0:
+        return Element.one(p)
+    return term_element(p, 1, COEFF_ONE, SteenrodMonomial(((j, e),), ()))
+
+
+def chi_generator(kind, r, h):
+    """chi(xi_r) or chi(tau_r) in the full algebra, by the recursion, unmemoized."""
+    p = h.p
+    if kind == "xi" and r == 0:
+        return Element.one(p)
+    if kind == "xi":
+        acc = _xi_element(p, r)
+    else:
+        acc = term_element(p, 1, COEFF_ONE, SteenrodMonomial((), (r,)))
+    top = r if kind == "tau" else r - 1
+    for i in range(1, top + 1):
+        lower = chi_generator(kind, r - i, h)
+        if lower.is_zero():
+            continue
+        acc = acc + mul(_xi_element(p, i, p ** (r - i)), lower, h)
+    return acc.scaled(-1)
+
+
+def _chi_coeff(c, h):
+    p = h.p
+    out = term_element(p, 1, CoeffMonomial(theta=c.theta, eps=c.eps, rho=c.rho))
+    if c.tau:
+        chi_tau = term_element(p, 1, CoeffMonomial(tau=1))
+        rho = h.scheme.rho_element
+        if rho is not None:
+            chi_tau = chi_tau + term_element(
+                p, 1, CoeffMonomial().bump(rho), SteenrodMonomial((), (0,))
+            )
+        out = mul(out, power(chi_tau, c.tau, h), h)
+    return out
+
+
+def conjugate(x, h):
+    """chi term by term: chi of the coefficient, then the generators with powers."""
+    out = Element.zero(h.p)
+    for (c, m), s in x.terms.items():
+        acc = _chi_coeff(c, h)
+        for j, e in m.xi:
+            acc = mul(acc, power(chi_generator("xi", j, h), e, h), h)
+        for j in m.taus:
+            acc = mul(acc, chi_generator("tau", j, h), h)
+        out = out + acc.scaled(s)
+    return out
+
+
+def mz_image_in_a(c, idx, h_a):
+    """The right-subalgebra image of c * eta[a, U], generator by generator."""
+    out = Element.one(h_a.p)
+    for j, e in idx.a:
+        out = mul(out, power(chi_generator("xi", j, h_a), e, h_a), h_a)
+    for j in idx.U:
+        out = mul(out, chi_generator("tau", j, h_a), h_a)
+    return mul(term_element(h_a.p, 1, c), out, h_a)
+
+
+def _beta_coeff_monomial(c, h):
+    """Coefficient Bockstein on one coefficient monomial, as [(scalar, CoeffMonomial)]."""
+    table = h.coeff_bockstein()
+    if not table:
+        return []
+    p = h.p
+    scheme = h.scheme
+    out = []
+    passed_odd = 0
+    for name in COEFF_ORDER:
+        e = getattr(c, name)
+        if not e:
+            continue
+        target = table.get(name)
+        if target is not None:
+            # e * g^(e-1) * beta(g) * rest, beta(g) = target
+            s = (e % p) * (-1 if passed_odd & 1 else 1)
+            if s % p:
+                nc = c.bump(name, -1).bump(target)
+                if not _coeff_zero(nc, scheme):
+                    out.append((s % p, nc))
+        if scheme.degree(name).d & 1:
+            passed_odd += e
+    return out

@@ -169,7 +169,7 @@ def test_verify_chi_negative_control():
     h = algebra("algclosed", 2, ambient="a")
     good = steenrod.chi_generator("tau", 2, h)
     try:
-        steenrod._chi_gen_cache[("tau", 2, 2)] = term_element(
+        steenrod._chi_gen_cache[("algclosed", 2, None, "tau", 2)] = term_element(
             2, 1, CoeffMonomial(), steenrod.SteenrodMonomial((), (2,))
         )
         steenrod._chi_mono_cache.clear()
@@ -180,7 +180,7 @@ def test_verify_chi_negative_control():
         assert code == 1
         assert "FAIL" in out
     finally:
-        steenrod._chi_gen_cache[("tau", 2, 2)] = good
+        steenrod._chi_gen_cache[("algclosed", 2, None, "tau", 2)] = good
         steenrod._chi_mono_cache.clear()
 
 

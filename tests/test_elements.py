@@ -22,7 +22,6 @@ from motsteen.elements import (
     CoeffMonomial,
     SteenrodMonomial,
     coeff_scale,
-    power,
 )
 from motsteen.schemes import SchemeError, make_scheme
 from motsteen.steenrod import basis_index, eta, steenrod_monomials_by_degree
@@ -182,11 +181,6 @@ def test_coeff_scale_matches_mul():
         x = term_element(3, 1, CoeffMonomial(eps=1), m)
         c = CoeffMonomial(eps=1, tau=2)
         assert coeff_scale(c, x, hf) == mul(term_element(3, 1, c), x, hf)
-
-
-def test_power():
-    x = eta(basis_index({1: 1}, []), H2)
-    assert element_text(power(x, 3, H2)) == "1 | xi1^3 | tau{}"
 
 
 def test_text_round_trip():

@@ -1,5 +1,5 @@
-"""The single-path enumeration, bases, dims report, Bockstein and
-elimination against the oracles.
+"""The single-path enumeration, bases, dims report, Bockstein,
+elimination, product and conjugation against the oracles.
 
 tests/oracles.py keeps the implementations these paths replaced; on small
 windows the outputs must be equal, element for element and row for row.
@@ -18,14 +18,17 @@ from motsteen.bockstein import (
     free_bbeta_generators,
     u_maximal_by_degree,
 )
-from motsteen.elements import Element, term_element
+from motsteen.elements import Element, mul, term_element
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.linalg import kernel_basis, rank, rank_of_columns
 from motsteen.steenrod import (
     BasisIndex,
     bidegree_basis,
+    chi_generator,
+    conjugate,
     index_of,
+    mz_image_in_a,
     populated_bidegrees,
     steenrod_monomials,
     steenrod_monomials_by_degree,
@@ -143,6 +146,48 @@ def test_kernel_basis_matches_oracle(h):
         for (r, c), v in M.entries.items():
             cols[c][r] = v
         assert rank_of_columns(h.p, cols) == want
+
+
+@pytest.mark.parametrize(
+    "h", ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)], ids=handle_id
+)
+def test_mul_matches_oracle(h):
+    # same terms in the same order: on seeded random sums of 1 to 6 basis
+    # monomials of two populated bidegrees, and in the full algebra on every
+    # product of two conjugated generators of index <= 4, whose tau sets meet
+    rng = random.Random(f"mul-{handle_id(h)}")
+    p = h.p
+    window = (8, 5) if p == 2 else (18, 9)
+    bases = [bidegree_basis(bd, h) for bd in populated_bidegrees(h, *window)]
+    xs = []
+    for _ in range(300):
+        basis = rng.choice(bases)
+        keys = rng.sample(basis, rng.randint(1, min(6, len(basis))))
+        xs.append(Element(p, {key: rng.randrange(1, p) for key in keys}))
+    pairs = list(zip(xs[::2], xs[1::2]))
+    if h.ambient == "a":
+        gens = [chi_generator(kind, r, h) for kind in ("xi", "tau") for r in range(5)]
+        pairs += [(x, z) for x in gens for z in gens]
+    for x, z in pairs:
+        want = oracles.mul(x, z, h)
+        assert list(mul(x, z, h).terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("h", ALL_A, ids=handle_id)
+def test_conjugate_matches_oracle(h):
+    for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (20, 9))):
+        for c, m in bidegree_basis(bd, h):
+            x = term_element(h.p, 1, c, m)
+            assert conjugate(x, h) == oracles.conjugate(x, h)
+
+
+@pytest.mark.parametrize("h_a", ALL_A, ids=handle_id)
+def test_mz_image_matches_oracle(h_a):
+    h = algebra(h_a.scheme.id, h_a.p, h_a.scheme.q)
+    for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (20, 9))):
+        for c, m in bidegree_basis(bd, h):
+            idx = index_of(m)
+            assert mz_image_in_a(c, idx, h_a) == oracles.mz_image_in_a(c, idx, h_a)
 
 
 def test_split_crossing_raises():

@@ -1,5 +1,6 @@
-"""Properties of the Bockstein and the text form on random homogeneous sums,
-over every handle.
+"""Properties of the Bockstein, the product, the conjugation and the text
+form on random homogeneous sums, over every handle (the full algebra only
+for the conjugation).
 
 Each example picks a handle, a populated bidegree of a small window and a
 sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from motsteen import algebra, element_text, mul, parse_element
 from motsteen.bockstein import beta
 from motsteen.elements import Element
-from motsteen.steenrod import bidegree_basis, populated_bidegrees
+from motsteen.steenrod import bidegree_basis, conjugate, populated_bidegrees
 from test_oracles import ALL_A, ALL_MZ, handle_id
 
 HANDLES = ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)]
@@ -35,6 +36,7 @@ def sums(draw, h):
 
 
 handles = st.sampled_from(HANDLES)
+full_handles = st.sampled_from(ALL_A)
 
 
 @PROPERTY
@@ -61,3 +63,24 @@ def test_beta_is_a_derivation(hxz):
 def test_text_form_round_trip(hx):
     h, x = hx
     assert parse_element(element_text(x), h) == x
+
+
+@PROPERTY
+@given(full_handles.flatmap(lambda h: st.tuples(st.just(h), sums(h), sums(h), sums(h))))
+def test_mul_is_associative(hxyz):
+    h, x, y, z = hxyz
+    assert mul(mul(x, y, h), z, h) == mul(x, mul(y, z, h), h)
+
+
+@PROPERTY
+@given(full_handles.flatmap(lambda h: st.tuples(st.just(h), sums(h))))
+def test_chi_is_an_involution(hx):
+    h, x = hx
+    assert conjugate(conjugate(x, h), h) == x
+
+
+@PROPERTY
+@given(full_handles.flatmap(lambda h: st.tuples(st.just(h), sums(h), sums(h))))
+def test_chi_is_multiplicative(hxz):
+    h, x, z = hxz
+    assert conjugate(mul(x, z, h), h) == mul(conjugate(x, h), conjugate(z, h), h)

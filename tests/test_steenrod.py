@@ -16,7 +16,6 @@ from motsteen.steenrod import (
     conjugate,
     eta,
     index_of,
-    mz_generators_in_a,
     mz_image_in_a,
     populated_bidegrees,
     steenrod_monomials_by_degree,
@@ -85,6 +84,7 @@ def test_coeff_degree_populated_matches_enumeration():
 
 def test_chi_generator_values():
     assert element_text(chi_generator("tau", 0, HA3)) == "2*1 | 1 | tau{0}"
+    assert element_text(chi_generator("xi", 1, HA2)) == "1 | xi1^1 | tau{}"
     assert element_text(chi_generator("xi", 2, HA2)) == (
         "1 | xi1^3 | tau{} + 1 | xi2^1 | tau{}"
     )
@@ -127,13 +127,17 @@ def test_chi_involution_and_multiplicative_small():
             )
 
 
-def test_mz_generators_in_a():
-    gens = mz_generators_in_a(HA2, 1)
-    assert len(gens) == 1
-    chi_tau_1, chi_xi_1 = gens[0]
-    assert element_text(chi_xi_1) == "1 | xi1^1 | tau{}"
-    assert element_text(chi_tau_1) == "1 | 1 | tau{1} + 1 | xi1^1 | tau{0}"
-    assert mz_generators_in_a(HA2, 0) == []
+def test_chi_generator_and_mz_image_reject_the_mz_form():
+    # cold or after a full-algebra call has filled the memo, the answer for
+    # an mz handle is the same: a refusal
+    for warm in (False, True):
+        if warm:
+            chi_generator("tau", 1, HA2)
+            mz_image_in_a(COEFF_ONE, basis_index({}, [1]), HA2)
+        with pytest.raises(ValueError, match="full algebra"):
+            chi_generator("tau", 1, H2)
+        with pytest.raises(ValueError, match="full algebra"):
+            mz_image_in_a(COEFF_ONE, basis_index({}, [1]), H2)
 
 
 def test_conjugated_generators_are_bockstein_cycles():
