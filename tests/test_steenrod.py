@@ -84,7 +84,6 @@ def test_coeff_degree_populated_matches_enumeration():
 
 def test_chi_generator_values():
     assert element_text(chi_generator("tau", 0, HA3)) == "2*1 | 1 | tau{0}"
-    assert element_text(chi_generator("xi", 1, HA2)) == "1 | xi1^1 | tau{}"
     assert element_text(chi_generator("xi", 2, HA2)) == (
         "1 | xi1^3 | tau{} + 1 | xi2^1 | tau{}"
     )
@@ -125,6 +124,16 @@ def test_chi_involution_and_multiplicative_small():
             assert conjugate(mul(x, z, h), h) == mul(
                 conjugate(x, h), conjugate(z, h), h
             )
+
+
+def test_mz_generators_in_a():
+    # the chi'd generators that generate the image of the right subalgebra
+    chi_tau_1 = chi_generator("tau", 1, HA2)
+    chi_xi_1 = chi_generator("xi", 1, HA2)
+    assert element_text(chi_xi_1) == "1 | xi1^1 | tau{}"
+    assert element_text(chi_tau_1) == "1 | 1 | tau{1} + 1 | xi1^1 | tau{0}"
+    assert mz_image_in_a(COEFF_ONE, basis_index({1: 1}, []), HA2) == chi_xi_1
+    assert mz_image_in_a(COEFF_ONE, basis_index({}, [1]), HA2) == chi_tau_1
 
 
 def test_chi_generator_and_mz_image_reject_the_mz_form():
