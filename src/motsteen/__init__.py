@@ -58,7 +58,6 @@ from .integral import (
     lift_generator,
     pb_mul,
     pb_torsion,
-    pb_unit,
     q_map,
 )
 from .relations import (

@@ -26,6 +26,7 @@ bases must span the same space.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
@@ -113,18 +114,12 @@ def beta(x, h):
     return Element(p, out)
 
 
-_y_cache = {}
-
-
+@cache
 def y(idx, h):
     """The Bockstein class beta(eta[a, U]), computed by the derivation."""
     if h.ambient != "mz":
         raise ValueError("y classes live in the mz form")
-    key = (h.scheme.id, h.p, h.scheme.q, idx)
-    hit = _y_cache.get(key)
-    if hit is None:
-        hit = _y_cache[key] = beta(eta(idx, h), h)
-    return hit
+    return beta(eta(idx, h), h)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +253,9 @@ def scheme_kernel_data(scheme):
     return split
 
 
-_umax_cache = {}
-
-
+@cache
 def u_maximal_by_degree(p, budget):
     """Map eta-bidegree -> U-maximal indices, over all eta with d - w <= budget."""
-    key = (p, budget)
-    if key in _umax_cache:
-        return _umax_cache[key]
     out = {}
     for eb, monos in monomial_index(p, budget, 1).items():
         if eb.d - eb.w > budget:
@@ -276,16 +266,7 @@ def u_maximal_by_degree(p, budget):
         ]
         if idxs:
             out[eb] = idxs
-    _umax_cache[key] = out
     return out
-
-
-def u_maximal_indices(bd_eta, p):
-    """Basis indices (a, U) with |eta| = bd_eta, U nonempty, max supp a <= max U."""
-    d, w = bd_eta
-    if d - w < 0:
-        return []
-    return list(u_maximal_by_degree(p, d - w).get(bd_eta, []))
 
 
 def free_bbeta_generators(bound, p, check=True):

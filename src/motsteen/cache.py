@@ -1,8 +1,9 @@
 """Result cache: one JSON file per entry, named by a stable key hash.
 
-Entries are versioned with the package version; a version mismatch
-invalidates.  Writers publish via create-then-rename in the cache
-directory, so concurrent processes never see a partial file.
+Entries are versioned with the package version and a digest of the
+package's own sources, so an entry written by other code is recomputed; a
+version mismatch invalidates.  Writers publish via create-then-rename in
+the cache directory, so concurrent processes never see a partial file.
 """
 
 from __future__ import annotations
@@ -11,10 +12,20 @@ import hashlib
 import json
 import os
 import tempfile
+from pathlib import Path
 
 from . import __version__
 
-CACHE_VERSION = f"1+{__version__}"
+
+def _source_digest():
+    """SHA-256 of the package's .py sources, read once at import."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+CACHE_VERSION = f"1+{__version__}+{_source_digest()}"
 
 
 def cache_key(parts):

@@ -366,10 +366,6 @@ def _same_model(x, y_el):
         raise PullbackError("pullback elements over different schemes")
 
 
-def pb_unit(ring, h):
-    return PullbackElement(ring.one(), Element.one(h.p), h)
-
-
 def pb_mul(x, y_el):
     """Componentwise product in the fiber product; compatibility re-verified."""
     _same_model(x, y_el)

@@ -470,15 +470,6 @@ def embed_formal(poly, h, ring):
     return PullbackElement(z_total, k_total, h)
 
 
-def formal_augmentation(poly):
-    """Kill the y symbols; the coefficient-only part survives."""
-    return FormalPoly(
-        poly.p,
-        {key: c for key, c in poly.terms.items() if not key[1]},
-        poly.precision,
-    )
-
-
 # ---------------------------------------------------------------------------
 # The Z[1/2] relation table
 

@@ -68,10 +68,12 @@ class SchemePresentation:
     p: int
     q: int | None = None
     gens: tuple[str, ...] = ()
-    caps: dict = field(default_factory=dict)        # name -> max exponent
+    # the two dicts stay out of the hash (equality still compares them), so a
+    # presentation, and a handle wrapping it, can key functools caches
+    caps: dict = field(default_factory=dict, hash=False)  # name -> max exponent
     zero_pairs: frozenset = frozenset()             # {frozenset({g1,g2})}: g1*g2 = 0
     rho_element: str | None = None                  # None means rho = 0
-    coeff_bockstein: dict = field(default_factory=dict)  # name -> name, beta(g) = target
+    coeff_bockstein: dict = field(default_factory=dict, hash=False)  # beta(name) = name
 
     @cached_property
     def relation_positions(self):

@@ -21,13 +21,15 @@ recursions (with xi_0 = chi(xi_0) = 1)
     0 = tau_r + sum_{i=0..r} xi_i^(p^(r-i)) chi(tau_{r-i}),
     0 =         sum_{i=0..r} xi_i^(p^(r-i)) chi(xi_{r-i}),
 
-memoized per (scheme, p, r), and extended multiplicatively: chi of a monomial
-is chi of the monomial without its last factor times chi of that factor.
+memoized per (kind, r, handle), and extended multiplicatively: chi of a
+monomial is chi of the monomial without its last factor times chi of that
+factor.
 All coefficient symbols other than tau are fixed by chi.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .grading import Bidegree, tau_degree
@@ -85,7 +87,6 @@ def index_of(mono):
 # Bidegree basis enumeration
 
 _mono_index = {}
-_basis_cache = {}
 
 
 def steenrod_monomials(p, budget, min_tau):
@@ -187,6 +188,7 @@ def coeff_monomials(bd, scheme):
     return out
 
 
+@cache
 def bidegree_basis(bd, h):
     """Coefficient-twisted monomial basis of one bidegree, sorted canonically.
 
@@ -194,9 +196,6 @@ def bidegree_basis(bd, h):
     must satisfy d >= bd.d, w >= bd.w, d - w <= bd.d - bd.w, and the
     coefficient part is solved exactly for the remainder.
     """
-    key = (h.scheme.id, h.p, h.scheme.q, h.ambient, bd)
-    if key in _basis_cache:
-        return _basis_cache[key]
     d, w = bd
     out = []
     if d - w >= 0:
@@ -206,7 +205,6 @@ def bidegree_basis(bd, h):
             for c in coeff_monomials(Bidegree(d - e.d, w - e.w), h.scheme):
                 out.extend((c, m) for m in monos)
     out.sort(key=monomial_key)
-    _basis_cache[key] = out
     return out
 
 
@@ -243,18 +241,13 @@ def coeff_degree_populated(bd, scheme):
     return True
 
 
-_pop_cache = {}
-
-
+@cache
 def populated_bidegrees(h, dmax, wmax):
     """All bidegrees with |d| <= dmax, |w| <= wmax carrying a basis monomial.
 
     The xi/tau part of any monomial in the window has d - w <= dmax + wmax
     (coefficient parts never decrease d - w), which makes the scan finite.
     """
-    key = (h.scheme.id, h.p, h.scheme.q, h.ambient, dmax, wmax)
-    if key in _pop_cache:
-        return _pop_cache[key]
     budget = dmax + wmax
     eta_degs = [
         e for e in monomial_index(h.p, budget, h.min_tau) if e.d - e.w <= budget
@@ -267,15 +260,11 @@ def populated_bidegrees(h, dmax, wmax):
                 coeff_degree_populated(bd - e, h.scheme) for e in eta_degs
             ):
                 out.append(bd)
-    _pop_cache[key] = out
     return out
 
 
 # ---------------------------------------------------------------------------
 # Conjugation
-
-_chi_gen_cache = {}
-
 
 def _xi_element(p, j, e=1):
     if e == 0:
@@ -292,13 +281,11 @@ def _require_full(h):
         raise ValueError("conjugation is defined on the full algebra only")
 
 
+@cache
 def chi_generator(kind, r, h):
-    """chi(xi_r) or chi(tau_r) in the full algebra, memoized per scheme, p and r."""
+    """chi(xi_r) or chi(tau_r) in the full algebra."""
     _require_full(h)
     p = h.p
-    key = (h.scheme.id, p, h.scheme.q, kind, r)
-    if key in _chi_gen_cache:
-        return _chi_gen_cache[key]
     if kind == "xi" and r == 0:
         return Element.one(p)
     acc = _xi_element(p, r) if kind == "xi" else _tau_element(p, r)
@@ -309,9 +296,7 @@ def chi_generator(kind, r, h):
         if lower.is_zero():
             continue
         acc = acc + mul(_xi_element(p, i, p ** (r - i)), lower, h)
-    result = acc.scaled(-1)
-    _chi_gen_cache[key] = result
-    return result
+    return acc.scaled(-1)
 
 
 _chi_mono_cache = {}
@@ -324,11 +309,9 @@ def _chi_monomial(c, m, h):
     of the largest xi_j, else one coefficient tau, with chi(tau) = tau + rho
     tau_0; the rest of the coefficient is fixed by chi.
     """
-    tag = (h.scheme.id, h.p, h.scheme.q)
     rho = h.scheme.rho_element and CoeffMonomial().bump(h.scheme.rho_element)
     chain = []  # (key, chi of the last factor), from c | m down to a known prefix
-    while (hit := _chi_mono_cache.get(tag + (c, m))) is None:
-        key = tag + (c, m)
+    while (hit := _chi_mono_cache.get(key := (h, c, m))) is None:
         if m.taus:
             last = chi_generator("tau", m.taus[-1], h)
             m = SteenrodMonomial(m.xi, m.taus[:-1])

@@ -18,7 +18,7 @@ from motsteen.bockstein import (
     constructive_kernel,
     free_bbeta_generators,
     ker_beta_basis,
-    u_maximal_indices,
+    u_maximal_by_degree,
     y,
 )
 from motsteen.steenrod import (
@@ -188,10 +188,12 @@ def test_free_generators_examples():
 
 
 def test_u_maximal_filter():
-    idxs = u_maximal_indices(Bidegree(9, 4), 2)  # eta degree (9,4): xi_2 tau_1
-    assert basis_index({2: 1}, [1]) not in idxs  # max supp a = 2 > max U = 1
-    all_with_deg = [basis_index({2: 1}, [1])]
-    assert mono_degree(all_with_deg[0], 2) == Bidegree(9, 4)
+    # eta degree (9,4) also holds xi_2 tau_1, excluded: max supp a = 2 > max U = 1
+    assert mono_degree(basis_index({2: 1}, [1]), 2) == Bidegree(9, 4)
+    assert u_maximal_by_degree(2, 5)[Bidegree(9, 4)] == [
+        basis_index({1: 1}, [2]),
+        basis_index({1: 3}, [1]),
+    ]
 
 
 def test_ker_beta_examples():

@@ -121,6 +121,36 @@ def test_cache_recomputes_a_wrongly_shaped_matrix(tmp_path):
     assert __version__ in CACHE_VERSION
 
 
+def test_cache_entry_is_not_served_after_a_source_change(tmp_path):
+    import shutil
+    import subprocess
+
+    import motsteen
+
+    src = tmp_path / "src"
+    shutil.copytree(
+        os.path.dirname(motsteen.__file__), src / "motsteen",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    prelude = (
+        "from motsteen.cache import ResultCache; "
+        f"cache = ResultCache({str(tmp_path / 'cache')!r}); "
+    )
+
+    def run(code):
+        return subprocess.run(
+            [sys.executable, "-B", "-c", prelude + code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    run("cache.store({'kind': 'probe'}, [1])")
+    assert run("print(cache.load({'kind': 'probe'}))") == "[1]"
+    with open(src / "motsteen" / "bockstein.py", "a", encoding="utf-8") as fh:
+        fh.write("\n# a changed source\n")
+    assert run("print(cache.load({'kind': 'probe'}))") == "None"
+
+
 def test_verify_and_present_deterministic():
     vargs = ["verify", "linear", "--prime", "3", "--scheme", "algclosed",
              "--dmax", "6", "--wmax", "6", "--format", "json"]
@@ -160,19 +190,27 @@ def test_verify_products_warn_not_fail_and_strict():
     assert code_strict == 1
 
 
-def test_verify_chi_negative_control():
-    """An intentionally corrupted conjugation memo must fail the suite."""
+def test_verify_chi_negative_control(monkeypatch):
+    """An intentionally corrupted chi(tau_2) must fail the suite."""
     from motsteen import steenrod
     from motsteen.elements import algebra, term_element
     from motsteen.elements import CoeffMonomial
 
-    h = algebra("algclosed", 2, ambient="a")
-    good = steenrod.chi_generator("tau", 2, h)
-    try:
-        steenrod._chi_gen_cache[("algclosed", 2, None, "tau", 2)] = term_element(
-            2, 1, CoeffMonomial(), steenrod.SteenrodMonomial((), (2,))
-        )
+    real = steenrod.chi_generator
+    bad_h = algebra("algclosed", 2, ambient="a")
+    bad = term_element(2, 1, CoeffMonomial(), steenrod.SteenrodMonomial((), (2,)))
+
+    def corrupted(kind, r, h):
+        return bad if (kind, r, h) == ("tau", 2, bad_h) else real(kind, r, h)
+
+    def forget():
+        # both memos may hold values built on the corrupted one
+        real.cache_clear()
         steenrod._chi_mono_cache.clear()
+
+    forget()
+    monkeypatch.setattr(steenrod, "chi_generator", corrupted)
+    try:
         code, out = run_cli(
             ["verify", "chi", "--prime", "2", "--scheme", "algclosed",
              "--dmax", "14", "--wmax", "7"]
@@ -180,8 +218,8 @@ def test_verify_chi_negative_control():
         assert code == 1
         assert "FAIL" in out
     finally:
-        steenrod._chi_gen_cache[("algclosed", 2, None, "tau", 2)] = good
-        steenrod._chi_mono_cache.clear()
+        monkeypatch.undo()
+        forget()
 
 
 def test_verify_z12_requires_zhalf():

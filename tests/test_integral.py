@@ -3,7 +3,7 @@
 import pytest
 
 from motsteen import algebra, element_text
-from motsteen.elements import CoeffMonomial, term_element
+from motsteen.elements import CoeffMonomial, Element, term_element
 from motsteen.grading import Bidegree
 from motsteen.bockstein import beta, y
 from motsteen.steenrod import basis_index
@@ -16,7 +16,6 @@ from motsteen.integral import (
     lift_generator,
     pb_mul,
     pb_torsion,
-    pb_unit,
     q_map,
 )
 
@@ -123,7 +122,7 @@ def test_pullback_compatibility_enforced():
 
 
 def test_pullback_unit_and_square():
-    u = pb_unit(R2, H2)
+    u = PullbackElement(R2.one(), Element.one(2), H2)
     y1 = lift_generator(("y", {}, (1,)), H2, R2)
     assert pb_mul(u, y1).k == y1.k
     sq = pb_mul(y1, y1)

@@ -1,0 +1,104 @@
+"""In-process memos: functools caches keyed by the algebra handle itself."""
+
+import dataclasses
+
+from motsteen import algebra, element_text, make_scheme, steenrod, term_element
+from motsteen.bockstein import u_maximal_by_degree, y
+from motsteen.elements import CoeffMonomial
+from motsteen.grading import Bidegree
+from motsteen.steenrod import (
+    basis_index,
+    bidegree_basis,
+    chi_generator,
+    conjugate,
+    populated_bidegrees,
+)
+
+HANDLES = [
+    algebra(scheme, p, q, ambient)
+    for scheme, p, q in (
+        ("algclosed", 2, None),
+        ("real-p2", 2, None),
+        ("z-half", 2, None),
+        ("finite-field", 2, 3),
+        ("finite-field", 2, 5),
+        ("algclosed", 3, None),
+    )
+    for ambient in ("a", "mz")
+]
+BIDEGREES = [Bidegree(d, w) for d, w in
+             ((0, -1), (-1, -1), (1, 0), (2, 1), (3, 1), (5, 2), (7, 3))]
+INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2])]
+
+
+def _clear():
+    for memo in (bidegree_basis, populated_bidegrees, chi_generator, y,
+                 u_maximal_by_degree):
+        memo.cache_clear()
+    steenrod._chi_mono_cache.clear()
+
+
+def _answers(handles):
+    out = {}
+    for h in handles:
+        out[h, "basis"] = [bidegree_basis(bd, h) for bd in BIDEGREES]
+        if h.ambient == "mz":
+            out[h, "y"] = [y(idx, h) for idx in INDICES]
+        else:
+            out[h, "chi"] = [chi_generator(kind, r, h)
+                             for kind in ("xi", "tau") for r in range(4)]
+            out[h, "chi(tau)"] = conjugate(term_element(h.p, 1, CoeffMonomial(tau=1)), h)
+    return out
+
+
+def test_handles_are_hashable_and_compare_every_field():
+    for h in HANDLES:
+        assert hash(h) == hash(algebra(h.scheme.id, h.p, h.scheme.q, h.ambient))
+    # the dict fields stay out of the hash but not out of equality
+    s = make_scheme("finite-field", 2, 3)
+    t = dataclasses.replace(s, coeff_bockstein={})
+    assert hash(s) == hash(t)
+    assert s != t
+
+
+def test_equal_handles_share_one_entry():
+    h1, h2 = algebra("real-p2", 2), algebra("real-p2", 2)
+    assert h1 is not h2 and h1 == h2
+    bidegree_basis.cache_clear()
+    first = bidegree_basis(Bidegree(5, 2), h1)
+    before = bidegree_basis.cache_info()
+    assert bidegree_basis(Bidegree(5, 2), h2) is first
+    after = bidegree_basis.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.currsize == before.currsize == 1
+
+
+def test_finite_fields_with_different_q_get_separate_entries():
+    # q = 3: beta(tau) = eps and rho = eps; q = 5: no beta and rho = 0
+    h3 = algebra("finite-field", 2, q=3)
+    h5 = algebra("finite-field", 2, q=5)
+    assert h3.scheme.coeff_bockstein == {"tau": "eps"} and h3.scheme.rho_element == "eps"
+    assert h5.scheme.coeff_bockstein == {} and h5.scheme.rho_element is None
+    _clear()
+    for h in (h3, h5):
+        bidegree_basis(Bidegree(3, 1), h)
+        y(INDICES[0], h)
+    for memo in (bidegree_basis, y):
+        assert memo.cache_info().currsize == 2
+        assert memo.cache_info().hits == 0
+    tau = term_element(2, 1, CoeffMonomial(tau=1))
+    for q, text in (
+        (3, "tau^1 | 1 | tau{} + eps^1 | 1 | tau{0}"),
+        (5, "tau^1 | 1 | tau{}"),
+    ):
+        assert element_text(conjugate(tau, algebra("finite-field", 2, q, "a"))) == text
+    _clear()
+
+
+def test_answers_do_not_depend_on_call_order():
+    _clear()
+    forward = _answers(HANDLES)
+    _clear()
+    backward = _answers(reversed(HANDLES))
+    _clear()
+    assert forward == backward

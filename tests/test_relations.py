@@ -11,7 +11,6 @@ from motsteen.relations import (
     FormalPoly,
     algclosed_reduce,
     embed_formal,
-    formal_augmentation,
     formal_mul,
     formula_element,
     position_sign,
@@ -121,9 +120,6 @@ def test_formal_reduce_square():
 def test_formal_reduce_torsion_and_augmentation():
     y01 = FormalPoly.symbol(2, basis_index({}, (1,)))
     assert algclosed_reduce(y01.scaled(2)).terms == {}
-    assert formal_augmentation(y01).terms == {}
-    t3 = FormalPoly.coefficient(2, tau_pow=3)
-    assert formal_augmentation(t3) == t3
 
 
 def test_formal_reduce_nonmaximal_index():
