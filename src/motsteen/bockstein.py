@@ -15,6 +15,13 @@ and the block complex on a block vector m has basis all eta[m - chi_U, U]
 with U inside the support, graded by tau count.  Its homology vanishes unless
 m = 0, which beta_report and the kernel-basis machinery exploit.
 
+beta_matrix assembles each column c | m by the Leibniz rule, beta(c m) =
+(-1)^|c| c beta(m) + beta(c) m, from two functools.cache memos keyed by the
+handle: _steenrod_beta(m) = beta(1 | m), a column of the block differential
+that block_complex reads too, and _coeff_beta(c) = ((-1)^|c|, beta(c | 1)).
+Both call beta itself, and the entries go in the order beta lists its
+terms, so each matrix equals the one per-monomial beta calls would build.
+
 beta_report builds one beta matrix per bidegree and reads a dims row off it:
 the rank, the image (the rank one degree up), and both splitting checks as
 the ranks of its two diagonal blocks, the coefficient ring (Steenrod part 1)
@@ -31,6 +38,7 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
+    COEFF_ONE,
     CoeffMonomial,
     Element,
     SteenrodMonomial,
@@ -122,6 +130,21 @@ def y(idx, h):
     return beta(eta(idx, h), h)
 
 
+@cache
+def _steenrod_beta(m, h):
+    """beta(1 | m) as ((m', scalar), ...): one column of the block differential."""
+    img = beta(term_element(h.p, 1, COEFF_ONE, m), h)
+    return tuple((mono, s) for (_, mono), s in img.terms.items())
+
+
+@cache
+def _coeff_beta(c, h):
+    """The Koszul sign (-1)^|c| and beta(c | 1) as ((c', scalar), ...)."""
+    sign = -1 if coeff_degree(c, h.scheme).d & 1 else 1
+    img = beta(term_element(h.p, 1, c), h)
+    return sign, tuple((nc, s) for (nc, _), s in img.terms.items())
+
+
 # ---------------------------------------------------------------------------
 # Blocks
 
@@ -174,8 +197,7 @@ def block_complex(blk, p):
         rows = {idx: i for i, idx in enumerate(bases[t - 1])}
         entries = {}
         for col, idx in enumerate(bases[t]):
-            img = beta(eta(idx, h), h)
-            for (c, mono), s in img.terms.items():
+            for mono, s in _steenrod_beta(SteenrodMonomial(*idx), h):
                 entries[(rows[index_of(mono)], col)] = s
         diffs.append(FpMatrix(p, len(bases[t - 1]), len(bases[t]), entries))
     return BlockComplex(blk, p, tuple(tuple(b) for b in bases), tuple(diffs))
@@ -200,15 +222,17 @@ def block_homology(blk, p):
 
 
 def beta_matrix(bd, h):
-    """Matrix of beta from the bd basis to the (bd - (1,0)) basis."""
+    """Matrix of beta from the bd basis to the (bd - (1,0)) basis, by Leibniz."""
     src = bidegree_basis(bd, h)
     dst = bidegree_basis(bd + BETA_SHIFT, h)
     rows = {key: i for i, key in enumerate(dst)}
     entries = {}
-    for col, (c, mono) in enumerate(src):
-        img = beta(term_element(h.p, 1, c, mono), h)
-        for key, s in img.terms.items():
-            entries[(rows[key], col)] = s
+    for col, (c, m) in enumerate(src):
+        sign, coeff_terms = _coeff_beta(c, h)
+        for mono, s in _steenrod_beta(m, h):
+            entries[(rows[c, mono], col)] = sign * s % h.p
+        for nc, s in coeff_terms:
+            entries[(rows[nc, m], col)] = s
     return FpMatrix(h.p, len(dst), len(src), entries)
 
 

@@ -125,12 +125,13 @@ def cached_beta_matrix(bd, h, config, cache):
     """
     key = {**config.key_base(), "kind": "beta-matrix", "bidegree": [bd.d, bd.w]}
     payload = cache.load(key)
-    if payload is None or (payload["nrows"], payload["ncols"]) != (
+    if payload is not None and (payload["nrows"], payload["ncols"]) == (
         len(bidegree_basis(bd + BETA_SHIFT, h)), len(bidegree_basis(bd, h))
     ):
-        payload = _matrix_payload(beta_matrix(bd, h))
-        cache.store(key, payload)
-    return _matrix_from_payload(payload)
+        return _matrix_from_payload(payload)
+    M = beta_matrix(bd, h)
+    cache.store(key, _matrix_payload(M))
+    return M
 
 
 # ---------------------------------------------------------------------------

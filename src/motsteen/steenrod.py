@@ -245,22 +245,26 @@ def coeff_degree_populated(bd, scheme):
 def populated_bidegrees(h, dmax, wmax):
     """All bidegrees with |d| <= dmax, |w| <= wmax carrying a basis monomial.
 
-    The xi/tau part of any monomial in the window has d - w <= dmax + wmax
-    (coefficient parts never decrease d - w), which makes the scan finite.
+    Each is e + c for an xi/tau bidegree e with e.d - e.w <= dmax + wmax
+    (coefficient parts never decrease d - w) and a populated coefficient
+    bidegree c with c.w <= c.d <= 0, where c.w >= -wmax - e.w.
     """
     budget = dmax + wmax
     eta_degs = [
         e for e in monomial_index(h.p, budget, h.min_tau) if e.d - e.w <= budget
     ]
-    out = []
-    for d in range(-dmax, dmax + 1):
-        for w in range(-wmax, wmax + 1):
-            bd = Bidegree(d, w)
-            if any(
-                coeff_degree_populated(bd - e, h.scheme) for e in eta_degs
-            ):
-                out.append(bd)
-    return out
+    low = -wmax - max((e.w for e in eta_degs), default=0)
+    coeff_degs = [
+        (d, w) for d in range(low, 1) for w in range(low, d + 1)
+        if coeff_degree_populated(Bidegree(d, w), h.scheme)
+    ]
+    out = set()
+    for ed, ew in eta_degs:
+        for cd, cw in coeff_degs:
+            d, w = ed + cd, ew + cw
+            if -dmax <= d <= dmax and -wmax <= w <= wmax:
+                out.add(Bidegree(d, w))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import dataclasses
 
-from motsteen import algebra, element_text, make_scheme, steenrod, term_element
-from motsteen.bockstein import u_maximal_by_degree, y
-from motsteen.elements import CoeffMonomial
+from motsteen import algebra, bockstein, element_text, make_scheme, steenrod, term_element
+from motsteen.bockstein import beta_matrix, u_maximal_by_degree, y
+from motsteen.elements import CoeffMonomial, SteenrodMonomial
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
     basis_index,
@@ -33,7 +33,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 def _clear():
     for memo in (bidegree_basis, populated_bidegrees, chi_generator, y,
-                 u_maximal_by_degree):
+                 u_maximal_by_degree, bockstein._steenrod_beta, bockstein._coeff_beta):
         memo.cache_clear()
     steenrod._chi_mono_cache.clear()
 
@@ -42,6 +42,8 @@ def _answers(handles):
     out = {}
     for h in handles:
         out[h, "basis"] = [bidegree_basis(bd, h) for bd in BIDEGREES]
+        matrices = [beta_matrix(bd, h) for bd in BIDEGREES]
+        out[h, "beta"] = [(M.nrows, M.ncols, list(M.entries.items())) for M in matrices]
         if h.ambient == "mz":
             out[h, "y"] = [y(idx, h) for idx in INDICES]
         else:
@@ -84,6 +86,16 @@ def test_finite_fields_with_different_q_get_separate_entries():
         bidegree_basis(Bidegree(3, 1), h)
         y(INDICES[0], h)
     for memo in (bidegree_basis, y):
+        assert memo.cache_info().currsize == 2
+        assert memo.cache_info().hits == 0
+    # beta(tau) = eps for q = 3 and 0 for q = 5, in the coefficient factor;
+    # the Steenrod factor is the same but keyed by each handle
+    c_tau, tau_1 = CoeffMonomial(tau=1), SteenrodMonomial((), (1,))
+    assert bockstein._coeff_beta(c_tau, h3) == (1, ((CoeffMonomial(eps=1), 1),))
+    assert bockstein._coeff_beta(c_tau, h5) == (1, ())
+    for h in (h3, h5):
+        assert bockstein._steenrod_beta(tau_1, h) == ((SteenrodMonomial(((1, 1),), ()), 1),)
+    for memo in (bockstein._coeff_beta, bockstein._steenrod_beta):
         assert memo.cache_info().currsize == 2
         assert memo.cache_info().hits == 0
     tau = term_element(2, 1, CoeffMonomial(tau=1))

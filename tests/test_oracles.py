@@ -1,10 +1,11 @@
-"""The single-path enumeration, bases, dims report, Bockstein,
-elimination, product and conjugation against the oracles.
+"""The single-path enumeration, bases, dims report, Bockstein and its
+matrices, elimination, product and conjugation against the oracles.
 
 tests/oracles.py keeps the implementations these paths replaced; on small
 windows the outputs must be equal, element for element and row for row.
 """
 
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from motsteen.bockstein import (
     beta,
     beta_matrix,
     beta_report,
+    block,
+    block_complex,
     free_bbeta_generators,
     u_maximal_by_degree,
 )
@@ -27,6 +30,7 @@ from motsteen.steenrod import (
     bidegree_basis,
     chi_generator,
     conjugate,
+    eta,
     index_of,
     mz_image_in_a,
     populated_bidegrees,
@@ -66,6 +70,18 @@ def test_bases_match_oracle(h):
     for bd in bds:
         for b in (bd, bd + BETA_SHIFT, bd - BETA_SHIFT):
             assert bidegree_basis(b, h) == oracles.bidegree_basis(b, h)
+
+
+@pytest.mark.parametrize(
+    "h,window",
+    [(algebra("algclosed", 2), (24, 24)), (algebra("finite-field", 3, q=7), (27, 13)),
+     (algebra("real-p2", 2), (20, 2)), (algebra("z-half", 2), (3, 20))],
+    ids=["algclosed-p2-24-24", "finite-p3-27-13", "real-p2-20-2", "z-half-p2-3-20"],
+)
+def test_populated_bidegrees_matches_oracle(h, window):
+    # larger and lopsided windows, where the coefficient part of a populated
+    # bidegree may lie far outside the window
+    assert populated_bidegrees(h, *window) == oracles.populated_bidegrees(h, *window)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -130,6 +146,39 @@ def test_beta_matches_oracle(h):
         for x in xs:
             want = oracles.beta(x, h)
             assert list(beta(x, h).terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize(
+    "h", ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)], ids=handle_id
+)
+def test_beta_matrix_matches_oracle(h):
+    # the matrix assembled from the factor memos has the entries of one beta
+    # call per basis monomial, in the same order
+    window = (10, 7) if h.p == 2 else (20, 9)
+    for bd in populated_bidegrees(h, *window):
+        M = beta_matrix(bd, h)
+        want = oracles.beta_matrix(bd, h)
+        assert (M.nrows, M.ncols) == (want.nrows, want.ncols)
+        assert list(M.entries.items()) == list(want.entries.items())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_complex_matches_oracle(p):
+    # every block of total mass <= 4 on slots 0..3, the empty block among them
+    h = algebra("bare", p)
+    for v in itertools.product(range(5), repeat=4):
+        if sum(v) > 4:
+            continue
+        cx = block_complex(block(dict(enumerate(v))), p)
+        for t in range(1, len(cx.bases)):
+            rows = {idx: i for i, idx in enumerate(cx.bases[t - 1])}
+            want = {}
+            for col, idx in enumerate(cx.bases[t]):
+                for (_, mono), s in oracles.beta(eta(idx, h), h).terms.items():
+                    want[(rows[index_of(mono)], col)] = s
+            M = cx.differentials[t]
+            assert (M.nrows, M.ncols) == (len(rows), len(cx.bases[t]))
+            assert M.entries == want
 
 
 @pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
