@@ -41,6 +41,7 @@ from .elements import (
     COEFF_ONE,
     CoeffMonomial,
     Element,
+    STEENROD_ONE,
     SteenrodMonomial,
     _add,
     _coeff_zero,
@@ -358,13 +359,15 @@ def constructive_kernel(bd, h):
             zs, rs = split(rem)
             if not zs and not rs:
                 continue
+            betas = []  # (r, (-1)^{deg r}, beta(r)), once per remainder
+            for r in rs:
+                sign, terms = _coeff_beta(r, h)
+                betas.append((r, sign, Element(p, {(nc, STEENROD_ONE): s for nc, s in terms})))
             for idx in idxs:
                 for c in zs:
                     out.append(coeff_scale(c, y(idx, h), h))
-                for r in rs:
-                    r_el = term_element(p, 1, r)
-                    sign = -1 if coeff_degree(r, h.scheme).d & 1 else 1
-                    el = mul(beta(r_el, h), eta(idx, h), h) + coeff_scale(
+                for r, sign, beta_r in betas:
+                    el = mul(beta_r, eta(idx, h), h) + coeff_scale(
                         r, y(idx, h), h
                     ).scaled(sign)
                     out.append(el)

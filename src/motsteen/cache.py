@@ -67,11 +67,3 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-
-class NullCache:
-    def load(self, key_parts):
-        return None
-
-    def store(self, key_parts, payload):
-        pass

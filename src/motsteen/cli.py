@@ -25,7 +25,7 @@ from .elements import algebra, mono_degree
 from .schemes import SchemeError, make_scheme
 from .steenrod import bidegree_basis, populated_bidegrees
 from .bockstein import beta_matrix, beta_report
-from .cache import NullCache, ResultCache
+from .cache import ResultCache
 from .linalg import FpMatrix
 from .integral import int_ring
 from .verify import SUITES, run_suite
@@ -90,8 +90,9 @@ class Config:
         return algebra(self.scheme, self.p, self.q)
 
     def cache(self):
+        """The result cache of the configured directory, or None without one."""
         directory = os.environ.get("MOTSTEEN_CACHE") or self.cache_dir
-        return ResultCache(directory) if directory else NullCache()
+        return ResultCache(directory) if directory else None
 
     def key_base(self):
         return {"p": self.p, "scheme": self.scheme, "q": self.q}
@@ -121,8 +122,11 @@ def cached_beta_matrix(bd, h, config, cache):
     """The beta matrix at bd, from the cache when its entry fits the bases.
 
     An entry whose shape differs from the bases of bd and bd - (1, 0) built
-    now is recomputed and overwritten.
+    now is recomputed and overwritten.  With no cache the matrix is built and
+    no payload is made.
     """
+    if cache is None:
+        return beta_matrix(bd, h)
     key = {**config.key_base(), "kind": "beta-matrix", "bidegree": [bd.d, bd.w]}
     payload = cache.load(key)
     if payload is not None and (payload["nrows"], payload["ncols"]) == (

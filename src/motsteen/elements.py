@@ -31,6 +31,7 @@ canonical factor order is coefficient | xi | tau with tau indices ascending.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .grading import Bidegree, xi_degree, tau_degree
@@ -249,37 +250,63 @@ def _add(out, key, s, p):
         out.pop(key, None)
 
 
-def _rewrite(out, item, h):
-    """Normalize one checked raw term (scalar, nonzero coefficient, xi map, tau
-    counts) into out.  The work list is a stack: the newest pieces come out first.
-    The expansion adds only tau, rho and tau indices above the minimum, and
-    every scheme that expands (p = 2, not bare) has them."""
-    p, scheme = h.p, h.scheme
-    kills = scheme.caps or scheme.zero_pairs
+def _merge_xi(a, b):
+    if not a or not b:
+        return a or b
+    merged = dict(a)
+    for j, e in b:
+        merged[j] = merged.get(j, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+@cache
+def _tau_rewrite(taus, h):
+    """The tau_j^2 rewrite of a tau multiset (a sorted index tuple with repeats).
+
+    Returns the leaves (coefficient increase, xi increase, taus) that a term
+    c | xi | taus expands into, before any coefficient relation: a caller adds
+    each leaf to its own coefficient and xi part and drops the leaves the
+    relations kill.  The rewrite only raises exponents, so a killed piece has
+    only killed leaves, and dropping at the leaf keeps the order of the rest.
+    The work list is a stack: the newest pieces come out first.  At odd
+    primes and over bare, tau_j^2 = 0, so a square leaves nothing.
+    """
+    scheme = h.scheme
+    expands = h.p == 2 and scheme.id != "bare"
     rho = None if scheme.rho_element is None else COEFF_ORDER.index(scheme.rho_element)
-    work = [item]
+    leaves = []
+    work = [(COEFF_ONE, {}, {j: taus.count(j) for j in taus})]
     while work:
-        s, c, xi, taus = work.pop()
-        sq = [j for j, e in taus.items() if e >= 2]
+        c, xi, counts = work.pop()
+        sq = [j for j, e in counts.items() if e >= 2]
         if not sq:
-            xi = tuple(sorted((j, e) for j, e in xi.items() if e))
-            taus = tuple(sorted(j for j, e in taus.items() if e))
-            _add(out, (c, SteenrodMonomial(xi, taus)), s, p)
-        elif p == 2 and scheme.id != "bare":  # else tau_j^2 = 0
+            leaves.append((c, tuple(sorted(xi.items())),
+                           tuple(sorted(j for j, e in counts.items() if e))))
+        elif expands:
             # tau_j^2 -> xi_{j+1} tau [+ xi_{j+1} tau_0 rho] + tau_{j+1} rho
             j = min(sq)
-            rest = dict(taus)
+            rest = dict(counts)
             rest[j] -= 2
             xi_up = {**xi, j + 1: xi.get(j + 1, 0) + 1}
-            pieces = [(s, CoeffMonomial(*c[:3], c[3] + 1), xi_up, rest)]
+            work.append((CoeffMonomial(*c[:3], c[3] + 1), xi_up, rest))
             if rho is not None:
                 c_rho = CoeffMonomial(*(e + (i == rho) for i, e in enumerate(c)))
                 if h.ambient == "a":
-                    pieces.append((s, c_rho, xi_up, {**rest, 0: rest.get(0, 0) + 1}))
-                pieces.append((s, c_rho, xi, {**rest, j + 1: rest.get(j + 1, 0) + 1}))
-            if kills:
-                pieces = [t for t in pieces if not _coeff_zero(t[1], scheme)]
-            work.extend(pieces)
+                    work.append((c_rho, xi_up, {**rest, 0: rest.get(0, 0) + 1}))
+                work.append((c_rho, xi, {**rest, j + 1: rest.get(j + 1, 0) + 1}))
+    return tuple(leaves)
+
+
+def _add_rewritten(out, s, c, xi, taus, h):
+    """Add s * c | xi | taus to out, for a tau multiset taus and a sorted xi
+    tuple, through the memoized leaves of its tau_j^2 rewrite."""
+    p, scheme = h.p, h.scheme
+    kills = scheme.caps or scheme.zero_pairs
+    for dc, dxi, leaf_taus in _tau_rewrite(taus, h):
+        nc = CoeffMonomial(c[0] + dc[0], c[1] + dc[1], c[2] + dc[2], c[3] + dc[3])
+        if kills and _coeff_zero(nc, scheme):
+            continue
+        _add(out, (nc, SteenrodMonomial(_merge_xi(xi, dxi), leaf_taus)), s, p)
 
 
 def normalize(raw_terms, h):
@@ -297,11 +324,11 @@ def normalize(raw_terms, h):
         if isinstance(t, Term):
             t = (t.scalar, t.coeff, t.mono.xi, dict.fromkeys(t.mono.taus, 1))
         s, c, xi, taus = t
-        xi, taus = dict(xi), dict(taus)
         if s % p:
-            _check_term(c, [j for j, e in taus.items() if e], h)
-            if not _coeff_zero(c, h.scheme):
-                _rewrite(out, (s % p, c, xi, taus), h)
+            taus = tuple(sorted(j for j, e in dict(taus).items() for _ in range(e)))
+            _check_term(c, taus, h)
+            xi = tuple(sorted((j, e) for j, e in dict(xi).items() if e))
+            _add_rewritten(out, s % p, c, xi, taus, h)
     return Element(p, out)
 
 
@@ -332,15 +359,6 @@ def koszul_sign(c1, m1, c2, m2, scheme):
     return -1 if inv & 1 else 1
 
 
-def _merge_xi(a, b):
-    if not a or not b:
-        return a or b
-    merged = dict(a)
-    for j, e in b:
-        merged[j] = merged.get(j, 0) + e
-    return tuple(sorted(merged.items()))
-
-
 def mul(x, y, h):
     """Graded-commutative product of normalized elements.
 
@@ -369,10 +387,7 @@ def mul(x, y, h):
                 taus = tuple(sorted(t1 + m2.taus)) if t1 and m2.taus else t1 or m2.taus
                 _add(out, (c, SteenrodMonomial(xi, taus)), s, p)
             else:
-                taus = dict.fromkeys(t1, 1)
-                for j in m2.taus:
-                    taus[j] = taus.get(j, 0) + 1
-                _rewrite(out, (s, c, dict(xi), taus), h)
+                _add_rewritten(out, s, c, xi, tuple(sorted(t1 + m2.taus)), h)
     return Element(p, out)
 
 

@@ -38,6 +38,7 @@ from .elements import (
     CoeffMonomial,
     Element,
     SteenrodMonomial,
+    _add,
     _coeff_zero,
     coeff_scale,
     mono_degree,
@@ -346,10 +347,11 @@ def conjugate(x, h):
     _require_full(h)
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
-    out = Element.zero(h.p)
+    out = {}
     for (c, m), s in x.terms.items():
-        out = out + _chi_monomial(c, m, h).scaled(s)
-    return out
+        for key, t in _chi_monomial(c, m, h).terms.items():
+            _add(out, key, s * t, h.p)
+    return Element(h.p, out)
 
 
 def mz_image_in_a(c, idx, h_a):

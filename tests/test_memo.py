@@ -2,7 +2,9 @@
 
 import dataclasses
 
-from motsteen import algebra, bockstein, element_text, make_scheme, steenrod, term_element
+from motsteen import (
+    algebra, bockstein, element_text, elements, make_scheme, steenrod, term_element,
+)
 from motsteen.bockstein import beta_matrix, u_maximal_by_degree, y
 from motsteen.elements import CoeffMonomial, SteenrodMonomial
 from motsteen.grading import Bidegree
@@ -33,7 +35,8 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 def _clear():
     for memo in (bidegree_basis, populated_bidegrees, chi_generator, y,
-                 u_maximal_by_degree, bockstein._steenrod_beta, bockstein._coeff_beta):
+                 u_maximal_by_degree, bockstein._steenrod_beta, bockstein._coeff_beta,
+                 elements._tau_rewrite):
         memo.cache_clear()
     steenrod._chi_mono_cache.clear()
 
@@ -104,6 +107,27 @@ def test_finite_fields_with_different_q_get_separate_entries():
         (5, "tau^1 | 1 | tau{}"),
     ):
         assert element_text(conjugate(tau, algebra("finite-field", 2, q, "a"))) == text
+    _clear()
+
+
+def test_tau_rewrite_keys_by_handle():
+    # tau_1^2 = xi_2 tau [+ xi_2 tau_0 rho] + tau_2 rho: the tau_0 leaf only in
+    # the full form, the rho leaves only where rho != 0; newest piece first
+    real_a, real_mz = algebra("real-p2", 2, ambient="a"), algebra("real-p2", 2)
+    alg = algebra("algclosed", 2)
+    rho, tau = CoeffMonomial(rho=1), CoeffMonomial(tau=1)
+    _clear()
+    leaves = [elements._tau_rewrite((1, 1), h) for h in (real_a, real_mz, alg)]
+    assert leaves == [
+        ((rho, (), (2,)), (rho, ((2, 1),), (0,)), (tau, ((2, 1),), ())),
+        ((rho, (), (2,)), (tau, ((2, 1),), ())),
+        ((tau, ((2, 1),), ()),),
+    ]
+    info = elements._tau_rewrite.cache_info()
+    assert info.currsize == 3 and info.hits == 0
+    # tau_j^2 = 0 at odd primes and over bare
+    assert elements._tau_rewrite((1, 1), algebra("algclosed", 3)) == ()
+    assert elements._tau_rewrite((1, 1), algebra("bare", 2)) == ()
     _clear()
 
 

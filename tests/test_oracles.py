@@ -21,7 +21,7 @@ from motsteen.bockstein import (
     free_bbeta_generators,
     u_maximal_by_degree,
 )
-from motsteen.elements import Element, mul, term_element
+from motsteen.elements import CoeffMonomial, Element, mul, normalize, term_element
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.linalg import kernel_basis, rank, rank_of_columns
@@ -220,6 +220,27 @@ def test_mul_matches_oracle(h):
     for x, z in pairs:
         want = oracles.mul(x, z, h)
         assert list(mul(x, z, h).terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
+def test_normalize_matches_oracle(h):
+    # same terms in the same order on seeded sums of 2 to 6 raw terms: tau
+    # multiplicities up to 3, so squares expand more than once, coefficient
+    # exponents up to 2, past the caps and onto the zero pairs, and repeated
+    # raw terms, so terms cancel
+    rng = random.Random(f"normalize-{handle_id(h)}")
+    p = h.p
+    taus = range(h.min_tau, h.min_tau + 4)
+    for _ in range(300):
+        raw = []
+        for _ in range(rng.randint(1, 5)):
+            c = CoeffMonomial(**{g: rng.randint(0, 2) for g in h.scheme.gens})
+            xi = {j: rng.randint(0, 2) for j in rng.sample(range(1, 4), rng.randint(0, 2))}
+            counts = {j: rng.randint(0, 3) for j in rng.sample(taus, rng.randint(0, 3))}
+            raw.append((rng.randrange(p + 1), c, xi, counts))
+        raw.append(rng.choice(raw))
+        want = oracles.normalize(raw, h)
+        assert list(normalize(raw, h).terms.items()) == list(want.terms.items())
 
 
 @pytest.mark.parametrize("h", ALL_A, ids=handle_id)
