@@ -237,15 +237,12 @@ def beta_matrix(bd, h):
     return FpMatrix(h.p, len(dst), len(src), entries)
 
 
-def element_vector(x, basis_list, rows=None):
-    if rows is None:
-        rows = {key: i for i, key in enumerate(basis_list)}
-    v = [0] * len(basis_list)
-    for key, s in x.terms.items():
-        if key not in rows:
-            raise ValueError("element does not lie in the given bidegree basis")
-        v[rows[key]] = s
-    return tuple(v)
+def element_vector(x, rows):
+    """x as a sparse vector {row: scalar} over the basis indexed by rows."""
+    try:
+        return {rows[key]: s for key, s in x.terms.items()}
+    except KeyError:
+        raise ValueError("element does not lie in the given bidegree basis") from None
 
 
 # --- constructive kernel data per scheme ---------------------------------
@@ -312,9 +309,8 @@ def free_bbeta_generators(bound, p, check=True):
             found[yb] = idxs
     if check:
         for yb, idxs in sorted(found.items()):
-            basis_list = bidegree_basis(yb, h)
-            rows_map = {key: i for i, key in enumerate(basis_list)}
-            vecs = [element_vector(y(i, h), basis_list, rows_map) for i in idxs]
+            rows = {key: i for i, key in enumerate(bidegree_basis(yb, h))}
+            vecs = [element_vector(y(i, h), rows) for i in idxs]
             if rank_of_columns(p, vecs) != len(vecs):
                 raise AssertionError(f"U-maximal y classes dependent at {yb}")
             if rank(beta_matrix(yb - BETA_SHIFT, h)) != len(vecs):
@@ -328,7 +324,6 @@ class KernelBases(NamedTuple):
     labels: list          # the ambient monomial basis of the bidegree
     generic: FpBasis      # kernel of the beta matrix
     constructive: list    # Elements of the Z u U construction
-    agrees: bool
 
 
 def constructive_kernel(bd, h):
@@ -340,8 +335,6 @@ def constructive_kernel(bd, h):
     agrees with the stated one at p = 2).  ker_beta_basis checks that every
     element is a beta cycle.
     """
-    from .steenrod import coeff_degree_populated
-
     split = scheme_kernel_data(h.scheme)
     p = h.p
     out = []
@@ -353,10 +346,7 @@ def constructive_kernel(bd, h):
     if d - w + 1 >= 0:
         for eb, idxs in u_maximal_by_degree(p, d - w + 1).items():
             # |beta r| + |eta| = bd forces the same remainder for Z and R
-            rem = Bidegree(d - eb.d + 1, w - eb.w)
-            if not coeff_degree_populated(rem, h.scheme):
-                continue
-            zs, rs = split(rem)
+            zs, rs = split(Bidegree(d - eb.d + 1, w - eb.w))
             if not zs and not rs:
                 continue
             betas = []  # (r, (-1)^{deg r}, beta(r)), once per remainder
@@ -387,30 +377,29 @@ def ker_beta_basis(bd, h):
     M = beta_matrix(bd, h)
     generic = kernel_basis(M)
     construct = constructive_kernel(bd, h)
-    rows_map = {key: i for i, key in enumerate(basis_list)}
-    vecs = [element_vector(el, basis_list, rows_map) for el in construct]
+    rows = {key: i for i, key in enumerate(basis_list)}
+    vecs = [element_vector(el, rows) for el in construct]
     cols = [[] for _ in range(M.ncols)]
     for (r, c), v in M.entries.items():
         cols[c].append((r, v))
-    for el in construct:
+    for vec in vecs:
         img = {}
-        for key, s in el.terms.items():  # the support of its vector
-            for r, v in cols[rows_map[key]]:
+        for c, s in vec.items():
+            for r, v in cols[c]:
                 img[r] = (img.get(r, 0) + s * v) % h.p
         if any(img.values()):
             raise AssertionError("constructive kernel element is not a beta cycle")
-    agrees = len(vecs) == len(generic.vectors)
-    if agrees and vecs:
-        agrees = rank_of_columns(h.p, vecs) == len(vecs)
-        if agrees:
-            stacked = rank_of_columns(h.p, list(generic.vectors) + vecs)
-            agrees = stacked == len(generic.vectors)
-    if not agrees:
+    n = len(generic.vectors)
+    if (
+        len(vecs) != n
+        or rank_of_columns(h.p, vecs) != n
+        or rank_of_columns(h.p, generic.vectors + vecs) != n
+    ):
         raise AssertionError(
             f"constructive kernel disagrees with the generic kernel at {bd}: "
-            f"{len(vecs)} constructive vs {len(generic.vectors)} generic"
+            f"{len(vecs)} constructive vs {n} generic"
         )
-    return KernelBases(bd, basis_list, generic, construct, agrees)
+    return KernelBases(bd, basis_list, generic, construct)
 
 
 # ---------------------------------------------------------------------------
@@ -422,29 +411,20 @@ def _split_ranks(bd, M, h):
 
     Columns and rows of M whose Steenrod part is 1 span the coefficient
     ring, the others the augmentation ideal.  beta preserves that split in
-    the mz form; an entry crossing it raises.
+    the mz form; an entry crossing it raises.  Each part is ranked on its
+    own rows of M.
     """
-    def blocks(basis):
-        sizes = [0, 0]
-        where = []
-        for _, m in basis:
-            one = m.is_one()
-            where.append((one, sizes[one]))
-            sizes[one] += 1
-        return where, sizes
-
-    cols, ncols = blocks(bidegree_basis(bd, h))
-    rows, nrows = blocks(bidegree_basis(bd + BETA_SHIFT, h))
-    entries = ({}, {})
+    coeff_cols = [m.is_one() for _, m in bidegree_basis(bd, h)]
+    coeff_rows = [m.is_one() for _, m in bidegree_basis(bd + BETA_SHIFT, h)]
+    rows = ({}, {})  # ideal rows, coefficient rows: {row: {col: value}}
     for (r, c), v in M.entries.items():
-        one, col = cols[c]
-        row_one, row = rows[r]
-        if row_one != one:
+        one = coeff_cols[c]
+        if coeff_rows[r] != one:
             raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
-        entries[one][(row, col)] = v
-    coeff = rank(FpMatrix(h.p, nrows[True], ncols[True], entries[True]))
-    ideal = rank(FpMatrix(h.p, nrows[False], ncols[False], entries[False]))
-    return len(cols), ncols[True], coeff, ideal
+        rows[one].setdefault(r, {})[c] = v
+    coeff = rank_of_columns(h.p, rows[True].values())
+    ideal = rank_of_columns(h.p, rows[False].values())
+    return len(coeff_cols), sum(coeff_cols), coeff, ideal
 
 
 def beta_report(bidegrees, h, matrix=None):

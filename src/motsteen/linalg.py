@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over F_p: ranks and kernel bases.
 
-Two eliminations, one per kind of prime.  Over GF(2), rows are packed into
-integers and inserted one at a time into an echelon form keyed by the
-lowest set bit.  Over odd p, a column-major elimination on dict rows.  Both
-end in the unique reduced row echelon form when a kernel is asked for, so
-kernel bases are reproducible bit for bit.
+A vector is a sparse dict {coordinate: residue in 1..p-1}, and a matrix
+is eliminated as an iterable of such rows.  Both eliminations insert the
+rows one at a time into an echelon form keyed by each row's lowest
+nonzero column.  Over GF(2) a row is packed into an integer, one bit per
+coordinate; over odd p it stays a dict, scaled to 1 at its pivot.  When a
+kernel is asked for, back-substitution, highest pivot first, ends in the
+unique reduced row echelon form, so kernel bases are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,24 +36,22 @@ class FpMatrix:
                 clean[(r, c)] = v
         self.entries = clean
 
-    @classmethod
-    def from_columns(cls, p, cols, nrows):
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v % p:
-                    entries[(i, j)] = v % p
-        return cls(p, nrows, len(cols), entries)
-
 
 @dataclass
 class FpBasis:
     p: int
     ambient_dim: int
-    vectors: list           # tuples of length ambient_dim
+    vectors: list           # sparse dicts {coordinate: residue}
 
     def __len__(self):
         return len(self.vectors)
+
+
+def _rows(M):
+    rows = {}
+    for (r, c), v in M.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return rows.values()
 
 
 def _gf2_echelon(rows):
@@ -72,20 +73,17 @@ def _gf2_echelon(rows):
     return pivots
 
 
-def _gf2_rows(M):
-    bits = {}
-    for r, c in M.entries:
-        bits[r] = bits.get(r, 0) | (1 << c)
-    return bits.values()
+def _gf2_packed(vectors):
+    return (sum(1 << c for c in vec) for vec in vectors)
 
 
-def _gf2_rref(M):
+def _gf2_rref(rows):
     """Reduced row echelon form over GF(2) as {pivot col: {col: 1}}.
 
     Back-substitution runs highest pivot first, so every row it subtracts
     is already reduced and holds no pivot bit but its own.
     """
-    rows = _gf2_echelon(_gf2_rows(M))
+    rows = _gf2_echelon(_gf2_packed(rows))
     mask = 0
     for c in rows:
         mask |= 1 << c
@@ -107,82 +105,74 @@ def _gf2_rref(M):
     return out
 
 
-def _rref(M):
+def _subtract(row, f, prow, p):
+    """row -= f * prow in place, over F_p."""
+    for c, v in prow.items():
+        nv = (row.get(c, 0) - f * v) % p
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+
+
+def _echelon(p, rows):
+    """Echelon form of sparse F_p rows by insertion, as {pivot col: row}.
+
+    The odd-p twin of _gf2_echelon: each row is reduced by the stored rows
+    until its lowest column has no pivot yet, then scaled to 1 there and
+    stored.
+    """
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            hit = pivots.get(col)
+            if hit is None:
+                inv = pow(row[col], p - 2, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            _subtract(row, row[col], hit, p)
+    return pivots
+
+
+def _rref(p, rows):
     """Reduced row echelon form over odd p as {pivot col: {col: value}}.
 
-    Columns are scanned left to right; each takes the lowest unused row
-    that is nonzero there as its pivot.
+    As in _gf2_rref, back-substitution runs highest pivot first.
     """
-    p = M.p
-    rows = [{} for _ in range(M.nrows)]
-    for (r, c), v in M.entries.items():
-        rows[r][c] = v
-
-    pivots = {}
-    used = [False] * M.nrows
-    for col in range(M.ncols):
-        pivot = None
-        for r in range(M.nrows):
-            if not used[r] and rows[r].get(col):
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        used[pivot] = True
-        inv = pow(rows[pivot][col], p - 2, p)
-        if inv != 1:
-            rows[pivot] = {c: (v * inv) % p for c, v in rows[pivot].items()}
-        prow = pivots[col] = rows[pivot]
-        for r in range(M.nrows):
-            if r == pivot:
-                continue
-            f = rows[r].get(col)
-            if not f:
-                continue
-            row = rows[r]
-            for c, v in prow.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+    pivots = _echelon(p, rows)
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for c in [c for c in row if c != col and c in pivots]:
+            _subtract(row, row[c], pivots[c], p)
     return pivots
 
 
 def rank_of_columns(p, vectors):
-    """Rank of the span of dense coordinate vectors."""
+    """Rank of the span of sparse vectors {coordinate: residue}."""
     if p == 2:
-        # byte-per-entry packing is a GF(2)-linear injection, so it keeps
-        # the rank; residues are already reduced to 0/1
-        return len(_gf2_echelon(int.from_bytes(bytes(vec), "little") for vec in vectors))
-    n = len(vectors[0]) if vectors else 0
-    return rank(FpMatrix.from_columns(p, vectors, n))
+        return len(_gf2_echelon(_gf2_packed(vectors)))
+    return len(_echelon(p, vectors))
 
 
 def rank(M):
-    if M.p == 2:
-        return len(_gf2_echelon(_gf2_rows(M)))
-    return len(_rref(M))
+    return rank_of_columns(M.p, _rows(M))
 
 
 def kernel_basis(M):
     """Basis of the null space {v : M v = 0}; size = ncols - rank.
 
-    One vector per free column f, in column order: 1 at f, and -a at each
-    pivot column whose reduced row holds a at f.  The reduced row echelon
-    form is unique, so the basis does not depend on how it was reached.
+    One sparse vector per free column f, in column order: 1 at f, and -a
+    at each pivot column whose reduced row holds a at f.  The reduced row
+    echelon form is unique, so the basis does not depend on how it was
+    reached.
     """
     p = M.p
-    reduced = _gf2_rref(M) if p == 2 else _rref(M)
+    reduced = _gf2_rref(_rows(M)) if p == 2 else _rref(p, _rows(M))
     at_free = {c: {c: 1} for c in range(M.ncols) if c not in reduced}
     for col, row in reduced.items():
         for c, a in row.items():
             if c != col:
                 at_free[c][col] = (-a) % p
-    vectors = []
-    for entries in at_free.values():
-        v = [0] * M.ncols
-        for c, a in entries.items():
-            v[c] = a
-        vectors.append(tuple(v))
-    return FpBasis(p, M.ncols, vectors)
+    return FpBasis(p, M.ncols, list(at_free.values()))

@@ -216,32 +216,6 @@ def basis_mz(bd, h):
     return [(c, index_of(m)) for c, m in bidegree_basis(bd, h)]
 
 
-def coeff_degree_populated(bd, scheme):
-    """Whether any coefficient monomial of the scheme has this bidegree."""
-    d, w = bd
-    if d > 0 or w > d:
-        return False
-    m = -d  # rho + eps exponents
-    if m:
-        if "rho" in scheme.gens:
-            pass
-        elif "eps" in scheme.gens:
-            if m > scheme.caps.get("eps", 1):
-                return False
-        else:
-            return False
-    k = d - w  # tau + 2 theta exponents
-    if k:
-        if "tau" in scheme.gens:
-            pass
-        elif "theta" in scheme.gens:
-            if k % 2:
-                return False
-        else:
-            return False
-    return True
-
-
 @cache
 def populated_bidegrees(h, dmax, wmax):
     """All bidegrees with |d| <= dmax, |w| <= wmax carrying a basis monomial.
@@ -257,7 +231,7 @@ def populated_bidegrees(h, dmax, wmax):
     low = -wmax - max((e.w for e in eta_degs), default=0)
     coeff_degs = [
         (d, w) for d in range(low, 1) for w in range(low, d + 1)
-        if coeff_degree_populated(Bidegree(d, w), h.scheme)
+        if coeff_monomials(Bidegree(d, w), h.scheme)
     ]
     out = set()
     for ed, ew in eta_degs:

@@ -40,7 +40,7 @@ from .bockstein import (
     u_maximal_by_degree,
     y,
 )
-from .linalg import FpMatrix, rank
+from .linalg import rank_of_columns
 from .integral import PullbackElement, int_ring, pb_mul, pb_torsion
 from .relations import (
     _exponent_vectors,
@@ -216,13 +216,11 @@ def suite_chi(config):
         if not src:
             continue
         rows = {}
-        entries = {}
-        for col, (c, mono) in enumerate(src):
+        cols = []
+        for c, mono in src:
             img = mz_image_in_a(c, index_of(mono), h)
-            for key, s in img.terms.items():
-                entries[(rows.setdefault(key, len(rows)), col)] = s
-        M = FpMatrix(p, len(rows), len(src), entries)
-        if rank(M) != len(src):
+            cols.append({rows.setdefault(key, len(rows)): s for key, s in img.terms.items()})
+        if rank_of_columns(p, cols) != len(src):
             inj_ok = False
             detail = f"rank drop at {bd}"
             break

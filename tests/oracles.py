@@ -6,7 +6,7 @@ per-bidegree re-scan of every monomial for bases and populated bidegrees,
 a dimension report that rebuilds the Bockstein matrix of the augmentation
 ideal and of the coefficient ring beside the full one, a Bockstein
 that builds raw terms and sends them through normalize, and the generic
-column-major elimination over F_p that once also served p = 2.  Below them
+column-major elimination over F_p that once served every prime.  Below them
 are the product that sends every pair of terms through the rewrite
 worklist, and the conjugation that rebuilds each monomial from its
 generators with powers.  They carry no memo, and they build their matrices
@@ -28,7 +28,7 @@ from motsteen.elements import (
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.linalg import FpMatrix
 from motsteen.schemes import COEFF_ORDER, SchemeError
-from motsteen.steenrod import coeff_degree_populated, coeff_monomials, index_of
+from motsteen.steenrod import coeff_monomials, index_of
 
 
 def _rref(M):
@@ -94,6 +94,11 @@ def kernel_basis(M):
                 v[col] = (-a) % M.p
         vectors.append(tuple(v))
     return vectors
+
+
+def dense(basis):
+    """An FpBasis's sparse vectors as dense tuples, the form kernel_basis gives."""
+    return [tuple(v.get(c, 0) for c in range(basis.ambient_dim)) for v in basis.vectors]
 
 
 def _enumerate(gens, budget):
@@ -180,7 +185,7 @@ def populated_bidegrees(h, dmax, wmax):
     for d in range(-dmax, dmax + 1):
         for w in range(-wmax, wmax + 1):
             bd = Bidegree(d, w)
-            if any(coeff_degree_populated(bd - e, h.scheme) for e in eta_degs):
+            if any(coeff_monomials(bd - e, h.scheme) for e in eta_degs):
                 out.append(bd)
     return out
 

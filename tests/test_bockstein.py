@@ -16,6 +16,7 @@ from motsteen.bockstein import (
     block_homology,
     block_of,
     constructive_kernel,
+    element_vector,
     free_bbeta_generators,
     ker_beta_basis,
     u_maximal_by_degree,
@@ -23,6 +24,7 @@ from motsteen.bockstein import (
 )
 from motsteen.steenrod import (
     basis_index,
+    bidegree_basis,
     eta,
     steenrod_monomials_by_degree,
 )
@@ -202,6 +204,15 @@ def test_ker_beta_examples():
     kb = ker_beta_basis(Bidegree(0, -2), HR)
     assert "tau^2 | 1 | tau{}" in [element_text(e) for e in kb.constructive]
     assert len(kb.generic.vectors) == len(kb.constructive)
+
+
+def test_element_vector_sparse_and_rejects_foreign_terms():
+    # xi_1 tau_1 at (5, 2), xi_1 alone one bidegree down: not in that basis
+    rows = {key: i for i, key in enumerate(bidegree_basis(Bidegree(5, 2), H2))}
+    x = eta(basis_index({1: 1}, [1]), H2)
+    assert element_vector(x, rows) == {rows[next(iter(x.terms))]: 1}
+    with pytest.raises(ValueError, match="does not lie"):
+        element_vector(eta(basis_index({1: 1}, []), H2), rows)
 
 
 def test_constructive_kernel_elements_are_cycles():

@@ -188,10 +188,10 @@ def test_kernel_basis_matches_oracle(h):
     window = (10, 7) if h.p == 2 else (20, 9)
     for bd in populated_bidegrees(h, *window):
         M = beta_matrix(bd, h)
-        assert kernel_basis(M).vectors == oracles.kernel_basis(M)
+        assert oracles.dense(kernel_basis(M)) == oracles.kernel_basis(M)
         want = oracles.rank(M)
         assert rank(M) == want
-        cols = [[0] * M.nrows for _ in range(M.ncols)]
+        cols = [{} for _ in range(M.ncols)]
         for (r, c), v in M.entries.items():
             cols[c][r] = v
         assert rank_of_columns(h.p, cols) == want

@@ -11,8 +11,6 @@ from motsteen.steenrod import (
     basis_index,
     bidegree_basis,
     chi_generator,
-    coeff_degree_populated,
-    coeff_monomials,
     conjugate,
     eta,
     index_of,
@@ -69,17 +67,6 @@ def test_basis_enumeration_is_exhaustive():
                 from motsteen.elements import bidegree_of
 
                 assert bidegree_of((c, m), h.scheme) == bd
-
-
-def test_coeff_degree_populated_matches_enumeration():
-    for h in (H2, HR, algebra("z-half", 2), algebra("real-odd", 3),
-              algebra("finite-field", 3, q=7)):
-        for d in range(-6, 2):
-            for w in range(-8, 2):
-                bd = Bidegree(d, w)
-                assert coeff_degree_populated(bd, h.scheme) == bool(
-                    coeff_monomials(bd, h.scheme)
-                )
 
 
 def test_chi_generator_values():
