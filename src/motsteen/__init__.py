@@ -31,7 +31,6 @@ from .linalg import FpBasis, FpMatrix, kernel_basis, rank
 from .steenrod import (
     BasisIndex,
     basis_index,
-    basis_mz,
     bidegree_basis,
     conjugate,
     eta,

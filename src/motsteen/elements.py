@@ -123,16 +123,9 @@ def mono_degree(m, p):
     return Bidegree(d, w)
 
 
-def bidegree_of(item, scheme):
-    """Bidegree of a normalized monomial, Term, or pair (coeff, mono)."""
-    if isinstance(item, SteenrodMonomial):
-        return mono_degree(item, scheme.p)
-    if isinstance(item, CoeffMonomial):
-        return coeff_degree(item, scheme)
-    if isinstance(item, Term):
-        c, m = item.coeff, item.mono
-    else:
-        c, m = item
+def bidegree_of(key, scheme):
+    """Bidegree of a normalized monomial given as a pair (coeff, mono)."""
+    c, m = key
     return coeff_degree(c, scheme) + mono_degree(m, scheme.p)
 
 

@@ -21,9 +21,6 @@ class Bidegree(NamedTuple):
     def __str__(self):
         return f"({self.d},{self.w})"
 
-
-ZERO = Bidegree(0, 0)
-
 # The Bockstein lowers topological degree by one and preserves the weight.
 BETA_SHIFT = Bidegree(-1, 0)
 

@@ -100,8 +100,6 @@ class IntCoeffRing:
             return Bidegree(-1, -mono[1])
         if kind == "rho":  # rho_1^e rho_k, k odd (k = 1 encodes rho_1^(e+1))
             e, k = mono[1], mono[2]
-            if k == 1:
-                return Bidegree(-(e + 1), -(e + 1))
             return Bidegree(-(e + 1), -(e + 1) - (k - 1))
         raise ValueError(f"unknown integral monomial {mono!r}")
 
@@ -152,8 +150,6 @@ class IntCoeffRing:
             e2, kk2 = m2[1], m2[2]
             k = kk1 + kk2 - 1
             e = e1 + e2 + 1
-            if k == 1:
-                return 1, ("rho", e, 1)
             return 1, ("rho", e, k)
         raise SchemeError(f"cannot multiply {m1!r} * {m2!r} over {sid}")
 
@@ -166,12 +162,11 @@ class IntCoeffRing:
             c = coeff % order
             if not c:
                 continue
-            key = mono
-            v = (out.get(key, 0) + c) % order
+            v = (out.get(mono, 0) + c) % order
             if v:
-                out[key] = v
+                out[mono] = v
             else:
-                out.pop(key, None)
+                out.pop(mono, None)
         return IntElement(self, out)
 
     def element(self, coeff, mono=None):

@@ -35,6 +35,7 @@ from .elements import (
     CoeffMonomial,
     Element,
     algebra,
+    coeff_scale,
     element_text,
     mono_degree,
     mul,
@@ -111,9 +112,7 @@ def product_formula_terms(aU, bT, p, convention):
             idx = bump_checked(ab, k)
             for j in inter:
                 # tau_j^2 = tau * xi_(j+1): the exponent bump sits one above j
-                if j + 1 + shift < 1:
-                    raise ConventionError(f"delta index {j + 1 + shift} touches slot 0")
-                idx = _bump(idx, j + 1 + shift)
+                idx = bump_checked(idx, j + 1)
             out.append((len(inter), 1, basis_index(idx, sym)))
         return out
 
@@ -140,8 +139,7 @@ def formula_element(terms, h):
     """Expand formal formula terms into an Element of the mz form."""
     out = Element.zero(h.p)
     for tau_pow, scalar, idx in terms:
-        coeff = term_element(h.p, scalar, CoeffMonomial(tau=tau_pow))
-        out = out + mul(coeff, y(idx, h), h)
+        out = out + coeff_scale(CoeffMonomial(tau=tau_pow), y(idx, h), h).scaled(scalar)
     return out
 
 
@@ -150,8 +148,41 @@ class ProductCase:
     aU: BasisIndex
     bT: BasisIndex
     oracle: Element
-    matches: dict      # convention -> bool
-    failures: dict     # convention -> reason for a non-match
+    outcomes: dict     # convention -> formula Element, or the ConventionError raised
+
+    @property
+    def matches(self):
+        """convention -> whether the formula reproduces the oracle."""
+        return {conv: self.oracle == el for conv, el in self.outcomes.items()}
+
+    @property
+    def failures(self):
+        """convention -> reason for a non-match, formatted on each read."""
+        return {
+            conv: str(el) if isinstance(el, ConventionError)
+            else f"formula gives {element_text(el)}, oracle {element_text(self.oracle)}"
+            for conv, el in self.outcomes.items() if self.oracle != el
+        }
+
+
+def _product_case(aU, bT, h):
+    """Both conventions of the closed formula, with canonical indices and a rho-free h."""
+    oracle = mul(y(aU, h), y(bT, h), h)
+    outcomes = {}
+    for convention in ("subscript", "printed"):
+        try:
+            terms = product_formula_terms(aU, bT, h.p, convention)
+            outcomes[convention] = formula_element(terms, h)
+        except ConventionError as e:
+            outcomes[convention] = e
+    return ProductCase(aU, bT, oracle, outcomes)
+
+
+def _rho_free_algebra(scheme_id, p, q):
+    h = algebra(scheme_id, p, q)
+    if h.scheme.rho_element is not None:
+        raise ValueError("the product formula requires a base with rho = 0")
+    return h
 
 
 def verify_product_relation(aU, bT, p, scheme_id="algclosed", q=None):
@@ -161,27 +192,9 @@ def verify_product_relation(aU, bT, p, scheme_id="algclosed", q=None):
     algebraically closed base (or any rho-free scheme) is the intended
     setting.  Returns a ProductCase with the per-convention outcomes.
     """
-    h = algebra(scheme_id, p, q)
-    if h.scheme.rho_element is not None:
-        raise ValueError("the product formula requires a base with rho = 0")
-    aU = basis_index(dict(aU.a), aU.U)
-    bT = basis_index(dict(bT.a), bT.U)
-    oracle = mul(y(aU, h), y(bT, h), h)
-    matches, failures = {}, {}
-    for convention in ("subscript", "printed"):
-        try:
-            el = formula_element(product_formula_terms(aU, bT, p, convention), h)
-        except ConventionError as e:
-            matches[convention] = False
-            failures[convention] = str(e)
-            continue
-        ok = el == oracle
-        matches[convention] = ok
-        if not ok:
-            failures[convention] = (
-                f"formula gives {element_text(el)}, oracle {element_text(oracle)}"
-            )
-    return ProductCase(aU, bT, oracle, matches, failures)
+    h = _rho_free_algebra(scheme_id, p, q)
+    aU, bT = basis_index(dict(aU.a), aU.U), basis_index(dict(bT.a), bT.U)
+    return _product_case(aU, bT, h)
 
 
 def product_relation_sweep(p, max_index=3, max_exp=2, scheme_id="algclosed", q=None):
@@ -189,32 +202,26 @@ def product_relation_sweep(p, max_index=3, max_exp=2, scheme_id="algclosed", q=N
 
     Returns (report dict, cases with no matching convention).
     """
-    supports = []
+    h = _rho_free_algebra(scheme_id, p, q)
     idxs = list(range(1, max_index + 1))
-    exps = range(max_exp + 1)
-    for combo in _exponent_vectors(idxs, max_exp):
-        supports.append(combo)
-    subsets = []
-    for r in range(len(idxs) + 1):
-        subsets.extend(combinations(idxs, r))
+    subsets = [U for r in range(len(idxs) + 1) for U in combinations(idxs, r)]
+    indices = [  # one row per exponent vector, one column per subset
+        [basis_index(a, U) for U in subsets] for a in _exponent_vectors(idxs, max_exp)
+    ]
     per_convention = {"subscript": 0, "printed": 0}
-    hard_failures = []
+    hard = []
     total = 0
-    examples = {}
-    for a in supports:
-        for b in supports:
-            for U in subsets:
-                for T in subsets:
+    for a_row in indices:
+        for b_row in indices:
+            for aU in a_row:
+                for bT in b_row:
                     total += 1
-                    case = verify_product_relation(
-                        basis_index(a, U), basis_index(b, T), p, scheme_id, q
-                    )
-                    for conv, ok in case.matches.items():
+                    case = _product_case(aU, bT, h)
+                    matches = case.matches
+                    for conv, ok in matches.items():
                         per_convention[conv] += ok
-                    if not any(case.matches.values()):
-                        hard_failures.append(case)
-                    for conv, why in case.failures.items():
-                        examples.setdefault(conv, why)
+                    if not any(matches.values()):
+                        hard.append(case)
     report = {
         "p": p,
         "cases": total,
@@ -222,10 +229,8 @@ def product_relation_sweep(p, max_index=3, max_exp=2, scheme_id="algclosed", q=N
         "uniform_convention": next(
             (c for c, n in per_convention.items() if n == total), None
         ),
-        "failure_examples": examples,
-        "hard_failures": len(hard_failures),
     }
-    return report, hard_failures
+    return report, hard
 
 
 def _exponent_vectors(idxs, max_exp):

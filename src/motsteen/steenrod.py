@@ -7,8 +7,8 @@ monomials
 
 indexed by a finitely supported exponent vector a on positive integers and a
 finite set U of tau indices (positive in the "mz" form, >= 0 in the full
-algebra).  basis_mz enumerates the coefficient-twisted monomial basis of one
-bidegree exhaustively; the search is bounded because every coefficient
+algebra).  bidegree_basis enumerates the coefficient-twisted monomial basis
+of one bidegree exhaustively; the search is bounded because every coefficient
 generator has nonpositive degree and weight while d - w is strictly positive
 on every xi/tau generator.  The xi/tau monomials come from one recursion,
 bucketed by bidegree once per (p, min_tau) in monomial_index; bases,
@@ -53,9 +53,6 @@ class BasisIndex(NamedTuple):
 
     a: tuple   # sorted ((j, exponent), ...), j >= 1, exponents > 0
     U: tuple   # sorted tau indices
-
-
-ETA_ONE = BasisIndex((), ())
 
 
 def basis_index(a=None, U=()):
@@ -207,13 +204,6 @@ def bidegree_basis(bd, h):
                 out.extend((c, m) for m in monos)
     out.sort(key=monomial_key)
     return out
-
-
-def basis_mz(bd, h):
-    """The (coefficient monomial, eta index) basis of one bidegree, mz form."""
-    if h.ambient != "mz":
-        raise ValueError("basis_mz expects the mz form")
-    return [(c, index_of(m)) for c, m in bidegree_basis(bd, h)]
 
 
 @cache

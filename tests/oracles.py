@@ -8,12 +8,14 @@ ideal and of the coefficient ring beside the full one, a Bockstein
 that builds raw terms and sends them through normalize, and the generic
 column-major elimination over F_p that once served every prime.  Below them
 are the product that sends every pair of terms through the rewrite
-worklist, and the conjugation that rebuilds each monomial from its
-generators with powers.  They carry no memo, and they build their matrices
+worklist, the conjugation that rebuilds each monomial from its
+generators with powers, and the closed product formula expanded through
+that product, with every failure text formatted as the case is checked.  They carry no memo, and they build their matrices
 on their own bases, so test_oracles.py can hold the single-path code to
 them on small windows.
 """
 
+from motsteen.bockstein import y
 from motsteen.elements import (
     COEFF_ONE,
     CoeffMonomial,
@@ -21,6 +23,7 @@ from motsteen.elements import (
     SteenrodMonomial,
     Term,
     coeff_degree,
+    element_text,
     koszul_sign,
     monomial_key,
     term_element,
@@ -28,6 +31,7 @@ from motsteen.elements import (
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.linalg import FpMatrix
 from motsteen.schemes import COEFF_ORDER, SchemeError
+from motsteen.relations import ConventionError, product_formula_terms
 from motsteen.steenrod import coeff_monomials, index_of
 
 
@@ -518,3 +522,32 @@ def _beta_coeff_monomial(c, h):
         if scheme.degree(name).d & 1:
             passed_odd += e
     return out
+
+
+def formula_element(terms, h):
+    """The closed product formula, each term multiplied out as scalar*tau^k times y."""
+    out = Element.zero(h.p)
+    for tau_pow, scalar, idx in terms:
+        coeff = term_element(h.p, scalar, CoeffMonomial(tau=tau_pow))
+        out = out + mul(coeff, y(idx, h), h)
+    return out
+
+
+def product_case(aU, bT, h):
+    """(matches, failures) of one product case, every failure text built eagerly."""
+    oracle = mul(y(aU, h), y(bT, h), h)
+    matches, failures = {}, {}
+    for convention in ("subscript", "printed"):
+        try:
+            el = formula_element(product_formula_terms(aU, bT, h.p, convention), h)
+        except ConventionError as e:
+            matches[convention] = False
+            failures[convention] = str(e)
+            continue
+        ok = el == oracle
+        matches[convention] = ok
+        if not ok:
+            failures[convention] = (
+                f"formula gives {element_text(el)}, oracle {element_text(oracle)}"
+            )
+    return matches, failures

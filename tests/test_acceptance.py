@@ -103,6 +103,8 @@ def test_criterion_04_product_relations(p):
     assert hard == [], f"cases matched by no convention: {len(hard)}"
     assert rep["uniform_convention"] == "subscript", rep
     assert rep["matches"]["printed"] < rep["cases"]
+    assert rep["cases"] == 46656
+    assert rep["matches"] == {"subscript": 46656, "printed": {2: 7290, 3: 14580}[p]}
     report(4, True,
            f"p={p}: {rep['cases']} cases uniform under the subscript convention; "
            f"printed variant fails {rep['cases'] - rep['matches']['printed']}")

@@ -25,8 +25,17 @@ from motsteen.elements import CoeffMonomial, Element, mul, normalize, term_eleme
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.linalg import kernel_basis, rank, rank_of_columns
+from motsteen.relations import (
+    ConventionError,
+    _exponent_vectors,
+    formula_element,
+    product_formula_terms,
+    product_relation_sweep,
+    verify_product_relation,
+)
 from motsteen.steenrod import (
     BasisIndex,
+    basis_index,
     bidegree_basis,
     chi_generator,
     conjugate,
@@ -258,6 +267,38 @@ def test_mz_image_matches_oracle(h_a):
         for c, m in bidegree_basis(bd, h):
             idx = index_of(m)
             assert mz_image_in_a(c, idx, h_a) == oracles.mz_image_in_a(c, idx, h_a)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_product_cases_match_oracle(p):
+    # every (aU, bT, convention) of product_relation_sweep(p, 2, 1): the
+    # formula expanded through coeff_scale equals the one expanded through
+    # the product, and the failure text formatted on read equals the text
+    # built eagerly, key for key and in order
+    h = algebra("algclosed", p)
+    subsets = [(), (1,), (2,), (1, 2)]
+    idxs = [basis_index(a, U) for a in _exponent_vectors([1, 2], 1) for U in subsets]
+    for aU, bT in itertools.product(idxs, repeat=2):
+        case = verify_product_relation(aU, bT, p)
+        for conv, el in case.outcomes.items():
+            try:
+                terms = product_formula_terms(aU, bT, p, conv)
+            except ConventionError as e:
+                assert isinstance(el, ConventionError) and str(el) == str(e)
+                continue
+            want = oracles.formula_element(terms, h)
+            assert formula_element(terms, h) == want and el == want
+        matches, failures = oracles.product_case(aU, bT, h)
+        assert case.matches == matches
+        assert list(case.failures.items()) == list(failures.items())
+    report, hard = product_relation_sweep(p, 2, 1)
+    assert hard == []
+    assert report == {
+        "p": p,
+        "cases": 256,
+        "matches": {"subscript": 256, "printed": {2: 80, 3: 96}[p]},
+        "uniform_convention": "subscript",
+    }
 
 
 def test_split_crossing_raises():
