@@ -235,6 +235,11 @@ def _check_term(c, taus, h):
         )
 
 
+# tuple.__new__(CoeffMonomial, (...)) builds the same key as the NamedTuple
+# constructor, without its Python-level __new__; the hot loops below use it
+_new = tuple.__new__
+
+
 def _add(out, key, s, p):
     v = (out.get(key, 0) + s) % p
     if v:
@@ -243,13 +248,20 @@ def _add(out, key, s, p):
         out.pop(key, None)
 
 
+@cache
 def _merge_xi(a, b):
-    if not a or not b:
-        return a or b
+    """The product of two sorted xi exponent tuples, memoized on the parts."""
     merged = dict(a)
     for j, e in b:
         merged[j] = merged.get(j, 0) + e
     return tuple(sorted(merged.items()))
+
+
+@cache
+def _join_taus(t1, t2):
+    """(sorted t1 + t2 with repeats, whether the two tau sets meet)."""
+    taus = tuple(sorted(t1 + t2))
+    return taus, len(set(taus)) < len(taus)
 
 
 @cache
@@ -295,11 +307,18 @@ def _add_rewritten(out, s, c, xi, taus, h):
     tuple, through the memoized leaves of its tau_j^2 rewrite."""
     p, scheme = h.p, h.scheme
     kills = scheme.caps or scheme.zero_pairs
-    for dc, dxi, leaf_taus in _tau_rewrite(taus, h):
-        nc = CoeffMonomial(c[0] + dc[0], c[1] + dc[1], c[2] + dc[2], c[3] + dc[3])
+    c0, c1, c2, c3 = c
+    for (d0, d1, d2, d3), dxi, leaf_taus in _tau_rewrite(taus, h):
+        nc = _new(CoeffMonomial, (c0 + d0, c1 + d1, c2 + d2, c3 + d3))
         if kills and _coeff_zero(nc, scheme):
             continue
-        _add(out, (nc, SteenrodMonomial(_merge_xi(xi, dxi), leaf_taus)), s, p)
+        mxi = _merge_xi(xi, dxi) if xi and dxi else xi or dxi
+        key = (nc, _new(SteenrodMonomial, (mxi, leaf_taus)))
+        v = (out.get(key, 0) + s) % p
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
 
 
 def normalize(raw_terms, h):
@@ -352,6 +371,16 @@ def koszul_sign(c1, m1, c2, m2, scheme):
     return -1 if inv & 1 else 1
 
 
+def _check_terms(keys, h):
+    """_check_term on every (coeff, mono) key.  One fast test covers them all;
+    _check_term runs only when it fails, to raise at the first bad key."""
+    foreign, min_tau = h.scheme.relation_positions[2], h.min_tau
+    if any(c[i] for c, _ in keys for i in foreign) or min_tau and any(
+            m.taus and m.taus[0] < min_tau for _, m in keys):
+        for c, m in keys:
+            _check_term(c, m.taus, h)
+
+
 def mul(x, y, h):
     """Graded-commutative product of normalized elements.
 
@@ -364,23 +393,32 @@ def mul(x, y, h):
         raise AmbientMismatch("elements belong to different algebras")
     p, scheme = h.p, h.scheme
     kills = scheme.caps or scheme.zero_pairs
-    for c, m in (*x.terms, *y.terms):
-        _check_term(c, m.taus, h)
+    _check_terms((*x.terms, *y.terms), h)
     out = {}
-    ys = [(c2, m2, frozenset(m2.taus), s2) for (c2, m2), s2 in reversed(y.terms.items())]
+    get, pop = out.get, out.pop
+    ys = [(*c2, *m2, s2, c2, m2) for (c2, m2), s2 in reversed(y.terms.items())]
     for (c1, m1), s1 in reversed(x.terms.items()):
-        t1 = m1.taus
-        for c2, m2, t2, s2 in ys:
+        a0, a1, a2, a3 = c1
+        xi1, t1 = m1
+        for b0, b1, b2, b3, xi2, t2, s2, c2, m2 in ys:
             s = s1 * s2 if p == 2 else s1 * s2 * koszul_sign(c1, m1, c2, m2, scheme)
-            c = CoeffMonomial(c1[0] + c2[0], c1[1] + c2[1], c1[2] + c2[2], c1[3] + c2[3])
+            c = _new(CoeffMonomial, (a0 + b0, a1 + b1, a2 + b2, a3 + b3))
             if kills and _coeff_zero(c, scheme):
                 continue
-            xi = _merge_xi(m1.xi, m2.xi)
-            if t2.isdisjoint(t1):
-                taus = tuple(sorted(t1 + m2.taus)) if t1 and m2.taus else t1 or m2.taus
-                _add(out, (c, SteenrodMonomial(xi, taus)), s, p)
+            xi = _merge_xi(xi1, xi2) if xi1 and xi2 else xi1 or xi2
+            if t1 and t2:
+                taus, meet = _join_taus(t1, t2)
+                if meet:
+                    _add_rewritten(out, s, c, xi, taus, h)
+                    continue
             else:
-                _add_rewritten(out, s, c, xi, tuple(sorted(t1 + m2.taus)), h)
+                taus = t1 or t2
+            key = (c, _new(SteenrodMonomial, (xi, taus)))
+            v = (get(key, 0) + s) % p
+            if v:
+                out[key] = v
+            else:
+                pop(key, None)
     return Element(p, out)
 
 
@@ -392,13 +430,16 @@ def coeff_scale(c, x, h):
     Koszul sign of moving c past each term's own coefficient factors.
     """
     p, scheme = h.p, h.scheme
-    _check_term(c, (), h)
+    if any(c[i] for i in scheme.relation_positions[2]):
+        _check_term(c, (), h)
     kills = scheme.caps or scheme.zero_pairs
+    a0, a1, a2, a3 = c
     out = {}
     for (c2, m), s in x.terms.items():
         if p != 2:
             s *= koszul_sign(c, STEENROD_ONE, c2, STEENROD_ONE, scheme)
-        merged = CoeffMonomial(c[0] + c2[0], c[1] + c2[1], c[2] + c2[2], c[3] + c2[3])
+        b0, b1, b2, b3 = c2
+        merged = _new(CoeffMonomial, (a0 + b0, a1 + b1, a2 + b2, a3 + b3))
         if s % p and not (kills and _coeff_zero(merged, scheme)):
             out[merged, m] = s % p  # distinct terms stay distinct
     return Element(p, out)

@@ -75,6 +75,15 @@ class SchemePresentation:
     rho_element: str | None = None                  # None means rho = 0
     coeff_bockstein: dict = field(default_factory=dict, hash=False)  # beta(name) = name
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # every memo lookup keyed by a handle hashes its presentation: hash the
+        # fields once per presentation, the same fields as the generated hash
+        return hash((self.id, self.p, self.q, self.gens, self.zero_pairs, self.rho_element))
+
     @cached_property
     def relation_positions(self):
         """(caps, pairs, foreign) as positions in a CoeffMonomial: ((i, max exponent),

@@ -38,7 +38,6 @@ from .elements import (
     CoeffMonomial,
     Element,
     SteenrodMonomial,
-    _add,
     _coeff_zero,
     coeff_scale,
     mono_degree,
@@ -278,7 +277,6 @@ def _chi_monomial(c, m, h):
     of the largest xi_j, else one coefficient tau, with chi(tau) = tau + rho
     tau_0; the rest of the coefficient is fixed by chi.
     """
-    rho = h.scheme.rho_element and CoeffMonomial().bump(h.scheme.rho_element)
     chain = []  # (key, chi of the last factor), from c | m down to a known prefix
     while (hit := _chi_mono_cache.get(key := (h, c, m))) is None:
         if m.taus:
@@ -290,8 +288,9 @@ def _chi_monomial(c, m, h):
             m = SteenrodMonomial(m.xi[:-1] + (((j, e - 1),) if e > 1 else ()), ())
         elif c.tau:
             last = term_element(h.p, 1, CoeffMonomial(tau=1))
-            if rho is not None:
-                last = last + term_element(h.p, 1, rho, SteenrodMonomial((), (0,)))
+            if (rho := h.scheme.rho_element) is not None:
+                last = last + term_element(
+                    h.p, 1, CoeffMonomial().bump(rho), SteenrodMonomial((), (0,)))
             c = CoeffMonomial(c.theta, c.eps, c.rho, c.tau - 1)
         else:
             hit = _chi_mono_cache[key] = term_element(h.p, 1, c)
@@ -311,11 +310,17 @@ def conjugate(x, h):
     _require_full(h)
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
+    p = h.p
     out = {}
+    get, pop = out.get, out.pop
     for (c, m), s in x.terms.items():
         for key, t in _chi_monomial(c, m, h).terms.items():
-            _add(out, key, s * t, h.p)
-    return Element(h.p, out)
+            v = (get(key, 0) + s * t) % p
+            if v:
+                out[key] = v
+            else:
+                pop(key, None)
+    return Element(p, out)
 
 
 def mz_image_in_a(c, idx, h_a):

@@ -109,15 +109,10 @@ def suite_beta2(config):
     )]
 
 
-def suite_chi(config):
-    """Conjugation: involution, multiplicativity, fixed generators, embedding."""
-    h = algebra(config.scheme, config.p, config.q, ambient="a")
-    hmz = config.handle()
+def check_chi_generators(config, h):
+    """The verbatim values of chi on tau, rho and tau_0."""
     p = h.p
     results = []
-    dmax = min(config.dmax, 20)
-
-    # verbatim generator values
     tau_c = term_element(p, 1, CoeffMonomial(tau=1))
     expect = tau_c
     rho = h.scheme.rho_element
@@ -136,30 +131,39 @@ def suite_chi(config):
     results.append(
         ("chi(tau_0) = -tau_0", _status(conjugate(t0, h) == t0.scaled(-1)), "")
     )
+    return results
 
-    monos = steenrod_monomials_by_degree(p, dmax, 0)
+
+def check_chi_involution(config, h):
+    """chi(chi(x)) = x on coefficient-twisted monomials."""
+    dmax = min(config.dmax, 20)
+    monos = steenrod_monomials_by_degree(h.p, dmax, 0)
     coeffs = _coeff_sweep(h.scheme, cap=2)
-
-    # involution on coefficient-twisted monomials
     failure = None
     n_inv = 0
     for mono in monos:
         for c in coeffs:
-            x = term_element(p, 1, c, mono)
+            x = term_element(h.p, 1, c, mono)
             if conjugate(conjugate(x, h), h) != x:
                 failure = element_text(x)
                 break
             n_inv += 1
         if failure:
             break
-    results.append(
+    return [
         ("chi is an involution", _status(failure is None),
          f"{n_inv} monomials, degree <= {dmax}" if failure is None
          else f"fails at {failure}")
-    )
+    ]
 
-    # multiplicativity: exhaustive on coefficient-free pairs with total degree
-    # <= dmax, plus 200 seeded random coefficient-twisted pairs
+
+def check_chi_multiplicative(config, h):
+    """chi(xz) = chi(x) chi(z): exhaustive on coefficient-free pairs with total
+    degree <= dmax, plus 200 seeded random coefficient-twisted pairs."""
+    dmax = min(config.dmax, 20)
+    p = h.p
+    monos = steenrod_monomials_by_degree(p, dmax, 0)
+    coeffs = _coeff_sweep(h.scheme, cap=2)
     failure = None
     n_mult = 0
     for m1 in monos:
@@ -184,30 +188,40 @@ def suite_chi(config):
         if conjugate(mul(x, z, h), h) != mul(conjugate(x, h), conjugate(z, h), h):
             failure = f"{element_text(x)} * {element_text(z)}"
         n_mult += 1
-    results.append(
+    return [
         ("chi is multiplicative", _status(failure is None),
          f"{n_mult} pairs" if failure is None else f"fails at {failure}")
-    )
+    ]
 
-    # p = 2: the conjugated quadratic relation
-    if p == 2:
-        ok = True
-        for i in range(0, 5):
-            lhs = mul(chi_generator("tau", i, h), chi_generator("tau", i, h), h)
-            rhs = mul(chi_generator("xi", i + 1, h), tau_c, h)
-            if rho is not None:
-                rhs = rhs + mul(
-                    chi_generator("tau", i + 1, h),
-                    term_element(p, 1, CoeffMonomial().bump(rho)),
-                    h,
-                )
-            if lhs != rhs:
-                ok = False
-                break
-        results.append(("conjugated quadratic relation", _status(ok), "i <= 4"))
 
-    # the integral-form embedding is injective per bidegree (rank test);
-    # rows cover the monomials that actually appear in the images
+def check_chi_quadratic_relation(config, h):
+    """p = 2: chi(tau_i)^2 = chi(xi_{i+1}) tau + chi(tau_{i+1}) rho for i <= 4."""
+    p = h.p
+    if p != 2:
+        return []
+    tau_c = term_element(p, 1, CoeffMonomial(tau=1))
+    rho = h.scheme.rho_element
+    ok = True
+    for i in range(0, 5):
+        lhs = mul(chi_generator("tau", i, h), chi_generator("tau", i, h), h)
+        rhs = mul(chi_generator("xi", i + 1, h), tau_c, h)
+        if rho is not None:
+            rhs = rhs + mul(
+                chi_generator("tau", i + 1, h),
+                term_element(p, 1, CoeffMonomial().bump(rho)),
+                h,
+            )
+        if lhs != rhs:
+            ok = False
+            break
+    return [("conjugated quadratic relation", _status(ok), "i <= 4")]
+
+
+def check_chi_embedding(config, h):
+    """The integral-form embedding is injective per bidegree (rank test);
+    rows cover the monomials that actually appear in the images."""
+    dmax = min(config.dmax, 20)
+    hmz = config.handle()
     inj_ok = True
     n_bd = 0
     detail = ""
@@ -220,16 +234,27 @@ def suite_chi(config):
         for c, mono in src:
             img = mz_image_in_a(c, index_of(mono), h)
             cols.append({rows.setdefault(key, len(rows)): s for key, s in img.terms.items()})
-        if rank_of_columns(p, cols) != len(src):
+        if rank_of_columns(h.p, cols) != len(src):
             inj_ok = False
             detail = f"rank drop at {bd}"
             break
         n_bd += 1
-    results.append(
+    return [
         ("integral-form embedding injective", _status(inj_ok),
          detail or f"{n_bd} bidegrees, degree <= {dmax}")
-    )
-    return results
+    ]
+
+
+def suite_chi(config):
+    """Conjugation: fixed generators, involution, multiplicativity, embedding.
+
+    Each check sweeps to degree min(dmax, 20) and takes the one full-algebra
+    handle h built here, so that their memo lookups meet the same object.
+    """
+    h = algebra(config.scheme, config.p, config.q, ambient="a")
+    checks = (check_chi_generators, check_chi_involution, check_chi_multiplicative,
+              check_chi_quadratic_relation, check_chi_embedding)
+    return [row for check in checks for row in check(config, h)]
 
 
 def _torsion_probe_indices(p):

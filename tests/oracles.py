@@ -430,6 +430,16 @@ def mul(x, y, h):
     return normalize(raw, h)
 
 
+def merge_xi(a, b):
+    """The xi merge of the product before it was memoized: a dict and a sort."""
+    if not a or not b:
+        return a or b
+    merged = dict(a)
+    for j, e in b:
+        merged[j] = merged.get(j, 0) + e
+    return tuple(sorted(merged.items()))
+
+
 def power(x, n, h):
     out = Element.one(h.p)
     for _ in range(n):

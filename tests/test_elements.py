@@ -19,7 +19,9 @@ from motsteen import (
 )
 from motsteen.elements import (
     COEFF_ONE,
+    STEENROD_ONE,
     CoeffMonomial,
+    Element,
     SteenrodMonomial,
     coeff_scale,
 )
@@ -119,6 +121,40 @@ def test_normalize_rejects_foreign_generator():
 def test_normalize_rejects_low_tau_index():
     with pytest.raises(ValueError):
         normalize([raw(1, taus={0: 1})], H2)  # mz form has no tau_0
+
+
+def _past_normalize(p, key):
+    """An element built directly, past normalize's check, with key as its second term."""
+    return Element(p, {(COEFF_ONE, SteenrodMonomial(((1, 1),), ())): 1, key: 1})
+
+
+@pytest.mark.parametrize("coeff", [CoeffMonomial(theta=1), CoeffMonomial(eps=1, tau=1),
+                                   CoeffMonomial(rho=2)])
+def test_mul_checks_every_term_of_both_factors_for_foreign_generators(coeff):
+    bad = _past_normalize(2, (coeff, SteenrodMonomial((), (2,))))
+    for other in (eta(basis_index({1: 1}, [1]), H2), Element.zero(2)):
+        for x, z in ((bad, other), (other, bad)):
+            with pytest.raises(SchemeError, match="not present for scheme algclosed"):
+                mul(x, z, H2)
+
+
+def test_mul_checks_every_term_of_both_factors_for_low_tau_indices():
+    bad = _past_normalize(2, (COEFF_ONE, SteenrodMonomial((), (0, 2))))
+    for other in (eta(basis_index({1: 1}, [1]), H2), Element.zero(2)):
+        for x, z in ((bad, other), (other, bad)):
+            with pytest.raises(ValueError, match="tau index 0 below the minimum 1"):
+                mul(x, z, H2)
+    # tau_0 belongs to the full algebra
+    ha = algebra("algclosed", 2, ambient="a")
+    assert not mul(bad, bad, ha).is_zero()
+
+
+def test_coeff_scale_rejects_a_foreign_generator():
+    for x in (eta(basis_index({1: 1}, [1]), H2), Element.zero(2)):
+        with pytest.raises(SchemeError, match="'rho' not present"):
+            coeff_scale(CoeffMonomial(rho=1), x, H2)
+        assert coeff_scale(CoeffMonomial(tau=1), x, H2) == mul(
+            term_element(2, 1, CoeffMonomial(tau=1), STEENROD_ONE), x, H2)
 
 
 def test_mul_disjoint_taus():

@@ -1,4 +1,5 @@
-"""In-process memos: functools caches keyed by the algebra handle itself."""
+"""In-process memos: functools caches keyed by the algebra handle itself or,
+in the product, by monomial parts."""
 
 import dataclasses
 
@@ -6,6 +7,7 @@ from motsteen import (
     algebra, bockstein, element_text, elements, make_scheme, steenrod, term_element,
 )
 from motsteen.bockstein import beta_matrix, u_maximal_by_degree, y
+from motsteen.cli import Config
 from motsteen.elements import CoeffMonomial, SteenrodMonomial
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
@@ -15,6 +17,7 @@ from motsteen.steenrod import (
     conjugate,
     populated_bidegrees,
 )
+from motsteen.verify import suite_chi
 
 HANDLES = [
     algebra(scheme, p, q, ambient)
@@ -36,7 +39,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 def _clear():
     for memo in (bidegree_basis, populated_bidegrees, chi_generator, y,
                  u_maximal_by_degree, bockstein._steenrod_beta, bockstein._coeff_beta,
-                 elements._tau_rewrite):
+                 elements._tau_rewrite, elements._merge_xi, elements._join_taus):
         memo.cache_clear()
     steenrod._chi_mono_cache.clear()
 
@@ -59,6 +62,9 @@ def _answers(handles):
 def test_handles_are_hashable_and_compare_every_field():
     for h in HANDLES:
         assert hash(h) == hash(algebra(h.scheme.id, h.p, h.scheme.q, h.ambient))
+        # the presentation caches its hash, each its own: the hash of its fields
+        s = h.scheme
+        assert hash(s) == hash((s.id, s.p, s.q, s.gens, s.zero_pairs, s.rho_element))
     # the dict fields stay out of the hash but not out of equality
     s = make_scheme("finite-field", 2, 3)
     t = dataclasses.replace(s, coeff_bockstein={})
@@ -138,3 +144,14 @@ def test_answers_do_not_depend_on_call_order():
     backward = _answers(reversed(HANDLES))
     _clear()
     assert forward == backward
+
+
+def test_part_memos_stay_small():
+    # suite_chi on real-p2 8/4 holds 561 xi-part pairs and 59 tau-part pairs.
+    # The bounds leave about 2x headroom; the same run multiplies 2,804
+    # distinct monomial pairs, so a memo keyed by monomial pair fails them.
+    _clear()
+    suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
+    assert elements._merge_xi.cache_info().currsize <= 1000
+    assert elements._join_taus.cache_info().currsize <= 150
+    _clear()

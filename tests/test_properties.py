@@ -4,14 +4,17 @@ for the conjugation).
 
 Each example picks a handle, a populated bidegree of a small window and a
 sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
-examples are derandomized, so a run draws the same ones every time.
+examples are derandomized, so a run draws the same ones every time.  The
+last property holds the product's part memos to the unmemoized merge on
+random xi and tau parts.
 """
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from motsteen import algebra, element_text, mul, parse_element
 from motsteen.bockstein import beta
-from motsteen.elements import Element
+from motsteen.elements import Element, _join_taus, _merge_xi
 from motsteen.steenrod import bidegree_basis, conjugate, populated_bidegrees
 from test_oracles import ALL_A, ALL_MZ, handle_id
 
@@ -84,3 +87,18 @@ def test_chi_is_an_involution(hx):
 def test_chi_is_multiplicative(hxz):
     h, x, z = hxz
     assert conjugate(mul(x, z, h), h) == mul(conjugate(x, h), conjugate(z, h), h)
+
+
+xi_parts = st.dictionaries(st.integers(1, 6), st.integers(1, 4), max_size=4).map(
+    lambda xi: tuple(sorted(xi.items())))
+tau_parts = st.frozensets(st.integers(0, 6), max_size=4).map(lambda t: tuple(sorted(t)))
+
+
+@PROPERTY
+@given(xi_parts, xi_parts, tau_parts, tau_parts)
+def test_part_memos_match_the_unmemoized_merge(a, b, t1, t2):
+    # asked twice, so the second answer comes from the memo
+    for _ in range(2):
+        assert _merge_xi(a, b) == oracles.merge_xi(a, b)
+        assert _join_taus(t1, t2) == (tuple(sorted(t1 + t2)),
+                                      not frozenset(t1).isdisjoint(t2))
