@@ -43,7 +43,6 @@ from .bockstein import (
     block,
     block_complex,
     block_homology,
-    block_of,
     free_bbeta_generators,
     ker_beta_basis,
     y,

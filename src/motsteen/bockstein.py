@@ -17,18 +17,20 @@ m = 0, which beta_report and the kernel-basis machinery exploit.
 
 beta_matrix assembles each column c | m by the Leibniz rule, beta(c m) =
 (-1)^|c| c beta(m) + beta(c) m, from two functools.cache memos keyed by the
-handle: _steenrod_beta(m) = beta(1 | m), a column of the block differential
-that block_complex reads too, and _coeff_beta(c) = ((-1)^|c|, beta(c | 1)).
-Both call beta itself, and the entries go in the order beta lists its
-terms, so each matrix equals the one per-monomial beta calls would build.
+handle: _steenrod_beta(m) = beta(1 | m) and _coeff_beta(c) = ((-1)^|c|,
+beta(c | 1)).  Both call beta itself, and the entries go in the order beta
+lists its terms, so each matrix equals the one per-monomial beta calls would
+build.  block_complex calls beta directly: each of its columns is read once,
+so a memo would only hold them.
 
-beta_report builds one beta matrix per bidegree and reads a dims row off it:
-the rank, the image (the rank one degree up), and both splitting checks as
-the ranks of its two diagonal blocks, the coefficient ring (Steenrod part 1)
-and the augmentation ideal.  ker_beta_basis builds the same matrix, takes
-the generic kernel from it and checks the constructive (Z u U) basis
-against it: that matrix must kill each constructive vector, and the two
-bases must span the same space.
+split_ranks reduces one beta matrix to four numbers: the dims of the
+bidegree and of its coefficient part (Steenrod part 1), and the ranks of
+the matrix's two diagonal blocks, the coefficient ring and the augmentation
+ideal.  beta_report reads a dims row off those numbers at bd and at
+bd + (1, 0): the rank, the image, and both splitting checks.
+ker_beta_basis builds the same matrix, takes the generic kernel from it and
+checks the constructive (Z u U) basis against it: that matrix must kill
+each constructive vector, and the two bases must span the same space.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ from .elements import (
 )
 from .linalg import FpBasis, FpMatrix, kernel_basis, rank, rank_of_columns
 from .schemes import COEFF_ORDER
-from .steenrod import basis_index, bidegree_basis, eta, index_of, monomial_index
+from .steenrod import (
+    basis_index, bidegree_basis, eta, index_of, monomial_index, u_maximal,
+)
 
 
 def _beta_coeff_monomial(c, h):
@@ -158,16 +162,6 @@ def block(masses):
     return Block(tuple(sorted((i, v) for i, v in dict(masses).items() if v)))
 
 
-def block_of(mono):
-    """Block of a coefficient-free monomial: slot i mass = a_{i+1} + [i+1 in U]."""
-    m = {}
-    for j, e in mono.xi:
-        m[j - 1] = m.get(j - 1, 0) + e
-    for j in mono.taus:
-        m[j - 1] = m.get(j - 1, 0) + 1
-    return block(m)
-
-
 class BlockComplex(NamedTuple):
     blk: Block
     p: int
@@ -198,7 +192,8 @@ def block_complex(blk, p):
         rows = {idx: i for i, idx in enumerate(bases[t - 1])}
         entries = {}
         for col, idx in enumerate(bases[t]):
-            for mono, s in _steenrod_beta(SteenrodMonomial(*idx), h):
+            img = beta(term_element(p, 1, COEFF_ONE, SteenrodMonomial(*idx)), h)
+            for (_, mono), s in img.terms.items():
                 entries[(rows[index_of(mono)], col)] = s
         diffs.append(FpMatrix(p, len(bases[t - 1]), len(bases[t]), entries))
     return BlockComplex(blk, p, tuple(tuple(b) for b in bases), tuple(diffs))
@@ -282,10 +277,7 @@ def u_maximal_by_degree(p, budget):
     for eb, monos in monomial_index(p, budget, 1).items():
         if eb.d - eb.w > budget:
             continue
-        idxs = [
-            index_of(m) for m in monos
-            if m.taus and max((j for j, e in m.xi), default=0) <= m.taus[-1]
-        ]
+        idxs = [idx for idx in map(index_of, monos) if u_maximal(idx)]
         if idxs:
             out[eb] = idxs
     return out
@@ -406,7 +398,7 @@ def ker_beta_basis(bd, h):
 # Reports
 
 
-def _split_ranks(bd, M, h):
+def split_ranks(bd, M, h):
     """(dim, coefficient dim, coefficient rank, ideal rank) of beta at bd.
 
     Columns and rows of M whose Steenrod part is 1 span the coefficient
@@ -427,26 +419,26 @@ def _split_ranks(bd, M, h):
     return len(coeff_cols), sum(coeff_cols), coeff, ideal
 
 
-def beta_report(bidegrees, h, matrix=None):
+def beta_report(bidegrees, h, ranks=None):
     """Per-bidegree rows of (dim, rank, ker, im, homology), with notes.
 
-    matrix(bd) supplies the beta matrix at bd (beta_matrix by default); each
-    is built once per call and its ranks serve both as the rank at bd and
-    as the image at bd - (1,0).  A note flags any bidegree where the
-    homology does not match the coefficient-ring homology (the tensor
-    splitting) or where the augmentation-ideal part fails im = ker; both
-    are read off the two blocks of the same matrix.  Bidegrees with an
-    empty basis get no row.
+    ranks(bd) supplies the four numbers of split_ranks at bd (from
+    beta_matrix by default); each is asked for once per call and serves
+    both as the rank at bd and as the image at bd - (1,0).  A note flags
+    any bidegree where the homology does not match the coefficient-ring
+    homology (the tensor splitting) or where the augmentation-ideal part
+    fails im = ker; both are read off the two blocks of the same matrix.
+    Bidegrees with an empty basis get no row.
     """
-    if matrix is None:
-        def matrix(bd):
-            return beta_matrix(bd, h)
+    if ranks is None:
+        def ranks(bd):
+            return split_ranks(bd, beta_matrix(bd, h), h)
 
     stats = {}
 
     def at(bd):
         if bd not in stats:
-            stats[bd] = _split_ranks(bd, matrix(bd), h)
+            stats[bd] = ranks(bd)
         return stats[bd]
 
     report = []

@@ -2,8 +2,9 @@
 
 Entries are versioned with the package version and a digest of the
 package's own sources, so an entry written by other code is recomputed; a
-version mismatch invalidates.  Writers publish via create-then-rename in
-the cache directory, so concurrent processes never see a partial file.
+version mismatch, or a file that is not an entry, reads as a miss.  Writers
+publish via create-then-rename in the cache directory, so concurrent
+processes never see a partial file.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class ResultCache:
                 entry = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return None
-        if entry.get("version") != CACHE_VERSION or entry.get("key") != key_parts:
+        if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
             return None
-        return entry.get("payload")
+        return entry.get("payload") if entry.get("key") == key_parts else None
 
     def store(self, key_parts, payload):
         entry = {"version": CACHE_VERSION, "key": key_parts, "payload": payload}

@@ -6,7 +6,10 @@
 
 Common flags: [--cache DIR] [--format json|tsv|pretty] [--precision N]
 [--w-table FILE].  The environment variable MOTSTEEN_CACHE overrides the
-cache directory.  Verification suites exit 0 when every check passes or only
+cache directory.  Only dims reads the cache: per bidegree it keeps the four
+numbers of split_ranks that the row is read from, never the beta matrix,
+and an entry that does not fit the basis built now is recomputed and
+overwritten.  Verification suites exit 0 when every check passes or only
 the documented index discrepancies surface (reported as WARN); --strict
 turns WARN into failure.  All outputs are deterministic under a fixed
 configuration, and warm-cache runs are byte-identical to cold runs.
@@ -24,9 +27,8 @@ from .grading import BETA_SHIFT, tau_degree, xi_degree
 from .elements import algebra, mono_degree
 from .schemes import SchemeError, make_scheme
 from .steenrod import bidegree_basis, populated_bidegrees
-from .bockstein import beta_matrix, beta_report
+from .bockstein import beta_matrix, beta_report, split_ranks
 from .cache import ResultCache
-from .linalg import FpMatrix
 from .integral import int_ring
 from .verify import SUITES, run_suite
 
@@ -102,40 +104,27 @@ class Config:
 # Cached per-bidegree artifacts
 
 
-def _matrix_payload(M):
-    return {
-        "p": M.p,
-        "nrows": M.nrows,
-        "ncols": M.ncols,
-        "entries": sorted([r, c, v] for (r, c), v in M.entries.items()),
-    }
+def cached_split_ranks(bd, h, config, cache):
+    """split_ranks at bd, from the cache when its entry fits the basis.
 
-
-def _matrix_from_payload(payload):
-    return FpMatrix(
-        payload["p"], payload["nrows"], payload["ncols"],
-        {(r, c): v for r, c, v in payload["entries"]},
-    )
-
-
-def cached_beta_matrix(bd, h, config, cache):
-    """The beta matrix at bd, from the cache when its entry fits the bases.
-
-    An entry whose shape differs from the bases of bd and bd - (1, 0) built
-    now is recomputed and overwritten.  With no cache the matrix is built and
-    no payload is made.
+    An entry is served only as a list of four ints whose two dims are those
+    of the bd basis built now and whose two ranks fit in them.  Anything
+    else is recomputed and overwritten.
     """
-    if cache is None:
-        return beta_matrix(bd, h)
-    key = {**config.key_base(), "kind": "beta-matrix", "bidegree": [bd.d, bd.w]}
-    payload = cache.load(key)
-    if payload is not None and (payload["nrows"], payload["ncols"]) == (
-        len(bidegree_basis(bd + BETA_SHIFT, h)), len(bidegree_basis(bd, h))
+    key = {**config.key_base(), "kind": "split-ranks", "bidegree": [bd.d, bd.w]}
+    entry = cache.load(key)
+    basis = bidegree_basis(bd, h)
+    dim, coeff_dim = len(basis), sum(m.is_one() for _, m in basis)
+    if (
+        type(entry) is list and len(entry) == 4
+        and all(type(v) is int for v in entry)
+        and entry[:2] == [dim, coeff_dim]
+        and 0 <= entry[2] <= coeff_dim and 0 <= entry[3] <= dim - coeff_dim
     ):
-        return _matrix_from_payload(payload)
-    M = beta_matrix(bd, h)
-    cache.store(key, _matrix_payload(M))
-    return M
+        return tuple(entry)
+    ranks = split_ranks(bd, beta_matrix(bd, h), h)
+    cache.store(key, list(ranks))
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +135,10 @@ def cmd_dims(config):
     """Per-bidegree table of dim, rank, kernel, image, and homology."""
     h = config.handle()
     cache = config.cache()
-    return beta_report(
-        populated_bidegrees(h, config.dmax, config.wmax),
-        h,
-        lambda bd: cached_beta_matrix(bd, h, config, cache),
+    ranks = None if cache is None else (
+        lambda bd: cached_split_ranks(bd, h, config, cache)
     )
+    return beta_report(populated_bidegrees(h, config.dmax, config.wmax), h, ranks)
 
 
 def format_dims(rows, config):
@@ -264,7 +252,7 @@ def cmd_present(config, bound):
 
     y_gens = []
     if bound >= 1:
-        from .steenrod import basis_index
+        from .steenrod import basis_index, u_maximal
         from itertools import combinations
 
         idxs = list(range(1, bound + 1))
@@ -275,9 +263,9 @@ def cmd_present(config, bound):
 
         for a in _exponent_vectors(idxs, bound):
             for U in subsets:
-                if max(a, default=0) > max(U):
-                    continue
                 idx = basis_index(a, U)
+                if not u_maximal(idx):
+                    continue
                 bd = mono_degree(idx, p) + BETA_SHIFT
                 y_gens.append(
                     {

@@ -27,14 +27,12 @@ class FpMatrix:
     entries: dict = field(default_factory=dict)  # (row, col) -> residue in 1..p-1
 
     def __post_init__(self):
-        clean = {}
+        """Check the entries in place: inside the shape, each a residue in 1..p-1."""
         for (r, c), v in self.entries.items():
             if not (0 <= r < self.nrows and 0 <= c < self.ncols):
                 raise DimensionMismatch(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
-            v %= self.p
-            if v:
-                clean[(r, c)] = v
-        self.entries = clean
+            if not 0 < v < self.p:
+                raise ValueError(f"entry ({r},{c}) = {v} is not a residue in 1..{self.p - 1}")
 
 
 @dataclass

@@ -42,7 +42,7 @@ from .elements import (
     term_element,
 )
 from .bockstein import beta, y
-from .steenrod import BasisIndex, basis_index
+from .steenrod import BasisIndex, basis_index, u_maximal
 from .integral import (
     PullbackElement,
     int_ring,
@@ -178,13 +178,6 @@ def _product_case(aU, bT, h):
     return ProductCase(aU, bT, oracle, outcomes)
 
 
-def _rho_free_algebra(scheme_id, p, q):
-    h = algebra(scheme_id, p, q)
-    if h.scheme.rho_element is not None:
-        raise ValueError("the product formula requires a base with rho = 0")
-    return h
-
-
 def verify_product_relation(aU, bT, p, scheme_id="algclosed", q=None):
     """Compare the multiplication oracle with the closed formula.
 
@@ -192,17 +185,20 @@ def verify_product_relation(aU, bT, p, scheme_id="algclosed", q=None):
     algebraically closed base (or any rho-free scheme) is the intended
     setting.  Returns a ProductCase with the per-convention outcomes.
     """
-    h = _rho_free_algebra(scheme_id, p, q)
+    h = algebra(scheme_id, p, q)
+    if h.scheme.rho_element is not None:
+        raise ValueError("the product formula requires a base with rho = 0")
     aU, bT = basis_index(dict(aU.a), aU.U), basis_index(dict(bT.a), bT.U)
     return _product_case(aU, bT, h)
 
 
-def product_relation_sweep(p, max_index=3, max_exp=2, scheme_id="algclosed", q=None):
+def product_relation_sweep(p, max_index=3, max_exp=2):
     """Exhaustive convention comparison over a finite index range.
 
-    Returns (report dict, cases with no matching convention).
+    Runs over the algebraically closed base, where rho = 0.  Returns
+    (report dict, cases with no matching convention).
     """
-    h = _rho_free_algebra(scheme_id, p, q)
+    h = algebra("algclosed", p)
     idxs = list(range(1, max_index + 1))
     subsets = [U for r in range(len(idxs) + 1) for U in combinations(idxs, r)]
     indices = [  # one row per exponent vector, one column per subset
@@ -402,11 +398,10 @@ def _reduce_index(idx, p):
     """Rewrite one y symbol into the U-maximal basis: [(scalar, index)]."""
     if not idx.U:
         return []  # y[a, {}] = beta of a xi monomial = 0
-    max_a = max((j for j, e in idx.a), default=0)
-    if max_a <= max(idx.U):
+    if u_maximal(idx):
         return [(1, idx)]
     amap = _amap(idx)
-    k_max = max_a
+    k_max = max(amap)
     V = tuple(sorted(set(idx.U) | {k_max}))
     s_max = position_sign(k_max, V)
     out = []
@@ -479,7 +474,7 @@ def embed_formal(poly, h, ring):
 # The Z[1/2] relation table
 
 
-def z12_relation_check(imax=3, jmax=2, kmax=2, precision=16, w_table=None):
+def z12_relation_check(w_table=None):
     """Verify the displayed relation table of the Z[1/2] fiber product.
 
     Every relation is checked by normalizing in the integral coefficient
@@ -491,8 +486,9 @@ def z12_relation_check(imax=3, jmax=2, kmax=2, precision=16, w_table=None):
     not share.  Returns a list of (name, status, detail) with status
     PASS/WARN/FAIL.
     """
+    imax, jmax, kmax = 3, 2, 2  # the window of the table: generator and coordinate indices
     h = algebra("z-half", 2)
-    ring = int_ring(h.scheme, precision, w_table)
+    ring = int_ring(h.scheme, w_table=w_table)
     results = []
 
     def check(name, ok, detail=""):

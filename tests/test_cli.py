@@ -5,6 +5,8 @@ import json
 import os
 import sys
 
+import pytest
+
 from motsteen import cli
 
 
@@ -112,13 +114,54 @@ def test_cache_recomputes_a_wrongly_shaped_matrix(tmp_path):
     config = cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5, cache_dir=str(tmp_path))
     want = cli.cmd_dims(cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5))
     d, w = max(want, key=lambda row: row["rank"])["bidegree"]
-    key = {**config.key_base(), "kind": "beta-matrix", "bidegree": [d, w]}
+    key = {**config.key_base(), "kind": "split-ranks", "bidegree": [d, w]}
     cache = ResultCache(str(tmp_path))
-    cache.store(key, {"p": 2, "nrows": 1, "ncols": 1, "entries": []})
+    cache.store(key, [1, 1, 0, 0])  # the ranks of a 1-dimensional bidegree
     assert cli.cmd_dims(config) == want
-    ncols = len(bidegree_basis(Bidegree(d, w), config.handle()))
-    assert cache.load(key)["ncols"] == ncols  # the entry was overwritten
+    dim = len(bidegree_basis(Bidegree(d, w), config.handle()))
+    assert cache.load(key)[0] == dim  # the entry was overwritten
     assert __version__ in CACHE_VERSION
+
+
+BAD_ENTRIES = {
+    "missing field": lambda e: e[:3],
+    "non-list": lambda e: {"ranks": e},
+    "not ints": lambda e: [str(v) for v in e],
+    "wrong dims": lambda e: [e[0] + 1, *e[1:]],
+    "coefficient rank above its dim": lambda e: [e[0], e[1], e[1] + 1, e[3]],
+    "ideal rank above its dim": lambda e: [*e[:3], e[0] - e[1] + 1],
+    "old beta-matrix entry": lambda e: {"p": 2, "nrows": 1, "ncols": e[0], "entries": []},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+def test_cache_recomputes_every_entry_that_does_not_fit(tmp_path, bad):
+    from motsteen.cache import ResultCache
+
+    plain = cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5)
+    config = cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5, cache_dir=str(tmp_path))
+    want = cli.cmd_dims(plain)
+    assert cli.cmd_dims(config) == want  # fills the cache
+    cache = ResultCache(str(tmp_path))
+    good = {}
+    for path in tmp_path.iterdir():
+        entry = json.loads(path.read_text())
+        good[path.name] = entry["payload"]
+        cache.store(entry["key"], BAD_ENTRIES[bad](entry["payload"]))
+    assert cli.cmd_dims(config) == want
+    for path in tmp_path.iterdir():  # every entry was overwritten
+        assert json.loads(path.read_text())["payload"] == good[path.name]
+
+
+def test_cache_file_that_is_not_an_entry_is_a_miss(tmp_path):
+    from motsteen.cache import ResultCache
+
+    cache = ResultCache(str(tmp_path))
+    key = {"kind": "probe"}
+    for text in ("[1, 2]", "7", "null"):
+        with open(cache._path(key), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert cache.load(key) is None
 
 
 def test_cache_entry_is_not_served_after_a_source_change(tmp_path):

@@ -61,6 +61,15 @@ def test_entry_bounds_checked():
         FpMatrix(2, 1, 1, {(1, 0): 1})
 
 
+def test_entry_values_checked_not_reduced():
+    # entries are residues in 1..p-1 as given; nothing is reduced for the caller
+    for p, v in ((2, 2), (3, 0), (3, -1)):
+        with pytest.raises(ValueError, match="not a residue"):
+            FpMatrix(p, 1, 1, {(0, 0): v})
+    entries = {(0, 0): 1}
+    assert FpMatrix(3, 1, 1, entries).entries is entries
+
+
 def _random_sparse(rng, p, n, m, fill):
     entries = {}
     for _ in range(int(n * m * fill)):

@@ -17,7 +17,7 @@ from motsteen.steenrod import (
     conjugate,
     populated_bidegrees,
 )
-from motsteen.verify import suite_chi
+from motsteen.verify import suite_blocks, suite_chi
 
 HANDLES = [
     algebra(scheme, p, q, ambient)
@@ -144,6 +144,14 @@ def test_answers_do_not_depend_on_call_order():
     backward = _answers(reversed(HANDLES))
     _clear()
     assert forward == backward
+
+
+def test_blocks_suite_leaves_the_beta_memo_empty():
+    # block_complex reads each column once, so it calls beta directly
+    _clear()
+    assert suite_blocks(Config(p=2, scheme="z-half"))[0][1] == "PASS"
+    assert bockstein._steenrod_beta.cache_info().currsize == 0
+    _clear()
 
 
 def test_part_memos_stay_small():

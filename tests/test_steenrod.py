@@ -17,6 +17,7 @@ from motsteen.steenrod import (
     mz_image_in_a,
     populated_bidegrees,
     steenrod_monomials_by_degree,
+    u_maximal,
 )
 
 H2 = algebra("algclosed", 2)
@@ -25,6 +26,15 @@ HR = algebra("real-p2", 2)
 HA2 = algebra("algclosed", 2, ambient="a")
 HA3 = algebra("algclosed", 3, ambient="a")
 HAR = algebra("real-p2", 2, ambient="a")
+
+
+def test_u_maximal_predicate():
+    assert u_maximal(basis_index({1: 1}, [2]))
+    assert u_maximal(basis_index({2: 3}, [2]))
+    assert u_maximal(basis_index({}, [1]))
+    assert not u_maximal(basis_index({2: 1}, [1]))
+    assert not u_maximal(basis_index({1: 1}, []))
+    assert not u_maximal(basis_index({}, []))
 
 
 def test_eta_examples():
