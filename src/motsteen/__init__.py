@@ -4,66 +4,51 @@ Exact computations in the mod-p dual Steenrod algebra over several base
 schemes, the conjugation, the Bockstein differential with its block
 decomposition, kernel bases, and the integral/p-adic pullback model, all
 cross-checked against independent brute-force oracles.
+
+Each exported name loads its submodule on first use (PEP 562), so importing
+the package, or one command's modules, does not load the others.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
-from .schemes import SCHEME_IDS, SchemeError, SchemePresentation, make_scheme
-from .elements import (
-    AlgebraHandle,
-    CoeffMonomial,
-    Element,
-    SteenrodMonomial,
-    Term,
-    algebra,
-    bidegree_of,
-    element_text,
-    mono_degree,
-    mul,
-    normalize,
-    parse_element,
-    parse_term,
-    term_element,
-    term_text,
-)
-from .linalg import FpBasis, FpMatrix, kernel_basis, rank
-from .steenrod import (
-    BasisIndex,
-    basis_index,
-    bidegree_basis,
-    conjugate,
-    eta,
-)
-from .bockstein import (
-    Block,
-    beta,
-    beta_matrix,
-    beta_report,
-    block,
-    block_complex,
-    block_homology,
-    free_bbeta_generators,
-    ker_beta_basis,
-    y,
-)
-from .integral import (
-    IntCoeffRing,
-    IntElement,
-    PullbackElement,
-    augment,
-    int_ring,
-    lift_generator,
-    pb_mul,
-    pb_torsion,
-    q_map,
-)
-from .relations import (
-    FormalPoly,
-    algclosed_reduce,
-    formal_mul,
-    product_relation_sweep,
-    verify_linear_relation,
-    verify_product_relation,
-    z12_relation_check,
-)
+_EXPORTS = {
+    "grading": ("BETA_SHIFT", "Bidegree", "tau_degree", "xi_degree"),
+    "schemes": ("SCHEME_IDS", "SchemeError", "SchemePresentation", "make_scheme"),
+    "elements": (
+        "AlgebraHandle", "CoeffMonomial", "Element", "SteenrodMonomial", "Term",
+        "algebra", "bidegree_of", "element_text", "mono_degree", "mul", "normalize",
+        "parse_element", "parse_term", "term_element", "term_text",
+    ),
+    "linalg": ("FpBasis", "FpMatrix", "kernel_basis", "rank"),
+    "steenrod": ("BasisIndex", "basis_index", "bidegree_basis", "conjugate", "eta"),
+    "bockstein": (
+        "Block", "beta", "beta_matrix", "beta_report", "block", "block_complex",
+        "block_homology", "free_bbeta_generators", "ker_beta_basis", "y",
+    ),
+    "integral": (
+        "IntCoeffRing", "IntElement", "PullbackElement", "augment", "int_ring",
+        "lift_generator", "pb_mul", "pb_torsion", "q_map",
+    ),
+    "relations": (
+        "FormalPoly", "algclosed_reduce", "formal_mul", "product_relation_sweep",
+        "verify_linear_relation", "verify_product_relation", "z12_relation_check",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

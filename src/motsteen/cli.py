@@ -21,15 +21,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .grading import BETA_SHIFT, tau_degree, xi_degree
 from .elements import algebra, mono_degree
 from .schemes import SchemeError, make_scheme
 from .steenrod import bidegree_basis, populated_bidegrees
 from .bockstein import beta_matrix, beta_report, split_ranks
-from .cache import ResultCache
-from .integral import int_ring
 from .verify import SUITES, run_suite
 
 SCHEME_ALIASES = {
@@ -48,34 +45,28 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class Config:
-    p: int
-    scheme: str                 # resolved scheme id
-    q: int | None = None
-    dmax: int = 12
-    wmax: int = 12
-    precision: int = 16
-    w_table_path: str | None = None
-    cache_dir: str | None = None
-    fmt: str = "pretty"
-    strict: bool = False
-    w_fn: object = None
-
-    def __post_init__(self):
-        if self.dmax < 0 or self.wmax < 0:
+    def __init__(
+        self, p, scheme, q=None, dmax=12, wmax=12, precision=16,
+        w_table_path=None, cache_dir=None, fmt="pretty", strict=False,
+    ):
+        if dmax < 0 or wmax < 0:
             raise ConfigError("degree bounds must be nonnegative")
-        if self.precision < 1:
+        if precision < 1:
             raise ConfigError("precision must be positive")
-        if self.fmt not in ("json", "tsv", "pretty"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
+        if fmt not in ("json", "tsv", "pretty"):
+            raise ConfigError(f"unknown format {fmt!r}")
         try:
-            scheme = make_scheme(self.scheme, self.p, self.q)
+            scheme = make_scheme(scheme, p, q).id  # the resolved scheme id
         except SchemeError as e:
             raise ConfigError(str(e))
-        self.scheme = scheme.id
-        if self.w_table_path:
-            with open(self.w_table_path, encoding="utf-8") as fh:
+        self.p, self.scheme, self.q = p, scheme, q
+        self.dmax, self.wmax, self.precision = dmax, wmax, precision
+        self.w_table_path, self.cache_dir = w_table_path, cache_dir
+        self.fmt, self.strict = fmt, strict
+        self.w_fn = None
+        if w_table_path:
+            with open(w_table_path, encoding="utf-8") as fh:
                 table = {int(k): int(v) for k, v in json.load(fh).items()}
             for k, v in table.items():
                 if v < 1 or v & (v - 1):
@@ -94,7 +85,11 @@ class Config:
     def cache(self):
         """The result cache of the configured directory, or None without one."""
         directory = os.environ.get("MOTSTEEN_CACHE") or self.cache_dir
-        return ResultCache(directory) if directory else None
+        if not directory:
+            return None
+        from .cache import ResultCache
+
+        return ResultCache(directory)
 
     def key_base(self):
         return {"p": self.p, "scheme": self.scheme, "q": self.q}
@@ -206,6 +201,10 @@ def format_verify(results, config, suite):
 
 def cmd_present(config, bound):
     """Machine-readable presentation of the algebras, truncated at an index bound."""
+    if bound < 0:
+        raise ConfigError("index bound must be nonnegative")
+    from .integral import int_ring
+
     h = config.handle()
     p = config.p
     scheme = h.scheme
@@ -217,7 +216,7 @@ def cmd_present(config, bound):
             e["order"] = order
         return e
 
-    full_gens = [gen_entry("tau_0", tau_degree(p, 0))] if bound >= 0 else []
+    full_gens = [gen_entry("tau_0", tau_degree(p, 0))]
     mz_gens = []
     for i in range(1, bound + 1):
         full_gens.append(gen_entry(f"xi_{i}", xi_degree(p, i)))

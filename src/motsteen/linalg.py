@@ -12,34 +12,32 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass
 class FpMatrix:
-    p: int
-    nrows: int
-    ncols: int
-    entries: dict = field(default_factory=dict)  # (row, col) -> residue in 1..p-1
+    """An nrows x ncols matrix over F_p as {(row, col): residue in 1..p-1}."""
 
-    def __post_init__(self):
+    def __init__(self, p, nrows, ncols, entries=None):
         """Check the entries in place: inside the shape, each a residue in 1..p-1."""
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-                raise DimensionMismatch(f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
-            if not 0 < v < self.p:
-                raise ValueError(f"entry ({r},{c}) = {v} is not a residue in 1..{self.p - 1}")
+        self.p, self.nrows, self.ncols = p, nrows, ncols
+        self.entries = entries = {} if entries is None else entries
+        for (r, c), v in entries.items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise DimensionMismatch(f"entry ({r},{c}) outside {nrows}x{ncols}")
+            if not 0 < v < p:
+                raise ValueError(f"entry ({r},{c}) = {v} is not a residue in 1..{p - 1}")
+
+    def __repr__(self):
+        return f"FpMatrix({self.p}, {self.nrows}, {self.ncols}, {self.entries!r})"
 
 
-@dataclass
 class FpBasis:
-    p: int
-    ambient_dim: int
-    vectors: list           # sparse dicts {coordinate: residue}
+    def __init__(self, p, ambient_dim, vectors):
+        self.p, self.ambient_dim = p, ambient_dim
+        self.vectors = vectors  # sparse dicts {coordinate: residue}
 
     def __len__(self):
         return len(self.vectors)

@@ -20,8 +20,8 @@ square to zero at every prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .grading import Bidegree
 
@@ -62,27 +62,50 @@ def _is_prime_power(n):
     return _is_prime(n)
 
 
-@dataclass(frozen=True)
 class SchemePresentation:
-    id: str
-    p: int
-    q: int | None = None
-    gens: tuple[str, ...] = ()
-    # the two dicts stay out of the hash (equality still compares them), so a
-    # presentation, and a handle wrapping it, can key functools caches
-    caps: dict = field(default_factory=dict, hash=False)  # name -> max exponent
-    zero_pairs: frozenset = frozenset()             # {frozenset({g1,g2})}: g1*g2 = 0
-    rho_element: str | None = None                  # None means rho = 0
-    coeff_bockstein: dict = field(default_factory=dict, hash=False)  # beta(name) = name
+    """One base scheme at one prime: frozen, compared on all eight fields.
+
+    The two dicts stay out of the hash (equality still compares them), so a
+    presentation, and a handle wrapping it, can key functools caches.
+    """
+
+    _FIELDS = ("id", "p", "q", "gens", "caps", "zero_pairs", "rho_element", "coeff_bockstein")
+
+    def __init__(
+        self, id, p, q=None, gens=(),
+        caps=None,                  # name -> max exponent
+        zero_pairs=frozenset(),     # {frozenset({g1,g2})}: g1*g2 = 0
+        rho_element=None,           # None means rho = 0
+        coeff_bockstein=None,       # beta(name) = name
+    ):
+        vars(self).update(
+            id=id, p=p, q=q, gens=gens, caps={} if caps is None else caps,
+            zero_pairs=zero_pairs, rho_element=rho_element,
+            coeff_bockstein={} if coeff_bockstein is None else coeff_bockstein,
+            # every memo lookup keyed by a handle hashes its presentation:
+            # hash the fields once per presentation
+            _hash=hash((id, p, q, gens, zero_pairs, rho_element)),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen SchemePresentation")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen SchemePresentation")
+
+    _values = property(attrgetter(*_FIELDS))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
 
     def __hash__(self):
         return self._hash
 
-    @cached_property
-    def _hash(self):
-        # every memo lookup keyed by a handle hashes its presentation: hash the
-        # fields once per presentation, the same fields as the generated hash
-        return hash((self.id, self.p, self.q, self.gens, self.zero_pairs, self.rho_element))
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._values))
+        return f"SchemePresentation({args})"
 
     @cached_property
     def relation_positions(self):

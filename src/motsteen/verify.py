@@ -41,13 +41,6 @@ from .bockstein import (
     y,
 )
 from .linalg import rank_of_columns
-from .integral import PullbackElement, int_ring, pb_mul, pb_torsion
-from .relations import (
-    _exponent_vectors,
-    product_relation_sweep,
-    verify_linear_relation,
-    z12_relation_check,
-)
 
 SUITES = ("beta2", "chi", "products", "linear", "blocks", "kerbasis", "z12", "all")
 
@@ -270,6 +263,9 @@ def _torsion_probe_indices(p):
 
 def suite_products(config):
     """Closed product formula vs the multiplication oracle, plus the pullback."""
+    from .integral import PullbackElement, int_ring, pb_mul, pb_torsion
+    from .relations import product_relation_sweep
+
     p = config.p
     results = []
     report, hard = product_relation_sweep(p, max_index=3, max_exp=2)
@@ -326,6 +322,8 @@ def suite_products(config):
 
 def suite_linear(config):
     """The linear relation family among the Bockstein classes."""
+    from .relations import _exponent_vectors, verify_linear_relation
+
     p = config.p
     ok = True
     literal_misses = 0
@@ -420,6 +418,8 @@ def suite_kerbasis(config):
 
 
 def suite_z12(config):
+    from .relations import z12_relation_check
+
     if config.scheme != "z-half":
         return [("z12 relation table", "FAIL", "requires --scheme zhalf")]
     return z12_relation_check(w_table=config.w_fn)

@@ -343,6 +343,14 @@ def test_present_bound_zero_is_coefficients_only():
     ]
 
 
+def test_present_refuses_a_negative_bound(capsys):
+    code = cli.main(["present", "--prime", "2", "--scheme", "algclosed", "--bound", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("motsteen: error: ")
+
+
 def test_present_w_table_override(tmp_path):
     table = tmp_path / "w.json"
     table.write_text(json.dumps({"2": 4}))

@@ -1,0 +1,80 @@
+"""Import graph: the package exports load lazily, and `import motsteen.cli`
+loads only what the common commands run."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import motsteen
+
+# every name the package exports, by the submodule that defines it
+EXPORTS = {
+    "grading": ("BETA_SHIFT", "Bidegree", "tau_degree", "xi_degree"),
+    "schemes": ("SCHEME_IDS", "SchemeError", "SchemePresentation", "make_scheme"),
+    "elements": (
+        "AlgebraHandle", "CoeffMonomial", "Element", "SteenrodMonomial", "Term",
+        "algebra", "bidegree_of", "element_text", "mono_degree", "mul", "normalize",
+        "parse_element", "parse_term", "term_element", "term_text",
+    ),
+    "linalg": ("FpBasis", "FpMatrix", "kernel_basis", "rank"),
+    "steenrod": ("BasisIndex", "basis_index", "bidegree_basis", "conjugate", "eta"),
+    "bockstein": (
+        "Block", "beta", "beta_matrix", "beta_report", "block", "block_complex",
+        "block_homology", "free_bbeta_generators", "ker_beta_basis", "y",
+    ),
+    "integral": (
+        "IntCoeffRing", "IntElement", "PullbackElement", "augment", "int_ring",
+        "lift_generator", "pb_mul", "pb_torsion", "q_map",
+    ),
+    "relations": (
+        "FormalPoly", "algclosed_reduce", "formal_mul", "product_relation_sweep",
+        "verify_linear_relation", "verify_product_relation", "z12_relation_check",
+    ),
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+SRC = os.path.dirname(os.path.dirname(motsteen.__file__))
+
+
+def test_exports_are_the_submodule_objects():
+    assert len(NAMES) == len(set(NAMES)) == 58
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"motsteen.{module}")
+        for name in names:
+            assert getattr(motsteen, name) is getattr(owner, name), name
+    assert sorted(motsteen.__all__) == sorted(NAMES)
+    assert set(NAMES) <= set(dir(motsteen))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from motsteen import *", namespace)
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"motsteen.{module}")
+        for name in names:
+            assert namespace[name] is getattr(owner, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        motsteen.no_such_name
+    assert not hasattr(motsteen, "no_such_name")
+
+
+def test_cold_import_of_the_cli_loads_only_the_common_path():
+    # -S keeps site hooks from loading modules of their own
+    code = (
+        "import sys, motsteen; "
+        "print(sorted(m for m in sys.modules if m.startswith('motsteen.'))); "
+        "import motsteen.cli; "
+        "print(sorted(m for m in ('motsteen.integral', 'motsteen.relations', "
+        "'motsteen.cache', 'dataclasses', 'hashlib') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out == ["[]", "[]"]

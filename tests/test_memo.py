@@ -1,10 +1,11 @@
 """In-process memos: functools caches keyed by the algebra handle itself or,
 in the product, by monomial parts."""
 
-import dataclasses
+import pytest
 
 from motsteen import (
-    algebra, bockstein, element_text, elements, make_scheme, steenrod, term_element,
+    SchemePresentation, algebra, bockstein, element_text, elements, make_scheme, steenrod,
+    term_element,
 )
 from motsteen.bockstein import beta_matrix, u_maximal_by_degree, y
 from motsteen.cli import Config
@@ -67,9 +68,16 @@ def test_handles_are_hashable_and_compare_every_field():
         assert hash(s) == hash((s.id, s.p, s.q, s.gens, s.zero_pairs, s.rho_element))
     # the dict fields stay out of the hash but not out of equality
     s = make_scheme("finite-field", 2, 3)
-    t = dataclasses.replace(s, coeff_bockstein={})
+    t = SchemePresentation(
+        s.id, s.p, q=s.q, gens=s.gens, caps=s.caps, zero_pairs=s.zero_pairs,
+        rho_element=s.rho_element, coeff_bockstein={},
+    )
     assert hash(s) == hash(t)
     assert s != t
+    # the presentation is frozen
+    with pytest.raises(AttributeError):
+        s.rho_element = None
+    assert s.rho_element == "eps"
 
 
 def test_equal_handles_share_one_entry():
