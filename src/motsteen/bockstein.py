@@ -29,13 +29,16 @@ the matrix's two diagonal blocks, the coefficient ring and the augmentation
 ideal.  beta_report reads a dims row off those numbers at bd and at
 bd + (1, 0): the rank, the image, and both splitting checks.
 ker_beta_basis builds the same matrix, takes the generic kernel from it and
-checks the constructive (Z u U) basis against it: that matrix must kill
-each constructive vector, and the two bases must span the same space.
+checks the constructive (Z u U) basis, which constructive_kernel reads off
+the memos that matrix filled.  The matrix must kill each constructive
+vector, and the vectors must be independent and as many as its nullity:
+then they span its kernel.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
@@ -48,8 +51,6 @@ from .elements import (
     _add,
     _coeff_zero,
     coeff_degree,
-    coeff_scale,
-    mul,
     term_element,
 )
 from .linalg import FpBasis, FpMatrix, kernel_basis, rank, rank_of_columns
@@ -319,20 +320,22 @@ class KernelBases(NamedTuple):
 
 
 def constructive_kernel(bd, h):
-    """The Z u U kernel basis of one bidegree.
+    """The Z u U kernel basis of one bidegree, read off the Leibniz memos.
 
     Z: coefficient cycles times (1 or a U-maximal y class).
     U: beta(r) eta[a,U] + (-1)^{deg r} r y[a,U] for coefficient preimages r
     and U-maximal eta; the sign is the one forced by the Leibniz rule (it
-    agrees with the stated one at p = 2).  ker_beta_basis checks that every
-    element is a beta cycle.
+    agrees with the stated one at p = 2).  y[a,U] is _steenrod_beta(eta[a,U])
+    and ((-1)^|r|, beta(r)) is _coeff_beta(r); c, r and the terms of beta(r)
+    are nonzero and stand before the Steenrod part, so no coefficient
+    relation or Koszul sign arises.
     """
+    if h.ambient != "mz":
+        raise ValueError("y classes live in the mz form")
     split = scheme_kernel_data(h.scheme)
     p = h.p
-    out = []
     d, w = bd
-    for c in split(bd)[0]:
-        out.append(term_element(p, 1, c))
+    out = [Element(p, {(c, STEENROD_ONE): 1}) for c in split(bd)[0]]
     # every xi/tau generator costs at least 1 in d - w, and the coefficient
     # remainders below cost at least -1, so budget d - w + 1 is exhaustive
     if d - w + 1 >= 0:
@@ -341,36 +344,28 @@ def constructive_kernel(bd, h):
             zs, rs = split(Bidegree(d - eb.d + 1, w - eb.w))
             if not zs and not rs:
                 continue
-            betas = []  # (r, (-1)^{deg r}, beta(r)), once per remainder
-            for r in rs:
-                sign, terms = _coeff_beta(r, h)
-                betas.append((r, sign, Element(p, {(nc, STEENROD_ONE): s for nc, s in terms})))
+            betas = [(r, *_coeff_beta(r, h)) for r in rs]
             for idx in idxs:
+                m = SteenrodMonomial(*idx)
+                ys = _steenrod_beta(m, h)
                 for c in zs:
-                    out.append(coeff_scale(c, y(idx, h), h))
+                    out.append(Element(p, {(c, mono): s for mono, s in ys}))
                 for r, sign, beta_r in betas:
-                    el = mul(beta_r, eta(idx, h), h) + coeff_scale(
-                        r, y(idx, h), h
-                    ).scaled(sign)
-                    out.append(el)
+                    terms = {(nc, m): s for nc, s in beta_r}
+                    terms.update(((r, mono), sign * s % p) for mono, s in ys)
+                    out.append(Element(p, terms))
     return out
 
 
-def ker_beta_basis(bd, h):
-    """Generic and constructive kernel bases of one bidegree; asserts agreement.
-
-    The constructive elements are first checked to be beta cycles, by one
-    product of each of their vectors with the beta matrix the generic
-    kernel is taken from.  Agreement then means: same count, the
-    constructive vectors are independent, and stacking them onto the
-    generic kernel does not grow the rank.
-    """
-    basis_list = bidegree_basis(bd, h)
-    M = beta_matrix(bd, h)
-    generic = kernel_basis(M)
-    construct = constructive_kernel(bd, h)
-    rows = {key: i for i, key in enumerate(basis_list)}
-    vecs = [element_vector(el, rows) for el in construct]
+def _cycles(M, vecs):
+    """Whether M kills every sparse vector in vecs.  At p = 2 a column is
+    packed into an integer, one bit per row, and its vector's columns XOR to 0."""
+    p = M.p
+    if p == 2:
+        cols = [0] * M.ncols
+        for r, c in M.entries:
+            cols[c] |= 1 << r
+        return not any(reduce(xor, map(cols.__getitem__, vec), 0) for vec in vecs)
     cols = [[] for _ in range(M.ncols)]
     for (r, c), v in M.entries.items():
         cols[c].append((r, v))
@@ -378,15 +373,31 @@ def ker_beta_basis(bd, h):
         img = {}
         for c, s in vec.items():
             for r, v in cols[c]:
-                img[r] = (img.get(r, 0) + s * v) % h.p
+                img[r] = (img.get(r, 0) + s * v) % p
         if any(img.values()):
-            raise AssertionError("constructive kernel element is not a beta cycle")
+            return False
+    return True
+
+
+def ker_beta_basis(bd, h):
+    """Generic and constructive kernel bases of one bidegree; asserts agreement.
+
+    Three checks decide agreement.  The matrix M the generic kernel is taken
+    from kills each constructive vector, so they span a subspace of ker M;
+    they are independent; and there are as many as the generic kernel has
+    vectors, nullity(M).  Independent vectors of ker M as many as its
+    dimension span it, so the two bases span the same space.
+    """
+    basis_list = bidegree_basis(bd, h)
+    M = beta_matrix(bd, h)
+    generic = kernel_basis(M)
+    construct = constructive_kernel(bd, h)
+    rows = {key: i for i, key in enumerate(basis_list)}
+    vecs = [element_vector(el, rows) for el in construct]
+    if not _cycles(M, vecs):
+        raise AssertionError("constructive kernel element is not a beta cycle")
     n = len(generic.vectors)
-    if (
-        len(vecs) != n
-        or rank_of_columns(h.p, vecs) != n
-        or rank_of_columns(h.p, generic.vectors + vecs) != n
-    ):
+    if len(vecs) != n or rank_of_columns(h.p, vecs) != len(vecs):
         raise AssertionError(
             f"constructive kernel disagrees with the generic kernel at {bd}: "
             f"{len(vecs)} constructive vs {n} generic"

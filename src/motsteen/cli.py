@@ -67,7 +67,13 @@ class Config:
         self.w_fn = None
         if w_table_path:
             with open(w_table_path, encoding="utf-8") as fh:
-                table = {int(k): int(v) for k, v in json.load(fh).items()}
+                raw = json.load(fh)
+            # bool is an int subclass, and int() would truncate a float
+            if not isinstance(raw, dict) or not all(
+                k.removeprefix("-").isdecimal() and type(v) is int for k, v in raw.items()
+            ):
+                raise ConfigError('the w table must be a JSON object {"k": w(k)} of integers')
+            table = {int(k): v for k, v in raw.items()}
             for k, v in table.items():
                 if v < 1 or v & (v - 1):
                     raise ConfigError(f"w({k}) = {v} is not a positive power of two")

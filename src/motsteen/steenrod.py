@@ -160,11 +160,12 @@ def steenrod_monomials_by_degree(p, dmax, min_tau):
     return sorted(m for bd, monos in buckets.items() if bd.d <= dmax for m in monos)
 
 
+@cache
 def coeff_monomials(bd, scheme):
-    """All coefficient monomials of exactly the given bidegree."""
+    """All coefficient monomials of exactly the given bidegree, as a sorted tuple."""
     d, w = bd
     if d > 0 or w > d:
-        return []
+        return ()
     neg = -d  # rho_exp + eps_exp
     out = []
     eps_max = neg if "eps" in scheme.gens else 0
@@ -187,7 +188,7 @@ def coeff_monomials(bd, scheme):
             if not _coeff_zero(c, scheme):
                 out.append(c)
     out.sort(key=tuple)
-    return out
+    return tuple(out)
 
 
 @cache

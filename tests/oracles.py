@@ -5,7 +5,8 @@ path each: two enumeration recursions (one bounded on d - w, one on d), a
 per-bidegree re-scan of every monomial for bases and populated bidegrees,
 a dimension report that rebuilds the Bockstein matrix of the augmentation
 ideal and of the coefficient ring beside the full one, a Bockstein
-that builds raw terms and sends them through normalize, and the generic
+that builds raw terms and sends them through normalize, the Z u U kernel
+basis multiplied out element by element, and the generic
 column-major elimination over F_p that once served every prime.  Below them
 are the product that sends every pair of terms through the rewrite
 worklist, the conjugation that rebuilds each monomial from its
@@ -15,6 +16,7 @@ on their own bases, so test_oracles.py can hold the single-path code to
 them on small windows.
 """
 
+from motsteen import bockstein
 from motsteen.bockstein import y
 from motsteen.elements import (
     COEFF_ONE,
@@ -32,7 +34,7 @@ from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.linalg import FpMatrix
 from motsteen.schemes import COEFF_ORDER, SchemeError
 from motsteen.relations import ConventionError, product_formula_terms
-from motsteen.steenrod import coeff_monomials, index_of
+from motsteen.steenrod import coeff_monomials, eta, index_of
 
 
 def _rref(M):
@@ -322,6 +324,34 @@ def beta_report(bidegrees, h):
             }
         )
     return report
+
+
+def constructive_kernel(bd, h):
+    """The Z u U kernel basis of one bidegree, each element multiplied out.
+
+    Z: c, and c y[a,U], for coefficient cycles c.  U: beta(r) eta[a,U] +
+    (-1)^|r| r y[a,U] for coefficient preimages r.  The split into cycles
+    and preimages and the U-maximal indices are the library's, so the
+    elements come in its order; y, beta(r) and every product go through
+    normalize.
+    """
+    split = bockstein.scheme_kernel_data(h.scheme)
+    p = h.p
+    d, w = bd
+    out = [term_element(p, 1, c) for c in split(bd)[0]]
+    if d - w + 1 >= 0:
+        for eb, idxs in bockstein.u_maximal_by_degree(p, d - w + 1).items():
+            zs, rs = split(Bidegree(d - eb.d + 1, w - eb.w))
+            for idx in idxs:
+                y_idx = beta(eta(idx, h), h)
+                for c in zs:
+                    out.append(mul(term_element(p, 1, c), y_idx, h))
+                for r in rs:
+                    sign = -1 if coeff_degree(r, h.scheme).d & 1 else 1
+                    beta_r = beta(term_element(p, 1, r), h)
+                    out.append(mul(beta_r, eta(idx, h), h)
+                               + mul(term_element(p, sign, r), y_idx, h))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,29 @@ def test_ker_beta_basis_rejects_a_non_cycle(monkeypatch, h, bd):
         ker_beta_basis(bd, h)
 
 
+@pytest.mark.parametrize("h,bd", [(HR, Bidegree(1, -2)), (HF3, Bidegree(15, -9))])
+@pytest.mark.parametrize("mutation", ["dependent", "short"])
+def test_ker_beta_basis_rejects_a_wrong_count_or_a_dependent_set(monkeypatch, h, bd, mutation):
+    """Cycles that are dependent, or one too few, fail the agreement check.
+
+    The dependent set has the right count, so only the independence check
+    catches it; the short set is independent, so only the count catches it.
+    p = 2 runs the packed cycle check, p = 3 the dict one.
+    """
+    import motsteen.bockstein as bockstein
+
+    real = bockstein.constructive_kernel
+    assert len(real(bd, h)) >= 2
+
+    def mutated(b, g):
+        els = real(b, g)
+        return [els[0]] + els[:-1] if mutation == "dependent" else els[1:]
+
+    monkeypatch.setattr(bockstein, "constructive_kernel", mutated)
+    with pytest.raises(AssertionError, match="disagrees"):
+        ker_beta_basis(bd, h)
+
+
 @pytest.mark.parametrize(
     "h", ALL_MZ, ids=lambda h: f"{h.scheme.id}-p{h.p}" + (f"-q{h.scheme.q}" if h.scheme.q else "")
 )

@@ -368,3 +368,16 @@ def test_present_w_table_override(tmp_path):
         ["present", "--prime", "2", "--scheme", "zhalf", "--w-table", str(bad)]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("table", ["[1, 2]", '{"2": 0.5}', '{"2": 4.7}', '{"2": true}'])
+def test_present_refuses_a_malformed_w_table(tmp_path, capsys, table):
+    # a list used to end in a traceback, and int() read 4.7 as w(2) = 4
+    path = tmp_path / "w.json"
+    path.write_text(table)
+    code = cli.main(["present", "--prime", "2", "--scheme", "zhalf", "--bound", "1",
+                     "--w-table", str(path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("motsteen: error: ")

@@ -40,7 +40,8 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 def _clear():
     for memo in (bidegree_basis, populated_bidegrees, chi_generator, y,
                  u_maximal_by_degree, bockstein._steenrod_beta, bockstein._coeff_beta,
-                 elements._tau_rewrite, elements._merge_xi, elements._join_taus):
+                 steenrod.coeff_monomials, elements._tau_rewrite, elements._merge_xi,
+                 elements._join_taus):
         memo.cache_clear()
     steenrod._chi_mono_cache.clear()
 

@@ -18,6 +18,7 @@ from motsteen.bockstein import (
     beta_report,
     block,
     block_complex,
+    constructive_kernel,
     free_bbeta_generators,
     u_maximal_by_degree,
 )
@@ -204,6 +205,17 @@ def test_kernel_basis_matches_oracle(h):
         for (r, c), v in M.entries.items():
             cols[c][r] = v
         assert rank_of_columns(h.p, cols) == want
+
+
+@pytest.mark.parametrize(
+    "h,window", [(h, (10, 7)) for h in ALL_MZ] + [(algebra("real-p2", 2), (16, 8))],
+    ids=lambda v: handle_id(v) if hasattr(v, "scheme") else "{}-{}".format(*v),
+)
+def test_constructive_kernel_matches_oracle(h, window):
+    # the same Elements in the same order on every populated bidegree: the
+    # library reads them off the Leibniz memos, the oracle multiplies them out
+    for bd in populated_bidegrees(h, *window):
+        assert constructive_kernel(bd, h) == oracles.constructive_kernel(bd, h)
 
 
 @pytest.mark.parametrize(
