@@ -56,7 +56,8 @@ from .elements import (
 from .linalg import FpBasis, FpMatrix, kernel_basis, rank, rank_of_columns
 from .schemes import COEFF_ORDER
 from .steenrod import (
-    basis_index, bidegree_basis, eta, index_of, monomial_index, u_maximal,
+    basis_index, bidegree_basis, coeff_monomials, eta, index_of, monomial_index,
+    u_maximal,
 )
 
 
@@ -241,34 +242,17 @@ def element_vector(x, rows):
         raise ValueError("element does not lie in the given bidegree basis") from None
 
 
-# --- constructive kernel data per scheme ---------------------------------
+def coeff_split(bd, h):
+    """The coefficient monomials of degree bd, split into (Z, R).
 
-
-def scheme_kernel_data(scheme):
-    """The split of a bidegree's coefficient monomials into (Z_H, R_H).
-
-    Z_H spans ker(beta) on the coefficient ring; R_H is mapped bijectively
-    onto a basis of the image.  Returns a function of a bidegree that lists
-    the coefficient monomials of that degree once and splits them.
+    Z spans ker(beta) on the coefficient ring and R maps bijectively onto a
+    basis of the image: c is in R exactly when beta(c) != 0, read off the
+    _coeff_beta memo.
     """
-    from .steenrod import coeff_monomials
-
-    beta_table = scheme.coeff_bockstein
-    if not beta_table:
-        return lambda bd: (coeff_monomials(bd, scheme), [])
-    if set(beta_table) != {"tau"}:
-        raise ValueError(f"no kernel data for scheme {scheme.id}")
-    p = scheme.p
-
-    # beta(tau^k x) = k tau^(k-1) beta(tau) x with beta(tau) = rho or eps:
-    # eps multiples and p | k are cycles, the rest meet the image bijectively
-    def split(bd):
-        zs, rs = [], []
-        for c in coeff_monomials(bd, scheme):
-            (zs if c.eps or c.tau % p == 0 else rs).append(c)
-        return zs, rs
-
-    return split
+    zs, rs = [], []
+    for c in coeff_monomials(bd, h.scheme):
+        (rs if _coeff_beta(c, h)[1] else zs).append(c)
+    return zs, rs
 
 
 @cache
@@ -332,16 +316,15 @@ def constructive_kernel(bd, h):
     """
     if h.ambient != "mz":
         raise ValueError("y classes live in the mz form")
-    split = scheme_kernel_data(h.scheme)
     p = h.p
     d, w = bd
-    out = [Element(p, {(c, STEENROD_ONE): 1}) for c in split(bd)[0]]
+    out = [Element(p, {(c, STEENROD_ONE): 1}) for c in coeff_split(bd, h)[0]]
     # every xi/tau generator costs at least 1 in d - w, and the coefficient
     # remainders below cost at least -1, so budget d - w + 1 is exhaustive
     if d - w + 1 >= 0:
         for eb, idxs in u_maximal_by_degree(p, d - w + 1).items():
             # |beta r| + |eta| = bd forces the same remainder for Z and R
-            zs, rs = split(Bidegree(d - eb.d + 1, w - eb.w))
+            zs, rs = coeff_split(Bidegree(d - eb.d + 1, w - eb.w), h)
             if not zs and not rs:
                 continue
             betas = [(r, *_coeff_beta(r, h)) for r in rs]

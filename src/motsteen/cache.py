@@ -1,10 +1,14 @@
-"""Result cache: one JSON file per entry, named by a stable key hash.
+"""Disk cache of the dims table: one JSON file per configuration.
 
-Entries are versioned with the package version and a digest of the
-package's own sources, so an entry written by other code is recomputed; a
-version mismatch, or a file that is not an entry, reads as a miss.  Writers
-publish via create-then-rename in the cache directory, so concurrent
-processes never see a partial file.
+The file of one (p, scheme, q) maps "d,w" to the four numbers of
+split_ranks at that bidegree.  It is tagged with the package version and a
+digest of the package's own sources, so a file written by other code reads
+as empty, and so does a file that is not a table; reading never raises.  An
+entry is served only if it fits the basis built now; any other entry is
+recomputed and overwritten.  The file is read once, and written once, by
+create-then-rename, only when the run computed an entry: concurrent runs
+never see a partial file, the last writer wins, and the next run recomputes
+any entry it lost.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
+from .bockstein import beta_matrix, split_ranks
+from .steenrod import bidegree_basis
 
 
 def _source_digest():
@@ -29,39 +35,64 @@ def _source_digest():
 CACHE_VERSION = f"1+{__version__}+{_source_digest()}"
 
 
-def cache_key(parts):
-    """Stable hash of a key mapping (sorted-key JSON, sha256)."""
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
+def _read(path):
+    """The entries of the table file at path; {} for anything else."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError):  # json recurses on deep nesting
+        return {}
+    if not isinstance(doc, dict) or doc.get("version") != CACHE_VERSION:
+        return {}
+    entries = doc.get("entries")
+    return entries if isinstance(entries, dict) else {}
 
 
-class ResultCache:
-    def __init__(self, directory):
-        self.directory = directory
+class RanksTable:
+    """The split_ranks of one algebra handle, kept in one file of the cache directory."""
+
+    def __init__(self, directory, h):
+        s = h.scheme
+        name = f"dims-{s.p}-{s.id}" + ("" if s.q is None else f"-{s.q}")
+        self.path, self.h = os.path.join(directory, name + ".json"), h
+        self.entries = _read(self.path)
+        self.computed = False
+
+    def ranks(self, bd):
+        """split_ranks at bd, from the file when its entry fits the basis.
+
+        An entry fits as four ints whose two dims are those of the bd basis
+        built now and whose two ranks lie inside them.
+        """
+        key = f"{bd.d},{bd.w}"
+        entry = self.entries.get(key)
+        basis = bidegree_basis(bd, self.h)
+        dim, coeff_dim = len(basis), sum(m.is_one() for _, m in basis)
+        if (
+            type(entry) is list and len(entry) == 4
+            and all(type(v) is int for v in entry)
+            and entry[:2] == [dim, coeff_dim]
+            and 0 <= entry[2] <= coeff_dim and 0 <= entry[3] <= dim - coeff_dim
+        ):
+            return tuple(entry)
+        ranks = split_ranks(bd, beta_matrix(bd, self.h), self.h)
+        self.entries[key] = list(ranks)
+        self.computed = True
+        return ranks
+
+    def save(self):
+        """Publish the table by create-then-rename, if this run computed an entry."""
+        if not self.computed:
+            return
+        doc = {"version": CACHE_VERSION, "entries": self.entries}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        directory = os.path.dirname(self.path)
         os.makedirs(directory, exist_ok=True)
-
-    def _path(self, key_parts):
-        return os.path.join(self.directory, cache_key(key_parts) + ".json")
-
-    def load(self, key_parts):
-        path = self._path(key_parts)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-            return None
-        return entry.get("payload") if entry.get("key") == key_parts else None
-
-    def store(self, key_parts, payload):
-        entry = {"version": CACHE_VERSION, "key": key_parts, "payload": payload}
-        blob = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(blob)
-            os.replace(tmp, self._path(key_parts))
+            os.replace(tmp, self.path)
         except BaseException:
             try:
                 os.unlink(tmp)

@@ -1,18 +1,21 @@
 """Command line front end.
 
-    motsteen dims    --prime P --scheme S [--q Q] --dmax D --wmax W
-    motsteen verify SUITE --prime P --scheme S [--q Q] --dmax D --wmax W [--strict]
-    motsteen present --prime P --scheme S [--q Q] [--bound N]
+    motsteen dims    --prime P --scheme S [--q Q] [--dmax D] [--wmax W]
+                     [--format F] [--cache DIR]
+    motsteen verify SUITE --prime P --scheme S [--q Q] [--dmax D] [--wmax W]
+                     [--format F] [--w-table FILE] [--strict]
+    motsteen present --prime P --scheme S [--q Q] [--bound N] [--precision N]
+                     [--w-table FILE]
 
-Common flags: [--cache DIR] [--format json|tsv|pretty] [--precision N]
-[--w-table FILE].  The environment variable MOTSTEEN_CACHE overrides the
-cache directory.  Only dims reads the cache: per bidegree it keeps the four
-numbers of split_ranks that the row is read from, never the beta matrix,
-and an entry that does not fit the basis built now is recomputed and
-overwritten.  Verification suites exit 0 when every check passes or only
-the documented index discrepancies surface (reported as WARN); --strict
-turns WARN into failure.  All outputs are deterministic under a fixed
-configuration, and warm-cache runs are byte-identical to cold runs.
+Each command takes only the flags it reads; F is json, tsv or pretty, and
+present always prints JSON.  Only dims reads the cache: one file per
+configuration keeps, per bidegree, the four numbers of split_ranks that the
+row is read from (see motsteen.cache).  The environment variable
+MOTSTEEN_CACHE overrides the cache directory.  Verification suites exit 0
+when every check passes or only the documented index discrepancies surface
+(reported as WARN); --strict turns WARN into failure.  All outputs are
+deterministic under a fixed configuration, and warm-cache runs are
+byte-identical to cold runs.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import sys
 from .grading import BETA_SHIFT, tau_degree, xi_degree
 from .elements import algebra, mono_degree
 from .schemes import SchemeError, make_scheme
-from .steenrod import bidegree_basis, populated_bidegrees
-from .bockstein import beta_matrix, beta_report, split_ranks
+from .steenrod import populated_bidegrees
+from .bockstein import beta_report
 from .verify import SUITES, run_suite
 
 SCHEME_ALIASES = {
@@ -89,43 +92,16 @@ class Config:
         return algebra(self.scheme, self.p, self.q)
 
     def cache(self):
-        """The result cache of the configured directory, or None without one."""
+        """The dims table of the configured cache directory, or None without one."""
         directory = os.environ.get("MOTSTEEN_CACHE") or self.cache_dir
         if not directory:
             return None
-        from .cache import ResultCache
+        from .cache import RanksTable
 
-        return ResultCache(directory)
+        return RanksTable(directory, self.handle())
 
     def key_base(self):
         return {"p": self.p, "scheme": self.scheme, "q": self.q}
-
-
-# ---------------------------------------------------------------------------
-# Cached per-bidegree artifacts
-
-
-def cached_split_ranks(bd, h, config, cache):
-    """split_ranks at bd, from the cache when its entry fits the basis.
-
-    An entry is served only as a list of four ints whose two dims are those
-    of the bd basis built now and whose two ranks fit in them.  Anything
-    else is recomputed and overwritten.
-    """
-    key = {**config.key_base(), "kind": "split-ranks", "bidegree": [bd.d, bd.w]}
-    entry = cache.load(key)
-    basis = bidegree_basis(bd, h)
-    dim, coeff_dim = len(basis), sum(m.is_one() for _, m in basis)
-    if (
-        type(entry) is list and len(entry) == 4
-        and all(type(v) is int for v in entry)
-        and entry[:2] == [dim, coeff_dim]
-        and 0 <= entry[2] <= coeff_dim and 0 <= entry[3] <= dim - coeff_dim
-    ):
-        return tuple(entry)
-    ranks = split_ranks(bd, beta_matrix(bd, h), h)
-    cache.store(key, list(ranks))
-    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +111,13 @@ def cached_split_ranks(bd, h, config, cache):
 def cmd_dims(config):
     """Per-bidegree table of dim, rank, kernel, image, and homology."""
     h = config.handle()
-    cache = config.cache()
-    ranks = None if cache is None else (
-        lambda bd: cached_split_ranks(bd, h, config, cache)
-    )
-    return beta_report(populated_bidegrees(h, config.dmax, config.wmax), h, ranks)
+    table = config.cache()
+    bidegrees = populated_bidegrees(h, config.dmax, config.wmax)
+    if table is None:
+        return beta_report(bidegrees, h)
+    rows = beta_report(bidegrees, h, table.ranks)
+    table.save()
+    return rows
 
 
 def format_dims(rows, config):
@@ -320,6 +298,23 @@ def _integral_relation_text(scheme_id):
 # ---------------------------------------------------------------------------
 
 
+# Every flag, with the Config parameter it sets as its dest.  A flag left
+# out of the command line sets nothing, so Config's own default applies.
+FLAGS = {
+    "--prime": dict(dest="p", type=int, required=True, metavar="P"),
+    "--scheme": dict(required=True, choices=sorted(SCHEME_ALIASES)),
+    "--q": dict(type=int),
+    "--dmax": dict(type=int, metavar="D"),
+    "--wmax": dict(type=int, metavar="W"),
+    "--format": dict(dest="fmt", choices=("json", "tsv", "pretty")),
+    "--cache": dict(dest="cache_dir", metavar="DIR"),
+    "--w-table": dict(dest="w_table_path", metavar="FILE"),
+    "--strict": dict(action="store_true"),
+    "--precision": dict(type=int, metavar="N"),
+}
+COMMON = ("--prime", "--scheme", "--q")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="motsteen",
@@ -327,46 +322,31 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--prime", type=int, required=True, metavar="P")
-        sp.add_argument(
-            "--scheme", required=True, choices=sorted(SCHEME_ALIASES),
-        )
-        sp.add_argument("--q", type=int, default=None)
-        sp.add_argument("--dmax", type=int, default=12, metavar="D")
-        sp.add_argument("--wmax", type=int, default=12, metavar="W")
-        sp.add_argument("--precision", type=int, default=16, metavar="N")
-        sp.add_argument("--w-table", default=None, metavar="FILE")
-        sp.add_argument("--cache", default=None, metavar="DIR")
-        sp.add_argument(
-            "--format", default="pretty", choices=("json", "tsv", "pretty"),
-        )
-        sp.add_argument("--strict", action="store_true")
+    def command(name, help, *flags):
+        sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for flag in COMMON + flags:
+            sp.add_argument(flag, **FLAGS[flag])
+        return sp
 
-    sp = sub.add_parser("dims", help="per-bidegree Bockstein dimension table")
-    common(sp)
-    sp = sub.add_parser("verify", help="run a verification suite")
+    command(
+        "dims", "per-bidegree Bockstein dimension table",
+        "--dmax", "--wmax", "--format", "--cache",
+    )
+    sp = command(
+        "verify", "run a verification suite",
+        "--dmax", "--wmax", "--format", "--w-table", "--strict",
+    )
     sp.add_argument("suite", choices=SUITES)
-    common(sp)
-    sp = sub.add_parser("present", help="emit generator/relation presentations")
-    common(sp)
+    sp = command(
+        "present", "emit generator/relation presentations", "--precision", "--w-table",
+    )
     sp.add_argument("--bound", type=int, default=2, metavar="N")
     return parser
 
 
 def config_from_args(args):
-    return Config(
-        p=args.prime,
-        scheme=SCHEME_ALIASES[args.scheme],
-        q=args.q,
-        dmax=args.dmax,
-        wmax=args.wmax,
-        precision=args.precision,
-        w_table_path=args.w_table,
-        cache_dir=args.cache,
-        fmt=args.format,
-        strict=args.strict,
-    )
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "suite", "bound")}
+    return Config(**{**given, "scheme": SCHEME_ALIASES[args.scheme]})
 
 
 def main(argv=None):

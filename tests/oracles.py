@@ -326,22 +326,40 @@ def beta_report(bidegrees, h):
     return report
 
 
+def coeff_split(bd, scheme):
+    """The coefficient monomials of degree bd, split into cycles Z and preimages R.
+
+    The hand rule: beta(tau^k x) = k tau^(k-1) beta(tau) x with beta(tau) =
+    rho or eps, so eps multiples and p | k are cycles and the rest meet the
+    image bijectively; with no coefficient Bockstein everything is a cycle.
+    """
+    beta_table = scheme.coeff_bockstein
+    cs = coeff_monomials(bd, scheme)
+    if not beta_table:
+        return list(cs), []
+    if set(beta_table) != {"tau"}:
+        raise ValueError(f"no kernel data for scheme {scheme.id}")
+    zs, rs = [], []
+    for c in cs:
+        (zs if c.eps or c.tau % scheme.p == 0 else rs).append(c)
+    return zs, rs
+
+
 def constructive_kernel(bd, h):
     """The Z u U kernel basis of one bidegree, each element multiplied out.
 
     Z: c, and c y[a,U], for coefficient cycles c.  U: beta(r) eta[a,U] +
-    (-1)^|r| r y[a,U] for coefficient preimages r.  The split into cycles
-    and preimages and the U-maximal indices are the library's, so the
-    elements come in its order; y, beta(r) and every product go through
-    normalize.
+    (-1)^|r| r y[a,U] for coefficient preimages r.  The cycles and
+    preimages come from the hand rule of coeff_split and the U-maximal
+    indices are the library's, so the elements come in its order; y,
+    beta(r) and every product go through normalize.
     """
-    split = bockstein.scheme_kernel_data(h.scheme)
     p = h.p
     d, w = bd
-    out = [term_element(p, 1, c) for c in split(bd)[0]]
+    out = [term_element(p, 1, c) for c in coeff_split(bd, h.scheme)[0]]
     if d - w + 1 >= 0:
         for eb, idxs in bockstein.u_maximal_by_degree(p, d - w + 1).items():
-            zs, rs = split(Bidegree(d - eb.d + 1, w - eb.w))
+            zs, rs = coeff_split(Bidegree(d - eb.d + 1, w - eb.w), h.scheme)
             for idx in idxs:
                 y_idx = beta(eta(idx, h), h)
                 for c in zs:

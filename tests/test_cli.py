@@ -71,7 +71,7 @@ def test_dims_deterministic_and_cache_byte_identical(tmp_path):
             "--wmax", "5", "--format", "json", "--cache", str(tmp_path / "c")]
     code1, cold = run_cli(args)
     assert code1 == 0
-    assert any((tmp_path / "c").iterdir())
+    assert len(list((tmp_path / "c").iterdir())) == 1
     code2, warm = run_cli(args)
     assert code2 == 0
     assert warm == cold
@@ -84,42 +84,65 @@ def test_cache_env_override(tmp_path):
     env_dir = tmp_path / "envcache"
     args = ["dims", "--prime", "2", "--scheme", "algclosed", "--dmax", "3",
             "--wmax", "3"]
-    code, _ = run_cli(args, env={"MOTSTEEN_CACHE": str(env_dir)})
+    code, _ = run_cli(args + ["--cache", str(tmp_path / "flag")],
+                      env={"MOTSTEEN_CACHE": str(env_dir)})
     assert code == 0
-    assert any(env_dir.iterdir())
+    assert len(list(env_dir.iterdir())) == 1
+    assert not (tmp_path / "flag").exists()
 
 
-def test_cache_version_mismatch_recomputes(tmp_path):
-    from motsteen.cache import ResultCache
+WINDOW = dict(p=2, scheme="real-p2", dmax=6, wmax=5)
 
-    c = ResultCache(str(tmp_path))
-    key = {"kind": "basis", "p": 2}
-    c.store(key, [1, 2, 3])
-    # corrupt the version tag on disk
-    path = c._path(key)
-    doc = json.loads(open(path).read())
+
+def cached_dims(directory, **window):
+    """cmd_dims of a real-p2 window with the cache in directory, and its one file."""
+    rows = cli.cmd_dims(cli.Config(**{**WINDOW, **window}, cache_dir=str(directory)))
+    (path,) = directory.iterdir()
+    return rows, path
+
+
+def count_beta_matrix(monkeypatch):
+    """A list that grows by one per beta_matrix call the cache makes."""
+    from motsteen import cache
+
+    calls = []
+    real = cache.beta_matrix
+
+    def counted(bd, h):
+        calls.append(bd)
+        return real(bd, h)
+
+    monkeypatch.setattr(cache, "beta_matrix", counted)
+    return calls
+
+
+def test_cache_version_mismatch_recomputes(tmp_path, monkeypatch):
+    from motsteen.cache import CACHE_VERSION
+
+    want, path = cached_dims(tmp_path)
+    doc = json.loads(path.read_text())
     doc["version"] = "0"
-    open(path, "w").write(json.dumps(doc))
-    assert c.load(key) is None
-    c.store(key, [4])  # a fresh store replaces the stale entry
-    assert c.load(key) == [4]
+    path.write_text(json.dumps(doc))
+    calls = count_beta_matrix(monkeypatch)
+    assert cached_dims(tmp_path)[0] == want
+    assert calls  # the stale file was not served
+    assert json.loads(path.read_text()) == {**doc, "version": CACHE_VERSION}
 
 
 def test_cache_recomputes_a_wrongly_shaped_matrix(tmp_path):
     from motsteen import __version__
-    from motsteen.cache import CACHE_VERSION, ResultCache
-    from motsteen.grading import Bidegree
-    from motsteen.steenrod import bidegree_basis
+    from motsteen.cache import CACHE_VERSION
 
-    config = cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5, cache_dir=str(tmp_path))
-    want = cli.cmd_dims(cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5))
+    want = cli.cmd_dims(cli.Config(**WINDOW))
+    rows, path = cached_dims(tmp_path)  # fills the cache
+    assert rows == want
     d, w = max(want, key=lambda row: row["rank"])["bidegree"]
-    key = {**config.key_base(), "kind": "split-ranks", "bidegree": [d, w]}
-    cache = ResultCache(str(tmp_path))
-    cache.store(key, [1, 1, 0, 0])  # the ranks of a 1-dimensional bidegree
-    assert cli.cmd_dims(config) == want
-    dim = len(bidegree_basis(Bidegree(d, w), config.handle()))
-    assert cache.load(key)[0] == dim  # the entry was overwritten
+    doc = json.loads(path.read_text())
+    good = doc["entries"][f"{d},{w}"]
+    doc["entries"][f"{d},{w}"] = [1, 1, 0, 0]  # the ranks of a 1-dimensional bidegree
+    path.write_text(json.dumps(doc))
+    assert cached_dims(tmp_path)[0] == want
+    assert json.loads(path.read_text())["entries"][f"{d},{w}"] == good  # overwritten
     assert __version__ in CACHE_VERSION
 
 
@@ -136,32 +159,62 @@ BAD_ENTRIES = {
 
 @pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
 def test_cache_recomputes_every_entry_that_does_not_fit(tmp_path, bad):
-    from motsteen.cache import ResultCache
-
-    plain = cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5)
-    config = cli.Config(p=2, scheme="real-p2", dmax=6, wmax=5, cache_dir=str(tmp_path))
-    want = cli.cmd_dims(plain)
-    assert cli.cmd_dims(config) == want  # fills the cache
-    cache = ResultCache(str(tmp_path))
-    good = {}
-    for path in tmp_path.iterdir():
-        entry = json.loads(path.read_text())
-        good[path.name] = entry["payload"]
-        cache.store(entry["key"], BAD_ENTRIES[bad](entry["payload"]))
-    assert cli.cmd_dims(config) == want
-    for path in tmp_path.iterdir():  # every entry was overwritten
-        assert json.loads(path.read_text())["payload"] == good[path.name]
+    want = cli.cmd_dims(cli.Config(**WINDOW))
+    rows, path = cached_dims(tmp_path)  # fills the cache
+    assert rows == want
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps({
+        **good, "entries": {k: BAD_ENTRIES[bad](e) for k, e in good["entries"].items()},
+    }))
+    assert cached_dims(tmp_path)[0] == want
+    assert json.loads(path.read_text()) == good  # every entry was overwritten
 
 
 def test_cache_file_that_is_not_an_entry_is_a_miss(tmp_path):
-    from motsteen.cache import ResultCache
+    from motsteen.cache import CACHE_VERSION
 
-    cache = ResultCache(str(tmp_path))
-    key = {"kind": "probe"}
-    for text in ("[1, 2]", "7", "null"):
-        with open(cache._path(key), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        assert cache.load(key) is None
+    want, path = cached_dims(tmp_path)
+    good = path.read_text()
+    for text in ("[1, 2]", "7", "null", "{}", "{", "\udcff", "[" * 100_000,
+                 json.dumps({"version": CACHE_VERSION}),
+                 json.dumps({"version": CACHE_VERSION, "entries": [[1, 1, 0, 0]]})):
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        assert cached_dims(tmp_path)[0] == want
+        assert path.read_text() == good
+
+
+def test_cache_two_windows_of_one_configuration_share_one_file(tmp_path, monkeypatch):
+    small = cli.cmd_dims(cli.Config(**{**WINDOW, "dmax": 4, "wmax": 3}))
+    want, path = cached_dims(tmp_path)
+    calls = count_beta_matrix(monkeypatch)
+    assert cached_dims(tmp_path, dmax=4, wmax=3) == (small, path)
+    assert calls == []  # the smaller window is served from the larger one's file
+
+
+def test_cache_fully_warm_run_calls_no_beta_matrix(tmp_path, monkeypatch):
+    from motsteen import bockstein
+
+    want, path = cached_dims(tmp_path)
+    stamp = path.stat().st_mtime_ns
+    calls = count_beta_matrix(monkeypatch)
+    monkeypatch.setattr(bockstein, "beta_matrix", None)  # beta_report's default path
+    assert cached_dims(tmp_path)[0] == want
+    assert calls == []
+    assert path.stat().st_mtime_ns == stamp  # and nothing computed, nothing written
+
+
+def test_cache_ignores_an_old_per_bidegree_file(tmp_path):
+    # the layout before one file per configuration: one entry per bidegree,
+    # named by a hash of its key
+    old = tmp_path / ("0" * 32 + ".json")
+    old.write_text(json.dumps({"version": "1", "payload": [1, 1, 0, 0], "key": {
+        "p": 2, "scheme": "real-p2", "q": None, "kind": "split-ranks", "bidegree": [0, 0],
+    }}))
+    want = cli.cmd_dims(cli.Config(**WINDOW))
+    rows = cli.cmd_dims(cli.Config(**WINDOW, cache_dir=str(tmp_path)))
+    assert rows == want
+    assert len(list(tmp_path.iterdir())) == 2
+    assert json.loads(old.read_text())["payload"] == [1, 1, 0, 0]
 
 
 def test_cache_entry_is_not_served_after_a_source_change(tmp_path):
@@ -176,8 +229,9 @@ def test_cache_entry_is_not_served_after_a_source_change(tmp_path):
         ignore=shutil.ignore_patterns("__pycache__"),
     )
     prelude = (
-        "from motsteen.cache import ResultCache; "
-        f"cache = ResultCache({str(tmp_path / 'cache')!r}); "
+        "from motsteen import Bidegree, algebra; "
+        "from motsteen.cache import RanksTable; "
+        f"table = RanksTable({str(tmp_path / 'cache')!r}, algebra('algclosed', 2)); "
     )
 
     def run(code):
@@ -187,11 +241,11 @@ def test_cache_entry_is_not_served_after_a_source_change(tmp_path):
             capture_output=True, text=True, check=True,
         ).stdout.strip()
 
-    run("cache.store({'kind': 'probe'}, [1])")
-    assert run("print(cache.load({'kind': 'probe'}))") == "[1]"
+    run("table.ranks(Bidegree(0, 0)); table.save()")
+    assert run("print(table.entries)") == "{'0,0': [1, 1, 0, 0]}"
     with open(src / "motsteen" / "bockstein.py", "a", encoding="utf-8") as fh:
         fh.write("\n# a changed source\n")
-    assert run("print(cache.load({'kind': 'probe'}))") == "None"
+    assert run("print(table.entries)") == "{}"
 
 
 def test_verify_and_present_deterministic():
@@ -288,6 +342,27 @@ def test_verify_json_format():
     doc = json.loads(out)
     assert doc["schema"] == "motsteen.verify/1"
     assert doc["checks"][0]["status"] == "PASS"
+
+
+REFUSED_FLAGS = {
+    "dims": (["--precision", "8"], ["--strict"], ["--w-table", "w.json"]),
+    "verify": (["--precision", "8"], ["--cache", "c"]),
+    "present": (["--strict"], ["--format", "tsv"], ["--dmax", "4"], ["--wmax", "4"],
+                ["--cache", "c"]),
+}
+COMMANDS = {
+    "dims": ["dims"], "verify": ["verify", "beta2"], "present": ["present"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in REFUSED_FLAGS.items() for flag in flags
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_flag_the_command_does_not_read_is_refused(command, flag, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*COMMANDS[command], "--prime", "2", "--scheme", "algclosed", *flag])
+    assert exit_.value.code != 0
+    assert capsys.readouterr().out == ""
 
 
 def test_invalid_config_exits_nonzero(capsys):

@@ -18,6 +18,7 @@ from motsteen.bockstein import (
     beta_report,
     block,
     block_complex,
+    coeff_split,
     constructive_kernel,
     free_bbeta_generators,
     u_maximal_by_degree,
@@ -213,8 +214,11 @@ def test_kernel_basis_matches_oracle(h):
 )
 def test_constructive_kernel_matches_oracle(h, window):
     # the same Elements in the same order on every populated bidegree: the
-    # library reads them off the Leibniz memos, the oracle multiplies them out
+    # library reads them off the Leibniz memos and splits the coefficients by
+    # whether beta kills them, the oracle multiplies them out and splits by
+    # the hand rule; the two splits agree on every bidegree, in order
     for bd in populated_bidegrees(h, *window):
+        assert coeff_split(bd, h) == oracles.coeff_split(bd, h.scheme)
         assert constructive_kernel(bd, h) == oracles.constructive_kernel(bd, h)
 
 
