@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "grading": ("BETA_SHIFT", "Bidegree", "tau_degree", "xi_degree"),
-    "schemes": ("SCHEME_IDS", "SchemeError", "SchemePresentation", "make_scheme"),
+    "schemes": ("SchemeError", "SchemePresentation", "make_scheme"),
     "elements": (
         "AlgebraHandle", "CoeffMonomial", "Element", "SteenrodMonomial", "Term",
-        "algebra", "bidegree_of", "element_text", "mono_degree", "mul", "normalize",
-        "parse_element", "parse_term", "term_element", "term_text",
+        "algebra", "bidegree_of", "element_text", "mono_degree", "mul", "term_element",
+        "term_text",
     ),
     "linalg": ("FpBasis", "FpMatrix", "kernel_basis", "rank"),
     "steenrod": ("BasisIndex", "basis_index", "bidegree_basis", "conjugate", "eta"),
@@ -32,8 +32,7 @@ _EXPORTS = {
         "lift_generator", "pb_mul", "pb_torsion", "q_map",
     ),
     "relations": (
-        "FormalPoly", "algclosed_reduce", "formal_mul", "product_relation_sweep",
-        "verify_linear_relation", "verify_product_relation", "z12_relation_check",
+        "product_relation_sweep", "verify_linear_relation", "z12_relation_check",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,8 +6,8 @@ sign (-1)^d on passing a factor of topological degree d.  In the mz form the
 coefficient symbols additionally carry the scheme's coefficient Bockstein
 (e.g. beta(tau) = rho over the reals at p = 2); in the full algebra the
 coefficient symbols are Bockstein-free.  beta works on normalized terms as
-they stand: the image of one term is already normalized, so it never calls
-normalize.
+they stand: the image of one term is already normalized, so it needs no
+tau_j^2 rewrite.
 
 The coefficient-free model splits as a tensor product of two-term acyclic
 complexes: block slot i >= 0 holds xi_{i+1}-exponent-plus-tau_{i+1} mass m_i,
@@ -100,8 +100,8 @@ def beta(x, h):
     A normalized term (c, m) yields only (beta c, m) and (c, beta m) terms:
     no tau square, no two alike, each normalized as it stands.  So the
     scalars are summed mod p straight into the result and nothing goes
-    through normalize.  Terms are visited last to first, so the result
-    lists its terms in the order normalize would give them.
+    through the tau_j^2 rewrite.  Terms are visited last to first, so the
+    result lists its terms in the order that normalizing them would give.
     """
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")

@@ -15,14 +15,15 @@ shape:
   * the integral-target form ("mz"): tau indices >= 1, coefficient symbols
     carry the left unit and the scheme's coefficient Bockstein.
 
-Normalization applies, at p = 2,
+Elements hold normalized monomials only.  Where the tau sets of two factors
+meet, mul rewrites the product: at p = 2
 
     tau_j^2 -> xi_{j+1} tau [+ xi_{j+1} tau_0 rho] + tau_{j+1} rho
 
 (the tau_0 term only in the "a" form, rho given by the scheme, possibly 0)
-and tau_j^2 -> 0 at odd primes, then the scheme's coefficient relations, then
-collects like terms mod p.  The rewrite terminates: the bidegree is fixed and
-every replacement tau index is strictly larger.
+and tau_j^2 -> 0 at odd primes, then applies the scheme's coefficient
+relations and collects like terms mod p.  The rewrite terminates: the
+bidegree is fixed and every replacement tau index is strictly larger.
 
 Koszul signs use the topological degree only, so all tau_j are odd, all xi_j
 are even, and rho, eps are odd coefficient symbols.  Within a monomial the
@@ -134,13 +135,17 @@ def bidegree_of(key, scheme):
 
 
 class Element:
-    """A finite F_p-linear combination of normalized monomials."""
+    """A finite F_p-linear combination of normalized monomials.
+
+    The element takes ownership of the terms dict it is given, without a
+    copy: callers pass a dict they built for it and never touch again.
+    """
 
     __slots__ = ("p", "terms")
 
     def __init__(self, p, terms):
         self.p = p
-        self.terms = dict(terms)  # (CoeffMonomial, SteenrodMonomial) -> scalar
+        self.terms = terms  # (CoeffMonomial, SteenrodMonomial) -> scalar
 
     @classmethod
     def zero(cls, p):
@@ -321,29 +326,6 @@ def _add_rewritten(out, s, c, xi, taus, h):
             out.pop(key, None)
 
 
-def normalize(raw_terms, h):
-    """Reduce a list of raw terms to a normalized Element.
-
-    Raw terms are (scalar, CoeffMonomial, xi_map, tau_counts) with arbitrary
-    tau multiplicities, or plain Terms.  Splicing the p=2 expansion of
-    tau_j^2 into a monomial costs no Koszul sign (the expansion terms all
-    have even topological degree, and p = 2 anyway); at odd primes squares
-    of tau generators vanish.  Raw terms are taken last to first.
-    """
-    p = h.p
-    out = {}
-    for t in reversed(list(raw_terms)):
-        if isinstance(t, Term):
-            t = (t.scalar, t.coeff, t.mono.xi, dict.fromkeys(t.mono.taus, 1))
-        s, c, xi, taus = t
-        if s % p:
-            taus = tuple(sorted(j for j, e in dict(taus).items() for _ in range(e)))
-            _check_term(c, taus, h)
-            xi = tuple(sorted((j, e) for j, e in dict(xi).items() if e))
-            _add_rewritten(out, s % p, c, xi, taus, h)
-    return Element(p, out)
-
-
 # ---------------------------------------------------------------------------
 # Multiplication
 
@@ -386,8 +368,9 @@ def mul(x, y, h):
 
     Each pair of terms is merged directly: add the coefficient exponents,
     merge the xi exponents and the two tau sets.  Only a pair whose tau sets
-    meet goes through the tau_j^2 rewrite.  Pairs are taken last to first,
-    so the terms come out in the order normalize gives the raw products.
+    meet goes through the tau_j^2 rewrite, _add_rewritten adding each leaf.
+    Pairs are taken last to first, so the terms come out in the order that
+    normalizing the raw products gives them.
     """
     if x.p != y.p or x.p != h.p:
         raise AmbientMismatch("elements belong to different algebras")
@@ -469,53 +452,3 @@ def element_text(x):
     if x.is_zero():
         return "0"
     return " + ".join(term_text(t) for t in x.sorted_terms())
-
-
-def parse_term(s):
-    s = s.strip()
-    scalar = 1
-    head, sep, rest = s.partition("|")
-    cpart = head.strip()
-    if "*" in cpart and cpart.split("*", 1)[0].strip().isdigit():
-        num, cpart = cpart.split("*", 1)
-        scalar = int(num)
-        cpart = cpart.strip()
-    if not sep:
-        raise ValueError(f"malformed term {s!r}")
-    xpart, sep, tpart = rest.partition("|")
-    if not sep:
-        raise ValueError(f"malformed term {s!r}")
-    coeff = COEFF_ONE
-    if cpart != "1":
-        for piece in cpart.split("*"):
-            g, _, e = piece.strip().partition("^")
-            if g not in COEFF_ORDER:
-                raise ValueError(f"unknown coefficient generator {g!r}")
-            coeff = coeff.bump(g, int(e or 1))
-    xi = {}
-    xpart = xpart.strip()
-    if xpart != "1":
-        for piece in xpart.split():
-            if not piece.startswith("xi"):
-                raise ValueError(f"malformed xi factor {piece!r}")
-            j, _, e = piece[2:].partition("^")
-            xi[int(j)] = xi.get(int(j), 0) + int(e or 1)
-    tpart = tpart.strip()
-    if not (tpart.startswith("tau{") and tpart.endswith("}")):
-        raise ValueError(f"malformed tau part {tpart!r}")
-    inner = tpart[4:-1]
-    taus = tuple(sorted(int(j) for j in inner.split(","))) if inner else ()
-    if len(set(taus)) != len(taus):
-        raise ValueError(f"repeated tau index in {tpart!r}")
-    mono = SteenrodMonomial(tuple(sorted(xi.items())), taus)
-    return Term(scalar, coeff, mono)
-
-
-def parse_element(s, h):
-    """The element of h written in canonical text form, normalized.
-
-    normalize applies the coefficient relations, so a zero class parses to
-    zero, and it rejects generators foreign to h.
-    """
-    s = s.strip()
-    return normalize([] if s == "0" else [parse_term(c) for c in s.split(" + ")], h)

@@ -200,13 +200,16 @@ class IntCoeffRing:
 
 
 class IntElement:
-    """Finite sum of (coefficient, monomial) over one integral ring."""
+    """Finite sum of (coefficient, monomial) over one integral ring.
+
+    Like Element, it takes ownership of the terms dict it is given.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = dict(terms)
+        self.terms = terms
 
     def is_zero(self):
         return not self.terms

@@ -5,9 +5,11 @@ classes.  Two delta-index conventions are in circulation for the closed
 formula: exponent vectors indexed by the generator subscript itself
 ("subscript": the Bockstein against tau_k bumps a_k, and tau_j^2 bumps
 a_{j+1}), or offset by one ("printed": delta_{k-1} and delta_j).
-verify_product_relation evaluates the formula under both conventions and
-compares each against the multiplication oracle beta(eta[a,U]) *
-beta(eta[b,T]); the report says which convention reproduces the oracle.
+product_relation_sweep evaluates the formula under both conventions on
+every pair of indices in a window over the algebraically closed base, where
+rho = 0, and compares each against the multiplication oracle
+beta(eta[a,U]) * beta(eta[b,T]); the report says which convention
+reproduces the oracle.
 
 The linear relations among the y with |U| = j are generated by expanding
 beta(beta(eta)) = 0: for every V inside supp(a) with |V| = j + 1,
@@ -19,11 +21,11 @@ The all-subsets sum with unit coefficients is its V = supp(a) instance and
 vanishes only there; verify_linear_relation checks the signed family
 exactly and reports whether the literal unsigned sum happens to vanish.
 
-algclosed_reduce rewrites formal polynomials in the y symbols over the
-p-adic coefficient ring of an algebraically closed base to the canonical
-free basis {y[a,U] : max supp a <= max U}, using the product formula, the
-p-torsion of the y's, and the linear relations; a round-trip through the
-pullback model certifies each rewrite.
+Over an algebraically closed base the closed formula, the signed linear
+relations and the freeness of the U-maximal classes {y[a,U] : max supp a <=
+max U} (bockstein.free_bbeta_generators) present the algebra that `present`
+prints.  The suites products, linear and kerbasis check each fact on its
+own; a rewrite to the U-maximal normal form would only chain the three.
 """
 
 from __future__ import annotations
@@ -31,18 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .elements import (
-    CoeffMonomial,
-    Element,
-    algebra,
-    coeff_scale,
-    element_text,
-    mono_degree,
-    mul,
-    term_element,
-)
+from .elements import CoeffMonomial, Element, algebra, coeff_scale, element_text, mul
 from .bockstein import beta, y
-from .steenrod import BasisIndex, basis_index, u_maximal
+from .steenrod import BasisIndex, basis_index
 from .integral import (
     PullbackElement,
     int_ring,
@@ -178,20 +171,6 @@ def _product_case(aU, bT, h):
     return ProductCase(aU, bT, oracle, outcomes)
 
 
-def verify_product_relation(aU, bT, p, scheme_id="algclosed", q=None):
-    """Compare the multiplication oracle with the closed formula.
-
-    The closed formula presumes the distinguished rho class vanishes; the
-    algebraically closed base (or any rho-free scheme) is the intended
-    setting.  Returns a ProductCase with the per-convention outcomes.
-    """
-    h = algebra(scheme_id, p, q)
-    if h.scheme.rho_element is not None:
-        raise ValueError("the product formula requires a base with rho = 0")
-    aU, bT = basis_index(dict(aU.a), aU.U), basis_index(dict(bT.a), bT.U)
-    return _product_case(aU, bT, h)
-
-
 def product_relation_sweep(p, max_index=3, max_exp=2):
     """Exhaustive convention comparison over a finite index range.
 
@@ -302,172 +281,6 @@ def verify_linear_relation(a, j, p):
         beta_closed, signed_cases,
         literal.is_zero() if any_term else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# The presented algebra over an algebraically closed base
-
-
-class FormalPoly:
-    """Polynomial in the y symbols over the p-adic coefficients Z_p[tau].
-
-    Monomial keys are (tau exponent, tuple of BasisIndex).  Coefficients of
-    monomials containing a y symbol live mod p; the coefficient-only part
-    lives mod p^precision.
-    """
-
-    __slots__ = ("p", "precision", "terms")
-
-    def __init__(self, p, terms, precision):
-        self.p = p
-        self.precision = precision
-        self.terms = {}
-        for key, c in terms.items():
-            mod = p if key[1] else p**precision
-            c %= mod
-            if c:
-                self.terms[key] = (self.terms.get(key, 0) + c) % mod
-
-    @classmethod
-    def zero(cls, p, precision):
-        return cls(p, {}, precision)
-
-    @classmethod
-    def symbol(cls, p, idx, tau_pow=0, coeff=1, precision=None):
-        precision = precision or 16
-        return cls(p, {(tau_pow, (idx,)): coeff}, precision)
-
-    @classmethod
-    def coefficient(cls, p, tau_pow=0, coeff=1, precision=None):
-        precision = precision or 16
-        return cls(p, {(tau_pow, ()): coeff}, precision)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return FormalPoly(self.p, out, self.precision)
-
-    def scaled(self, n):
-        return FormalPoly(
-            self.p, {k: n * c for k, c in self.terms.items()}, self.precision
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalPoly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "<FormalPoly 0>"
-        bits = []
-        for (m, ys), c in sorted(self.terms.items()):
-            ystr = "".join(f"*y{list(dict(i.a).items())}{list(i.U)}" for i in ys)
-            bits.append(f"{c}*tau^{m}{ystr}")
-        return "<FormalPoly " + " + ".join(bits) + ">"
-
-
-def _y_parity(idx, p):
-    return (mono_degree(idx, p).d - 1) & 1
-
-
-def formal_mul(x, z):
-    """Product of formal polynomials with Koszul reordering of the y symbols."""
-    p = x.p
-    out = {}
-    for (m1, ys1), c1 in x.terms.items():
-        for (m2, ys2), c2 in z.terms.items():
-            sign = 1
-            merged = list(ys1)
-            for s2 in ys2:
-                pos = len(merged)
-                while pos > 0 and merged[pos - 1] > s2:
-                    if _y_parity(merged[pos - 1], p) and _y_parity(s2, p):
-                        sign = -sign
-                    pos -= 1
-                merged.insert(pos, s2)
-            key = (m1 + m2, tuple(merged))
-            out[key] = out.get(key, 0) + sign * c1 * c2
-    return FormalPoly(p, out, x.precision)
-
-
-def _reduce_index(idx, p):
-    """Rewrite one y symbol into the U-maximal basis: [(scalar, index)]."""
-    if not idx.U:
-        return []  # y[a, {}] = beta of a xi monomial = 0
-    if u_maximal(idx):
-        return [(1, idx)]
-    amap = _amap(idx)
-    k_max = max(amap)
-    V = tuple(sorted(set(idx.U) | {k_max}))
-    s_max = position_sign(k_max, V)
-    out = []
-    for k in idx.U:
-        U2 = tuple(sorted(set(V) - {k}))
-        a2 = _bump(_bump(amap, k_max, -1), k)
-        out.append((-s_max * position_sign(k, V), basis_index(a2, U2)))
-    return out
-
-
-def algclosed_reduce(poly, h=None, ring=None, check=True):
-    """Normal form of a formal y polynomial over an algebraically closed base.
-
-    Products of y symbols are rewritten through the closed product formula
-    (subscript convention), coefficients of y terms are reduced mod p, and
-    single y symbols are rewritten into the U-maximal free basis.  With
-    check=True the normal form is certified by comparing images in the
-    pullback model.
-    """
-    p = poly.p
-    h = h or algebra("algclosed", p)
-    ring = ring or int_ring(h.scheme, poly.precision)
-    out = {}
-    work = list((key, c) for key, c in poly.terms.items())
-    while work:
-        (m, ys), c = work.pop()
-        if not ys:
-            key = (m, ())
-            out[key] = out.get(key, 0) + c
-            continue
-        if len(ys) == 1:
-            hits = _reduce_index(ys[0], p)
-            if len(hits) == 1 and hits[0][1] == ys[0]:
-                key = (m, ys)
-                out[key] = out.get(key, 0) + c
-            else:
-                for s, idx in hits:
-                    work.append(((m, (idx,)), c * s))
-            continue
-        y1, y2, rest = ys[0], ys[1], ys[2:]
-        for tau_pow, s, idx in product_formula_terms(y1, y2, p, "subscript"):
-            work.append(((m + tau_pow, (idx,) + rest), c * s))
-    result = FormalPoly(p, out, poly.precision)
-    if check:
-        lhs = embed_formal(poly, h, ring)
-        rhs = embed_formal(result, h, ring)
-        if not (lhs.z == rhs.z and lhs.k == rhs.k):
-            raise AssertionError("normal form changed the pullback image")
-    return result
-
-
-def embed_formal(poly, h, ring):
-    """Image of a formal y polynomial in the pullback model."""
-    p = poly.p
-    z_total = ring.zero()
-    k_total = Element.zero(p)
-    for (m, ys), c in poly.terms.items():
-        if not ys:
-            z_total = z_total + ring.element(c, ("tau", m) if m else ring.unit())
-            k_total = k_total + term_element(p, c, CoeffMonomial(tau=m))
-            continue
-        acc = term_element(p, c, CoeffMonomial(tau=m))
-        for idx in ys:
-            acc = mul(acc, y(idx, h), h)
-        k_total = k_total + acc
-    return PullbackElement(z_total, k_total, h)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,3 @@ def make_scheme(scheme_id, p, q=None):
         return SchemePresentation("bare", p)
 
     raise SchemeError(f"unknown scheme {scheme_id!r}")
-
-
-SCHEME_IDS = ("algclosed", "real-p2", "real-odd", "finite-field", "z-half")

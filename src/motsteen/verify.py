@@ -261,26 +261,18 @@ def _torsion_probe_indices(p):
     )[:8]
 
 
-def suite_products(config):
-    """Closed product formula vs the multiplication oracle, plus the pullback."""
-    from .integral import PullbackElement, int_ring, pb_mul, pb_torsion
+def check_product_formula(config):
+    """The closed product formula vs the multiplication oracle, both conventions."""
     from .relations import product_relation_sweep
 
-    p = config.p
-    results = []
-    report, hard = product_relation_sweep(p, max_index=3, max_exp=2)
+    report, hard = product_relation_sweep(config.p, max_index=3, max_exp=2)
     if hard:
         c = hard[0]
-        results.append(
-            ("product relation", "FAIL",
-             f"no convention matches y{c.aU} * y{c.bT}: {c.failures}")
-        )
-        return results
+        return [("product relation", "FAIL",
+                 f"no convention matches y{c.aU} * y{c.bT}: {c.failures}")]
     uniform = report["uniform_convention"]
-    results.append(
-        ("product relation", _status(uniform == "subscript"),
-         f"{report['cases']} cases, oracle matches the {uniform} convention")
-    )
+    results = [("product relation", _status(uniform == "subscript"),
+                f"{report['cases']} cases, oracle matches the {uniform} convention")]
     printed = report["matches"]["printed"]
     if printed < report["cases"]:
         results.append(
@@ -288,9 +280,16 @@ def suite_products(config):
              f"subscript-indexed deltas verified on all {report['cases']} cases; "
              f"the off-by-one variant fails {report['cases'] - printed} of them")
         )
+    return results
 
-    # pullback model on an algebraically closed base: torsion, associativity,
-    # graded commutativity
+
+def check_pullback(config):
+    """The pullback model on an algebraically closed base: p-torsion of the
+    augmentation ideal, associativity, graded commutativity."""
+    from .integral import PullbackElement, int_ring, pb_mul, pb_torsion
+
+    p = config.p
+    results = []
     h = algebra("algclosed", p)
     ring = int_ring(h.scheme)
     gens = [pb_torsion(y(idx, h), h, ring) for idx in _torsion_probe_indices(p)]
@@ -318,6 +317,15 @@ def suite_products(config):
     results.append(("pullback product associative", _status(assoc_ok), ""))
     results.append(("pullback product graded-commutative", _status(comm_ok), ""))
     return results
+
+
+def suite_products(config):
+    """check_product_formula, then check_pullback unless some product matches
+    neither convention."""
+    results = check_product_formula(config)
+    if results[0][2].startswith("no convention matches"):
+        return results
+    return results + check_pullback(config)
 
 
 def suite_linear(config):

@@ -9,11 +9,7 @@ from motsteen import (
     bidegree_of,
     element_text,
     mul,
-    normalize,
-    parse_element,
-    parse_term,
     term_element,
-    term_text,
     xi_degree,
     tau_degree,
 )
@@ -32,10 +28,6 @@ H2 = algebra("algclosed", 2)
 H3 = algebra("algclosed", 3)
 HR = algebra("real-p2", 2)
 HZ = algebra("z-half", 2)
-
-
-def raw(scalar, coeff=COEFF_ONE, xi=(), taus=()):
-    return (scalar, coeff, dict(xi), dict(taus))
 
 
 def test_generator_bidegrees():
@@ -68,70 +60,54 @@ def test_bidegree_additive_on_monomial_products():
 
 
 def test_normalize_tau_square_p2():
-    out = normalize([raw(1, taus={1: 2})], H2)
-    assert element_text(out) == "tau^1 | xi2^1 | tau{}"
+    t1 = eta(basis_index({}, [1]), H2)
+    assert element_text(mul(t1, t1, H2)) == "tau^1 | xi2^1 | tau{}"
 
 
 def test_normalize_tau_square_real_has_rho_term():
-    out = normalize([raw(1, taus={1: 2})], HR)
-    assert element_text(out) == "tau^1 | xi2^1 | tau{} + rho^1 | 1 | tau{2}"
+    t1 = eta(basis_index({}, [1]), HR)
+    assert element_text(mul(t1, t1, HR)) == "tau^1 | xi2^1 | tau{} + rho^1 | 1 | tau{2}"
 
 
 def test_normalize_tau_square_odd_p_is_zero():
-    assert normalize([raw(1, taus={1: 2})], H3).is_zero()
+    t1 = eta(basis_index({}, [1]), H3)
+    assert mul(t1, t1, H3).is_zero()
 
 
 def test_normalize_full_algebra_tau0_term():
     ha = algebra("real-p2", 2, ambient="a")
-    out = normalize([raw(1, taus={0: 2})], ha)
+    t0 = eta(basis_index({}, [0]), ha)
     # tau_0^2 = xi_1 tau + xi_1 tau_0 rho + tau_1 rho
-    assert element_text(out) == (
+    assert element_text(mul(t0, t0, ha)) == (
         "tau^1 | xi1^1 | tau{} + rho^1 | 1 | tau{1} + rho^1 | xi1^1 | tau{0}"
     )
 
 
 def test_normalize_coefficient_relations():
-    assert normalize([raw(1, CoeffMonomial(eps=1, rho=1))], HZ).is_zero()
-    assert normalize([raw(1, CoeffMonomial(eps=2))], HZ).is_zero()
-
-
-def test_normalize_idempotent():
-    rng = random.Random(7)
-    monos = steenrod_monomials_by_degree(2, 14, 1)
-    for _ in range(40):
-        terms = [
-            raw(
-                rng.randrange(1, 2),
-                CoeffMonomial(rho=rng.randrange(2), tau=rng.randrange(3)),
-                dict(rng.choice(monos).xi),
-                {j: 1 for j in rng.choice(monos).taus},
-            )
-            for _ in range(3)
-        ]
-        once = normalize(terms, HR)
-        again = normalize(once.sorted_terms(), HR)
-        assert once == again
+    eps, rho = (term_element(2, 1, CoeffMonomial(**{g: 1})) for g in ("eps", "rho"))
+    assert mul(eps, rho, HZ).is_zero()
+    assert mul(eps, eps, HZ).is_zero()
 
 
 def test_normalize_rejects_foreign_generator():
     with pytest.raises(SchemeError):
-        normalize([raw(1, CoeffMonomial(theta=1))], H2)
+        mul(term_element(2, 1, CoeffMonomial(theta=1)), Element.one(2), H2)
 
 
 def test_normalize_rejects_low_tau_index():
-    with pytest.raises(ValueError):
-        normalize([raw(1, taus={0: 1})], H2)  # mz form has no tau_0
+    with pytest.raises(ValueError):  # mz form has no tau_0
+        mul(term_element(2, 1, COEFF_ONE, SteenrodMonomial((), (0,))), Element.one(2), H2)
 
 
-def _past_normalize(p, key):
-    """An element built directly, past normalize's check, with key as its second term."""
+def _unchecked(p, key):
+    """An element built directly, past every check, with key as its second term."""
     return Element(p, {(COEFF_ONE, SteenrodMonomial(((1, 1),), ())): 1, key: 1})
 
 
 @pytest.mark.parametrize("coeff", [CoeffMonomial(theta=1), CoeffMonomial(eps=1, tau=1),
                                    CoeffMonomial(rho=2)])
 def test_mul_checks_every_term_of_both_factors_for_foreign_generators(coeff):
-    bad = _past_normalize(2, (coeff, SteenrodMonomial((), (2,))))
+    bad = _unchecked(2, (coeff, SteenrodMonomial((), (2,))))
     for other in (eta(basis_index({1: 1}, [1]), H2), Element.zero(2)):
         for x, z in ((bad, other), (other, bad)):
             with pytest.raises(SchemeError, match="not present for scheme algclosed"):
@@ -139,7 +115,7 @@ def test_mul_checks_every_term_of_both_factors_for_foreign_generators(coeff):
 
 
 def test_mul_checks_every_term_of_both_factors_for_low_tau_indices():
-    bad = _past_normalize(2, (COEFF_ONE, SteenrodMonomial((), (0, 2))))
+    bad = _unchecked(2, (COEFF_ONE, SteenrodMonomial((), (0, 2))))
     for other in (eta(basis_index({1: 1}, [1]), H2), Element.zero(2)):
         for x, z in ((bad, other), (other, bad)):
             with pytest.raises(ValueError, match="tau index 0 below the minimum 1"):
@@ -217,38 +193,6 @@ def test_coeff_scale_matches_mul():
         x = term_element(3, 1, CoeffMonomial(eps=1), m)
         c = CoeffMonomial(eps=1, tau=2)
         assert coeff_scale(c, x, hf) == mul(term_element(3, 1, c), x, hf)
-
-
-def test_text_round_trip():
-    cases = [
-        "rho^1*tau^2 | xi1^3 xi3^1 | tau{2,4}",
-        "1 | 1 | tau{}",
-        "2*tau^1 | xi2^1 | tau{1}",
-    ]
-    for s in cases:
-        t = parse_term(s)
-        assert term_text(t) == s
-    el = eta(basis_index({1: 3, 3: 1}, [2, 4]), HR)
-    el = coeff_scale(CoeffMonomial(rho=1, tau=2), el, HR)
-    assert parse_element(element_text(el), HR) == el
-    assert parse_element("0", algebra("algclosed", 5)).is_zero()
-
-
-def test_parse_element_applies_coefficient_relations():
-    # eps^2 = 0 in the coefficients over F_7
-    h = algebra("finite-field", 3, q=7)
-    assert parse_element("eps^2*tau^1 | 1 | tau{}", h).is_zero()
-    x = parse_element("eps^1*tau^1 | 1 | tau{}", h)
-    assert element_text(x) == "eps^1*tau^1 | 1 | tau{}"
-    with pytest.raises(ValueError):
-        parse_element("rho^1 | 1 | tau{}", h)  # rho is not a generator here
-
-
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_term("xi1^2")  # missing separators
-    with pytest.raises(ValueError):
-        parse_term("1 | 1 | tau{1,1}")  # repeated index
 
 
 def test_homogeneous_bidegree_rejects_mixed():

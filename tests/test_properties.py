@@ -1,6 +1,6 @@
-"""Properties of the Bockstein, the product, the conjugation and the text
-form on random homogeneous sums, over every handle (the full algebra only
-for the conjugation).
+"""Properties of the Bockstein, the product and the conjugation on random
+homogeneous sums, over every handle (the full algebra only for the
+conjugation).
 
 Each example picks a handle, a populated bidegree of a small window and a
 sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
@@ -12,7 +12,7 @@ random xi and tau parts.
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from motsteen import algebra, element_text, mul, parse_element
+from motsteen import algebra, mul
 from motsteen.bockstein import beta
 from motsteen.elements import Element, _join_taus, _merge_xi
 from motsteen.steenrod import bidegree_basis, conjugate, populated_bidegrees
@@ -59,13 +59,6 @@ def test_beta_is_a_derivation(hxz):
     lhs = beta(mul(x, z, h), h)
     rhs = mul(beta(x, h), z, h) + mul(x, beta(z, h), h).scaled(sign)
     assert lhs == rhs
-
-
-@PROPERTY
-@given(handles.flatmap(lambda h: st.tuples(st.just(h), sums(h))))
-def test_text_form_round_trip(hx):
-    h, x = hx
-    assert parse_element(element_text(x), h) == x
 
 
 @PROPERTY

@@ -1,24 +1,19 @@
-"""Product and linear relation verifiers, formal reduction, Z[1/2] table."""
+"""Product and linear relation verifiers, Z[1/2] table."""
 
 import pytest
 
 from motsteen import algebra, element_text, mul
 from motsteen.bockstein import y
 from motsteen.steenrod import basis_index
-from motsteen.integral import int_ring, lift_generator, pb_mul
 from motsteen.relations import (
     ConventionError,
-    FormalPoly,
-    algclosed_reduce,
-    embed_formal,
-    formal_mul,
+    _product_case,
     formula_element,
     position_sign,
     product_formula_terms,
     product_relation_sweep,
     shuffle_sign,
     verify_linear_relation,
-    verify_product_relation,
     z12_relation_check,
 )
 
@@ -36,7 +31,7 @@ def test_shuffle_sign():
 
 
 def test_product_case_p2_simple():
-    case = verify_product_relation(basis_index({}, (1,)), basis_index({}, (2,)), 2)
+    case = _product_case(basis_index({}, (1,)), basis_index({}, (2,)), H2)
     assert case.matches == {"subscript": True, "printed": False}
     assert element_text(case.oracle) == "1 | xi1^1 xi2^1 | tau{}"
     assert "slot 0" in case.failures["printed"]
@@ -44,9 +39,7 @@ def test_product_case_p2_simple():
 
 def test_product_case_p2_square_with_intersection_shift():
     # the square of the two-tau class needs the raised intersection delta
-    case = verify_product_relation(
-        basis_index({}, (1, 2)), basis_index({}, (1, 2)), 2
-    )
+    case = _product_case(basis_index({}, (1, 2)), basis_index({}, (1, 2)), H2)
     assert case.matches["subscript"]
     assert element_text(case.oracle) == (
         "tau^1 | xi1^2 xi3^1 | tau{} + tau^1 | xi2^3 | tau{}"
@@ -54,16 +47,16 @@ def test_product_case_p2_square_with_intersection_shift():
 
 
 def test_product_case_odd_p():
-    case = verify_product_relation(basis_index({}, (1, 2)), basis_index({}, (1, 2)), 3)
+    case = _product_case(basis_index({}, (1, 2)), basis_index({}, (1, 2)), H3)
     assert case.oracle.is_zero()
     assert case.matches["subscript"] and case.matches["printed"]
-    case = verify_product_relation(basis_index({}, (1,)), basis_index({}, (1,)), 3)
+    case = _product_case(basis_index({}, (1,)), basis_index({}, (1,)), H3)
     assert case.matches == {"subscript": True, "printed": False}
     assert element_text(case.oracle) == "1 | xi1^2 | tau{}"
 
 
 def test_product_formula_consistency_with_oracle_oddp_disjoint():
-    case = verify_product_relation(basis_index({}, (3,)), basis_index({}, (1, 2)), 3)
+    case = _product_case(basis_index({}, (3,)), basis_index({}, (1, 2)), H3)
     assert case.matches["subscript"]
     el = formula_element(
         product_formula_terms(
@@ -76,16 +69,9 @@ def test_product_formula_consistency_with_oracle_oddp_disjoint():
 
 def test_product_formula_empty_sets():
     # y[a, {}] = 0; the formula must collapse to zero as an element
-    case = verify_product_relation(basis_index({1: 1}, ()), basis_index({}, (1, 2)), 3)
+    case = _product_case(basis_index({1: 1}, ()), basis_index({}, (1, 2)), H3)
     assert case.oracle.is_zero()
     assert case.matches["subscript"]
-
-
-def test_product_requires_rho_free_scheme():
-    with pytest.raises(ValueError):
-        verify_product_relation(
-            basis_index({}, (1,)), basis_index({}, (1,)), 2, "real-p2"
-        )
 
 
 def test_product_sweep_uniform_convention():
@@ -109,76 +95,6 @@ def test_linear_relation_examples():
     assert rep.ok
     with pytest.raises(ValueError):
         verify_linear_relation({1: 1}, 0, 2)
-
-
-def test_formal_reduce_square():
-    y01 = FormalPoly.symbol(2, basis_index({}, (1,)))
-    red = algclosed_reduce(formal_mul(y01, y01))
-    assert red.terms == {(0, (basis_index({1: 1}, (1,)),)): 1}
-
-
-def test_formal_reduce_torsion_and_augmentation():
-    y01 = FormalPoly.symbol(2, basis_index({}, (1,)))
-    assert algclosed_reduce(y01.scaled(2)).terms == {}
-
-
-def test_formal_reduce_nonmaximal_index():
-    bad = FormalPoly.symbol(2, basis_index({2: 1}, (1,)))
-    red = algclosed_reduce(bad)
-    assert red.terms == {(0, (basis_index({1: 1}, (2,)),)): 1}
-    # empty tau set is the zero class
-    assert algclosed_reduce(FormalPoly.symbol(2, basis_index({1: 1}, ()))).terms == {}
-
-
-def test_formal_reduce_is_ring_map_to_pullback():
-    """reduce(x*z) agrees with the pullback product on y-symbol pairs.
-
-    Exhaustive over pairs of U-maximal symbols whose degrees sum to at most
-    25 (the per-symbol degree-25 family squared is covered by the seeded
-    sample below).
-    """
-    import random
-
-    from motsteen.bockstein import u_maximal_by_degree
-    from motsteen.elements import mono_degree
-
-    for p, h in ((2, H2), (3, H3)):
-        ring = int_ring(h.scheme)
-        idxs = []
-        for eb, group in sorted(u_maximal_by_degree(p, 14).items()):
-            if eb.d - 1 <= 25:
-                idxs.extend(group)
-        pairs = [
-            (i1, i2)
-            for i1 in idxs
-            for i2 in idxs
-            if (mono_degree(i1, p).d - 1) + (mono_degree(i2, p).d - 1) <= 25
-        ]
-        rng = random.Random(41)
-        extra = [
-            (rng.choice(idxs), rng.choice(idxs))
-            for _ in range(60)
-            if idxs
-        ]
-        for i1, i2 in pairs + extra:
-            x = FormalPoly.symbol(p, i1)
-            z = FormalPoly.symbol(p, i2)
-            red = algclosed_reduce(formal_mul(x, z))  # round-trip check inside
-            lhs = embed_formal(red, h, ring)
-            rhs = pb_mul(
-                lift_generator(("y", dict(i1.a), i1.U), h, ring),
-                lift_generator(("y", dict(i2.a), i2.U), h, ring),
-            )
-            assert lhs.k == rhs.k and lhs.z == rhs.z, (p, i1, i2)
-
-
-def test_formal_reduce_odd_p_parity():
-    y012 = FormalPoly.symbol(3, basis_index({}, (1, 2)))  # odd topological degree
-    assert algclosed_reduce(formal_mul(y012, y012)).terms == {}
-    y03 = FormalPoly.symbol(3, basis_index({}, (3,)))     # even degree
-    ab = algclosed_reduce(formal_mul(y012, y03))
-    ba = algclosed_reduce(formal_mul(y03, y012))
-    assert ab == ba
 
 
 def test_printed_convention_error_reported():
