@@ -28,8 +28,8 @@ _EXPORTS = {
         "block_homology", "free_bbeta_generators", "ker_beta_basis", "y",
     ),
     "integral": (
-        "IntCoeffRing", "IntElement", "PullbackElement", "augment", "int_ring",
-        "lift_generator", "pb_mul", "pb_torsion", "q_map",
+        "IntCoeffRing", "IntElement", "PullbackElement", "augment", "fiber_coordinate",
+        "pb_mul", "pb_torsion", "q_map",
     ),
     "relations": (
         "product_relation_sweep", "verify_linear_relation", "z12_relation_check",

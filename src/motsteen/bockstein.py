@@ -268,12 +268,12 @@ def u_maximal_by_degree(p, budget):
     return out
 
 
-def free_bbeta_generators(bound, p, check=True):
+def free_bbeta_generators(bound, p):
     """All U-maximal indices with |y| within the componentwise bound.
 
-    With check=True, asserts per bidegree that the corresponding y vectors
-    are independent and span the image of the differential there (in the
-    coefficient-free model).
+    Asserts per bidegree that the corresponding y vectors are independent
+    and span the image of the differential there (in the coefficient-free
+    model).
     """
     from .elements import algebra
 
@@ -284,16 +284,14 @@ def free_bbeta_generators(bound, p, check=True):
         yb = eb + BETA_SHIFT
         if yb.d <= dmax and yb.w <= wmax:
             found[yb] = idxs
-    if check:
-        for yb, idxs in sorted(found.items()):
-            rows = {key: i for i, key in enumerate(bidegree_basis(yb, h))}
-            vecs = [element_vector(y(i, h), rows) for i in idxs]
-            if rank_of_columns(p, vecs) != len(vecs):
-                raise AssertionError(f"U-maximal y classes dependent at {yb}")
-            if rank(beta_matrix(yb - BETA_SHIFT, h)) != len(vecs):
-                raise AssertionError(f"U-maximal y classes do not span im beta at {yb}")
-    out = [i for _, idxs in sorted(found.items()) for i in idxs]
-    return out
+    for yb, idxs in sorted(found.items()):
+        rows = {key: i for i, key in enumerate(bidegree_basis(yb, h))}
+        vecs = [element_vector(y(i, h), rows) for i in idxs]
+        if rank_of_columns(p, vecs) != len(vecs):
+            raise AssertionError(f"U-maximal y classes dependent at {yb}")
+        if rank(beta_matrix(yb - BETA_SHIFT, h)) != len(vecs):
+            raise AssertionError(f"U-maximal y classes do not span im beta at {yb}")
+    return [i for _, idxs in sorted(found.items()) for i in idxs]
 
 
 class KernelBases(NamedTuple):

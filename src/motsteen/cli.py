@@ -4,18 +4,18 @@
                      [--format F] [--cache DIR]
     motsteen verify SUITE --prime P --scheme S [--q Q] [--dmax D] [--wmax W]
                      [--format F] [--w-table FILE] [--strict]
-    motsteen present --prime P --scheme S [--q Q] [--bound N] [--precision N]
-                     [--w-table FILE]
+    motsteen present --prime P --scheme S [--q Q] [--bound N] [--w-table FILE]
 
-Each command takes only the flags it reads; F is json, tsv or pretty, and
-present always prints JSON.  Only dims reads the cache: one file per
-configuration keeps, per bidegree, the four numbers of split_ranks that the
-row is read from (see motsteen.cache).  The environment variable
-MOTSTEEN_CACHE overrides the cache directory.  Verification suites exit 0
-when every check passes or only the documented index discrepancies surface
-(reported as WARN); --strict turns WARN into failure.  All outputs are
-deterministic under a fixed configuration, and warm-cache runs are
-byte-identical to cold runs.
+Each command takes only the flags it reads, and --q only the finite-field
+scheme; F is json, tsv or pretty.  present always prints JSON, where the
+additive order "free" marks an integral generator of infinite order.  Only
+dims reads the cache: one file per configuration keeps, per bidegree, the
+four numbers of split_ranks that the row is read from (see motsteen.cache).
+The environment variable MOTSTEEN_CACHE overrides the cache directory.
+Verification suites exit 0 when every check passes or only the documented
+index discrepancies surface (reported as WARN); --strict turns WARN into
+failure.  All outputs are deterministic under a fixed configuration, and
+warm-cache runs are byte-identical to cold runs.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ class ConfigError(ValueError):
 
 class Config:
     def __init__(
-        self, p, scheme, q=None, dmax=12, wmax=12, precision=16,
+        self, p, scheme, q=None, dmax=12, wmax=12,
         w_table_path=None, cache_dir=None, fmt="pretty", strict=False,
     ):
         if dmax < 0 or wmax < 0:
             raise ConfigError("degree bounds must be nonnegative")
-        if precision < 1:
-            raise ConfigError("precision must be positive")
         if fmt not in ("json", "tsv", "pretty"):
             raise ConfigError(f"unknown format {fmt!r}")
         try:
@@ -64,7 +62,7 @@ class Config:
         except SchemeError as e:
             raise ConfigError(str(e))
         self.p, self.scheme, self.q = p, scheme, q
-        self.dmax, self.wmax, self.precision = dmax, wmax, precision
+        self.dmax, self.wmax = dmax, wmax
         self.w_table_path, self.cache_dir = w_table_path, cache_dir
         self.fmt, self.strict = fmt, strict
         self.w_fn = None
@@ -187,12 +185,13 @@ def cmd_present(config, bound):
     """Machine-readable presentation of the algebras, truncated at an index bound."""
     if bound < 0:
         raise ConfigError("index bound must be nonnegative")
-    from .integral import int_ring
+    from .integral import IntCoeffRing
 
     h = config.handle()
     p = config.p
     scheme = h.scheme
-    ring = int_ring(scheme, config.precision, config.w_fn)
+    ring = IntCoeffRing(scheme, config.w_fn)
+    int_gen_monos, int_relations = ring.presentation()
 
     def gen_entry(name, bd, order=None):
         e = {"name": name, "bidegree": [bd.d, bd.w]}
@@ -223,15 +222,10 @@ def cmd_present(config, bound):
     full_rel = [quad_relation(i, True) for i in range(0, bound) if i + 1 <= bound]
     mz_rel = [quad_relation(i, False) for i in range(1, bound) if i + 1 <= bound]
 
-    int_gens = []
-    for name, mono in ring.generators():
-        order = ring.mono_order(mono)
-        int_gens.append(
-            gen_entry(
-                name, ring.mono_degree(mono),
-                order if order < p**config.precision else "free",
-            )
-        )
+    int_gens = [
+        gen_entry(name, ring.mono_degree(mono), ring.mono_order(mono) or "free")
+        for name, mono in int_gen_monos
+    ]
 
     y_gens = []
     if bound >= 1:
@@ -266,7 +260,7 @@ def cmd_present(config, bound):
         "dual_steenrod_integral_form": {"generators": mz_gens, "relations": mz_rel},
         "integral_coefficients": {
             "generators": int_gens,
-            "relations": _integral_relation_text(scheme.id),
+            "relations": int_relations,
         },
         "pullback": {
             "description": "pairs (z, k) with q(z) = augment(k), k a Bockstein cycle",
@@ -280,19 +274,6 @@ def cmd_present(config, bound):
         "index_bound": bound,
     }
     return doc
-
-
-def _integral_relation_text(scheme_id):
-    return {
-        "algclosed": [],
-        "real-p2": ["2*rho"],
-        "real-odd": [],
-        "finite-field": ["(q^i - 1)*eps_i", "eps_i*eps_j"],
-        "z-half": [
-            "2*rho_(2i+1)", "w(2i)*eps_(2i)", "rho_(2i+1)*eps_j", "eps_i*eps_j",
-            "rho_(2i+1)*rho_(2j+1) + rho_1*rho_(2(i+j)+1)",
-        ],
-    }[scheme_id]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +291,6 @@ FLAGS = {
     "--cache": dict(dest="cache_dir", metavar="DIR"),
     "--w-table": dict(dest="w_table_path", metavar="FILE"),
     "--strict": dict(action="store_true"),
-    "--precision": dict(type=int, metavar="N"),
 }
 COMMON = ("--prime", "--scheme", "--q")
 
@@ -338,7 +318,7 @@ def build_parser():
     )
     sp.add_argument("suite", choices=SUITES)
     sp = command(
-        "present", "emit generator/relation presentations", "--precision", "--w-table",
+        "present", "emit generator/relation presentations", "--w-table",
     )
     sp.add_argument("--bound", type=int, default=2, metavar="N")
     return parser

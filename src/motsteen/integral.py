@@ -7,9 +7,12 @@ dual Steenrod algebra itself is modeled as the fiber product
 
     { (z, k) :  z integral coefficient,  k in ker(beta),  q(z) = aug(k) }
 
-where aug kills the xi/tau generators.  Free integral coefficients are
-tracked modulo p^N (configurable); everything in the augmentation ideal is
-simple p-torsion, so N only affects the coefficient display.
+where aug kills the xi/tau generators.  Coefficients are exact integers: a
+free monomial has additive order 0 and its coefficient is never reduced, and
+everything in the augmentation ideal is simple p-torsion.  The one lift kept
+here is fiber_coordinate, the coordinates (0, tau^i tau_j) and (0, tau^i xi_j)
+of the Z[1/2] relation table; a y class is pb_torsion(y(idx, h), h, ring), and
+the U elements of constructive_kernel are the other torsion lifts.
 
 Integral monomial shapes per scheme:
 
@@ -34,12 +37,9 @@ from .elements import (
     mul,
     term_element,
 )
-from .bockstein import beta, y
+from .bockstein import beta
 from .steenrod import basis_index, eta
 from .schemes import SchemeError
-
-
-DEFAULT_PRECISION = 16
 
 
 def default_w(k):
@@ -69,7 +69,6 @@ class IntCoeffRing:
     """Presentation of the integral coefficient ring of one scheme."""
 
     scheme: object              # the mod-p SchemePresentation
-    precision: int = DEFAULT_PRECISION
     w_table: object = None      # callable k -> order, z-half only
 
     @property
@@ -104,26 +103,22 @@ class IntCoeffRing:
         raise ValueError(f"unknown integral monomial {mono!r}")
 
     def mono_order(self, mono):
-        """Additive order (p^precision stands in for the free case)."""
-        p = self.p
-        free = p**self.precision
+        """Additive order; 0 for a free monomial."""
         kind = mono[0]
         sid = self.scheme.id
-        if kind == "1":
-            return free
-        if sid == "algclosed" or sid == "real-odd":
-            return free
+        if kind == "1" or sid == "algclosed" or sid == "real-odd":
+            return 0
         if sid == "real-p2":
             a = mono[1]
-            return 2 if a else free
+            return 2 if a else 0
         if sid == "finite-field":
             i = mono[1]
-            return _p_part(self.scheme.q**i - 1, p)
+            return _p_part(self.scheme.q**i - 1, self.p)
         if sid == "z-half":
             if kind == "rho":
                 return 2
             k = mono[1]
-            return self.w(k) if k % 2 == 0 else free
+            return self.w(k) if k % 2 == 0 else 0
         raise SchemeError(f"no integral presentation for scheme {sid}")
 
     def mono_mul(self, m1, m2):
@@ -156,13 +151,14 @@ class IntCoeffRing:
     # -- elements ----------------------------------------------------------
 
     def normalize(self, pairs):
+        """Sum the (coefficient, monomial) pairs; only torsion coefficients
+        are reduced, modulo their order."""
         out = {}
         for coeff, mono in pairs:
             order = self.mono_order(mono)
-            c = coeff % order
-            if not c:
-                continue
-            v = (out.get(mono, 0) + c) % order
+            v = out.get(mono, 0) + coeff
+            if order:
+                v %= order
             if v:
                 out[mono] = v
             else:
@@ -175,28 +171,39 @@ class IntCoeffRing:
     def zero(self):
         return IntElement(self, {})
 
-    def one(self):
-        return self.element(1)
+    def presentation(self):
+        """(named generator monomials within one index period, relations),
+        as `present` prints them."""
+        try:
+            return _PRESENTATIONS[self.scheme.id]
+        except KeyError:
+            raise SchemeError(f"no integral presentation for scheme {self.scheme.id}") from None
 
-    def generators(self):
-        """The named generator monomials within one index period, for display."""
-        sid = self.scheme.id
-        if sid == "algclosed":
-            return [("tau", ("tau", 1))]
-        if sid == "real-odd":
-            return [("theta", ("theta", 1))]
-        if sid == "real-p2":
-            return [("rho", ("tau2", 1, 0)), ("tau^2", ("tau2", 0, 1))]
-        if sid == "finite-field":
-            return [(f"eps_{i}", ("eps", i)) for i in (1, 2, 3)]
-        if sid == "z-half":
-            return [
-                ("rho_1", ("rho", 0, 1)),
-                ("rho_3", ("rho", 0, 3)),
-                ("eps_1", ("eps", 1)),
-                ("eps_2", ("eps", 2)),
-            ]
-        raise SchemeError(sid)
+
+# Per scheme: the display generators and the relation text of its integral
+# coefficient ring.  mono_degree, mono_order and mono_mul stay hand-written,
+# so z12 can hold the integral products to elements.mul on the q-images.
+_PRESENTATIONS = {
+    "algclosed": ([("tau", ("tau", 1))], []),
+    "real-p2": ([("rho", ("tau2", 1, 0)), ("tau^2", ("tau2", 0, 1))], ["2*rho"]),
+    "real-odd": ([("theta", ("theta", 1))], []),
+    "finite-field": (
+        [(f"eps_{i}", ("eps", i)) for i in (1, 2, 3)],
+        ["(q^i - 1)*eps_i", "eps_i*eps_j"],
+    ),
+    "z-half": (
+        [
+            ("rho_1", ("rho", 0, 1)),
+            ("rho_3", ("rho", 0, 3)),
+            ("eps_1", ("eps", 1)),
+            ("eps_2", ("eps", 2)),
+        ],
+        [
+            "2*rho_(2i+1)", "w(2i)*eps_(2i)", "rho_(2i+1)*eps_j", "eps_i*eps_j",
+            "rho_(2i+1)*rho_(2j+1) + rho_1*rho_(2(i+j)+1)",
+        ],
+    ),
+}
 
 
 class IntElement:
@@ -223,12 +230,6 @@ class IntElement:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        return self.ring.normalize(
-            [(c, m) for m, c in self.terms.items()]
-            + [(c, m) for m, c in other.terms.items()]
-        )
 
     def scaled(self, n):
         return self.ring.normalize([(n * c, m) for m, c in self.terms.items()])
@@ -259,10 +260,6 @@ class IntElement:
             f"{c}*{m}" for m, c in sorted(self.terms.items(), key=lambda kv: kv[0])
         )
         return f"<IntElement {bits}>"
-
-
-def int_ring(scheme, precision=DEFAULT_PRECISION, w_table=None):
-    return IntCoeffRing(scheme, precision, w_table)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +348,11 @@ class PullbackElement:
             self.z.scaled(n), self.k.scaled(n), self.handle, self.in_ker_beta
         )
 
-    def __add__(self, other):
-        _same_model(self, other)
-        return PullbackElement(
-            self.z + other.z, self.k + other.k, self.handle,
-            self.in_ker_beta and other.in_ker_beta,
-        )
-
-
-def _same_model(x, y_el):
-    if x.handle != y_el.handle:
-        raise PullbackError("pullback elements over different schemes")
-
 
 def pb_mul(x, y_el):
     """Componentwise product in the fiber product; compatibility re-verified."""
-    _same_model(x, y_el)
+    if x.handle != y_el.handle:
+        raise PullbackError("pullback elements over different schemes")
     return PullbackElement(
         x.z * y_el.z,
         mul(x.k, y_el.k, x.handle),
@@ -381,69 +367,20 @@ def pb_torsion(k_el, h, ring, require_cycle=True):
 
 
 # ---------------------------------------------------------------------------
-# Scheme-specific generator lifts
+# The Z[1/2] fiber coordinates
 
 
-def lift_generator(tag, h, ring):
-    """Generators of the p-adic dual Steenrod algebra as pullback pairs.
-
-    Tags:
-      ("y", a, U)                      (0, y[a,U]) over any scheme
-      ("rho_eta", a, U)                (0, rho eta + tau y)   real-p2, z-half
-      ("tau_pow_y", i, a, U)           (0, tau^i y + i beta(tau) tau^(i-1) eta)
-                                       finite fields, 0 <= i < p
-      ("coeff", name)                  the named integral generator with its
-                                       reduction as cycle component
-      ("tau_ji", j, i), ("xi_ji", j, i)  fiber coordinates (0, tau^i tau_j),
-                                       (0, tau^i xi_j) over z-half; these are
-                                       not Bockstein cycles individually and
-                                       are returned with the compatibility
-                                       check only.
-    """
-    p = h.p
-    sid = h.scheme.id
-    kind = tag[0]
-    if kind == "y":
-        _, a, U = tag
-        return pb_torsion(y(basis_index(a, U), h), h, ring)
-    if kind == "rho_eta":
-        if sid not in ("real-p2", "z-half"):
-            raise PullbackError(f"tag {tag!r} needs a real or Z[1/2] base")
-        _, a, U = tag
-        idx = basis_index(a, U)
-        rho = term_element(p, 1, CoeffMonomial(rho=1))
-        tau = term_element(p, 1, CoeffMonomial(tau=1))
-        k_el = mul(rho, eta(idx, h), h) + mul(tau, y(idx, h), h)
-        return pb_torsion(k_el, h, ring)
-    if kind == "tau_pow_y":
-        if sid != "finite-field":
-            raise PullbackError(f"tag {tag!r} needs a finite field base")
-        _, i, a, U = tag
-        if not 0 <= i < p:
-            raise PullbackError("tau power out of range")
-        idx = basis_index(a, U)
-        tau_i = term_element(p, 1, CoeffMonomial(tau=i))
-        k_el = mul(tau_i, y(idx, h), h)
-        bt = h.scheme.coeff_bockstein.get("tau")
-        if i and bt is not None:
-            lead = term_element(p, i, CoeffMonomial(tau=i - 1).bump(bt))
-            k_el = k_el + mul(lead, eta(idx, h), h)
-        return pb_torsion(k_el, h, ring)
-    if kind == "coeff":
-        _, name = tag
-        for gname, mono in ring.generators():
-            if gname == name:
-                z = ring.element(1, mono)
-                return PullbackElement(z, q_map(z, h), h)
-        raise PullbackError(f"unknown integral generator {name!r} for {sid}")
-    if kind in ("tau_ji", "xi_ji"):
-        if sid != "z-half":
-            raise PullbackError(f"tag {tag!r} needs the Z[1/2] base")
-        _, j, i = tag
-        tau_i = term_element(p, 1, CoeffMonomial(tau=i))
-        if kind == "tau_ji":
-            gen = eta(basis_index({}, [j]), h)
-        else:
-            gen = eta(basis_index({j: 1}, []), h)
-        return pb_torsion(mul(tau_i, gen, h), h, ring, require_cycle=False)
-    raise PullbackError(f"unknown generator tag {tag!r}")
+def fiber_coordinate(kind, j, i, h, ring):
+    """The fiber-product coordinate (0, tau^i tau_j) ("tau_ji") or
+    (0, tau^i xi_j) ("xi_ji") over Z[1/2].  It is not a Bockstein cycle on
+    its own, so only the compatibility check runs."""
+    if h.scheme.id != "z-half":
+        raise PullbackError("fiber coordinates need the Z[1/2] base")
+    if kind == "tau_ji":
+        idx = basis_index({}, [j])
+    elif kind == "xi_ji":
+        idx = basis_index({j: 1}, [])
+    else:
+        raise PullbackError(f"unknown fiber coordinate {kind!r}")
+    tau_i = term_element(h.p, 1, CoeffMonomial(tau=i))
+    return pb_torsion(mul(tau_i, eta(idx, h), h), h, ring, require_cycle=False)

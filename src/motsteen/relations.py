@@ -36,13 +36,7 @@ from itertools import combinations
 from .elements import CoeffMonomial, Element, algebra, coeff_scale, element_text, mul
 from .bockstein import beta, y
 from .steenrod import BasisIndex, basis_index
-from .integral import (
-    PullbackElement,
-    int_ring,
-    lift_generator,
-    pb_mul,
-    q_map,
-)
+from .integral import IntCoeffRing, PullbackElement, fiber_coordinate, pb_mul, q_map
 
 
 def shuffle_sign(A, B):
@@ -301,7 +295,7 @@ def z12_relation_check(w_table=None):
     """
     imax, jmax, kmax = 3, 2, 2  # the window of the table: generator and coordinate indices
     h = algebra("z-half", 2)
-    ring = int_ring(h.scheme, w_table=w_table)
+    ring = IntCoeffRing(h.scheme, w_table)
     results = []
 
     def check(name, ok, detail=""):
@@ -349,7 +343,7 @@ def z12_relation_check(w_table=None):
     for j in range(1, jmax + 1):
         for k in range(0, kmax + 1):
             for kind in ("tau_ji", "xi_ji"):
-                t = lift_generator((kind, j, k), h, ring)
+                t = fiber_coordinate(kind, j, k, h, ring)
                 check(f"2*{kind}({j},{k}) = 0", t.scaled(2).is_zero())
     rho1_z = ring.element(1, ("rho", 0, 1))
     rho1 = PullbackElement(rho1_z, q_map(rho1_z, h), h)
@@ -359,10 +353,8 @@ def z12_relation_check(w_table=None):
                 for kind in ("tau_ji", "xi_ji"):
                     z = ring.element(1, ("rho", 0, 2 * i + 1))
                     rho_l = PullbackElement(z, q_map(z, h), h)
-                    lhs = pb_mul(rho_l, lift_generator((kind, j, k), h, ring))
-                    rhs = pb_mul(
-                        rho1, lift_generator((kind, j, 2 * i + k), h, ring),
-                    )
+                    lhs = pb_mul(rho_l, fiber_coordinate(kind, j, k, h, ring))
+                    rhs = pb_mul(rho1, fiber_coordinate(kind, j, 2 * i + k, h, ring))
                     check(
                         f"rho_{2*i+1}*{kind}({j},{k}) = rho_1*{kind}({j},{2*i+k})",
                         lhs.z == rhs.z and lhs.k == rhs.k,
@@ -379,13 +371,9 @@ def z12_relation_check(w_table=None):
         for j in range(1, jmax + 1):
             for k in range(0, kmax + 1):
                 for kind in ("tau_ji", "xi_ji"):
-                    lhs = pb_mul(eps_l, lift_generator((kind, j, k), h, ring))
-                    rhs_corr = pb_mul(
-                        eps1, lift_generator((kind, j, i - 1 + k), h, ring)
-                    )
-                    rhs_printed = pb_mul(
-                        eps1, lift_generator((kind, j, j - 1 + k), h, ring)
-                    )
+                    lhs = pb_mul(eps_l, fiber_coordinate(kind, j, k, h, ring))
+                    rhs_corr = pb_mul(eps1, fiber_coordinate(kind, j, i - 1 + k, h, ring))
+                    rhs_printed = pb_mul(eps1, fiber_coordinate(kind, j, j - 1 + k, h, ring))
                     if not (lhs.z == rhs_corr.z and lhs.k == rhs_corr.k):
                         corrected_ok = False
                     if not (lhs.z == rhs_printed.z and lhs.k == rhs_printed.k):

@@ -146,6 +146,8 @@ def make_scheme(scheme_id, p, q=None):
     """Build the presentation for one base scheme at the prime p."""
     if not _is_prime(p):
         raise SchemeError(f"p = {p} is not prime")
+    if q is not None and scheme_id != "finite-field":
+        raise SchemeError(f"q applies only to finite-field, not {scheme_id}")
 
     if scheme_id == "algclosed":
         return SchemePresentation("algclosed", p, gens=("tau",))

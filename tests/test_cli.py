@@ -348,7 +348,7 @@ REFUSED_FLAGS = {
     "dims": (["--precision", "8"], ["--strict"], ["--w-table", "w.json"]),
     "verify": (["--precision", "8"], ["--cache", "c"]),
     "present": (["--strict"], ["--format", "tsv"], ["--dmax", "4"], ["--wmax", "4"],
-                ["--cache", "c"]),
+                ["--cache", "c"], ["--precision", "8"]),
 }
 COMMANDS = {
     "dims": ["dims"], "verify": ["verify", "beta2"], "present": ["present"],
@@ -375,6 +375,17 @@ def test_invalid_config_exits_nonzero(capsys):
     code = cli.main(["dims", "--prime", "3", "--scheme", "finite"])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scheme", ["algclosed", "real", "real-p2", "zhalf"])
+def test_q_outside_a_finite_field_is_refused(capsys, scheme):
+    # --q used to be dropped, and the JSON still printed "q": 7
+    code = cli.main(["dims", "--prime", "2", "--scheme", scheme, "--q", "7",
+                     "--format", "json"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("motsteen: error: ")
 
 
 def test_present_algclosed_bound2():
@@ -443,6 +454,27 @@ def test_present_w_table_override(tmp_path):
         ["present", "--prime", "2", "--scheme", "zhalf", "--w-table", str(bad)]
     )
     assert code == 1
+
+
+def _integral_orders(argv):
+    code, out = run_cli(["present", *argv, "--bound", "1"])
+    assert code == 0
+    return {g["name"]: g["order"] for g in json.loads(out)["integral_coefficients"]["generators"]}
+
+
+def test_present_prints_exact_orders(tmp_path):
+    # "free" means infinite additive order; a finite order of 2^16 or more
+    # used to print as "free"
+    assert _integral_orders(["--prime", "2", "--scheme", "finite", "--q", "65537"]) == {
+        "eps_1": 65536, "eps_2": 131072, "eps_3": 65536,
+    }
+    table = tmp_path / "w.json"
+    table.write_text(json.dumps({"2": 1048576}))
+    orders = _integral_orders(["--prime", "2", "--scheme", "zhalf", "--w-table", str(table)])
+    assert orders == {"rho_1": 2, "rho_3": 2, "eps_1": "free", "eps_2": 1048576}
+    assert _integral_orders(["--prime", "3", "--scheme", "finite", "--q", "7"]) == {
+        "eps_1": 3, "eps_2": 3, "eps_3": 9,
+    }
 
 
 @pytest.mark.parametrize("table", ["[1, 2]", '{"2": 0.5}', '{"2": 4.7}', '{"2": true}'])

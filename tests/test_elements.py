@@ -210,6 +210,9 @@ def test_scheme_validation():
         make_scheme("algclosed", 4)
     with pytest.raises(SchemeError):
         make_scheme("real-odd", 2)
+    for scheme_id in ("algclosed", "real", "z-half", "bare"):
+        with pytest.raises(SchemeError, match="q applies only to finite-field"):
+            make_scheme(scheme_id, 2, q=7)
     assert make_scheme("finite-field", 2, q=7).rho_element == "eps"  # 7 = 3 mod 4
     assert make_scheme("finite-field", 2, q=5).rho_element is None
     assert make_scheme("finite-field", 3, q=7).coeff_bockstein == {"tau": "eps"}

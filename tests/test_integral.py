@@ -3,17 +3,17 @@
 import pytest
 
 from motsteen import algebra, element_text
-from motsteen.elements import CoeffMonomial, Element, term_element
+from motsteen.elements import CoeffMonomial, Element, mul, term_element
 from motsteen.grading import Bidegree
-from motsteen.bockstein import beta, y
-from motsteen.steenrod import basis_index
+from motsteen.bockstein import beta, constructive_kernel, y
+from motsteen.steenrod import basis_index, eta
 from motsteen.integral import (
+    IntCoeffRing,
     PullbackElement,
     PullbackError,
     augment,
     default_w,
-    int_ring,
-    lift_generator,
+    fiber_coordinate,
     pb_mul,
     pb_torsion,
     q_map,
@@ -25,11 +25,38 @@ HR = algebra("real-p2", 2)
 HZ = algebra("z-half", 2)
 HF3 = algebra("finite-field", 3, q=7)
 
-R2 = int_ring(H2.scheme)
-R3 = int_ring(H3.scheme)
-RR = int_ring(HR.scheme)
-RZ = int_ring(HZ.scheme)
-RF3 = int_ring(HF3.scheme)
+R2 = IntCoeffRing(H2.scheme)
+R3 = IntCoeffRing(H3.scheme)
+RR = IntCoeffRing(HR.scheme)
+RZ = IntCoeffRing(HZ.scheme)
+RF3 = IntCoeffRing(HF3.scheme)
+
+
+def y_class(a, U, h, ring):
+    """The pure-torsion pair (0, y[a,U])."""
+    return pb_torsion(y(basis_index(a, U), h), h, ring)
+
+
+def rho_eta(a, U, h):
+    """rho eta[a,U] + tau y[a,U], a Bockstein cycle where beta(tau) = rho."""
+    idx = basis_index(a, U)
+    rho = term_element(h.p, 1, CoeffMonomial(rho=1))
+    tau = term_element(h.p, 1, CoeffMonomial(tau=1))
+    return mul(rho, eta(idx, h), h) + mul(tau, y(idx, h), h)
+
+
+def tau_pow_y(i, a, U, h):
+    """tau^i y[a,U] + i beta(tau) tau^(i-1) eta[a,U] over a finite field."""
+    idx = basis_index(a, U)
+    k = mul(term_element(h.p, 1, CoeffMonomial(tau=i)), y(idx, h), h)
+    if i:
+        lead = term_element(h.p, i, CoeffMonomial(tau=i - 1).bump(h.scheme.coeff_bockstein["tau"]))
+        k = k + mul(lead, eta(idx, h), h)
+    return k
+
+
+def in_constructive_kernel(k, h):
+    return k in constructive_kernel(k.homogeneous_bidegree(h.scheme), h)
 
 
 def test_default_w_table():
@@ -50,8 +77,22 @@ def test_int_ring_normalization():
     assert r3.scaled(2).is_zero()
     assert RZ.element(1, ("eps", 2)).scaled(RZ.w(2)).is_zero()
     assert not RZ.element(1, ("eps", 2)).scaled(RZ.w(2) // 2).is_zero()
-    # free classes live mod p^precision
-    assert not RZ.element(1, ("eps", 1)).scaled(2**10).is_zero()
+    # free classes carry exact integers, never reduced
+    assert RZ.mono_order(("eps", 1)) == 0
+    assert RZ.element(1, ("eps", 1)).scaled(2**70).terms == {("eps", 1): 2**70}
+    assert RZ.element(-3, ("eps", 1)).terms == {("eps", 1): -3}
+    assert R3.normalize([(3**20, ("tau", 1)), (-(3**20), ("tau", 1))]).is_zero()
+
+
+def test_free_and_torsion_orders():
+    assert R2.mono_order(R2.unit()) == 0
+    assert R3.mono_order(("tau", 4)) == 0
+    assert RR.mono_order(("tau2", 0, 3)) == 0
+    assert RR.mono_order(("tau2", 1, 3)) == 2
+    # q = 65537, p = 2: eps_1 and eps_2 have orders 2^16 and 2^17
+    ring = IntCoeffRing(algebra("finite-field", 2, q=65537).scheme)
+    assert ring.element(65536, ("eps", 1)).is_zero()
+    assert not ring.element(65536, ("eps", 2)).is_zero()
 
 
 def test_int_ring_real():
@@ -99,7 +140,7 @@ def test_q_map_is_multiplicative():
 
 def test_q_map_degree_preserving():
     for ring, h in ((RZ, HZ), (RR, HR), (RF3, HF3)):
-        for name, mono in ring.generators():
+        for name, mono in ring.presentation()[0]:
             z = ring.element(1, mono)
             img = q_map(z, h)
             if not img.is_zero():
@@ -122,8 +163,8 @@ def test_pullback_compatibility_enforced():
 
 
 def test_pullback_unit_and_square():
-    u = PullbackElement(R2.one(), Element.one(2), H2)
-    y1 = lift_generator(("y", {}, (1,)), H2, R2)
+    u = PullbackElement(R2.element(1), Element.one(2), H2)
+    y1 = y_class({}, (1,), H2, R2)
     assert pb_mul(u, y1).k == y1.k
     sq = pb_mul(y1, y1)
     assert sq.z.is_zero()
@@ -132,7 +173,7 @@ def test_pullback_unit_and_square():
 
 
 def test_pullback_bidegree():
-    y1 = lift_generator(("y", {}, (1,)), H2, R2)
+    y1 = y_class({}, (1,), H2, R2)
     assert y1.bidegree() == Bidegree(2, 1)
     tau = PullbackElement(
         R2.element(1, ("tau", 1)), term_element(2, 1, CoeffMonomial(tau=1)), H2
@@ -141,39 +182,46 @@ def test_pullback_bidegree():
 
 
 def test_lift_real_generator():
-    le = lift_generator(("rho_eta", {}, (1,)), HR, RR)
-    assert element_text(le.k) == "tau^1 | xi1^1 | tau{} + rho^1 | 1 | tau{1}"
-    assert beta(le.k, HR).is_zero()
+    # rho eta + tau y is the U element of constructive_kernel with r = tau
+    k = rho_eta({}, (1,), HR)
+    assert element_text(k) == "tau^1 | xi1^1 | tau{} + rho^1 | 1 | tau{1}"
+    assert beta(k, HR).is_zero()
+    for a, U in (({}, (1,)), ({1: 1}, (1,)), ({}, (1, 2)), ({1: 2}, (2,))):
+        assert in_constructive_kernel(rho_eta(a, U, HR), HR), (a, U)
+        assert in_constructive_kernel(rho_eta(a, U, HZ), HZ), (a, U)
 
 
 def test_lift_finite_field_generators():
-    for i in range(3):
-        lf = lift_generator(("tau_pow_y", i, {}, (1,)), HF3, RF3)
-        assert beta(lf.k, HF3).is_zero()
-    with pytest.raises(PullbackError):
-        lift_generator(("tau_pow_y", 3, {}, (1,)), HF3, RF3)
+    # tau^i y + i beta(tau) tau^(i-1) eta is the U element with r = tau^i
+    # (the Z element 1 * y for i = 0)
+    for a, U in (({}, (1,)), ({1: 1}, (1,)), ({}, (1, 2))):
+        for i in range(3):
+            k = tau_pow_y(i, a, U, HF3)
+            assert beta(k, HF3).is_zero()
+            assert in_constructive_kernel(k, HF3), (i, a, U)
 
 
 def test_lift_zhalf_coordinates_are_not_cycles():
-    lz = lift_generator(("tau_ji", 1, 2), HZ, RZ)
+    lz = fiber_coordinate("tau_ji", 1, 2, HZ, RZ)
     assert element_text(lz.k) == "tau^2 | 1 | tau{1}"
     assert not lz.in_ker_beta
     assert not beta(lz.k, HZ).is_zero()
-    lx = lift_generator(("xi_ji", 2, 1), HZ, RZ)
+    lx = fiber_coordinate("xi_ji", 2, 1, HZ, RZ)
     assert element_text(lx.k) == "tau^1 | xi2^1 | tau{}"
     assert not beta(lx.k, HZ).is_zero()  # beta(tau) = rho obstructs odd tau powers
-    l0 = lift_generator(("xi_ji", 2, 0), HZ, RZ)
+    l0 = fiber_coordinate("xi_ji", 2, 0, HZ, RZ)
     assert beta(l0.k, HZ).is_zero()  # the bare generator is a cycle
+    with pytest.raises(PullbackError):
+        fiber_coordinate("eta_ji", 1, 0, HZ, RZ)
+    with pytest.raises(PullbackError):
+        fiber_coordinate("tau_ji", 1, 0, HR, RR)  # only over Z[1/2]
 
 
 def test_lift_coefficient_generator():
-    lr = lift_generator(("coeff", "rho_1"), HZ, RZ)
+    z = RZ.element(1, ("rho", 0, 1))
+    lr = PullbackElement(z, q_map(z, HZ), HZ)
     assert element_text(lr.k) == "rho^1 | 1 | tau{}"
     assert lr.z == RZ.element(1, ("rho", 0, 1))
-    with pytest.raises(PullbackError):
-        lift_generator(("coeff", "nope"), HZ, RZ)
-    with pytest.raises(PullbackError):
-        lift_generator(("rho_eta", {}, (1,)), H2, R2)  # needs rho in the scheme
 
 
 def test_augment():
@@ -185,13 +233,13 @@ def test_pb_mul_compatibility_preserved():
     tau = PullbackElement(
         RZ.element(1, ("eps", 1)), q_map(RZ.element(1, ("eps", 1)), HZ), HZ
     )
-    y1 = lift_generator(("rho_eta", {}, (1,)), HZ, RZ)
+    y1 = pb_torsion(rho_eta({}, (1,), HZ), HZ, RZ)
     prod = pb_mul(tau, y1)  # constructor re-checks the invariants
     assert prod.z.is_zero()
 
 
 def test_pullback_rejects_mixed_schemes():
-    a = lift_generator(("y", {}, (1,)), H2, R2)
-    b = lift_generator(("y", {}, (1,)), HR, RR)
+    a = y_class({}, (1,), H2, R2)
+    b = y_class({}, (1,), HR, RR)
     with pytest.raises(PullbackError):
         pb_mul(a, b)

@@ -100,7 +100,7 @@ def test_u_maximal_matches_oracle(p):
     for budget in range(-1, 20):
         assert u_maximal_by_degree(p, budget) == oracles.u_maximal_by_degree(p, budget)
     for bound in (Bidegree(0, 0), Bidegree(9, 4), Bidegree(16, 8), Bidegree(30, 12)):
-        assert free_bbeta_generators(bound, p, check=False) == (
+        assert free_bbeta_generators(bound, p) == (
             oracles.free_bbeta_generators(bound, p)
         )
 
