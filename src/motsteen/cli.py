@@ -222,9 +222,12 @@ def cmd_present(config, bound):
     full_rel = [quad_relation(i, True) for i in range(0, bound) if i + 1 <= bound]
     mz_rel = [quad_relation(i, False) for i in range(1, bound) if i + 1 <= bound]
 
+    # a generator of order 1 is zero, so it is not listed
     int_gens = [
-        gen_entry(name, ring.mono_degree(mono), ring.mono_order(mono) or "free")
+        gen_entry(name, ring.mono_degree(mono), order or "free")
         for name, mono in int_gen_monos
+        for order in (ring.mono_order(mono),)
+        if order != 1
     ]
 
     y_gens = []

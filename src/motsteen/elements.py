@@ -25,6 +25,16 @@ and tau_j^2 -> 0 at odd primes, then applies the scheme's coefficient
 relations and collects like terms mod p.  The rewrite terminates: the
 bidegree is fixed and every replacement tau index is strictly larger.
 
+mul works on packed monomials.  Each key is one int: tau_j is bit j
+(j < 32), and above the tau bits sit 32-bit fields for the exponents of
+theta, eps, rho, tau, xi_1, xi_2, ...  The product of two monomials whose
+tau sets do not meet is the sum of their ints; a pair that meets adds the
+packed leaves of its rewrite instead.  Like terms collect on the ints, and
+the coefficient relations kill keys only when the result is unpacked.  The
+rewrite only raises exponents, so this drops exactly the terms that
+normalizing each product drops, and since a dict keeps the order of its
+other keys when one goes, the surviving terms keep their order too.
+
 Koszul signs use the topological degree only, so all tau_j are odd, all xi_j
 are even, and rho, eps are odd coefficient symbols.  Within a monomial the
 canonical factor order is coefficient | xi | tau with tau indices ascending.
@@ -241,7 +251,7 @@ def _check_term(c, taus, h):
 
 
 # tuple.__new__(CoeffMonomial, (...)) builds the same key as the NamedTuple
-# constructor, without its Python-level __new__; the hot loops below use it
+# constructor, without its Python-level __new__; coeff_scale and _unpack use it
 _new = tuple.__new__
 
 
@@ -251,22 +261,6 @@ def _add(out, key, s, p):
         out[key] = v
     else:
         out.pop(key, None)
-
-
-@cache
-def _merge_xi(a, b):
-    """The product of two sorted xi exponent tuples, memoized on the parts."""
-    merged = dict(a)
-    for j, e in b:
-        merged[j] = merged.get(j, 0) + e
-    return tuple(sorted(merged.items()))
-
-
-@cache
-def _join_taus(t1, t2):
-    """(sorted t1 + t2 with repeats, whether the two tau sets meet)."""
-    taus = tuple(sorted(t1 + t2))
-    return taus, len(set(taus)) < len(taus)
 
 
 @cache
@@ -307,23 +301,91 @@ def _tau_rewrite(taus, h):
     return tuple(leaves)
 
 
-def _add_rewritten(out, s, c, xi, taus, h):
-    """Add s * c | xi | taus to out, for a tau multiset taus and a sorted xi
-    tuple, through the memoized leaves of its tau_j^2 rewrite."""
-    p, scheme = h.p, h.scheme
-    kills = scheme.caps or scheme.zero_pairs
-    c0, c1, c2, c3 = c
-    for (d0, d1, d2, d3), dxi, leaf_taus in _tau_rewrite(taus, h):
-        nc = _new(CoeffMonomial, (c0 + d0, c1 + d1, c2 + d2, c3 + d3))
-        if kills and _coeff_zero(nc, scheme):
-            continue
-        mxi = _merge_xi(xi, dxi) if xi and dxi else xi or dxi
-        key = (nc, _new(SteenrodMonomial, (mxi, leaf_taus)))
-        v = (out.get(key, 0) + s) % p
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+# ---------------------------------------------------------------------------
+# Packed monomials (the layout is in the module docstring)
+#
+# Packing refuses an exponent of 2^(W-1) - 64 or more: the rewrite of a
+# product of two tau sets takes at most 63 steps (each drops a tau), each
+# raising a field by at most 1, so no field of a product carries.
+
+_TAU_BITS = 32
+_W = 32
+_TAUS = (1 << _TAU_BITS) - 1
+_FIELD = (1 << _W) - 1
+_EXP_LIMIT = (1 << (_W - 1)) - 64
+_XI_SHIFT = _TAU_BITS + 3 * _W  # the tau exponent's field; xi_j's is W*j above
+
+
+@cache
+def _pack(key):
+    """The int of a (coeff, mono) key; ValueError outside the layout."""
+    c, (xi, taus) = key
+    if taus and not 0 <= taus[0] <= taus[-1] < _TAU_BITS:
+        raise ValueError(f"tau indices {taus} do not fit the packed layout")
+    if max(c) >= _EXP_LIMIT:
+        raise ValueError(f"exponent {max(c)} does not fit the packed layout")
+    k = 0
+    for j in taus:
+        k |= 1 << j
+    for i, e in enumerate(c):
+        k |= e << (_TAU_BITS + _W * i)
+    for j, e in xi:
+        if e >= _EXP_LIMIT:
+            raise ValueError(f"exponent {e} does not fit the packed layout")
+        k |= e << (_XI_SHIFT + _W * j)
+    return k
+
+
+@cache
+def _unpack(k):
+    """The (coeff, mono) key of a packed int: the inverse of _pack."""
+    c = _new(CoeffMonomial, (k >> _TAU_BITS & _FIELD, k >> (_TAU_BITS + _W) & _FIELD,
+                             k >> (_TAU_BITS + 2 * _W) & _FIELD, k >> _XI_SHIFT & _FIELD))
+    return c, _new(SteenrodMonomial, (_unpack_xi(k >> (_XI_SHIFT + _W)), _unpack_taus(k & _TAUS)))
+
+
+# The xi and tau parts of the unpacked keys repeat (87 and 15 distinct parts
+# among the 3,993 keys of suite_chi on real-p2 8/4), so each has its own memo.
+
+
+@cache
+def _unpack_xi(k):
+    """The xi part of the fields above the coefficient ones."""
+    xi, j = [], 1
+    while k:
+        if k & _FIELD:
+            xi.append((j, k & _FIELD))
+        j, k = j + 1, k >> _W
+    return tuple(xi)
+
+
+@cache
+def _unpack_taus(t):
+    """The tau indices of a tau mask, ascending."""
+    taus = []
+    while t:
+        taus.append((t & -t).bit_length() - 1)
+        t &= t - 1
+    return tuple(taus)
+
+
+@cache
+def _meet_deltas(t1, t2, h):
+    """The packed leaves of the tau_j^2 rewrite of two meeting tau masks,
+    each relative to t1 + t2, so that k1 + k2 + delta is a leaf of k1 * k2."""
+    taus = tuple(sorted(_unpack_taus(t1) + _unpack_taus(t2)))
+    return tuple(_pack((c, SteenrodMonomial(xi, leaf_taus))) - t1 - t2
+                 for c, xi, leaf_taus in _tau_rewrite(taus, h))
+
+
+def _unpacked_terms(acc, h):
+    """The terms of a packed accumulator {int: scalar}, in its order, less
+    the keys that the scheme's caps and zero pairs kill."""
+    scheme = h.scheme
+    terms = dict(zip(map(_unpack, acc), acc.values()))
+    if scheme.caps or scheme.zero_pairs:
+        return {key: v for key, v in terms.items() if not _coeff_zero(key[0], scheme)}
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -353,56 +415,56 @@ def koszul_sign(c1, m1, c2, m2, scheme):
     return -1 if inv & 1 else 1
 
 
-def _check_terms(keys, h):
-    """_check_term on every (coeff, mono) key.  One fast test covers them all;
-    _check_term runs only when it fails, to raise at the first bad key."""
-    foreign, min_tau = h.scheme.relation_positions[2], h.min_tau
-    if any(c[i] for c, _ in keys for i in foreign) or min_tau and any(
-            m.taus and m.taus[0] < min_tau for _, m in keys):
-        for c, m in keys:
-            _check_term(c, m.taus, h)
+_NO_MEET = (0,)  # the one delta of a pair whose tau sets do not meet
+
+
+@cache
+def _foreign_bits(h):
+    """The packed bits no term of h may set: the tau indices below its
+    minimum and the fields of the coefficient generators it lacks."""
+    bits = (1 << h.min_tau) - 1
+    for i in h.scheme.relation_positions[2]:
+        bits |= _FIELD << (_TAU_BITS + _W * i)
+    return bits
 
 
 def mul(x, y, h):
     """Graded-commutative product of normalized elements.
 
-    Each pair of terms is merged directly: add the coefficient exponents,
-    merge the xi exponents and the two tau sets.  Only a pair whose tau sets
-    meet goes through the tau_j^2 rewrite, _add_rewritten adding each leaf.
-    Pairs are taken last to first, so the terms come out in the order that
-    normalizing the raw products gives them.
+    Each term is packed into one int (tau_j at bit j, the exponents in the
+    32-bit fields above; see _pack), so a pair of terms whose tau sets do
+    not meet multiplies to k1 + k2.  A pair whose tau sets meet (t1 & k2)
+    adds instead k1 + k2 plus each memoized delta of its tau_j^2 rewrite
+    leaves.  The int keys collect mod p, with the Koszul sign read off the
+    unpacked keys at odd p.  The keys that the coefficient relations kill
+    are dropped only when the result is unpacked: whether a key dies
+    depends on that key alone, and dropping a key leaves the order of the
+    others as it is.  Pairs are taken last to first, so the terms come out
+    in the order that normalizing the raw products gives them.
     """
     if x.p != y.p or x.p != h.p:
         raise AmbientMismatch("elements belong to different algebras")
     p, scheme = h.p, h.scheme
-    kills = scheme.caps or scheme.zero_pairs
-    _check_terms((*x.terms, *y.terms), h)
-    out = {}
-    get, pop = out.get, out.pop
-    ys = [(*c2, *m2, s2, c2, m2) for (c2, m2), s2 in reversed(y.terms.items())]
-    for (c1, m1), s1 in reversed(x.terms.items()):
-        a0, a1, a2, a3 = c1
-        xi1, t1 = m1
-        for b0, b1, b2, b3, xi2, t2, s2, c2, m2 in ys:
-            s = s1 * s2 if p == 2 else s1 * s2 * koszul_sign(c1, m1, c2, m2, scheme)
-            c = _new(CoeffMonomial, (a0 + b0, a1 + b1, a2 + b2, a3 + b3))
-            if kills and _coeff_zero(c, scheme):
-                continue
-            xi = _merge_xi(xi1, xi2) if xi1 and xi2 else xi1 or xi2
-            if t1 and t2:
-                taus, meet = _join_taus(t1, t2)
-                if meet:
-                    _add_rewritten(out, s, c, xi, taus, h)
-                    continue
-            else:
-                taus = t1 or t2
-            key = (c, _new(SteenrodMonomial, (xi, taus)))
-            v = (get(key, 0) + s) % p
-            if v:
-                out[key] = v
-            else:
-                pop(key, None)
-    return Element(p, out)
+    xs = [(_pack(key), s, key) for key, s in reversed(x.terms.items())]
+    ys = [(_pack(key), s, key) for key, s in reversed(y.terms.items())]
+    foreign = _foreign_bits(h)
+    if any(foreign & k for k, _, _ in xs + ys):
+        for c, m in (*x.terms, *y.terms):
+            _check_term(c, m.taus, h)
+    acc = {}
+    get, pop = acc.get, acc.pop
+    for k1, s1, key1 in xs:
+        t1 = k1 & _TAUS
+        for k2, s2, key2 in ys:
+            s = s1 * s2 if p == 2 else s1 * s2 * koszul_sign(*key1, *key2, scheme)
+            k = k1 + k2
+            for d in _meet_deltas(t1, k2 & _TAUS, h) if t1 & k2 else _NO_MEET:
+                v = (get(k + d, 0) + s) % p
+                if v:
+                    acc[k + d] = v
+                else:
+                    pop(k + d)
+    return Element(p, _unpacked_terms(acc, h))
 
 
 def coeff_scale(c, x, h):

@@ -479,7 +479,7 @@ def mul(x, y, h):
 
 
 def merge_xi(a, b):
-    """The xi merge of the product before it was memoized: a dict and a sort."""
+    """The xi merge of a product, unpacked: a dict and a sort."""
     if not a or not b:
         return a or b
     merged = dict(a)

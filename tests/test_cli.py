@@ -477,6 +477,14 @@ def test_present_prints_exact_orders(tmp_path):
     }
 
 
+def test_present_omits_generators_of_order_one():
+    # at q = 5, p = 3, eps_1 and eps_3 have order 1: zero classes, which used
+    # to be listed with "order": 1
+    orders = _integral_orders(["--prime", "3", "--scheme", "finite", "--q", "5"])
+    assert orders == {"eps_2": 3}
+    assert all(order == "free" or order > 1 for order in orders.values())
+
+
 @pytest.mark.parametrize("table", ["[1, 2]", '{"2": 0.5}', '{"2": 4.7}', '{"2": true}'])
 def test_present_refuses_a_malformed_w_table(tmp_path, capsys, table):
     # a list used to end in a traceback, and int() read 4.7 as w(2) = 4

@@ -13,6 +13,8 @@ from motsteen import (
     xi_degree,
     tau_degree,
 )
+import oracles
+from motsteen import elements
 from motsteen.elements import (
     COEFF_ONE,
     STEENROD_ONE,
@@ -153,6 +155,43 @@ def test_mul_square_with_cross_terms():
 def test_mul_rejects_mixed_primes():
     with pytest.raises(ValueError):
         mul(eta(basis_index({}, [1]), H2), eta(basis_index({}, [1]), H3), H2)
+
+
+def test_packing_refuses_what_does_not_fit():
+    # an exponent of 2^(W-1) in a coefficient or a xi field, or a tau index of
+    # 32, has no place in the packed layout; mul refuses it, whichever factor
+    # holds it, and so does a tau_31^2 rewrite, whose leaf would hold tau_32
+    big = 1 << (elements._W - 1)
+    one = Element.one(2)
+    for key, match in (
+        ((CoeffMonomial(tau=big), STEENROD_ONE), f"exponent {big} "),
+        ((COEFF_ONE, SteenrodMonomial(((3, big),), ())), f"exponent {big} "),
+        ((COEFF_ONE, SteenrodMonomial((), (1, 32))), "tau indices .*32.* do not fit"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            elements._pack(key)
+        x = Element(2, {key: 1})
+        for a, b in ((x, one), (one, x)):
+            with pytest.raises(ValueError, match=match):
+                mul(a, b, HR)
+    tau_31 = eta(basis_index({}, [31]), HR)
+    with pytest.raises(ValueError, match="tau indices .*32.* do not fit"):
+        mul(tau_31, tau_31, HR)
+
+
+def test_products_near_the_field_limit_match_the_oracle():
+    # xi_1^(2^(W-2)) squared, and a square whose tau sets meet on factors
+    # with exponents just below the packing limit: no field carries
+    limit = elements._EXP_LIMIT
+    half = 1 << (elements._W - 2)
+    xi = Element(2, {(COEFF_ONE, SteenrodMonomial(((1, half),), ())): 1})
+    top = Element(2, {(CoeffMonomial(rho=limit - 1, tau=limit - 1),
+                       SteenrodMonomial(((1, limit - 1), (2, limit - 1)), (1, 2))): 1})
+    for x, h in ((xi, H2), (xi, HR), (top, HR), (top, algebra("real-p2", 2, ambient="a"))):
+        got = mul(x, x, h)
+        assert not got.is_zero()
+        assert list(got.terms.items()) == list(oracles.mul(x, x, h).terms.items())
+    assert element_text(mul(xi, xi, H2)) == f"1 | xi1^{2 * half} | tau{{}}"
 
 
 def test_graded_commutativity_exhaustive():

@@ -1,5 +1,5 @@
 """In-process memos: functools caches keyed by the algebra handle itself or,
-in the product, by monomial parts."""
+in the product, by monomials and their packed ints."""
 
 import pytest
 
@@ -40,8 +40,9 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 def _clear():
     for memo in (bidegree_basis, populated_bidegrees, chi_generator, y,
                  u_maximal_by_degree, bockstein._steenrod_beta, bockstein._coeff_beta,
-                 steenrod.coeff_monomials, elements._tau_rewrite, elements._merge_xi,
-                 elements._join_taus):
+                 steenrod.coeff_monomials, elements._tau_rewrite, elements._pack,
+                 elements._unpack, elements._unpack_xi, elements._unpack_taus,
+                 elements._meet_deltas, elements._foreign_bits):
         memo.cache_clear()
     steenrod._chi_mono_cache.clear()
 
@@ -163,12 +164,14 @@ def test_blocks_suite_leaves_the_beta_memo_empty():
     _clear()
 
 
-def test_part_memos_stay_small():
-    # suite_chi on real-p2 8/4 holds 561 xi-part pairs and 59 tau-part pairs.
-    # The bounds leave about 2x headroom; the same run multiplies 2,804
-    # distinct monomial pairs, so a memo keyed by monomial pair fails them.
+def test_packed_memos_stay_small():
+    # suite_chi on real-p2 8/4 packs 2,057 monomials, unpacks 3,993 ints and
+    # holds the deltas of 32 pairs of meeting tau masks.  The bounds leave
+    # about 2x headroom; the same run multiplies 15,062 distinct pairs of
+    # monomials, so a delta memo keyed by monomial pair fails them.
     _clear()
     suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
-    assert elements._merge_xi.cache_info().currsize <= 1000
-    assert elements._join_taus.cache_info().currsize <= 150
+    assert elements._pack.cache_info().currsize <= 4200
+    assert elements._unpack.cache_info().currsize <= 8000
+    assert elements._meet_deltas.cache_info().currsize <= 64
     _clear()

@@ -23,7 +23,10 @@ from motsteen.bockstein import (
     free_bbeta_generators,
     u_maximal_by_degree,
 )
-from motsteen.elements import CoeffMonomial, Element, _add_rewritten, mul, term_element
+from motsteen.elements import (
+    CoeffMonomial, Element, SteenrodMonomial, _pack, _tau_rewrite, _unpacked_terms, mul,
+    term_element,
+)
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.linalg import kernel_basis, rank, rank_of_columns
@@ -249,12 +252,13 @@ def test_mul_matches_oracle(h):
 
 @pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
 def test_normalize_matches_oracle(h):
-    # the tau_j^2 rewrite that mul applies, _add_rewritten fed raw terms last
-    # to first, gives the same terms in the same order as the oracle's
-    # normalize on seeded sums of 2 to 6 raw terms: tau multiplicities up to
-    # 3, so squares expand more than once, coefficient exponents up to 2,
-    # past the caps and onto the zero pairs, and repeated raw terms, so
-    # terms cancel
+    # the leaf path of mul, fed raw terms last to first: each packed leaf of
+    # the tau_j^2 rewrite added to the packed coefficient and xi part,
+    # collected mod p and unpacked less the killed keys, gives the same terms
+    # in the same order as the oracle's normalize on seeded sums of 2 to 6
+    # raw terms: tau multiplicities up to 3, so squares expand more than
+    # once, coefficient exponents up to 2, past the caps and onto the zero
+    # pairs, and repeated raw terms, so terms cancel
     rng = random.Random(f"normalize-{handle_id(h)}")
     p = h.p
     taus = range(h.min_tau, h.min_tau + 4)
@@ -266,14 +270,21 @@ def test_normalize_matches_oracle(h):
             counts = {j: rng.randint(0, 3) for j in rng.sample(taus, rng.randint(0, 3))}
             raw.append((rng.randrange(p + 1), c, xi, counts))
         raw.append(rng.choice(raw))
-        got = {}
+        acc = {}
         for s, c, xi, counts in reversed(raw):
             if s % p:
                 multiset = tuple(sorted(j for j, e in counts.items() for _ in range(e)))
                 xi_part = tuple(sorted((j, e) for j, e in xi.items() if e))
-                _add_rewritten(got, s % p, c, xi_part, multiset, h)
+                base = _pack((c, SteenrodMonomial(xi_part, ())))
+                for leaf_c, leaf_xi, leaf_taus in _tau_rewrite(multiset, h):
+                    k = base + _pack((leaf_c, SteenrodMonomial(leaf_xi, leaf_taus)))
+                    v = (acc.get(k, 0) + s) % p
+                    if v:
+                        acc[k] = v
+                    else:
+                        acc.pop(k)
         want = oracles.normalize(raw, h)
-        assert list(got.items()) == list(want.terms.items())
+        assert list(_unpacked_terms(acc, h).items()) == list(want.terms.items())
 
 
 @pytest.mark.parametrize("h", ALL_A, ids=handle_id)

@@ -5,8 +5,8 @@ conjugation).
 Each example picks a handle, a populated bidegree of a small window and a
 sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
 examples are derandomized, so a run draws the same ones every time.  The
-last property holds the product's part memos to the unmemoized merge on
-random xi and tau parts.
+last two properties hold the packed monomials of the product: unpack inverts
+pack, and on disjoint tau sets the packed product is the sum of the keys.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from motsteen import algebra, mul
 from motsteen.bockstein import beta
-from motsteen.elements import Element, _join_taus, _merge_xi
+from motsteen.elements import (
+    _EXP_LIMIT, CoeffMonomial, Element, SteenrodMonomial, _pack, _unpack,
+)
 from motsteen.steenrod import bidegree_basis, conjugate, populated_bidegrees
 from test_oracles import ALL_A, ALL_MZ, handle_id
 
@@ -82,16 +84,32 @@ def test_chi_is_multiplicative(hxz):
     assert conjugate(mul(x, z, h), h) == mul(conjugate(x, h), conjugate(z, h), h)
 
 
-xi_parts = st.dictionaries(st.integers(1, 6), st.integers(1, 4), max_size=4).map(
-    lambda xi: tuple(sorted(xi.items())))
-tau_parts = st.frozensets(st.integers(0, 6), max_size=4).map(lambda t: tuple(sorted(t)))
+# exponents up to the packing limit, tau indices up to the 32 tau bits
+exponents = st.integers(0, _EXP_LIMIT - 1)
+coeff_parts = st.tuples(exponents, exponents, exponents, exponents).map(
+    lambda c: CoeffMonomial(*c))
+xi_parts = st.dictionaries(st.integers(1, 40), st.integers(1, _EXP_LIMIT - 1), max_size=4)
+tau_parts = st.frozensets(st.integers(0, 31), max_size=6)
+
+
+def _key(c, xi, taus):
+    return c, SteenrodMonomial(tuple(sorted(xi.items())), tuple(sorted(taus)))
 
 
 @PROPERTY
-@given(xi_parts, xi_parts, tau_parts, tau_parts)
-def test_part_memos_match_the_unmemoized_merge(a, b, t1, t2):
-    # asked twice, so the second answer comes from the memo
-    for _ in range(2):
-        assert _merge_xi(a, b) == oracles.merge_xi(a, b)
-        assert _join_taus(t1, t2) == (tuple(sorted(t1 + t2)),
-                                      not frozenset(t1).isdisjoint(t2))
+@given(coeff_parts, xi_parts, tau_parts)
+def test_unpack_inverts_pack(c, xi, taus):
+    key = _key(c, xi, taus)
+    assert _unpack(_pack(key)) == key
+
+
+@PROPERTY
+@given(coeff_parts, coeff_parts, xi_parts, xi_parts, tau_parts, tau_parts)
+def test_packed_keys_add_on_disjoint_tau_sets(c1, c2, xi1, xi2, t1, t2):
+    # the sum of two packed keys unpacks to the merged monomial, even where
+    # a sum of exponents passes the packing limit
+    t2 -= t1
+    product = _key(CoeffMonomial(*(a + b for a, b in zip(c1, c2))),
+                   dict(oracles.merge_xi(tuple(xi1.items()), tuple(xi2.items()))),
+                   t1 | t2)
+    assert _unpack(_pack(_key(c1, xi1, t1)) + _pack(_key(c2, xi2, t2))) == product
