@@ -30,10 +30,11 @@ mul works on packed monomials.  Each key is one int: tau_j is bit j
 theta, eps, rho, tau, xi_1, xi_2, ...  The product of two monomials whose
 tau sets do not meet is the sum of their ints; a pair that meets adds the
 packed leaves of its rewrite instead.  Like terms collect on the ints, and
-the coefficient relations kill keys only when the result is unpacked.  The
+the coefficient relations kill keys once the product is complete.  The
 rewrite only raises exponents, so this drops exactly the terms that
 normalizing each product drops, and since a dict keeps the order of its
 other keys when one goes, the surviving terms keep their order too.
+The core, _mul_packed, multiplies packed accumulators {int: scalar}.
 
 Koszul signs use the topological degree only, so all tau_j are odd, all xi_j
 are even, and rho, eps are odd coefficient symbols.  Within a monomial the
@@ -230,24 +231,11 @@ def monomial_key(key):
 
 def _coeff_zero(c, scheme):
     """Apply the scheme's multiplicative coefficient relations; True if zero."""
-    caps, pairs, _ = scheme.relation_positions
+    caps, pairs, _, _ = scheme.relation_positions
     for i, cap in caps:
         if c[i] > cap:
             return True
     return any(all(c[i] >= 1 for i in pair) for pair in pairs)
-
-
-def _check_term(c, taus, h):
-    """Raise on a coefficient generator foreign to h or a tau index below its minimum."""
-    foreign = [COEFF_ORDER[i] for i in h.scheme.relation_positions[2] if c[i]]
-    if foreign:
-        raise SchemeError(
-            f"coefficient generator {foreign[0]!r} not present for scheme {h.scheme.id}"
-        )
-    if taus and min(taus) < h.min_tau:
-        raise ValueError(
-            f"tau index {min(taus)} below the minimum {h.min_tau} for this form"
-        )
 
 
 # tuple.__new__(CoeffMonomial, (...)) builds the same key as the NamedTuple
@@ -378,44 +366,18 @@ def _meet_deltas(t1, t2, h):
                  for c, xi, leaf_taus in _tau_rewrite(taus, h))
 
 
-def _unpacked_terms(acc, h):
-    """The terms of a packed accumulator {int: scalar}, in its order, less
-    the keys that the scheme's caps and zero pairs kill."""
+def _unpacked_terms(acc):
+    """The terms of a packed accumulator {int: scalar}, in its order."""
+    return dict(zip(map(_unpack, acc), acc.values()))
+
+
+def _live(acc, h):
+    """acc less the keys that the scheme's caps and zero pairs kill, in order."""
     scheme = h.scheme
-    terms = dict(zip(map(_unpack, acc), acc.values()))
-    if scheme.caps or scheme.zero_pairs:
-        return {key: v for key, v in terms.items() if not _coeff_zero(key[0], scheme)}
-    return terms
-
-
-# ---------------------------------------------------------------------------
-# Multiplication
-
-
-def _odd_ranks(c, m, scheme):
-    """Ranks of odd-degree factors of a monomial, in canonical order."""
-    ranks = []
-    for pos, (name, e) in enumerate(zip(COEFF_ORDER, c)):
-        if e and (scheme.degree(name).d & 1):
-            ranks.extend([(0, pos)] * e)
-    # xi factors are even at every prime; tau_j has odd degree 2p^j - 1
-    ranks.extend((1, j) for j in m.taus)
-    return ranks
-
-
-def koszul_sign(c1, m1, c2, m2, scheme):
-    """Sign of merging x*y into canonical factor order (stable, x first)."""
-    if scheme.p == 2:
-        return 1
-    left = _odd_ranks(c1, m1, scheme)
-    right = _odd_ranks(c2, m2, scheme)
-    inv = 0
-    for r2 in right:
-        inv += sum(1 for r1 in left if r1 > r2)
-    return -1 if inv & 1 else 1
-
-
-_NO_MEET = (0,)  # the one delta of a pair whose tau sets do not meet
+    if not (scheme.caps or scheme.zero_pairs):
+        return acc
+    return {k: v for k, v in acc.items()
+            if not _coeff_zero([k >> (_TAU_BITS + _W * i) & _FIELD for i in range(4)], scheme)}
 
 
 @cache
@@ -428,35 +390,71 @@ def _foreign_bits(h):
     return bits
 
 
-def mul(x, y, h):
-    """Graded-commutative product of normalized elements.
-
-    Each term is packed into one int (tau_j at bit j, the exponents in the
-    32-bit fields above; see _pack), so a pair of terms whose tau sets do
-    not meet multiplies to k1 + k2.  A pair whose tau sets meet (t1 & k2)
-    adds instead k1 + k2 plus each memoized delta of its tau_j^2 rewrite
-    leaves.  The int keys collect mod p, with the Koszul sign read off the
-    unpacked keys at odd p.  The keys that the coefficient relations kill
-    are dropped only when the result is unpacked: whether a key dies
-    depends on that key alone, and dropping a key leaves the order of the
-    others as it is.  Pairs are taken last to first, so the terms come out
-    in the order that normalizing the raw products gives them.
-    """
-    if x.p != y.p or x.p != h.p:
-        raise AmbientMismatch("elements belong to different algebras")
-    p, scheme = h.p, h.scheme
-    xs = [(_pack(key), s, key) for key, s in reversed(x.terms.items())]
-    ys = [(_pack(key), s, key) for key, s in reversed(y.terms.items())]
+def _checked(terms, h):
+    """A terms dict {(coeff, mono): scalar} as a packed accumulator, in its
+    order; raises on the first term that is foreign to h."""
+    acc = dict(zip(map(_pack, terms), terms.values()))
     foreign = _foreign_bits(h)
-    if any(foreign & k for k, _, _ in xs + ys):
-        for c, m in (*x.terms, *y.terms):
-            _check_term(c, m.taus, h)
+    for k in acc:
+        if k & foreign:
+            for i in h.scheme.relation_positions[2]:
+                if k >> (_TAU_BITS + _W * i) & _FIELD:
+                    raise SchemeError(f"coefficient generator {COEFF_ORDER[i]!r} "
+                                      f"not present for scheme {h.scheme.id}")
+            low = (k & -k).bit_length() - 1
+            raise ValueError(f"tau index {low} below the minimum {h.min_tau} for this form")
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Multiplication
+
+
+def _odd_word(k, odd):
+    """One bit per odd factor of the packed monomial k mod 2, in canonical
+    order: coefficient generator i (i in odd) at bit i, tau_j at bit 4 + j.
+    x*y has the Koszul sign (-1)^popcount(word(x) & _below(word(y)))."""
+    w = (k & _TAUS) << len(COEFF_ORDER)
+    for i in odd:
+        w |= (k >> (_TAU_BITS + _W * i) & 1) << i
+    return w
+
+
+def _below(w):
+    """The bits b at which an odd number of the bits of w lie below b."""
+    for s in (1, 2, 4, 8, 16, 32):
+        w ^= w << s
+    return w << 1
+
+
+_NO_MEET = (0,)  # the one delta of a pair whose tau sets do not meet
+
+
+def _mul_packed(xa, ya, h):
+    """The product of two packed accumulators {int: scalar}, as one.
+
+    A pair of terms whose tau sets do not meet multiplies to k1 + k2; a pair
+    that meets (t1 & k2) adds instead k1 + k2 plus each memoized delta of
+    its tau_j^2 rewrite leaves.  The keys collect mod p, with each term's
+    odd word built once per call, and the keys that the coefficient
+    relations kill are dropped at the end, which leaves the order of the
+    others.  Pairs are taken last to first, so the terms come out in the
+    order that normalizing the raw products gives them.
+    """
+    p = h.p
+    if p == 2:
+        xs = [(k, s, 0) for k, s in reversed(xa.items())]
+        ys = [(k, s, 0) for k, s in reversed(ya.items())]
+    else:
+        odd = h.scheme.relation_positions[3]
+        xs = [(k, s, _odd_word(k, odd)) for k, s in reversed(xa.items())]
+        ys = [(k, s, _below(_odd_word(k, odd))) for k, s in reversed(ya.items())]
     acc = {}
     get, pop = acc.get, acc.pop
-    for k1, s1, key1 in xs:
+    for k1, s1, w1 in xs:
         t1 = k1 & _TAUS
-        for k2, s2, key2 in ys:
-            s = s1 * s2 if p == 2 else s1 * s2 * koszul_sign(*key1, *key2, scheme)
+        for k2, s2, b2 in ys:
+            s = -s1 * s2 if w1 & b2 and (w1 & b2).bit_count() & 1 else s1 * s2
             k = k1 + k2
             for d in _meet_deltas(t1, k2 & _TAUS, h) if t1 & k2 else _NO_MEET:
                 v = (get(k + d, 0) + s) % p
@@ -464,7 +462,15 @@ def mul(x, y, h):
                     acc[k + d] = v
                 else:
                     pop(k + d)
-    return Element(p, _unpacked_terms(acc, h))
+    return _live(acc, h)
+
+
+def mul(x, y, h):
+    """Graded-commutative product of normalized elements, on packed terms."""
+    if x.p != y.p or x.p != h.p:
+        raise AmbientMismatch("elements belong to different algebras")
+    xa, ya = _checked(x.terms, h), _checked(y.terms, h)
+    return Element(h.p, _unpacked_terms(_mul_packed(xa, ya, h)))
 
 
 def coeff_scale(c, x, h):
@@ -475,14 +481,16 @@ def coeff_scale(c, x, h):
     Koszul sign of moving c past each term's own coefficient factors.
     """
     p, scheme = h.p, h.scheme
-    if any(c[i] for i in scheme.relation_positions[2]):
-        _check_term(c, (), h)
+    _, _, foreign, odd = scheme.relation_positions
+    if any(c[i] for i in foreign):
+        _checked({(c, STEENROD_ONE): 1}, h)  # raises
+    wc = 0 if p == 2 else sum((c[i] & 1) << i for i in odd)  # c's _odd_word
     kills = scheme.caps or scheme.zero_pairs
     a0, a1, a2, a3 = c
     out = {}
     for (c2, m), s in x.terms.items():
-        if p != 2:
-            s *= koszul_sign(c, STEENROD_ONE, c2, STEENROD_ONE, scheme)
+        if wc and (wc & _below(sum((c2[i] & 1) << i for i in odd))).bit_count() & 1:
+            s = -s
         b0, b1, b2, b3 = c2
         merged = _new(CoeffMonomial, (a0 + b0, a1 + b1, a2 + b2, a3 + b3))
         if s % p and not (kills and _coeff_zero(merged, scheme)):

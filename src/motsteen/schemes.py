@@ -109,13 +109,15 @@ class SchemePresentation:
 
     @cached_property
     def relation_positions(self):
-        """(caps, pairs, foreign) as positions in a CoeffMonomial: ((i, max exponent),
-        ...), the position tuples of vanishing products, the absent generators."""
+        """(caps, pairs, foreign, odd) as positions in a CoeffMonomial: ((i, max
+        exponent), ...), the position tuples of vanishing products, the absent
+        generators, the generators of odd topological degree."""
         pos = COEFF_ORDER.index
         return (
             tuple((pos(name), cap) for name, cap in self.caps.items()),
             tuple(tuple(pos(name) for name in pair) for pair in self.zero_pairs),
             tuple(i for i, name in enumerate(COEFF_ORDER) if name not in self.gens),
+            tuple(pos(name) for name in self.gens if _DEGREES[name].d & 1),
         )
 
     def degree(self, name):

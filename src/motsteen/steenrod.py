@@ -21,10 +21,13 @@ recursions (with xi_0 = chi(xi_0) = 1)
     0 = tau_r + sum_{i=0..r} xi_i^(p^(r-i)) chi(tau_{r-i}),
     0 =         sum_{i=0..r} xi_i^(p^(r-i)) chi(xi_{r-i}),
 
-memoized per (kind, r, handle), and extended multiplicatively: chi of a
-monomial is chi of the monomial without its last factor times chi of that
-factor.
-All coefficient symbols other than tau are fixed by chi.
+memoized per (kind, r, handle), and extended multiplicatively.  All
+coefficient symbols other than tau are fixed by chi.  _chi_mono_cache maps
+each handle to {packed monomial: packed chi}, in the int layout of mul: chi
+of a monomial is chi of it less its top factor (the highest tau_j, else one
+unit of the highest xi_j, else one unit of the coefficient tau) times chi of
+that factor, multiplied by elements._mul_packed.  Values are unpacked only
+when conjugate or mz_image_in_a returns.
 """
 
 from __future__ import annotations
@@ -35,16 +38,17 @@ from typing import NamedTuple
 from .grading import Bidegree, tau_degree
 from .elements import (
     COEFF_ONE,
+    STEENROD_ONE,
     CoeffMonomial,
     Element,
     SteenrodMonomial,
     _coeff_zero,
-    coeff_scale,
     mono_degree,
     monomial_key,
     mul,
     term_element,
 )
+from .elements import _TAUS, _W, _XI_SHIFT, _add, _checked, _mul_packed, _pack, _unpacked_terms
 
 
 class BasisIndex(NamedTuple):
@@ -273,60 +277,70 @@ def chi_generator(kind, r, h):
     return acc.scaled(-1)
 
 
+# handle -> {packed monomial: its packed chi, an ordered {int: scalar}}
 _chi_mono_cache = {}
 
 
-def _chi_monomial(c, m, h):
-    """chi(c | m), memoized: chi of c | m without its last factor, times chi of it.
-
-    The last factor in canonical order is the largest tau_j, else one power
-    of the largest xi_j, else one coefficient tau, with chi(tau) = tau + rho
-    tau_0; the rest of the coefficient is fixed by chi.
-    """
-    chain = []  # (key, chi of the last factor), from c | m down to a known prefix
-    while (hit := _chi_mono_cache.get(key := (h, c, m))) is None:
-        if m.taus:
-            last = chi_generator("tau", m.taus[-1], h)
-            m = SteenrodMonomial(m.xi, m.taus[:-1])
-        elif m.xi:
-            j, e = m.xi[-1]
-            last = chi_generator("xi", j, h)
-            m = SteenrodMonomial(m.xi[:-1] + (((j, e - 1),) if e > 1 else ()), ())
-        elif c.tau:
-            last = term_element(h.p, 1, CoeffMonomial(tau=1))
-            if (rho := h.scheme.rho_element) is not None:
-                last = last + term_element(
-                    h.p, 1, CoeffMonomial().bump(rho), SteenrodMonomial((), (0,)))
-            c = CoeffMonomial(c.theta, c.eps, c.rho, c.tau - 1)
+def _chi_packed(k, h):
+    """chi of the packed monomial k by the chain of the module docstring (the
+    coefficient tau's field lies just below xi_1's).  A generator's chi is
+    kept at its own int, read from chi_generator; chi(tau) = tau + rho tau_0."""
+    memo = _chi_mono_cache.setdefault(h, {})
+    chain = []  # (monomial, its top factor), from k down to a known monomial
+    while (hit := memo.get(k)) is None:
+        if t := k & _TAUS:
+            top = 1 << (t.bit_length() - 1)
+        elif f := k >> _XI_SHIFT:
+            top = 1 << (_XI_SHIFT + (f.bit_length() - 1) // _W * _W)
         else:
-            hit = _chi_mono_cache[key] = term_element(h.p, 1, c)
+            hit = memo[k] = {k: 1}
             break
-        chain.append((key, last))
-    for key, last in reversed(chain):
-        hit = _chi_mono_cache[key] = mul(hit, last, h)
+        if k == top:
+            if t:
+                x = chi_generator("tau", t.bit_length() - 1, h)
+            elif j := (f.bit_length() - 1) // _W:
+                x = chi_generator("xi", j, h)
+            else:
+                x = term_element(h.p, 1, CoeffMonomial(tau=1))
+                if (rho := h.scheme.rho_element) is not None:
+                    x = x + term_element(
+                        h.p, 1, COEFF_ONE.bump(rho), SteenrodMonomial((), (0,)))
+            hit = memo[k] = _checked(x.terms, h)
+            break
+        chain.append((k, top))
+        k -= top
+    for k, top in reversed(chain):
+        hit = memo[k] = _mul_packed(hit, _chi_packed(top, h), h)
     return hit
+
+
+def _conjugate_packed(acc, h):
+    """chi of a packed accumulator, term by term."""
+    out = {}
+    for k, s in acc.items():
+        for key, t in _chi_packed(k, h).items():
+            _add(out, key, s * t, h.p)
+    return out
 
 
 def conjugate(x, h):
     """The conjugation, applied multiplicatively term by term.
 
     Only defined on the full algebra; the mz form carries the other module
-    structure and is rejected.  Per-monomial values are memoized.
+    structure and is rejected, as is a term foreign to h, before any chi is
+    computed.  Per-monomial values are memoized.
     """
     _require_full(h)
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
-    p = h.p
-    out = {}
-    get, pop = out.get, out.pop
-    for (c, m), s in x.terms.items():
-        for key, t in _chi_monomial(c, m, h).terms.items():
-            v = (get(key, 0) + s * t) % p
-            if v:
-                out[key] = v
-            else:
-                pop(key, None)
-    return Element(p, out)
+    return Element(h.p, _unpacked_terms(_conjugate_packed(_checked(x.terms, h), h)))
+
+
+def _mz_image_packed(c, idx, h_a):
+    """mz_image_in_a as a packed accumulator."""
+    _require_full(h_a)
+    k = _pack((COEFF_ONE, SteenrodMonomial(idx.a, idx.U)))
+    return _mul_packed(_checked({(c, STEENROD_ONE): 1}, h_a), _chi_packed(k, h_a), h_a)
 
 
 def mz_image_in_a(c, idx, h_a):
@@ -336,5 +350,4 @@ def mz_image_in_a(c, idx, h_a):
     right unit (stay put); this is the embedding whose image is generated by
     the chi'd generators.
     """
-    _require_full(h_a)
-    return coeff_scale(c, _chi_monomial(COEFF_ONE, SteenrodMonomial(idx.a, idx.U), h_a), h_a)
+    return Element(h_a.p, _unpacked_terms(_mz_image_packed(c, idx, h_a)))

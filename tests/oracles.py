@@ -26,7 +26,6 @@ from motsteen.elements import (
     Term,
     coeff_degree,
     element_text,
-    koszul_sign,
     monomial_key,
     term_element,
 )
@@ -458,6 +457,30 @@ def normalize(raw_terms, h):
             out.pop(key, None)
 
     return Element(p, out)
+
+
+def _odd_ranks(c, m, scheme):
+    """Ranks of odd-degree factors of a monomial, in canonical order."""
+    ranks = []
+    for pos, (name, e) in enumerate(zip(COEFF_ORDER, c)):
+        if e and (scheme.degree(name).d & 1):
+            ranks.extend([(0, pos)] * e)
+    # xi factors are even at every prime; tau_j has odd degree 2p^j - 1
+    ranks.extend((1, j) for j in m.taus)
+    return ranks
+
+
+def koszul_sign(c1, m1, c2, m2, scheme):
+    """Sign of merging x*y into canonical factor order (stable, x first),
+    by counting the inversions between the odd factors of x and y."""
+    if scheme.p == 2:
+        return 1
+    left = _odd_ranks(c1, m1, scheme)
+    right = _odd_ranks(c2, m2, scheme)
+    inv = 0
+    for r2 in right:
+        inv += sum(1 for r1 in left if r1 > r2)
+    return -1 if inv & 1 else 1
 
 
 def mul(x, y, h):

@@ -4,8 +4,8 @@ in the product, by monomials and their packed ints."""
 import pytest
 
 from motsteen import (
-    SchemePresentation, algebra, bockstein, element_text, elements, make_scheme, steenrod,
-    term_element,
+    SchemePresentation, algebra, bockstein, element_text, elements, make_scheme, mul,
+    steenrod, term_element,
 )
 from motsteen.bockstein import beta_matrix, u_maximal_by_degree, y
 from motsteen.cli import Config
@@ -165,13 +165,62 @@ def test_blocks_suite_leaves_the_beta_memo_empty():
 
 
 def test_packed_memos_stay_small():
-    # suite_chi on real-p2 8/4 packs 2,057 monomials, unpacks 3,993 ints and
-    # holds the deltas of 32 pairs of meeting tau masks.  The bounds leave
-    # about 2x headroom; the same run multiplies 15,062 distinct pairs of
-    # monomials, so a delta memo keyed by monomial pair fails them.
+    # suite_chi on real-p2 8/4 packs 526 monomials, unpacks 180 ints and
+    # holds the deltas of 32 pairs of meeting tau masks: the chi memo stays
+    # packed, so only the values that leave conjugate, mul and mz_image_in_a
+    # are unpacked.  The bounds leave about 2x headroom; the same run
+    # multiplies 15,062 distinct pairs of monomials, so a delta memo keyed by
+    # monomial pair fails them.
     _clear()
     suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
-    assert elements._pack.cache_info().currsize <= 4200
-    assert elements._unpack.cache_info().currsize <= 8000
+    assert elements._pack.cache_info().currsize <= 1100
+    assert elements._unpack.cache_info().currsize <= 400
     assert elements._meet_deltas.cache_info().currsize <= 64
     _clear()
+
+
+def test_chi_memo_is_bounded_and_holds_only_live_keys():
+    # suite_chi on real-p2 8/4 memoizes chi of 1,188 packed monomials, 12,041
+    # stored terms in all; the bounds leave about 1.5x headroom
+    _clear()
+    suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
+    (h, memo), = steenrod._chi_mono_cache.items()
+    assert h == algebra("real-p2", 2, ambient="a")
+    assert len(memo) <= 1800
+    assert sum(map(len, memo.values())) <= 18000
+    # over z-half (eps^2 = eps rho = 0) no memoized monomial and no stored
+    # term is one that the caps or zero pairs kill, while eps and rho each
+    # occur in the stored keys
+    _clear()
+    suite_chi(Config(p=2, scheme="z-half", dmax=8, wmax=4))
+    (h, memo), = steenrod._chi_mono_cache.items()
+    coeffs = [elements._unpack(k)[0] for k in set(memo).union(*memo.values())]
+    assert not any(elements._coeff_zero(c, h.scheme) for c in coeffs)
+    assert any(c.eps for c in coeffs) and any(c.rho for c in coeffs)
+    _clear()
+
+
+def test_clearing_the_chi_memos_forgets_every_chi_value(monkeypatch):
+    # chi values live in chi_generator and _chi_mono_cache alone: once both
+    # are cleared, a changed chi(tau_2) shows in conjugate and the embedding
+    h = algebra("algclosed", 2, ambient="a")
+    _clear()
+    suite_chi(Config(p=2, scheme="algclosed", dmax=8, wmax=4))
+    real = steenrod.chi_generator
+    tau_2 = SteenrodMonomial((), (2,))
+    bad = term_element(2, 1, CoeffMonomial(tau=1), tau_2)
+
+    def corrupted(kind, r, h_):
+        return bad if (kind, r, h_) == ("tau", 2, h) else real(kind, r, h_)
+
+    chi_generator.cache_clear()
+    steenrod._chi_mono_cache.clear()
+    monkeypatch.setattr(steenrod, "chi_generator", corrupted)
+    try:
+        assert conjugate(term_element(2, 1, CoeffMonomial(), tau_2), h) == bad
+        assert steenrod.mz_image_in_a(CoeffMonomial(), basis_index({}, [2]), h) == bad
+        tau_12 = term_element(2, 1, CoeffMonomial(), SteenrodMonomial((), (1, 2)))
+        assert conjugate(tau_12, h) == mul(real("tau", 1, h), bad, h)
+    finally:
+        monkeypatch.undo()
+        _clear()

@@ -24,7 +24,7 @@ from motsteen.bockstein import (
     u_maximal_by_degree,
 )
 from motsteen.elements import (
-    CoeffMonomial, Element, SteenrodMonomial, _pack, _tau_rewrite, _unpacked_terms, mul,
+    CoeffMonomial, Element, SteenrodMonomial, _live, _pack, _tau_rewrite, _unpacked_terms, mul,
     term_element,
 )
 from motsteen.cli import Config, cmd_dims
@@ -284,7 +284,7 @@ def test_normalize_matches_oracle(h):
                     else:
                         acc.pop(k)
         want = oracles.normalize(raw, h)
-        assert list(_unpacked_terms(acc, h).items()) == list(want.terms.items())
+        assert list(_unpacked_terms(_live(acc, h)).items()) == list(want.terms.items())
 
 
 @pytest.mark.parametrize("h", ALL_A, ids=handle_id)
@@ -299,6 +299,22 @@ def test_conjugate_matches_oracle(h):
 def test_mz_image_matches_oracle(h_a):
     h = algebra(h_a.scheme.id, h_a.p, h_a.scheme.q)
     for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (20, 9))):
+        for c, m in bidegree_basis(bd, h):
+            idx = index_of(m)
+            assert mz_image_in_a(c, idx, h_a) == oracles.mz_image_in_a(c, idx, h_a)
+
+
+def test_odd_coefficient_signs_match_oracle():
+    # finite q = 7 at p = 3 is the one configuration with an odd coefficient
+    # generator (eps), and ALL_A leaves it out: conjugate and mz_image_in_a
+    # on every basis monomial, eps ones included, against the oracle
+    h_a = algebra("finite-field", 3, q=7, ambient="a")
+    h = algebra("finite-field", 3, q=7)
+    for bd in populated_bidegrees(h_a, 20, 9):
+        for c, m in bidegree_basis(bd, h_a):
+            x = term_element(3, 1, c, m)
+            assert conjugate(x, h_a) == oracles.conjugate(x, h_a)
+    for bd in populated_bidegrees(h, 20, 9):
         for c, m in bidegree_basis(bd, h):
             idx = index_of(m)
             assert mz_image_in_a(c, idx, h_a) == oracles.mz_image_in_a(c, idx, h_a)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from motsteen import algebra, element_text, mul, term_element
+from motsteen import SchemeError, algebra, element_text, elements, mul, steenrod, term_element
 from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, mono_degree
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
@@ -104,6 +104,19 @@ def test_chi_fixes_rho_and_moves_tau():
 def test_chi_rejects_mz_form():
     with pytest.raises(ValueError):
         conjugate(eta(basis_index({}, [1]), H2), H2)
+
+
+def test_conjugate_refuses_a_foreign_generator_on_every_term():
+    # theta is no generator over real-p2: conjugate refuses it whether or not
+    # the term has a Steenrod part, and memoizes nothing for the refused term
+    steenrod._chi_mono_cache.clear()
+    theta = CoeffMonomial(theta=1)
+    for mono in (SteenrodMonomial((), ()), SteenrodMonomial(((1, 1),), ())):
+        x = term_element(2, 1, theta, mono)
+        with pytest.raises(SchemeError, match="'theta' not present for scheme real-p2"):
+            conjugate(x, HAR)
+    assert not any(elements._unpack(k)[0].theta
+                   for k in steenrod._chi_mono_cache.get(HAR, {}))
 
 
 def test_chi_involution_and_multiplicative_small():
