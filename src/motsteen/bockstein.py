@@ -56,8 +56,8 @@ from .elements import (
 from .linalg import FpBasis, FpMatrix, kernel_basis, rank, rank_of_columns
 from .schemes import COEFF_ORDER
 from .steenrod import (
-    basis_index, bidegree_basis, coeff_monomials, eta, index_of, monomial_index,
-    u_maximal,
+    basis_index, basis_table, bidegree_basis, coeff_monomials, eta, index_of,
+    monomial_index, u_maximal,
 )
 
 
@@ -284,6 +284,7 @@ def free_bbeta_generators(bound, p):
         yb = eb + BETA_SHIFT
         if yb.d <= dmax and yb.w <= wmax:
             found[yb] = idxs
+    basis_table(h, dmax + 1, wmax)  # beta_matrix reads yb and yb + (1, 0)
     for yb, idxs in sorted(found.items()):
         rows = {key: i for i, key in enumerate(bidegree_basis(yb, h))}
         vecs = [element_vector(y(i, h), rows) for i in idxs]

@@ -28,7 +28,7 @@ import sys
 from .grading import BETA_SHIFT, tau_degree, xi_degree
 from .elements import algebra, mono_degree
 from .schemes import SchemeError, make_scheme
-from .steenrod import populated_bidegrees
+from .steenrod import basis_table, populated_bidegrees
 from .bockstein import beta_report
 from .verify import SUITES, run_suite
 
@@ -110,6 +110,7 @@ def cmd_dims(config):
     """Per-bidegree table of dim, rank, kernel, image, and homology."""
     h = config.handle()
     table = config.cache()
+    basis_table(h, config.dmax + 1, config.wmax)  # beta_report also reads bd + (1, 0)
     bidegrees = populated_bidegrees(h, config.dmax, config.wmax)
     if table is None:
         return beta_report(bidegrees, h)

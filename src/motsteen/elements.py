@@ -197,7 +197,7 @@ class Element:
         return Element(self.p, {k: (n * s) % self.p for k, s in self.terms.items()})
 
     def sorted_terms(self):
-        return [Term(self.terms[k], *k) for k in sorted(self.terms, key=monomial_key)]
+        return [Term(self.terms[k], *k) for k in sorted(self.terms)]
 
     def homogeneous_bidegree(self, scheme):
         """The common bidegree of all terms; raises on mixed degrees."""
@@ -217,12 +217,6 @@ def term_element(p, scalar, coeff=COEFF_ONE, mono=STEENROD_ONE):
     if not scalar:
         return Element.zero(p)
     return Element(p, {(coeff, mono): scalar})
-
-
-def monomial_key(key):
-    """Deterministic total order on monomials (graded-lex within each part)."""
-    c, m = key
-    return (tuple(c), m.xi, m.taus)
 
 
 # ---------------------------------------------------------------------------

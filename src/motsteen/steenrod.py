@@ -7,12 +7,13 @@ monomials
 
 indexed by a finitely supported exponent vector a on positive integers and a
 finite set U of tau indices (positive in the "mz" form, >= 0 in the full
-algebra).  bidegree_basis enumerates the coefficient-twisted monomial basis
-of one bidegree exhaustively; the search is bounded because every coefficient
-generator has nonpositive degree and weight while d - w is strictly positive
-on every xi/tau generator.  The xi/tau monomials come from one recursion,
-bucketed by bidegree once per (p, min_tau) in monomial_index; bases,
-populated bidegrees and the U-maximal sets read those buckets.
+algebra).  The xi/tau monomials come from one recursion, bucketed by
+bidegree once per (p, min_tau) in monomial_index.  One pass over those
+buckets times the populated coefficient bidegrees puts each basis monomial
+c | m of a window d <= dmax, |w| <= wmax in the list of its bidegree; it is
+finite because every coefficient generator has nonpositive degree and weight
+while d - w > 0 on every xi/tau generator.  _basis_table keeps one such
+table per handle, read by bidegree_basis and populated_bidegrees.
 
 The conjugation chi of the full algebra is computed from the generator
 recursions (with xi_0 = chi(xi_0) = 1)
@@ -44,7 +45,6 @@ from .elements import (
     SteenrodMonomial,
     _coeff_zero,
     mono_degree,
-    monomial_key,
     mul,
     term_element,
 )
@@ -195,50 +195,71 @@ def coeff_monomials(bd, scheme):
     return tuple(out)
 
 
-@cache
-def bidegree_basis(bd, h):
-    """Coefficient-twisted monomial basis of one bidegree, sorted canonically.
+# handle -> (dmax, wmax, {bidegree: basis}), every nonempty basis of the
+# window d <= dmax, |w| <= wmax
+_basis_table = {}
 
-    Returns [(CoeffMonomial, SteenrodMonomial)].  Exhaustive: the xi/tau part
-    must satisfy d >= bd.d, w >= bd.w, d - w <= bd.d - bd.w, and the
-    coefficient part is solved exactly for the remainder.
+
+def _enumerate_bases(h, dmax, wmax):
+    """{bidegree: sorted basis} for every nonempty bidegree of the window, in one pass.
+
+    A basis monomial c | m pairs an xi/tau monomial m of bidegree e with a
+    coefficient monomial c of bidegree bd - e.  Since e.d >= e.w >= 0 and
+    c.w <= c.d <= 0, every populated bd has d >= w >= -wmax, and only e with
+    e.d - e.w <= dmax + wmax and c with c.w >= -wmax - e.w can reach the window.
     """
-    d, w = bd
-    out = []
-    if d - w >= 0:
-        for e, monos in monomial_index(h.p, d - w, h.min_tau).items():
-            if e.d < d or e.w < w or e.d - e.w > d - w:
-                continue
-            for c in coeff_monomials(Bidegree(d - e.d, w - e.w), h.scheme):
-                out.extend((c, m) for m in monos)
-    out.sort(key=monomial_key)
+    budget = dmax + wmax
+    etas = [
+        (e, monos) for e, monos in monomial_index(h.p, budget, h.min_tau).items()
+        if e.d - e.w <= budget
+    ]
+    low = -wmax - max((e.w for e, _ in etas), default=0)
+    coeffs = [
+        (d, w, cs) for d in range(low, 1) for w in range(low, d + 1)
+        if (cs := coeff_monomials(Bidegree(d, w), h.scheme))
+    ]
+    out = {}
+    for (ed, ew), monos in etas:
+        for cd, cw, cs in coeffs:
+            d, w = ed + cd, ew + cw
+            if d <= dmax and -wmax <= w <= wmax:
+                out.setdefault(Bidegree(d, w), []).extend(
+                    [(c, m) for c in cs for m in monos])
+    for basis in out.values():
+        basis.sort()
     return out
 
 
-@cache
-def populated_bidegrees(h, dmax, wmax):
-    """All bidegrees with |d| <= dmax, |w| <= wmax carrying a basis monomial.
+def basis_table(h, dmax, wmax):
+    """{bidegree: basis} holding every nonempty basis with d <= dmax, |w| <= wmax.
 
-    Each is e + c for an xi/tau bidegree e with e.d - e.w <= dmax + wmax
-    (coefficient parts never decrease d - w) and a populated coefficient
-    bidegree c with c.w <= c.d <= 0, where c.w >= -wmax - e.w.
+    One table per handle; asking for a window it does not cover re-enumerates
+    the smallest window covering both, so a caller that will read a whole
+    window asks for it first.
     """
-    budget = dmax + wmax
-    eta_degs = [
-        e for e in monomial_index(h.p, budget, h.min_tau) if e.d - e.w <= budget
-    ]
-    low = -wmax - max((e.w for e in eta_degs), default=0)
-    coeff_degs = [
-        (d, w) for d in range(low, 1) for w in range(low, d + 1)
-        if coeff_monomials(Bidegree(d, w), h.scheme)
-    ]
-    out = set()
-    for ed, ew in eta_degs:
-        for cd, cw in coeff_degs:
-            d, w = ed + cd, ew + cw
-            if -dmax <= d <= dmax and -wmax <= w <= wmax:
-                out.add(Bidegree(d, w))
-    return sorted(out)
+    hit = _basis_table.get(h)
+    if hit is None or hit[0] < dmax or hit[1] < wmax:
+        if hit is not None:
+            dmax, wmax = max(dmax, hit[0]), max(wmax, hit[1])
+        hit = _basis_table[h] = (dmax, wmax, _enumerate_bases(h, dmax, wmax))
+    return hit[2]
+
+
+def bidegree_basis(bd, h):
+    """Coefficient-twisted monomial basis of one bidegree, sorted canonically.
+
+    Returns [(CoeffMonomial, SteenrodMonomial)], read from the handle's table.
+    """
+    d, w = bd
+    return basis_table(h, d, abs(w)).get(bd, [])
+
+
+def populated_bidegrees(h, dmax, wmax):
+    """All bidegrees with |d| <= dmax, |w| <= wmax carrying a basis monomial, sorted."""
+    return sorted(
+        bd for bd in basis_table(h, dmax, wmax)
+        if -dmax <= bd.d <= dmax and -wmax <= bd.w <= wmax
+    )
 
 
 # ---------------------------------------------------------------------------

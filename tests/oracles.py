@@ -26,7 +26,6 @@ from motsteen.elements import (
     Term,
     coeff_degree,
     element_text,
-    monomial_key,
     term_element,
 )
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
@@ -164,6 +163,12 @@ def _degree(mono, p):
     for j in mono.taus:
         bd = bd + tau_degree(p, j)
     return bd
+
+
+def monomial_key(key):
+    """Deterministic total order on monomials (graded-lex within each part)."""
+    c, m = key
+    return (tuple(c), m.xi, m.taus)
 
 
 def bidegree_basis(bd, h):

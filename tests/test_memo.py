@@ -1,14 +1,19 @@
 """In-process memos: functools caches keyed by the algebra handle itself or,
-in the product, by monomials and their packed ints."""
+in the product, by monomials and their packed ints, and the per-handle basis
+table of steenrod."""
+
+from collections import Counter
 
 import pytest
+
+import oracles
 
 from motsteen import (
     SchemePresentation, algebra, bockstein, element_text, elements, make_scheme, mul,
     steenrod, term_element,
 )
-from motsteen.bockstein import beta_matrix, u_maximal_by_degree, y
-from motsteen.cli import Config
+from motsteen.bockstein import beta_matrix, beta_report, u_maximal_by_degree, y
+from motsteen.cli import Config, main
 from motsteen.elements import CoeffMonomial, SteenrodMonomial
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
@@ -38,13 +43,26 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 
 def _clear():
-    for memo in (bidegree_basis, populated_bidegrees, chi_generator, y,
-                 u_maximal_by_degree, bockstein._steenrod_beta, bockstein._coeff_beta,
-                 steenrod.coeff_monomials, elements._tau_rewrite, elements._pack,
-                 elements._unpack, elements._unpack_xi, elements._unpack_taus,
-                 elements._meet_deltas, elements._foreign_bits):
+    for memo in (chi_generator, y, u_maximal_by_degree, bockstein._steenrod_beta,
+                 bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
+                 elements._pack, elements._unpack, elements._unpack_xi,
+                 elements._unpack_taus, elements._meet_deltas, elements._foreign_bits):
         memo.cache_clear()
+    steenrod._basis_table.clear()
     steenrod._chi_mono_cache.clear()
+
+
+def _count_builds(monkeypatch):
+    """Counter {handle: number of basis table enumerations}, from now on."""
+    builds = Counter()
+    real = steenrod._enumerate_bases
+
+    def counted(h, dmax, wmax):
+        builds[h] += 1
+        return real(h, dmax, wmax)
+
+    monkeypatch.setattr(steenrod, "_enumerate_bases", counted)
+    return builds
 
 
 def _answers(handles):
@@ -82,31 +100,45 @@ def test_handles_are_hashable_and_compare_every_field():
     assert s.rho_element == "eps"
 
 
-def test_equal_handles_share_one_entry():
+def test_equal_handles_share_one_entry(monkeypatch):
     h1, h2 = algebra("real-p2", 2), algebra("real-p2", 2)
     assert h1 is not h2 and h1 == h2
-    bidegree_basis.cache_clear()
+    _clear()
+    builds = _count_builds(monkeypatch)
     first = bidegree_basis(Bidegree(5, 2), h1)
-    before = bidegree_basis.cache_info()
     assert bidegree_basis(Bidegree(5, 2), h2) is first
-    after = bidegree_basis.cache_info()
-    assert after.hits == before.hits + 1
-    assert after.currsize == before.currsize == 1
+    assert builds == {h1: 1}
+    assert list(steenrod._basis_table) == [h1]
+    _clear()
 
 
-def test_finite_fields_with_different_q_get_separate_entries():
+def test_clearing_forgets_every_basis():
+    # a corrupted table entry is gone once the memos are cleared
+    h = algebra("real-p2", 2)
+    _clear()
+    bidegree_basis(Bidegree(5, 2), h).append("corrupted")
+    assert populated_bidegrees(h, 6, 3)
+    _clear()
+    assert not steenrod._basis_table
+    assert bidegree_basis(Bidegree(5, 2), h) == oracles.bidegree_basis(Bidegree(5, 2), h)
+    _clear()
+
+
+def test_finite_fields_with_different_q_get_separate_entries(monkeypatch):
     # q = 3: beta(tau) = eps and rho = eps; q = 5: no beta and rho = 0
     h3 = algebra("finite-field", 2, q=3)
     h5 = algebra("finite-field", 2, q=5)
     assert h3.scheme.coeff_bockstein == {"tau": "eps"} and h3.scheme.rho_element == "eps"
     assert h5.scheme.coeff_bockstein == {} and h5.scheme.rho_element is None
     _clear()
+    builds = _count_builds(monkeypatch)
     for h in (h3, h5):
         bidegree_basis(Bidegree(3, 1), h)
         y(INDICES[0], h)
-    for memo in (bidegree_basis, y):
-        assert memo.cache_info().currsize == 2
-        assert memo.cache_info().hits == 0
+    assert builds == {h3: 1, h5: 1}
+    assert len(steenrod._basis_table) == 2
+    assert y.cache_info().currsize == 2
+    assert y.cache_info().hits == 0
     # beta(tau) = eps for q = 3 and 0 for q = 5, in the coefficient factor;
     # the Steenrod factor is the same but keyed by each handle
     c_tau, tau_1 = CoeffMonomial(tau=1), SteenrodMonomial((), (1,))
@@ -224,3 +256,53 @@ def test_clearing_the_chi_memos_forgets_every_chi_value(monkeypatch):
     finally:
         monkeypatch.undo()
         _clear()
+
+
+@pytest.mark.parametrize("argv,want", [
+    ("dims --prime 3 --scheme finite --q 7 --dmax 27 --wmax 13",
+     {algebra("finite-field", 3, 7): 1}),
+    ("verify kerbasis --prime 2 --scheme real-p2 --dmax 11 --wmax 5",
+     {algebra("real-p2", 2): 1, algebra("bare", 2): 1}),
+    ("verify chi --prime 2 --scheme real-p2 --dmax 8 --wmax 4",
+     {algebra("real-p2", 2): 1}),
+], ids=["dims", "kerbasis", "chi"])
+def test_each_command_enumerates_each_table_once(argv, want, monkeypatch, capsys):
+    # a command asks for the whole window it reads before reading a basis,
+    # so no basis read grows the table again
+    _clear()
+    builds = _count_builds(monkeypatch)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert builds == want
+    _clear()
+
+
+WINDOWS = [
+    (algebra("real-p2", 2), (8, 4), (14, 7), Bidegree(19, 9)),
+    (algebra("finite-field", 3, 7), (12, 6), (20, 10), Bidegree(25, 12)),
+    (algebra("algclosed", 3), (12, 12), (20, 16), Bidegree(24, 10)),
+]
+
+
+@pytest.mark.parametrize("h,small,large,lone", WINDOWS,
+                         ids=["real-p2", "finite-p3-q7", "algclosed-p3"])
+@pytest.mark.parametrize("large_first", [False, True], ids=["small-first", "large-first"])
+def test_windows_agree_whatever_the_table_holds(h, small, large, lone, large_first):
+    # in one process, the rows of a window equal those of a larger window
+    # restricted to it, whichever was built first, and a bidegree outside
+    # both equals the oracle's basis, read after them or on an empty table
+    _clear()
+    rows = {}
+    for window in (large, small) if large_first else (small, large):
+        rows[window] = beta_report(populated_bidegrees(h, *window), h)
+    dmax, wmax = small
+    inside = [r for r in rows[large]
+              if abs(r["bidegree"][0]) <= dmax and abs(r["bidegree"][1]) <= wmax]
+    assert rows[small] == inside
+    assert len(inside) < len(rows[large])
+    assert lone.d > large[0] + 1
+    want = oracles.bidegree_basis(lone, h)
+    assert want and bidegree_basis(lone, h) == want
+    _clear()
+    assert bidegree_basis(lone, h) == want
+    _clear()

@@ -5,8 +5,10 @@ conjugation).
 Each example picks a handle, a populated bidegree of a small window and a
 sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
 examples are derandomized, so a run draws the same ones every time.  The
-last two properties hold the packed monomials of the product: unpack inverts
+next two properties hold the packed monomials of the product: unpack inverts
 pack, and on disjoint tau sets the packed product is the sum of the keys.
+The last holds the order of monomials: sorting the key tuples themselves
+gives the oracle's explicit key order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -113,3 +115,23 @@ def test_packed_keys_add_on_disjoint_tau_sets(c1, c2, xi1, xi2, t1, t2):
                    dict(oracles.merge_xi(tuple(xi1.items()), tuple(xi2.items()))),
                    t1 | t2)
     assert _unpack(_pack(_key(c1, xi1, t1)) + _pack(_key(c2, xi2, t2))) == product
+
+
+# small exponents and few indices, so that keys often share a prefix
+small = st.integers(0, 3)
+keys = st.builds(
+    _key,
+    st.tuples(small, small, small, small).map(lambda c: CoeffMonomial(*c)),
+    st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3),
+    st.frozensets(st.integers(0, 4), max_size=3),
+)
+
+
+@PROPERTY
+@given(st.lists(keys, max_size=12))
+def test_plain_key_order_is_the_oracle_order(ks):
+    # bases and sorted_terms sort the (CoeffMonomial, SteenrodMonomial)
+    # tuples themselves; the oracle sorts by its explicit key
+    assert sorted(ks) == sorted(ks, key=oracles.monomial_key)
+    for a, b in zip(ks, ks[1:]):
+        assert (a < b) == (oracles.monomial_key(a) < oracles.monomial_key(b))
