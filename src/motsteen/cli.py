@@ -21,7 +21,6 @@ warm-cache runs are byte-identical to cold runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -67,6 +66,8 @@ class Config:
         self.fmt, self.strict = fmt, strict
         self.w_fn = None
         if w_table_path:
+            import json
+
             with open(w_table_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
             # bool is an int subclass, and int() would truncate a float
@@ -121,6 +122,8 @@ def cmd_dims(config):
 
 def format_dims(rows, config):
     if config.fmt == "json":
+        import json
+
         doc = {
             "schema": "motsteen.dims/1",
             **config.key_base(),
@@ -167,6 +170,8 @@ def cmd_verify(config, suite):
 
 def format_verify(results, config, suite):
     if config.fmt == "json":
+        import json
+
         doc = {
             "schema": "motsteen.verify/1",
             **config.key_base(),
@@ -347,6 +352,8 @@ def main(argv=None):
             sys.stdout.write(format_verify(results, config, args.suite))
             return code
         if args.command == "present":
+            import json
+
             doc = cmd_present(config, args.bound)
             sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
             return 0

@@ -34,7 +34,10 @@ the coefficient relations kill keys once the product is complete.  The
 rewrite only raises exponents, so this drops exactly the terms that
 normalizing each product drops, and since a dict keeps the order of its
 other keys when one goes, the surviving terms keep their order too.
-The core, _mul_packed, multiplies packed accumulators {int: scalar}.
+The core, _mul_packed, multiplies packed accumulators {int: scalar}.  At
+p = 2 every scalar is 1, so a key collects by a toggle: it is popped if
+present and appended otherwise, the same keys in the same order as summing
+mod 2.
 
 Koszul signs use the topological degree only, so all tau_j are odd, all xi_j
 are even, and rho, eps are odd coefficient symbols.  Within a monomial the
@@ -434,17 +437,35 @@ def _mul_packed(xa, ya, h):
     relations kill are dropped at the end, which leaves the order of the
     others.  Pairs are taken last to first, so the terms come out in the
     order that normalizing the raw products gives them.
+
+    At p = 2 every scalar is 1 and there are no signs, so collecting a key
+    is a toggle: it is popped if present and appended otherwise, which is
+    what summing mod 2 does, order included.  A left term with no tau bits
+    meets nothing, so its loop skips the meet test.
     """
-    p = h.p
-    if p == 2:
-        xs = [(k, s, 0) for k, s in reversed(xa.items())]
-        ys = [(k, s, 0) for k, s in reversed(ya.items())]
-    else:
-        odd = h.scheme.relation_positions[3]
-        xs = [(k, s, _odd_word(k, odd)) for k, s in reversed(xa.items())]
-        ys = [(k, s, _below(_odd_word(k, odd))) for k, s in reversed(ya.items())]
     acc = {}
-    get, pop = acc.get, acc.pop
+    pop = acc.pop
+    if h.p == 2:
+        ys = list(reversed(ya))
+        for k1 in reversed(xa):
+            if not (t1 := k1 & _TAUS):
+                for k2 in ys:
+                    if not pop(k := k1 + k2, 0):
+                        acc[k] = 1
+                continue
+            for k2 in ys:
+                if t1 & k2:
+                    for d in _meet_deltas(t1, k2 & _TAUS, h):
+                        if not pop(k := k1 + k2 + d, 0):
+                            acc[k] = 1
+                elif not pop(k := k1 + k2, 0):
+                    acc[k] = 1
+        return _live(acc, h)
+    p = h.p
+    odd = h.scheme.relation_positions[3]
+    xs = [(k, s, _odd_word(k, odd)) for k, s in reversed(xa.items())]
+    ys = [(k, s, _below(_odd_word(k, odd))) for k, s in reversed(ya.items())]
+    get = acc.get
     for k1, s1, w1 in xs:
         t1 = k1 & _TAUS
         for k2, s2, b2 in ys:

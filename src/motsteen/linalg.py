@@ -145,10 +145,16 @@ def _rref(p, rows):
     return pivots
 
 
+def gf2_rank(packed):
+    """Rank of the span of GF(2) vectors packed into integers, bit c the
+    coordinate c."""
+    return len(_gf2_echelon(packed))
+
+
 def rank_of_columns(p, vectors):
     """Rank of the span of sparse vectors {coordinate: residue}."""
     if p == 2:
-        return len(_gf2_echelon(_gf2_packed(vectors)))
+        return gf2_rank(_gf2_packed(vectors))
     return len(_echelon(p, vectors))
 
 

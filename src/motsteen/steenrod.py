@@ -336,8 +336,18 @@ def _chi_packed(k, h):
 
 
 def _conjugate_packed(acc, h):
-    """chi of a packed accumulator, term by term."""
+    """chi of a packed accumulator, term by term.
+
+    At p = 2 each key of each chi toggles in the sum, as in _mul_packed.
+    """
     out = {}
+    if h.p == 2:
+        pop = out.pop
+        for k in acc:
+            for key in _chi_packed(k, h):
+                if not pop(key, 0):
+                    out[key] = 1
+        return out
     for k, s in acc.items():
         for key, t in _chi_packed(k, h).items():
             _add(out, key, s * t, h.p)

@@ -10,7 +10,6 @@ the eps coordinate index over Z[1/2]); everything else must hold exactly.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .grading import Bidegree
 from .elements import (
@@ -42,7 +41,7 @@ from .bockstein import (
     u_maximal_by_degree,
     y,
 )
-from .linalg import rank_of_columns
+from .linalg import gf2_rank, rank_of_columns
 
 SUITES = ("beta2", "chi", "products", "linear", "blocks", "kerbasis", "z12", "all")
 
@@ -163,6 +162,8 @@ def _chi_fails_on(x, z, h):
 def check_chi_multiplicative(config, h):
     """chi(xz) = chi(x) chi(z): exhaustive on coefficient-free pairs with total
     degree <= dmax, plus 200 seeded random coefficient-twisted pairs."""
+    import random
+
     dmax = min(config.dmax, 20)
     p = h.p
     monos = steenrod_monomials_by_degree(p, dmax, 0)
@@ -216,9 +217,27 @@ def check_chi_quadratic_relation(config, h):
     return [("conjugated quadratic relation", _status(ok), "i <= 4")]
 
 
+def _embedding_rank(src, h):
+    """Rank of the images of the mz basis monomials src in the full algebra;
+    rows are the monomials that actually appear in the images.  At p = 2
+    each column is packed into an int while its rows are indexed."""
+    rows = {}
+    if h.p != 2:
+        return rank_of_columns(h.p, [
+            {rows.setdefault(k, len(rows)): s for k, s in
+             _mz_image_packed(c, index_of(mono), h).items()}
+            for c, mono in src])
+    cols = []
+    for c, mono in src:
+        col = 0
+        for k in _mz_image_packed(c, index_of(mono), h):
+            col |= 1 << rows.setdefault(k, len(rows))
+        cols.append(col)
+    return gf2_rank(cols)
+
+
 def check_chi_embedding(config, h):
-    """The integral-form embedding is injective per bidegree (rank test);
-    rows cover the monomials that actually appear in the images."""
+    """The integral-form embedding is injective per bidegree (rank test)."""
     dmax = min(config.dmax, 20)
     hmz = config.handle()
     inj_ok = True
@@ -228,12 +247,7 @@ def check_chi_embedding(config, h):
         src = bidegree_basis(bd, hmz)
         if not src:
             continue
-        rows = {}
-        cols = []
-        for c, mono in src:
-            img = _mz_image_packed(c, index_of(mono), h)
-            cols.append({rows.setdefault(k, len(rows)): s for k, s in img.items()})
-        if rank_of_columns(h.p, cols) != len(src):
+        if _embedding_rank(src, h) != len(src):
             inj_ok = False
             detail = f"rank drop at {bd}"
             break

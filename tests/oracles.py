@@ -13,13 +13,16 @@ worklist, the conjugation that rebuilds each monomial from its
 generators with powers, and the closed product formula expanded through
 that product, with every failure text formatted as the case is checked.  They carry no memo, and they build their matrices
 on their own bases, so test_oracles.py can hold the single-path code to
-them on small windows.
+them on small windows.  Last come the packed product, conjugation and
+embedding rank that sum scalars mod p at p = 2 too, which test_gf2.py holds
+the toggling GF(2) paths to.
 """
 
 from motsteen import bockstein
 from motsteen.bockstein import y
 from motsteen.elements import (
     COEFF_ONE,
+    STEENROD_ONE,
     CoeffMonomial,
     Element,
     SteenrodMonomial,
@@ -28,11 +31,14 @@ from motsteen.elements import (
     element_text,
     term_element,
 )
+from motsteen.elements import (
+    _TAUS, _add, _below, _checked, _live, _meet_deltas, _odd_word, _pack,
+)
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
-from motsteen.linalg import FpMatrix
+from motsteen.linalg import FpMatrix, rank_of_columns
 from motsteen.schemes import COEFF_ORDER, SchemeError
 from motsteen.relations import ConventionError, product_formula_terms
-from motsteen.steenrod import coeff_monomials, eta, index_of
+from motsteen.steenrod import _chi_packed, coeff_monomials, eta, index_of
 
 
 def _rref(M):
@@ -637,3 +643,59 @@ def product_case(aU, bT, h):
                 f"formula gives {element_text(el)}, oracle {element_text(oracle)}"
             )
     return matches, failures
+
+
+# ---------------------------------------------------------------------------
+# The packed kernels summing scalars mod p at every prime, as they stood
+# before p = 2 collected by toggling keys.  They read the packed memos of
+# motsteen (the rewrite deltas and the chi memo), so they pin the collection
+# alone; the oracles above pin the values.
+
+
+def mul_packed(xa, ya, h):
+    """The product of two packed accumulators, every key summed mod p."""
+    p = h.p
+    if p == 2:
+        xs = [(k, s, 0) for k, s in reversed(xa.items())]
+        ys = [(k, s, 0) for k, s in reversed(ya.items())]
+    else:
+        odd = h.scheme.relation_positions[3]
+        xs = [(k, s, _odd_word(k, odd)) for k, s in reversed(xa.items())]
+        ys = [(k, s, _below(_odd_word(k, odd))) for k, s in reversed(ya.items())]
+    acc = {}
+    get, pop = acc.get, acc.pop
+    for k1, s1, w1 in xs:
+        t1 = k1 & _TAUS
+        for k2, s2, b2 in ys:
+            s = -s1 * s2 if w1 & b2 and (w1 & b2).bit_count() & 1 else s1 * s2
+            k = k1 + k2
+            for d in _meet_deltas(t1, k2 & _TAUS, h) if t1 & k2 else (0,):
+                v = (get(k + d, 0) + s) % p
+                if v:
+                    acc[k + d] = v
+                else:
+                    pop(k + d)
+    return _live(acc, h)
+
+
+def conjugate_packed(acc, h):
+    """chi of a packed accumulator, each product of scalars added mod p."""
+    out = {}
+    for k, s in acc.items():
+        for key, t in _chi_packed(k, h).items():
+            _add(out, key, s * t, h.p)
+    return out
+
+
+def mz_image_packed(c, idx, h_a):
+    """c * chi(eta[a, U]) in the full algebra, through mul_packed."""
+    k = _pack((COEFF_ONE, SteenrodMonomial(idx.a, idx.U)))
+    return mul_packed(_checked({(c, STEENROD_ONE): 1}, h_a), _chi_packed(k, h_a), h_a)
+
+
+def embedding_rank(src, h):
+    """Rank of the images of src as dict columns, rows indexed in order of appearance."""
+    rows = {}
+    cols = [{rows.setdefault(k, len(rows)): s for k, s in
+             mz_image_packed(c, index_of(mono), h).items()} for c, mono in src]
+    return rank_of_columns(h.p, cols)

@@ -93,7 +93,7 @@ def test_cold_import_of_the_cli_loads_only_the_common_path():
         "print(sorted(m for m in sys.modules if m.startswith('motsteen.'))); "
         "import motsteen.cli; "
         "print(sorted(m for m in ('motsteen.integral', 'motsteen.relations', "
-        "'motsteen.cache', 'dataclasses', 'hashlib') if m in sys.modules))"
+        "'motsteen.cache', 'dataclasses', 'hashlib', 'json', 'random') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
