@@ -236,7 +236,7 @@ def _coeff_zero(c, scheme):
 
 
 # tuple.__new__(CoeffMonomial, (...)) builds the same key as the NamedTuple
-# constructor, without its Python-level __new__; coeff_scale and _unpack use it
+# constructor, without its Python-level __new__; _unpack uses it
 _new = tuple.__new__
 
 
@@ -486,31 +486,6 @@ def mul(x, y, h):
         raise AmbientMismatch("elements belong to different algebras")
     xa, ya = _checked(x.terms, h), _checked(y.terms, h)
     return Element(h.p, _unpacked_terms(_mul_packed(xa, ya, h)))
-
-
-def coeff_scale(c, x, h):
-    """Fast left multiplication by a single coefficient monomial.
-
-    No tau squares or xi merges can arise, so this skips the rewrite
-    worklist: merge exponents, apply the coefficient relations, keep the
-    Koszul sign of moving c past each term's own coefficient factors.
-    """
-    p, scheme = h.p, h.scheme
-    _, _, foreign, odd = scheme.relation_positions
-    if any(c[i] for i in foreign):
-        _checked({(c, STEENROD_ONE): 1}, h)  # raises
-    wc = 0 if p == 2 else sum((c[i] & 1) << i for i in odd)  # c's _odd_word
-    kills = scheme.caps or scheme.zero_pairs
-    a0, a1, a2, a3 = c
-    out = {}
-    for (c2, m), s in x.terms.items():
-        if wc and (wc & _below(sum((c2[i] & 1) << i for i in odd))).bit_count() & 1:
-            s = -s
-        b0, b1, b2, b3 = c2
-        merged = _new(CoeffMonomial, (a0 + b0, a1 + b1, a2 + b2, a3 + b3))
-        if s % p and not (kills and _coeff_zero(merged, scheme)):
-            out[merged, m] = s % p  # distinct terms stay distinct
-    return Element(p, out)
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,6 @@ def q_map(z, h):
     """
     ring = z.ring
     p = ring.p
-    scheme = ring.scheme
     out = Element.zero(p)
     for mono, c in z.terms.items():
         kind = mono[0]
@@ -288,8 +287,6 @@ def q_map(z, h):
         elif kind == "tau2":
             cm = CoeffMonomial(rho=mono[1], tau=2 * mono[2])
         elif kind == "eps":
-            if "eps" not in scheme.gens:
-                continue  # eps reduces to zero mod p here
             cm = CoeffMonomial(eps=1, tau=mono[1] - 1)
         elif kind == "rho":
             e, k = mono[1], mono[2]

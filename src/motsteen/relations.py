@@ -9,7 +9,12 @@ product_relation_sweep evaluates the formula under both conventions on
 every pair of indices in a window over the algebraically closed base, where
 rho = 0, and compares each against the multiplication oracle
 beta(eta[a,U]) * beta(eta[b,T]); the report says which convention
-reproduces the oracle.
+reproduces the oracle.  The formula reads a and b only through a + b, so the
+sweep expands it once per key (a + b, U, T) and convention, into a packed
+accumulator {int: scalar} summed from tau^k * y products, and reuses it for
+every pair sharing the key.  Each y class is packed once, the oracle is the
+packed product of the two, and each case compares packed dicts; failure
+text is built only for a case that no convention matches.
 
 The linear relations among the y with |U| = j are generated by expanding
 beta(beta(eta)) = 0: for every V inside supp(a) with |V| = j + 1,
@@ -33,9 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .elements import CoeffMonomial, Element, algebra, coeff_scale, element_text, mul
+from .elements import (
+    STEENROD_ONE, CoeffMonomial, Element, _add, _checked, _mul_packed, _pack,
+    _unpacked_terms, algebra, element_text, mul,
+)
 from .bockstein import beta, y
-from .steenrod import BasisIndex, basis_index
+from .steenrod import basis_index
 from .integral import IntCoeffRing, PullbackElement, fiber_coordinate, pb_mul, q_map
 
 
@@ -77,6 +85,7 @@ def product_formula_terms(aU, bT, p, convention):
     convention "subscript": k-bump at delta_k, intersection bumps at j+1;
     convention "printed": k-bump at delta_(k-1), intersection bumps at j.
     Raises ConventionError when a bump lands on the nonexistent slot 0.
+    The exponent vectors a and b are read only through a + b.
     """
     shift = 0 if convention == "subscript" else -1
     a, U = _amap(aU), aU.U
@@ -122,75 +131,65 @@ def product_formula_terms(aU, bT, p, convention):
     return out
 
 
-def formula_element(terms, h):
-    """Expand formal formula terms into an Element of the mz form."""
-    out = Element.zero(h.p)
-    for tau_pow, scalar, idx in terms:
-        out = out + coeff_scale(CoeffMonomial(tau=tau_pow), y(idx, h), h).scaled(scalar)
-    return out
-
-
-@dataclass
-class ProductCase:
-    aU: BasisIndex
-    bT: BasisIndex
-    oracle: Element
-    outcomes: dict     # convention -> formula Element, or the ConventionError raised
-
-    @property
-    def matches(self):
-        """convention -> whether the formula reproduces the oracle."""
-        return {conv: self.oracle == el for conv, el in self.outcomes.items()}
-
-    @property
-    def failures(self):
-        """convention -> reason for a non-match, formatted on each read."""
-        return {
-            conv: str(el) if isinstance(el, ConventionError)
-            else f"formula gives {element_text(el)}, oracle {element_text(self.oracle)}"
-            for conv, el in self.outcomes.items() if self.oracle != el
-        }
-
-
-def _product_case(aU, bT, h):
-    """Both conventions of the closed formula, with canonical indices and a rho-free h."""
-    oracle = mul(y(aU, h), y(bT, h), h)
-    outcomes = {}
-    for convention in ("subscript", "printed"):
-        try:
-            terms = product_formula_terms(aU, bT, h.p, convention)
-            outcomes[convention] = formula_element(terms, h)
-        except ConventionError as e:
-            outcomes[convention] = e
-    return ProductCase(aU, bT, oracle, outcomes)
-
-
 def product_relation_sweep(p, max_index=3, max_exp=2):
     """Exhaustive convention comparison over a finite index range.
 
-    Runs over the algebraically closed base, where rho = 0.  Returns
-    (report dict, cases with no matching convention).
+    Runs over the algebraically closed base, where rho = 0.  Returns the
+    report dict and the cases no convention matches, as (aU, bT, failures)
+    with failures {convention: reason}.
     """
     h = algebra("algclosed", p)
     idxs = list(range(1, max_index + 1))
     subsets = [U for r in range(len(idxs) + 1) for U in combinations(idxs, r)]
-    indices = [  # one row per exponent vector, one column per subset
-        [basis_index(a, U) for U in subsets] for a in _exponent_vectors(idxs, max_exp)
-    ]
+    vectors = _exponent_vectors(idxs, max_exp)
+    # one row per exponent vector, one column per subset
+    indices = [[basis_index(a, U) for U in subsets] for a in vectors]
+    ys = {}  # BasisIndex -> packed y class, the formula's indices included
+    formulas = {}  # (a + b, U, T) -> {convention: packed formula or ConventionError}
+
+    def y_packed(idx):
+        if idx not in ys:
+            ys[idx] = _checked(y(idx, h).terms, h)
+        return ys[idx]
+
+    def expand(aU, bT):
+        outcomes = {}
+        for convention in ("subscript", "printed"):
+            try:
+                terms = product_formula_terms(aU, bT, p, convention)
+            except ConventionError as e:
+                outcomes[convention] = e
+                continue
+            acc = {}
+            for tau_pow, scalar, idx in terms:
+                tau = {_pack((CoeffMonomial(tau=tau_pow), STEENROD_ONE)): scalar % p}
+                for k, s in _mul_packed(tau, y_packed(idx), h).items():
+                    _add(acc, k, s, p)
+            outcomes[convention] = acc
+        return outcomes
+
     per_convention = {"subscript": 0, "printed": 0}
     hard = []
     total = 0
-    for a_row in indices:
-        for b_row in indices:
+    for a, a_row in zip(vectors, indices):
+        for b, b_row in zip(vectors, indices):
+            ab = tuple(a.get(j, 0) + b.get(j, 0) for j in idxs)
             for aU in a_row:
+                ya = y_packed(aU)
                 for bT in b_row:
                     total += 1
-                    case = _product_case(aU, bT, h)
-                    matches = case.matches
-                    for conv, ok in matches.items():
-                        per_convention[conv] += ok
-                    if not any(matches.values()):
-                        hard.append(case)
+                    oracle = _mul_packed(ya, y_packed(bT), h)
+                    key = ab, aU.U, bT.U
+                    if key not in formulas:
+                        formulas[key] = expand(aU, bT)
+                    outcomes = formulas[key]
+                    matched = False
+                    for conv, el in outcomes.items():
+                        if el == oracle:  # a ConventionError equals no dict
+                            per_convention[conv] += 1
+                            matched = True
+                    if not matched:
+                        hard.append((aU, bT, _failures(outcomes, oracle, p)))
     report = {
         "p": p,
         "cases": total,
@@ -200,6 +199,18 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
         ),
     }
     return report, hard
+
+
+def _failures(outcomes, oracle, p):
+    """convention -> why it differs from the oracle, for a case no convention matches."""
+    def text(acc):
+        return element_text(Element(p, _unpacked_terms(acc)))
+
+    return {
+        conv: str(el) if isinstance(el, ConventionError)
+        else f"formula gives {text(el)}, oracle {text(oracle)}"
+        for conv, el in outcomes.items()
+    }
 
 
 def _exponent_vectors(idxs, max_exp):

@@ -10,7 +10,7 @@ Supported bases:
   algclosed    F_p[tau]                        (algebraically closed field)
   real-p2      F_2[rho, tau], beta tau = rho   (the real numbers, p = 2)
   real-odd     F_p[theta]                      (the real numbers, p odd)
-  finite-field F_p[tau, eps]/eps^2 or F_p[tau] (F_q, p not dividing q)
+  finite-field F_p[tau, eps]/eps^2             (F_q, p dividing q - 1)
   z-half       F_2[tau, rho, eps]/(eps rho, eps^2), beta tau = rho  (Z[1/2])
 
 plus an internal coefficient-free presentation ("bare") used for the
@@ -176,8 +176,8 @@ def make_scheme(scheme_id, p, q=None):
         if q % p == 0:
             raise SchemeError("finite-field requires p not dividing q")
         if (q - 1) % p != 0:
-            # eps dies mod p: plain polynomial coefficients, no Bockstein
-            return SchemePresentation("finite-field", p, q=q, gens=("tau",))
+            # H^{0,1}(F_q; Z/p) = mu_p(F_q) is zero, so tau is no class there
+            raise SchemeError(f"finite-field requires p dividing q - 1 (p = {p}, q = {q})")
         exceptional = (q - 1) % (p * p) != 0  # p divides q-1 exactly once
         rho = None
         if p == 2:

@@ -287,9 +287,9 @@ def check_product_formula(config):
 
     report, hard = product_relation_sweep(config.p, max_index=3, max_exp=2)
     if hard:
-        c = hard[0]
+        aU, bT, failures = hard[0]
         return [("product relation", "FAIL",
-                 f"no convention matches y{c.aU} * y{c.bT}: {c.failures}")]
+                 f"no convention matches y{aU} * y{bT}: {failures}")]
     uniform = report["uniform_convention"]
     results = [("product relation", _status(uniform == "subscript"),
                 f"{report['cases']} cases, oracle matches the {uniform} convention")]

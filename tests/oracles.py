@@ -11,12 +11,15 @@ column-major elimination over F_p that once served every prime.  Below them
 are the product that sends every pair of terms through the rewrite
 worklist, the conjugation that rebuilds each monomial from its
 generators with powers, and the closed product formula expanded through
-that product, with every failure text formatted as the case is checked.  They carry no memo, and they build their matrices
+that product, with every failure text formatted as the case is checked,
+and the sweep of a window built case by case from it.  They carry no memo, and they build their matrices
 on their own bases, so test_oracles.py can hold the single-path code to
 them on small windows.  Last come the packed product, conjugation and
 embedding rank that sum scalars mod p at p = 2 too, which test_gf2.py holds
 the toggling GF(2) paths to.
 """
+
+from itertools import combinations
 
 from motsteen import bockstein
 from motsteen.bockstein import y
@@ -27,6 +30,7 @@ from motsteen.elements import (
     Element,
     SteenrodMonomial,
     Term,
+    algebra,
     coeff_degree,
     element_text,
     term_element,
@@ -37,8 +41,8 @@ from motsteen.elements import (
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.linalg import FpMatrix, rank_of_columns
 from motsteen.schemes import COEFF_ORDER, SchemeError
-from motsteen.relations import ConventionError, product_formula_terms
-from motsteen.steenrod import _chi_packed, coeff_monomials, eta, index_of
+from motsteen.relations import ConventionError, _exponent_vectors, product_formula_terms
+from motsteen.steenrod import _chi_packed, basis_index, coeff_monomials, eta, index_of
 
 
 def _rref(M):
@@ -643,6 +647,33 @@ def product_case(aU, bT, h):
                 f"formula gives {element_text(el)}, oracle {element_text(oracle)}"
             )
     return matches, failures
+
+
+def product_relation_sweep(p, max_index, max_exp):
+    """(report, hard) of a window, case by case through product_case; hard
+    holds (aU, bT, failures) for each case no convention matches."""
+    h = algebra("algclosed", p)
+    idxs = list(range(1, max_index + 1))
+    subsets = [U for r in range(max_index + 1) for U in combinations(idxs, r)]
+    vectors = _exponent_vectors(idxs, max_exp)
+    per_convention = {"subscript": 0, "printed": 0}
+    hard = []
+    total = 0
+    for a in vectors:
+        for b in vectors:
+            for U in subsets:
+                for T in subsets:
+                    aU, bT = basis_index(a, U), basis_index(b, T)
+                    matches, failures = product_case(aU, bT, h)
+                    total += 1
+                    for conv, ok in matches.items():
+                        per_convention[conv] += ok
+                    if not any(matches.values()):
+                        hard.append((aU, bT, failures))
+    uniform = [c for c, n in per_convention.items() if n == total]
+    report = {"p": p, "cases": total, "matches": per_convention,
+              "uniform_convention": uniform[0] if uniform else None}
+    return report, hard
 
 
 # ---------------------------------------------------------------------------

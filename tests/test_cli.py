@@ -388,6 +388,16 @@ def test_q_outside_a_finite_field_is_refused(capsys, scheme):
     assert captured.err.startswith("motsteen: error: ")
 
 
+def test_finite_field_refuses_p_not_dividing_q_minus_1(capsys):
+    # tau is no class over F_5 at p = 3; dims used to describe F_3[tau]
+    code = cli.main(["dims", "--prime", "3", "--scheme", "finite", "--q", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("motsteen: error: finite-field requires p dividing q - 1 "
+                            "(p = 3, q = 5)\n")
+
+
 def test_present_algclosed_bound2():
     code, out = run_cli(
         ["present", "--prime", "2", "--scheme", "algclosed", "--bound", "2"]
@@ -477,11 +487,13 @@ def test_present_prints_exact_orders(tmp_path):
     }
 
 
-def test_present_omits_generators_of_order_one():
-    # at q = 5, p = 3, eps_1 and eps_3 have order 1: zero classes, which used
-    # to be listed with "order": 1
-    orders = _integral_orders(["--prime", "3", "--scheme", "finite", "--q", "5"])
-    assert orders == {"eps_2": 3}
+def test_present_omits_generators_of_order_one(tmp_path):
+    # a w table with w(2) = 1 makes eps_2 over Z[1/2] a zero class, which is
+    # not listed with "order": 1
+    table = tmp_path / "w.json"
+    table.write_text(json.dumps({"2": 1}))
+    orders = _integral_orders(["--prime", "2", "--scheme", "zhalf", "--w-table", str(table)])
+    assert orders == {"rho_1": 2, "rho_3": 2, "eps_1": "free"}
     assert all(order == "free" or order > 1 for order in orders.values())
 
 

@@ -21,7 +21,6 @@ from motsteen.elements import (
     CoeffMonomial,
     Element,
     SteenrodMonomial,
-    coeff_scale,
 )
 from motsteen.schemes import SchemeError, make_scheme
 from motsteen.steenrod import basis_index, eta, steenrod_monomials_by_degree
@@ -127,14 +126,6 @@ def test_mul_checks_every_term_of_both_factors_for_low_tau_indices():
     assert not mul(bad, bad, ha).is_zero()
 
 
-def test_coeff_scale_rejects_a_foreign_generator():
-    for x in (eta(basis_index({1: 1}, [1]), H2), Element.zero(2)):
-        with pytest.raises(SchemeError, match="'rho' not present"):
-            coeff_scale(CoeffMonomial(rho=1), x, H2)
-        assert coeff_scale(CoeffMonomial(tau=1), x, H2) == mul(
-            term_element(2, 1, CoeffMonomial(tau=1), STEENROD_ONE), x, H2)
-
-
 def test_mul_disjoint_taus():
     t1 = eta(basis_index({}, [1]), H2)
     t2 = eta(basis_index({}, [2]), H2)
@@ -225,15 +216,6 @@ def test_unital():
     assert mul(x, one, H2) == x
 
 
-def test_coeff_scale_matches_mul():
-    hf = algebra("finite-field", 3, q=7)
-    monos = steenrod_monomials_by_degree(3, 15, 1)
-    for m in monos[:25]:
-        x = term_element(3, 1, CoeffMonomial(eps=1), m)
-        c = CoeffMonomial(eps=1, tau=2)
-        assert coeff_scale(c, x, hf) == mul(term_element(3, 1, c), x, hf)
-
-
 def test_homogeneous_bidegree_rejects_mixed():
     x = eta(basis_index({1: 1}, []), H2) + term_element(2, 1)
     with pytest.raises(ValueError):
@@ -256,4 +238,6 @@ def test_scheme_validation():
     assert make_scheme("finite-field", 2, q=5).rho_element is None
     assert make_scheme("finite-field", 3, q=7).coeff_bockstein == {"tau": "eps"}
     assert make_scheme("finite-field", 3, q=19).coeff_bockstein == {}  # 9 | 18
-    assert make_scheme("finite-field", 3, q=5).gens == ("tau",)  # 3 does not divide 4
+    # tau is no class over F_q unless p divides q - 1
+    with pytest.raises(SchemeError, match="requires p dividing q - 1"):
+        make_scheme("finite-field", 3, q=5)

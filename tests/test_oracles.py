@@ -7,11 +7,12 @@ windows the outputs must be equal, element for element and row for row.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from motsteen import algebra
+from motsteen import algebra, cli, relations
 from motsteen.bockstein import (
     beta,
     beta_matrix,
@@ -30,14 +31,7 @@ from motsteen.elements import (
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.linalg import kernel_basis, rank, rank_of_columns
-from motsteen.relations import (
-    ConventionError,
-    _exponent_vectors,
-    _product_case,
-    formula_element,
-    product_formula_terms,
-    product_relation_sweep,
-)
+from motsteen.relations import product_relation_sweep
 from motsteen.steenrod import (
     BasisIndex,
     basis_index,
@@ -322,27 +316,10 @@ def test_odd_coefficient_signs_match_oracle():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_product_cases_match_oracle(p):
-    # every (aU, bT, convention) of product_relation_sweep(p, 2, 1): the
-    # formula expanded through coeff_scale equals the one expanded through
-    # the product, and the failure text formatted on read equals the text
-    # built eagerly, key for key and in order
-    h = algebra("algclosed", p)
-    subsets = [(), (1,), (2,), (1, 2)]
-    idxs = [basis_index(a, U) for a in _exponent_vectors([1, 2], 1) for U in subsets]
-    for aU, bT in itertools.product(idxs, repeat=2):
-        case = _product_case(aU, bT, h)
-        for conv, el in case.outcomes.items():
-            try:
-                terms = product_formula_terms(aU, bT, p, conv)
-            except ConventionError as e:
-                assert isinstance(el, ConventionError) and str(el) == str(e)
-                continue
-            want = oracles.formula_element(terms, h)
-            assert formula_element(terms, h) == want and el == want
-        matches, failures = oracles.product_case(aU, bT, h)
-        assert case.matches == matches
-        assert list(case.failures.items()) == list(failures.items())
+    # the packed sweep of the (2, 1) window against the same sweep built case
+    # by case from oracles.product_case: the report and the unmatched cases
     report, hard = product_relation_sweep(p, 2, 1)
+    assert (report, hard) == oracles.product_relation_sweep(p, 2, 1)
     assert hard == []
     assert report == {
         "p": p,
@@ -350,6 +327,40 @@ def test_product_cases_match_oracle(p):
         "matches": {"subscript": 256, "printed": {2: 80, 3: 96}[p]},
         "uniform_convention": "subscript",
     }
+
+
+def test_product_sweep_failures_match_oracle(monkeypatch, capsys):
+    # drop the last subscript term of one key (a + b, U, T): every pair sharing
+    # the key, and no other, is unmatched, with the oracle's failure texts;
+    # verify products then prints one FAIL row and skips the pullback check
+    real = relations.product_formula_terms
+    target = (((1, 1),), (1,), (1, 2))
+
+    def patched(aU, bT, p, convention):
+        terms = real(aU, bT, p, convention)
+        ab = tuple(sorted((Counter(dict(aU.a)) + Counter(dict(bT.a))).items()))
+        return terms[:-1] if convention == "subscript" and (ab, aU.U, bT.U) == target else terms
+
+    monkeypatch.setattr(relations, "product_formula_terms", patched)
+    monkeypatch.setattr(oracles, "product_formula_terms", patched)
+    first = basis_index({}, (1,)), basis_index({1: 1}, (1, 2))
+    for p in (2, 3):
+        report, hard = product_relation_sweep(p, 2, 1)
+        want_report, want_hard = oracles.product_relation_sweep(p, 2, 1)
+        assert report == want_report and report["uniform_convention"] is None
+        assert [(aU, bT) for aU, bT, _ in hard] == [
+            first, (basis_index({1: 1}, (1,)), basis_index({}, (1, 2)))]
+        assert [(aU, bT, list(f.items())) for aU, bT, f in hard] == [
+            (aU, bT, list(f.items())) for aU, bT, f in want_hard]
+        assert all(f["printed"] == "delta index 0 touches slot 0" for _, _, f in hard)
+    # the first unmatched pair of the (3, 2) window that verify products sweeps
+    _, failures = oracles.product_case(*first, algebra("algclosed", 2))
+    code = cli.main(["verify", "products", "--prime", "2", "--scheme", "algclosed",
+                     "--dmax", "6", "--wmax", "6"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        f"FAIL  product relation — no convention matches y{first[0]} * y{first[1]}: "
+        f"{failures}\n")
 
 
 def test_split_crossing_raises():

@@ -2,13 +2,12 @@
 
 import pytest
 
+import oracles
 from motsteen import algebra, element_text, mul
 from motsteen.bockstein import y
 from motsteen.steenrod import basis_index
 from motsteen.relations import (
     ConventionError,
-    _product_case,
-    formula_element,
     position_sign,
     product_formula_terms,
     product_relation_sweep,
@@ -30,48 +29,53 @@ def test_shuffle_sign():
     assert position_sign(2, (1, 2)) == -1
 
 
+def _oracle_text(aU, bT, h):
+    return element_text(mul(y(aU, h), y(bT, h), h))
+
+
 def test_product_case_p2_simple():
-    case = _product_case(basis_index({}, (1,)), basis_index({}, (2,)), H2)
-    assert case.matches == {"subscript": True, "printed": False}
-    assert element_text(case.oracle) == "1 | xi1^1 xi2^1 | tau{}"
-    assert "slot 0" in case.failures["printed"]
+    aU, bT = basis_index({}, (1,)), basis_index({}, (2,))
+    matches, failures = oracles.product_case(aU, bT, H2)
+    assert matches == {"subscript": True, "printed": False}
+    assert _oracle_text(aU, bT, H2) == "1 | xi1^1 xi2^1 | tau{}"
+    assert "slot 0" in failures["printed"]
 
 
 def test_product_case_p2_square_with_intersection_shift():
     # the square of the two-tau class needs the raised intersection delta
-    case = _product_case(basis_index({}, (1, 2)), basis_index({}, (1, 2)), H2)
-    assert case.matches["subscript"]
-    assert element_text(case.oracle) == (
+    aU = basis_index({}, (1, 2))
+    matches, _ = oracles.product_case(aU, aU, H2)
+    assert matches["subscript"]
+    assert _oracle_text(aU, aU, H2) == (
         "tau^1 | xi1^2 xi3^1 | tau{} + tau^1 | xi2^3 | tau{}"
     )
 
 
 def test_product_case_odd_p():
-    case = _product_case(basis_index({}, (1, 2)), basis_index({}, (1, 2)), H3)
-    assert case.oracle.is_zero()
-    assert case.matches["subscript"] and case.matches["printed"]
-    case = _product_case(basis_index({}, (1,)), basis_index({}, (1,)), H3)
-    assert case.matches == {"subscript": True, "printed": False}
-    assert element_text(case.oracle) == "1 | xi1^2 | tau{}"
+    aU = basis_index({}, (1, 2))
+    matches, _ = oracles.product_case(aU, aU, H3)
+    assert mul(y(aU, H3), y(aU, H3), H3).is_zero()
+    assert matches["subscript"] and matches["printed"]
+    aU = basis_index({}, (1,))
+    matches, _ = oracles.product_case(aU, aU, H3)
+    assert matches == {"subscript": True, "printed": False}
+    assert _oracle_text(aU, aU, H3) == "1 | xi1^2 | tau{}"
 
 
 def test_product_formula_consistency_with_oracle_oddp_disjoint():
-    case = _product_case(basis_index({}, (3,)), basis_index({}, (1, 2)), H3)
-    assert case.matches["subscript"]
-    el = formula_element(
-        product_formula_terms(
-            basis_index({}, (3,)), basis_index({}, (1, 2)), 3, "subscript"
-        ),
-        H3,
-    )
-    assert el == mul(y(basis_index({}, (3,)), H3), y(basis_index({}, (1, 2)), H3), H3)
+    aU, bT = basis_index({}, (3,)), basis_index({}, (1, 2))
+    matches, _ = oracles.product_case(aU, bT, H3)
+    assert matches["subscript"]
+    el = oracles.formula_element(product_formula_terms(aU, bT, 3, "subscript"), H3)
+    assert el == mul(y(aU, H3), y(bT, H3), H3)
 
 
 def test_product_formula_empty_sets():
     # y[a, {}] = 0; the formula must collapse to zero as an element
-    case = _product_case(basis_index({1: 1}, ()), basis_index({}, (1, 2)), H3)
-    assert case.oracle.is_zero()
-    assert case.matches["subscript"]
+    aU, bT = basis_index({1: 1}, ()), basis_index({}, (1, 2))
+    matches, _ = oracles.product_case(aU, bT, H3)
+    assert mul(y(aU, H3), y(bT, H3), H3).is_zero()
+    assert matches["subscript"]
 
 
 def test_product_sweep_uniform_convention():
