@@ -424,15 +424,13 @@ def _below(w):
     return w << 1
 
 
-_NO_MEET = (0,)  # the one delta of a pair whose tau sets do not meet
-
-
 def _mul_packed(xa, ya, h):
     """The product of two packed accumulators {int: scalar}, as one.
 
     A pair of terms whose tau sets do not meet multiplies to k1 + k2; a pair
     that meets (t1 & k2) adds instead k1 + k2 plus each memoized delta of
-    its tau_j^2 rewrite leaves.  The keys collect mod p, with each term's
+    its tau_j^2 rewrite leaves, and nothing at odd p, where tau_j^2 = 0.
+    The keys collect mod p, with each term's
     odd word built once per call, and the keys that the coefficient
     relations kill are dropped at the end, which leaves the order of the
     others.  Pairs are taken last to first, so the terms come out in the
@@ -469,14 +467,14 @@ def _mul_packed(xa, ya, h):
     for k1, s1, w1 in xs:
         t1 = k1 & _TAUS
         for k2, s2, b2 in ys:
+            if t1 & k2:  # tau_j^2 = 0 at odd p: _meet_deltas has no leaf
+                continue
             s = -s1 * s2 if w1 & b2 and (w1 & b2).bit_count() & 1 else s1 * s2
-            k = k1 + k2
-            for d in _meet_deltas(t1, k2 & _TAUS, h) if t1 & k2 else _NO_MEET:
-                v = (get(k + d, 0) + s) % p
-                if v:
-                    acc[k + d] = v
-                else:
-                    pop(k + d)
+            v = (get(k := k1 + k2, 0) + s) % p
+            if v:
+                acc[k] = v
+            else:
+                pop(k)
     return _live(acc, h)
 
 

@@ -22,13 +22,14 @@ recursions (with xi_0 = chi(xi_0) = 1)
     0 = tau_r + sum_{i=0..r} xi_i^(p^(r-i)) chi(tau_{r-i}),
     0 =         sum_{i=0..r} xi_i^(p^(r-i)) chi(xi_{r-i}),
 
-memoized per (kind, r, handle), and extended multiplicatively.  All
-coefficient symbols other than tau are fixed by chi.  _chi_mono_cache maps
-each handle to {packed monomial: packed chi}, in the int layout of mul: chi
-of a monomial is chi of it less its top factor (the highest tau_j, else one
-unit of the highest xi_j, else one unit of the coefficient tau) times chi of
-that factor, multiplied by elements._mul_packed.  Values are unpacked only
-when conjugate or mz_image_in_a returns.
+and extended multiplicatively.  All coefficient symbols other than tau are
+fixed by chi.  _chi_mono_cache, the one chi memo, maps each handle to
+{packed monomial: packed chi}, in the int layout of mul: chi of a generator
+sits at its own int, computed there by the recursions, and chi of any other
+monomial is chi of it less its top factor (the highest tau_j, else one unit
+of the highest xi_j, else one unit of the coefficient tau) times chi of that
+factor, multiplied by elements._mul_packed.  Values are unpacked only when
+conjugate returns.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .elements import (
     SteenrodMonomial,
     _coeff_zero,
     mono_degree,
-    mul,
     term_element,
 )
 from .elements import _TAUS, _W, _XI_SHIFT, _add, _checked, _mul_packed, _pack, _unpacked_terms
@@ -265,48 +265,29 @@ def populated_bidegrees(h, dmax, wmax):
 # ---------------------------------------------------------------------------
 # Conjugation
 
-def _xi_element(p, j, e=1):
-    if e == 0:
-        return Element.one(p)
-    return term_element(p, 1, COEFF_ONE, SteenrodMonomial(((j, e),), ()))
-
-
-def _tau_element(p, j):
-    return term_element(p, 1, COEFF_ONE, SteenrodMonomial((), (j,)))
-
-
 def _require_full(h):
     if h.ambient != "a":
         raise ValueError("conjugation is defined on the full algebra only")
-
-
-@cache
-def chi_generator(kind, r, h):
-    """chi(xi_r) or chi(tau_r) in the full algebra."""
-    _require_full(h)
-    p = h.p
-    if kind == "xi" and r == 0:
-        return Element.one(p)
-    acc = _xi_element(p, r) if kind == "xi" else _tau_element(p, r)
-    # the odd recursion ends in xi_r chi(tau_0); the even one stops at i = r-1
-    top = r if kind == "tau" else r - 1
-    for i in range(1, top + 1):
-        lower = chi_generator(kind, r - i, h)
-        if lower.is_zero():
-            continue
-        acc = acc + mul(_xi_element(p, i, p ** (r - i)), lower, h)
-    return acc.scaled(-1)
 
 
 # handle -> {packed monomial: its packed chi, an ordered {int: scalar}}
 _chi_mono_cache = {}
 
 
-def _chi_packed(k, h):
+def _chi_packed(k, h, memo=None):
     """chi of the packed monomial k by the chain of the module docstring (the
-    coefficient tau's field lies just below xi_1's).  A generator's chi is
-    kept at its own int, read from chi_generator; chi(tau) = tau + rho tau_0."""
-    memo = _chi_mono_cache.setdefault(h, {})
+    coefficient tau's field lies just below xi_1's).  memo is the handle's
+    entry of _chi_mono_cache, looked up here if not given and passed down.
+
+    A generator's chi is kept at its own int.  chi(tau) = tau + rho tau_0,
+    and chi(tau_r), chi(xi_r) follow the recursions, where multiplying by the
+    even xi_i^(p^(r-i)) adds one int to every key: it meets no tau and
+    touches no coefficient field.  Every shift is packed before the first
+    lower chi is computed, so an exponent outside the layout raises with
+    nothing memoized.
+    """
+    if memo is None:
+        memo = _chi_mono_cache.setdefault(h, {})
     chain = []  # (monomial, its top factor), from k down to a known monomial
     while (hit := memo.get(k)) is None:
         if t := k & _TAUS:
@@ -317,21 +298,31 @@ def _chi_packed(k, h):
             hit = memo[k] = {k: 1}
             break
         if k == top:
-            if t:
-                x = chi_generator("tau", t.bit_length() - 1, h)
-            elif j := (f.bit_length() - 1) // _W:
-                x = chi_generator("xi", j, h)
-            else:
-                x = term_element(h.p, 1, CoeffMonomial(tau=1))
+            p = h.p
+            if t:  # tau_r: the sum runs over i = 1..r
+                r = t.bit_length() - 1
+                lower = [SteenrodMonomial((), (r - i,)) for i in range(1, r + 1)]
+            elif r := (f.bit_length() - 1) // _W:  # xi_r: i = 1..r-1
+                lower = [SteenrodMonomial(((r - i, 1),), ()) for i in range(1, r)]
+            else:  # the coefficient tau
+                hit = memo[k] = {k: 1}
                 if (rho := h.scheme.rho_element) is not None:
-                    x = x + term_element(
-                        h.p, 1, COEFF_ONE.bump(rho), SteenrodMonomial((), (0,)))
-            hit = memo[k] = _checked(x.terms, h)
+                    hit[_pack((COEFF_ONE.bump(rho), SteenrodMonomial((), (0,))))] = 1
+                break
+            shifts = [_pack((COEFF_ONE, SteenrodMonomial(((i, p ** (r - i)),), ())))
+                      for i in range(1, len(lower) + 1)]
+            # chi(g) = -(g + sum_i xi_i^(p^(r-i)) chi(lower_i)); each product's
+            # terms are taken last to first, the order _mul_packed gives them
+            hit = {k: p - 1}
+            for shift, g in zip(shifts, lower):
+                for key, s in reversed(_chi_packed(_pack((COEFF_ONE, g)), h, memo).items()):
+                    _add(hit, key + shift, -s, p)
+            memo[k] = hit
             break
         chain.append((k, top))
         k -= top
     for k, top in reversed(chain):
-        hit = memo[k] = _mul_packed(hit, _chi_packed(top, h), h)
+        hit = memo[k] = _mul_packed(hit, _chi_packed(top, h, memo), h)
     return hit
 
 
@@ -341,15 +332,16 @@ def _conjugate_packed(acc, h):
     At p = 2 each key of each chi toggles in the sum, as in _mul_packed.
     """
     out = {}
+    memo = _chi_mono_cache.setdefault(h, {})
     if h.p == 2:
         pop = out.pop
         for k in acc:
-            for key in _chi_packed(k, h):
+            for key in _chi_packed(k, h, memo):
                 if not pop(key, 0):
                     out[key] = 1
         return out
     for k, s in acc.items():
-        for key, t in _chi_packed(k, h).items():
+        for key, t in _chi_packed(k, h, memo).items():
             _add(out, key, s * t, h.p)
     return out
 
@@ -367,18 +359,12 @@ def conjugate(x, h):
     return Element(h.p, _unpacked_terms(_conjugate_packed(_checked(x.terms, h), h)))
 
 
-def _mz_image_packed(c, idx, h_a):
-    """mz_image_in_a as a packed accumulator."""
+def _mz_image_packed(key, h_a):
+    """The image of an mz basis monomial key = (c, m) under the right-subalgebra
+    map, as a packed accumulator: the coefficient acts through the right unit
+    and stays put, and each generator of m maps to its chi, so the image is
+    generated by the chi'd generators."""
     _require_full(h_a)
-    k = _pack((COEFF_ONE, SteenrodMonomial(idx.a, idx.U)))
-    return _mul_packed(_checked({(c, STEENROD_ONE): 1}, h_a), _chi_packed(k, h_a), h_a)
-
-
-def mz_image_in_a(c, idx, h_a):
-    """Image of a coefficient-twisted eta[a, U] under the right-subalgebra map.
-
-    Generators map to their conjugates, coefficient symbols act through the
-    right unit (stay put); this is the embedding whose image is generated by
-    the chi'd generators.
-    """
-    return Element(h_a.p, _unpacked_terms(_mz_image_packed(c, idx, h_a)))
+    c, m = key
+    return _mul_packed(_checked({(c, STEENROD_ONE): 1}, h_a),
+                       _chi_packed(_pack((COEFF_ONE, m)), h_a), h_a)

@@ -25,9 +25,7 @@ from .elements import (
 from .elements import _mul_packed, _pack
 from .steenrod import (
     bidegree_basis,
-    chi_generator,
     conjugate,
-    index_of,
     populated_bidegrees,
     steenrod_monomials_by_degree,
 )
@@ -201,16 +199,18 @@ def check_chi_quadratic_relation(config, h):
         return []
     tau_c = term_element(p, 1, CoeffMonomial(tau=1))
     rho = h.scheme.rho_element
+
+    def chi(xi=(), taus=()):
+        return conjugate(term_element(p, 1, COEFF_ONE, SteenrodMonomial(xi, taus)), h)
+
     ok = True
     for i in range(0, 5):
-        lhs = mul(chi_generator("tau", i, h), chi_generator("tau", i, h), h)
-        rhs = mul(chi_generator("xi", i + 1, h), tau_c, h)
+        chi_tau = chi(taus=(i,))
+        lhs = mul(chi_tau, chi_tau, h)
+        rhs = mul(chi(xi=((i + 1, 1),)), tau_c, h)
         if rho is not None:
-            rhs = rhs + mul(
-                chi_generator("tau", i + 1, h),
-                term_element(p, 1, CoeffMonomial().bump(rho)),
-                h,
-            )
+            rho_c = term_element(p, 1, CoeffMonomial().bump(rho))
+            rhs = rhs + mul(chi(taus=(i + 1,)), rho_c, h)
         if lhs != rhs:
             ok = False
             break
@@ -225,12 +225,12 @@ def _embedding_rank(src, h):
     if h.p != 2:
         return rank_of_columns(h.p, [
             {rows.setdefault(k, len(rows)): s for k, s in
-             _mz_image_packed(c, index_of(mono), h).items()}
-            for c, mono in src])
+             _mz_image_packed(key, h).items()}
+            for key in src])
     cols = []
-    for c, mono in src:
+    for key in src:
         col = 0
-        for k in _mz_image_packed(c, index_of(mono), h):
+        for k in _mz_image_packed(key, h):
             col |= 1 << rows.setdefault(k, len(rows))
         cols.append(col)
     return gf2_rank(cols)

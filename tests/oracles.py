@@ -539,15 +539,20 @@ def _xi_element(p, j, e=1):
     return term_element(p, 1, COEFF_ONE, SteenrodMonomial(((j, e),), ()))
 
 
+def generator(kind, r, p):
+    """xi_r or tau_r as an Element (xi_0 = 1)."""
+    if kind == "xi":
+        return _xi_element(p, r) if r else Element.one(p)
+    return term_element(p, 1, COEFF_ONE, SteenrodMonomial((), (r,)))
+
+
 def chi_generator(kind, r, h):
-    """chi(xi_r) or chi(tau_r) in the full algebra, by the recursion, unmemoized."""
+    """chi(xi_r) or chi(tau_r) in the full algebra, by the recursion on
+    Elements through mul, unmemoized."""
     p = h.p
     if kind == "xi" and r == 0:
         return Element.one(p)
-    if kind == "xi":
-        acc = _xi_element(p, r)
-    else:
-        acc = term_element(p, 1, COEFF_ONE, SteenrodMonomial((), (r,)))
+    acc = generator(kind, r, p)
     top = r if kind == "tau" else r - 1
     for i in range(1, top + 1):
         lower = chi_generator(kind, r - i, h)

@@ -287,26 +287,18 @@ def test_verify_products_warn_not_fail_and_strict():
     assert code_strict == 1
 
 
-def test_verify_chi_negative_control(monkeypatch):
+def test_verify_chi_negative_control():
     """An intentionally corrupted chi(tau_2) must fail the suite."""
     from motsteen import steenrod
-    from motsteen.elements import algebra, term_element
-    from motsteen.elements import CoeffMonomial
+    from motsteen.elements import COEFF_ONE, CoeffMonomial, _checked, _pack, algebra, term_element
 
-    real = steenrod.chi_generator
     bad_h = algebra("algclosed", 2, ambient="a")
-    bad = term_element(2, 1, CoeffMonomial(), steenrod.SteenrodMonomial((), (2,)))
-
-    def corrupted(kind, r, h):
-        return bad if (kind, r, h) == ("tau", 2, bad_h) else real(kind, r, h)
-
-    def forget():
-        # both memos may hold values built on the corrupted one
-        real.cache_clear()
-        steenrod._chi_mono_cache.clear()
-
-    forget()
-    monkeypatch.setattr(steenrod, "chi_generator", corrupted)
+    tau_2 = steenrod.SteenrodMonomial((), (2,))
+    bad = term_element(2, 1, CoeffMonomial(), tau_2)
+    # chi(tau_2) = tau_2 instead of tau_2 + xi_1^2 tau_1 + ..., seeded in the
+    # one chi memo
+    steenrod._chi_mono_cache.clear()
+    steenrod._chi_mono_cache[bad_h] = {_pack((COEFF_ONE, tau_2)): _checked(bad.terms, bad_h)}
     try:
         code, out = run_cli(
             ["verify", "chi", "--prime", "2", "--scheme", "algclosed",
@@ -315,8 +307,7 @@ def test_verify_chi_negative_control(monkeypatch):
         assert code == 1
         assert "FAIL" in out
     finally:
-        monkeypatch.undo()
-        forget()
+        steenrod._chi_mono_cache.clear()
 
 
 def test_verify_z12_requires_zhalf():

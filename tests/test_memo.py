@@ -14,12 +14,12 @@ from motsteen import (
 )
 from motsteen.bockstein import beta_matrix, beta_report, u_maximal_by_degree, y
 from motsteen.cli import Config, main
-from motsteen.elements import CoeffMonomial, SteenrodMonomial
+from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, _checked, _pack
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
+    _mz_image_packed,
     basis_index,
     bidegree_basis,
-    chi_generator,
     conjugate,
     populated_bidegrees,
 )
@@ -43,7 +43,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 
 def _clear():
-    for memo in (chi_generator, y, u_maximal_by_degree, bockstein._steenrod_beta,
+    for memo in (y, u_maximal_by_degree, bockstein._steenrod_beta,
                  bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
                  elements._pack, elements._unpack, elements._unpack_xi,
                  elements._unpack_taus, elements._meet_deltas, elements._foreign_bits):
@@ -74,7 +74,7 @@ def _answers(handles):
         if h.ambient == "mz":
             out[h, "y"] = [y(idx, h) for idx in INDICES]
         else:
-            out[h, "chi"] = [chi_generator(kind, r, h)
+            out[h, "chi"] = [conjugate(oracles.generator(kind, r, h.p), h)
                              for kind in ("xi", "tau") for r in range(4)]
             out[h, "chi(tau)"] = conjugate(term_element(h.p, 1, CoeffMonomial(tau=1)), h)
     return out
@@ -199,10 +199,10 @@ def test_blocks_suite_leaves_the_beta_memo_empty():
 def test_packed_memos_stay_small():
     # suite_chi on real-p2 8/4 packs 526 monomials, unpacks 180 ints and
     # holds the deltas of 32 pairs of meeting tau masks: the chi memo stays
-    # packed, so only the values that leave conjugate, mul and mz_image_in_a
-    # are unpacked.  The bounds leave about 2x headroom; the same run
-    # multiplies 15,062 distinct pairs of monomials, so a delta memo keyed by
-    # monomial pair fails them.
+    # packed, so only the values that leave conjugate and mul are unpacked.
+    # The bounds leave about 2x headroom; the same run multiplies 15,062
+    # distinct pairs of monomials, so a delta memo keyed by monomial pair
+    # fails them.
     _clear()
     suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
     assert elements._pack.cache_info().currsize <= 1100
@@ -232,29 +232,28 @@ def test_chi_memo_is_bounded_and_holds_only_live_keys():
     _clear()
 
 
-def test_clearing_the_chi_memos_forgets_every_chi_value(monkeypatch):
-    # chi values live in chi_generator and _chi_mono_cache alone: once both
-    # are cleared, a changed chi(tau_2) shows in conjugate and the embedding
+def test_clearing_the_chi_memos_forgets_every_chi_value():
+    # chi values live in _chi_mono_cache alone, a generator's at its own int:
+    # a corrupted chi(tau_2) seeded there shows in conjugate, the embedding
+    # and chi(tau_1 tau_2), and clearing that one memo restores the true value
     h = algebra("algclosed", 2, ambient="a")
     _clear()
     suite_chi(Config(p=2, scheme="algclosed", dmax=8, wmax=4))
-    real = steenrod.chi_generator
     tau_2 = SteenrodMonomial((), (2,))
+    chi_tau_1 = conjugate(oracles.generator("tau", 1, 2), h)
     bad = term_element(2, 1, CoeffMonomial(tau=1), tau_2)
-
-    def corrupted(kind, r, h_):
-        return bad if (kind, r, h_) == ("tau", 2, h) else real(kind, r, h_)
-
-    chi_generator.cache_clear()
     steenrod._chi_mono_cache.clear()
-    monkeypatch.setattr(steenrod, "chi_generator", corrupted)
+    steenrod._chi_mono_cache[h] = {_pack((COEFF_ONE, tau_2)): _checked(bad.terms, h)}
     try:
         assert conjugate(term_element(2, 1, CoeffMonomial(), tau_2), h) == bad
-        assert steenrod.mz_image_in_a(CoeffMonomial(), basis_index({}, [2]), h) == bad
+        image = _mz_image_packed((CoeffMonomial(), tau_2), h)
+        assert elements._unpacked_terms(image) == bad.terms
         tau_12 = term_element(2, 1, CoeffMonomial(), SteenrodMonomial((), (1, 2)))
-        assert conjugate(tau_12, h) == mul(real("tau", 1, h), bad, h)
+        assert conjugate(tau_12, h) == mul(chi_tau_1, bad, h)
+        steenrod._chi_mono_cache.clear()
+        chi_tau_2 = conjugate(oracles.generator("tau", 2, 2), h)
+        assert chi_tau_2 == oracles.chi_generator("tau", 2, h) != bad
     finally:
-        monkeypatch.undo()
         _clear()
 
 

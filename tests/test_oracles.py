@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from motsteen import algebra, cli, relations
+from motsteen import algebra, cli, relations, steenrod
 from motsteen.bockstein import (
     beta,
     beta_matrix,
@@ -25,8 +25,8 @@ from motsteen.bockstein import (
     u_maximal_by_degree,
 )
 from motsteen.elements import (
-    CoeffMonomial, Element, SteenrodMonomial, _live, _pack, _tau_rewrite, _unpacked_terms, mul,
-    term_element,
+    _TAUS, CoeffMonomial, Element, SteenrodMonomial, _live, _mul_packed, _pack, _tau_rewrite,
+    _unpacked_terms, mul, term_element,
 )
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
@@ -34,13 +34,12 @@ from motsteen.linalg import kernel_basis, rank, rank_of_columns
 from motsteen.relations import product_relation_sweep
 from motsteen.steenrod import (
     BasisIndex,
+    _mz_image_packed,
     basis_index,
     bidegree_basis,
-    chi_generator,
     conjugate,
     eta,
     index_of,
-    mz_image_in_a,
     populated_bidegrees,
     steenrod_monomials,
     steenrod_monomials_by_degree,
@@ -237,7 +236,8 @@ def test_mul_matches_oracle(h):
         xs.append(Element(p, {key: rng.randrange(1, p) for key in keys}))
     pairs = list(zip(xs[::2], xs[1::2]))
     if h.ambient == "a":
-        gens = [chi_generator(kind, r, h) for kind in ("xi", "tau") for r in range(5)]
+        gens = [conjugate(oracles.generator(kind, r, p), h)
+                for kind in ("xi", "tau") for r in range(5)]
         pairs += [(x, z) for x in gens for z in gens]
     for x, z in pairs:
         want = oracles.mul(x, z, h)
@@ -294,13 +294,13 @@ def test_mz_image_matches_oracle(h_a):
     h = algebra(h_a.scheme.id, h_a.p, h_a.scheme.q)
     for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (20, 9))):
         for c, m in bidegree_basis(bd, h):
-            idx = index_of(m)
-            assert mz_image_in_a(c, idx, h_a) == oracles.mz_image_in_a(c, idx, h_a)
+            got = _unpacked_terms(_mz_image_packed((c, m), h_a))
+            assert got == oracles.mz_image_in_a(c, index_of(m), h_a).terms
 
 
 def test_odd_coefficient_signs_match_oracle():
     # finite q = 7 at p = 3 is the one configuration with an odd coefficient
-    # generator (eps), and ALL_A leaves it out: conjugate and mz_image_in_a
+    # generator (eps), and ALL_A leaves it out: conjugate and the embedding
     # on every basis monomial, eps ones included, against the oracle
     h_a = algebra("finite-field", 3, q=7, ambient="a")
     h = algebra("finite-field", 3, q=7)
@@ -310,8 +310,73 @@ def test_odd_coefficient_signs_match_oracle():
             assert conjugate(x, h_a) == oracles.conjugate(x, h_a)
     for bd in populated_bidegrees(h, 20, 9):
         for c, m in bidegree_basis(bd, h):
-            idx = index_of(m)
-            assert mz_image_in_a(c, idx, h_a) == oracles.mz_image_in_a(c, idx, h_a)
+            got = _unpacked_terms(_mz_image_packed((c, m), h_a))
+            assert got == oracles.mz_image_in_a(c, index_of(m), h_a).terms
+
+
+FULL_235 = [algebra(s, p, q, ambient="a") for s, p, q in (
+    ("algclosed", 2, None), ("real-p2", 2, None), ("z-half", 2, None),
+    ("finite-field", 2, 3), ("finite-field", 2, 5), ("bare", 2, None),
+    ("algclosed", 3, None), ("real-odd", 3, None), ("finite-field", 3, 7), ("bare", 3, None),
+    ("algclosed", 5, None), ("real-odd", 5, None), ("finite-field", 5, 11), ("bare", 5, None),
+)]
+
+
+@pytest.mark.parametrize("h", FULL_235, ids=handle_id)
+def test_packed_chi_generators_match_oracle(h):
+    # chi(xi_r) and chi(tau_r), r <= 6, computed cold by the packed
+    # recursion, against the recursion on Elements through the oracle's
+    # product: the same terms in the same order
+    steenrod._chi_mono_cache.pop(h, None)
+    for kind in ("xi", "tau"):
+        for r in range(7):
+            got = conjugate(oracles.generator(kind, r, h.p), h)
+            want = oracles.chi_generator(kind, r, h)
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_packed_chi_refuses_an_exponent_outside_the_layout():
+    # chi(tau_21) at p = 3 needs xi_1^(3^20), and 3^20 >= 2^31 - 64: the
+    # shift is packed before any lower chi, so no lower tau entry is left
+    h = algebra("algclosed", 3, ambient="a")
+    steenrod._chi_mono_cache.pop(h, None)
+    with pytest.raises(ValueError, match=f"exponent {3 ** 20} does not fit"):
+        conjugate(oracles.generator("tau", 21, 3), h)
+    assert not steenrod._chi_mono_cache[h]
+
+
+ODD_MEET = [algebra(s, p, q, ambient) for p, q7 in ((3, 7), (5, 11)) for s, q, ambient in (
+    ("algclosed", None, "a"), ("finite-field", q7, "mz"), ("real-odd", None, "a"),
+    ("bare", None, "mz"),
+)]
+
+
+@pytest.mark.parametrize("h", ODD_MEET, ids=handle_id)
+def test_odd_p_meeting_pairs_vanish(h):
+    # tau_j^2 = 0 at odd p, so a pair of terms whose tau sets meet adds
+    # nothing: such a product is 0, and on seeded random sums the odd-p
+    # product equals the oracle's, which adds the pair's (empty) rewrite
+    rng = random.Random(f"odd-meet-{handle_id(h)}")
+    p = h.p
+    taus = range(h.min_tau, h.min_tau + 4)
+
+    def key():
+        c = CoeffMonomial(**{g: rng.randint(0, 1) for g in h.scheme.gens})
+        xi = tuple((j, e) for j in (1, 2) if (e := rng.randint(0, 2)))
+        return _pack((c, SteenrodMonomial(xi, tuple(sorted(rng.sample(taus, rng.randint(0, 3)))))))
+
+    def acc():
+        return {key(): rng.randrange(1, p) for _ in range(rng.randint(1, 5))}
+
+    met = 0
+    for _ in range(300):
+        k1, k2 = key(), key()
+        if k1 & k2 & _TAUS:
+            met += 1
+            assert _mul_packed({k1: rng.randrange(1, p)}, {k2: rng.randrange(1, p)}, h) == {}
+        xa, ya = acc(), acc()
+        assert list(_mul_packed(xa, ya, h).items()) == list(oracles.mul_packed(xa, ya, h).items())
+    assert met
 
 
 @pytest.mark.parametrize("p", [2, 3])
