@@ -15,29 +15,34 @@ and the block complex on a block vector m has basis all eta[m - chi_U, U]
 with U inside the support, graded by tau count.  Its homology vanishes unless
 m = 0, which beta_report and the kernel-basis machinery exploit.
 
-beta_matrix assembles each column c | m by the Leibniz rule, beta(c m) =
-(-1)^|c| c beta(m) + beta(c) m, from two functools.cache memos keyed by the
-handle: _steenrod_beta(m) = beta(1 | m) and _coeff_beta(c) = ((-1)^|c|,
-beta(c | 1)).  Both call beta itself, and the entries go in the order beta
-lists its terms, so each matrix equals the one per-monomial beta calls would
-build.  block_complex calls beta directly: each of its columns is read once,
-so a memo would only hold them.
+Each basis is laid out in coefficient blocks, c | m for one coefficient
+monomial c and every m of one xi/tau bucket (steenrod.basis_blocks), so
+beta has one assembly, _beta_blocks, block by block by the Leibniz rule
+beta(c m) = (-1)^|c| c beta(m) + beta(c) m: the memo _bucket_beta(e) holds
+beta(1 | m) for the bucket e as positions in the bucket e - (1, 0), which
+c's block shifts to its own start in the target, and each term of beta(c)
+adds an identity block.  Both factors come from beta itself, through
+_steenrod_beta(m) = beta(1 | m) and _coeff_beta(c) = ((-1)^|c|,
+beta(c | 1)), and each column lists its entries in beta's order, so
+beta_matrix equals the one per-monomial beta calls would build.
+block_complex calls beta directly: each of its columns is read once, so a
+memo would only hold them.
 
-split_ranks reduces one beta matrix to four numbers: the dims of the
-bidegree and of its coefficient part (Steenrod part 1), and the ranks of
-the matrix's two diagonal blocks, the coefficient ring and the augmentation
-ideal.  beta_report reads a dims row off those numbers at bd and at
-bd + (1, 0): the rank, the image, and both splitting checks.
-ker_beta_basis builds the same matrix, takes the generic kernel from it and
-checks the constructive (Z u U) basis, which constructive_kernel reads off
-the memos that matrix filled.  The matrix must kill each constructive
-vector, and the vectors must be independent and as many as its nullity:
-then they span its kernel.
+split_ranks reduces beta at one bidegree to four numbers, read off the
+assembly's columns with no matrix built: the dims of the bidegree and of
+its coefficient part (Steenrod part 1), and the ranks of beta's two
+diagonal blocks, the coefficient ring and the augmentation ideal.
+beta_report reads a dims row off those numbers at bd and at bd + (1, 0):
+the rank, the image, and both splitting checks.  ker_beta_basis builds the
+matrix, takes the generic kernel from it and checks the constructive
+(Z u U) basis, which constructive_kernel reads off the factor memos.  The
+matrix must kill each constructive vector, and the vectors must be
+independent and as many as its nullity: then they span its kernel.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import xor
 from typing import NamedTuple
 
@@ -53,12 +58,15 @@ from .elements import (
     coeff_degree,
     term_element,
 )
-from .linalg import FpBasis, FpMatrix, kernel_basis, rank, rank_of_columns
+from .linalg import FpBasis, FpMatrix, gf2_rank, kernel_basis, rank, rank_of_columns
 from .schemes import COEFF_ORDER
 from .steenrod import (
-    basis_index, basis_table, bidegree_basis, coeff_monomials, eta, index_of,
+    basis_blocks, basis_index, basis_table, bidegree_basis, coeff_monomials, eta, index_of,
     monomial_index, u_maximal,
 )
+
+_ONE = Bidegree(0, 0)  # the bucket of the monomial 1
+_TAU0 = _ONE - BETA_SHIFT  # the bucket of tau_0, whose beta is 1
 
 
 def _beta_coeff_monomial(c, h):
@@ -219,19 +227,51 @@ def block_homology(blk, p):
 # Per-bidegree matrices and kernel bases
 
 
-def beta_matrix(bd, h):
-    """Matrix of beta from the bd basis to the (bd - (1,0)) basis, by Leibniz."""
-    src = bidegree_basis(bd, h)
-    dst = bidegree_basis(bd + BETA_SHIFT, h)
-    rows = {key: i for i, key in enumerate(dst)}
-    entries = {}
-    for col, (c, m) in enumerate(src):
+@cache
+def _bucket_beta(e, h):
+    """beta(1 | m) for each m of the bucket e, as positions in the bucket e - (1, 0).
+
+    Returns (columns, packed): columns[i] is ((position, scalar), ...) for the
+    i-th monomial of the bucket, in the order beta lists its terms, and at
+    p = 2 packed[i] is the same column as an int, bit r for position r.
+    Filled through _steenrod_beta, so beta stays the one definition.
+    """
+    buckets = monomial_index(h.p, e.d - e.w, h.min_tau)
+    rows = {m: i for i, m in enumerate(buckets.get(e + BETA_SHIFT, ()))}
+    cols = tuple(tuple((rows[m], s) for m, s in _steenrod_beta(mono, h)) for mono in buckets[e])
+    return cols, tuple(sum(1 << r for r, _ in col) for col in cols) if h.p == 2 else None
+
+
+def _beta_blocks(bd, h):
+    """beta from the bd basis to the bd - (1, 0) basis, one coefficient
+    block of bd at a time, by beta(c m) = (-1)^|c| c beta(m) + beta(c) m.
+
+    Yields (e, start, columns, packed, at, sign, coeff) for each block c |
+    bucket e of bd, in order: columns and packed are _bucket_beta(e), to be
+    shifted to at, the start of c's block in the target (0 when its bucket
+    e - (1, 0) is empty, and so is every column); sign is (-1)^|c|; coeff
+    lists (start of nc's block, s) for each term s nc of beta(c): nc's
+    bucket is e again, so column j gets s at that start + j.
+    """
+    dst = basis_blocks(bd + BETA_SHIFT, h)
+    for c, (e, start) in basis_blocks(bd, h).items():
         sign, coeff_terms = _coeff_beta(c, h)
-        for mono, s in _steenrod_beta(m, h):
-            entries[(rows[c, mono], col)] = sign * s % h.p
-        for nc, s in coeff_terms:
-            entries[(rows[nc, m], col)] = s
-    return FpMatrix(h.p, len(dst), len(src), entries)
+        yield (e, start, *_bucket_beta(e, h), dst[c][1] if c in dst else 0, sign,
+               [(dst[nc][1], s) for nc, s in coeff_terms] if coeff_terms else ())
+
+
+def beta_matrix(bd, h):
+    """Matrix of beta from the bd basis to the (bd - (1,0)) basis, from _beta_blocks."""
+    p = h.p
+    entries = {}
+    for _, start, cols, _, at, sign, coeff in _beta_blocks(bd, h):
+        for j, col in enumerate(cols):
+            for r, s in col:
+                entries[at + r, start + j] = sign * s % p
+            for row, s in coeff:
+                entries[row + j, start + j] = s
+    return FpMatrix(p, len(bidegree_basis(bd + BETA_SHIFT, h)),
+                    len(bidegree_basis(bd, h)), entries)
 
 
 def element_vector(x, rows):
@@ -391,32 +431,44 @@ def ker_beta_basis(bd, h):
 # Reports
 
 
-def split_ranks(bd, M, h):
+def split_ranks(bd, h):
     """(dim, coefficient dim, coefficient rank, ideal rank) of beta at bd.
 
-    Columns and rows of M whose Steenrod part is 1 span the coefficient
-    ring, the others the augmentation ideal.  beta preserves that split in
-    the mz form; an entry crossing it raises.  Each part is ranked on its
-    own rows of M.
+    The blocks over the bucket of 1, one column each, span the coefficient
+    ring and the others the augmentation ideal.  beta preserves that split
+    in the mz form; in the full algebra beta(tau_0) = 1 crosses it, and a
+    nonzero column over tau_0's bucket raises.  Each part is ranked on its
+    columns: ints at p = 2, where column j of a block is its bucket column
+    shifted to c's block plus the bits of beta(c) shifted by j, and sparse
+    dicts at odd p.
     """
-    coeff_cols = [m.is_one() for _, m in bidegree_basis(bd, h)]
-    coeff_rows = [m.is_one() for _, m in bidegree_basis(bd + BETA_SHIFT, h)]
-    rows = ({}, {})  # ideal rows, coefficient rows: {row: {col: value}}
-    for (r, c), v in M.entries.items():
-        one = coeff_cols[c]
-        if coeff_rows[r] != one:
+    p = h.p
+    parts = ([], [])  # ideal columns, coefficient columns
+    for e, start, cols, packed, at, sign, coeff in _beta_blocks(bd, h):
+        if e == _TAU0 and any(cols):
             raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
-        rows[one].setdefault(r, {})[c] = v
-    coeff = rank_of_columns(h.p, rows[True].values())
-    ideal = rank_of_columns(h.p, rows[False].values())
-    return len(coeff_cols), sum(coeff_cols), coeff, ideal
+        part = parts[e == _ONE]
+        if p == 2:
+            bits = 0
+            for row, _ in coeff:
+                bits |= 1 << row
+            part += [k << at | bits << j for j, k in enumerate(packed)]
+            continue
+        for j, col in enumerate(cols):
+            vec = {at + r: sign * s % p for r, s in col}
+            for row, s in coeff:
+                vec[row + j] = s
+            part.append(vec)
+    rank_of = gf2_rank if p == 2 else partial(rank_of_columns, p)
+    return (len(bidegree_basis(bd, h)), len(parts[True]),
+            rank_of(parts[True]), rank_of(parts[False]))
 
 
 def beta_report(bidegrees, h, ranks=None):
     """Per-bidegree rows of (dim, rank, ker, im, homology), with notes.
 
-    ranks(bd) supplies the four numbers of split_ranks at bd (from
-    beta_matrix by default); each is asked for once per call and serves
+    ranks(bd) supplies the four numbers of split_ranks at bd (split_ranks
+    itself by default); each is asked for once per call and serves
     both as the rank at bd and as the image at bd - (1,0).  A note flags
     any bidegree where the homology does not match the coefficient-ring
     homology (the tensor splitting) or where the augmentation-ideal part
@@ -425,7 +477,7 @@ def beta_report(bidegrees, h, ranks=None):
     """
     if ranks is None:
         def ranks(bd):
-            return split_ranks(bd, beta_matrix(bd, h), h)
+            return split_ranks(bd, h)
 
     stats = {}
 

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .bockstein import beta_matrix, split_ranks
+from .bockstein import split_ranks
 from .steenrod import bidegree_basis
 
 
@@ -75,7 +75,7 @@ class RanksTable:
             and 0 <= entry[2] <= coeff_dim and 0 <= entry[3] <= dim - coeff_dim
         ):
             return tuple(entry)
-        ranks = split_ranks(bd, beta_matrix(bd, self.h), self.h)
+        ranks = split_ranks(bd, self.h)
         self.entries[key] = list(ranks)
         self.computed = True
         return ranks

@@ -9,11 +9,14 @@ indexed by a finitely supported exponent vector a on positive integers and a
 finite set U of tau indices (positive in the "mz" form, >= 0 in the full
 algebra).  The xi/tau monomials come from one recursion, bucketed by
 bidegree once per (p, min_tau) in monomial_index.  One pass over those
-buckets times the populated coefficient bidegrees puts each basis monomial
-c | m of a window d <= dmax, |w| <= wmax in the list of its bidegree; it is
-finite because every coefficient generator has nonpositive degree and weight
-while d - w > 0 on every xi/tau generator.  _basis_table keeps one such
-table per handle, read by bidegree_basis and populated_bidegrees.
+buckets times the populated coefficient bidegrees finds, for each bidegree
+bd of a window d <= dmax, |w| <= wmax, its coefficient monomials c, each
+with its bucket bd - |c|; it is finite because every coefficient generator
+has nonpositive degree and weight while d - w > 0 on every xi/tau
+generator.  Each basis is then laid out in blocks: the c in sorted order,
+each followed by its bucket, which is the sorted order of the keys (c, m).
+_basis_table keeps one such table per handle, the bases and their block
+layouts, read by bidegree_basis, basis_blocks and populated_bidegrees.
 
 The conjugation chi of the full algebra is computed from the generator
 recursions (with xi_0 = chi(xi_0) = 1)
@@ -195,43 +198,60 @@ def coeff_monomials(bd, scheme):
     return tuple(out)
 
 
-# handle -> (dmax, wmax, {bidegree: basis}), every nonempty basis of the
-# window d <= dmax, |w| <= wmax
+# handle -> (dmax, wmax, {bidegree: basis}, {bidegree: blocks}), every
+# nonempty basis of the window d <= dmax, |w| <= wmax and its block layout
 _basis_table = {}
 
 
 def _enumerate_bases(h, dmax, wmax):
-    """{bidegree: sorted basis} for every nonempty bidegree of the window, in one pass.
+    """({bidegree: sorted basis}, {bidegree: blocks}) for every nonempty
+    bidegree of the window, in one pass.
 
     A basis monomial c | m pairs an xi/tau monomial m of bidegree e with a
     coefficient monomial c of bidegree bd - e.  Since e.d >= e.w >= 0 and
     c.w <= c.d <= 0, every populated bd has d >= w >= -wmax, and only e with
-    e.d - e.w <= dmax + wmax and c with c.w >= -wmax - e.w can reach the window.
+    e.d - e.w <= dmax + wmax and c with c.w >= -wmax - e.w can reach the
+    window.  -c.d is the exponent sum of the degree -1 generators, so it is
+    at most the sum of their caps when each of them has one.  Each c of bd
+    fixes its bucket e, so the basis is c | m for each c in order and each m
+    of its bucket in order; blocks maps c to (e, position of c | first m).
     """
     budget = dmax + wmax
-    etas = [
-        (e, monos) for e, monos in monomial_index(h.p, budget, h.min_tau).items()
-        if e.d - e.w <= budget
-    ]
-    low = -wmax - max((e.w for e, _ in etas), default=0)
-    coeffs = [
-        (d, w, cs) for d in range(low, 1) for w in range(low, d + 1)
-        if (cs := coeff_monomials(Bidegree(d, w), h.scheme))
-    ]
-    out = {}
-    for (ed, ew), monos in etas:
-        for cd, cw, cs in coeffs:
-            d, w = ed + cd, ew + cw
-            if d <= dmax and -wmax <= w <= wmax:
-                out.setdefault(Bidegree(d, w), []).extend(
-                    [(c, m) for c in cs for m in monos])
-    for basis in out.values():
-        basis.sort()
-    return out
+    buckets = monomial_index(h.p, budget, h.min_tau)
+    etas = [e for e in buckets if e.d - e.w <= budget]
+    low = -wmax - max((e.w for e in etas), default=0)
+    scheme = h.scheme
+    caps = [scheme.caps.get(g) for g in scheme.gens if scheme.degree(g).d == -1]
+    dlow = low if None in caps else max(low, -sum(caps))
+    by_weight = {}  # c.w -> [(c.d, the c of (c.d, c.w)), ...], c.d ascending
+    for d in range(dlow, 1):
+        for w in range(low, d + 1):
+            if cs := coeff_monomials(Bidegree(d, w), scheme):
+                by_weight.setdefault(w, []).append((d, cs))
+    pairs = {}  # (d, w) -> [(c, e), ...]
+    for e in etas:
+        ed, ew = e
+        for cw in range(-wmax - ew, wmax - ew + 1):
+            for cd, cs in by_weight.get(cw, ()):
+                if cd > dmax - ed:
+                    break
+                pairs.setdefault((ed + cd, ew + cw), []).extend([(c, e) for c in cs])
+    bases, blocks = {}, {}
+    for key, ces in pairs.items():
+        ces.sort()  # the c of one bidegree are distinct
+        bd = Bidegree(*key)
+        bases[bd] = [(c, m) for c, e in ces for m in buckets[e]]
+        layout = blocks[bd] = {}
+        start = 0
+        for c, e in ces:
+            layout[c] = e, start
+            start += len(buckets[e])
+    return bases, blocks
 
 
 def basis_table(h, dmax, wmax):
-    """{bidegree: basis} holding every nonempty basis with d <= dmax, |w| <= wmax.
+    """The handle's table (dmax, wmax, {bidegree: basis}, {bidegree: blocks})
+    holding every nonempty basis with d <= dmax, |w| <= wmax.
 
     One table per handle; asking for a window it does not cover re-enumerates
     the smallest window covering both, so a caller that will read a whole
@@ -241,8 +261,8 @@ def basis_table(h, dmax, wmax):
     if hit is None or hit[0] < dmax or hit[1] < wmax:
         if hit is not None:
             dmax, wmax = max(dmax, hit[0]), max(wmax, hit[1])
-        hit = _basis_table[h] = (dmax, wmax, _enumerate_bases(h, dmax, wmax))
-    return hit[2]
+        hit = _basis_table[h] = (dmax, wmax, *_enumerate_bases(h, dmax, wmax))
+    return hit
 
 
 def bidegree_basis(bd, h):
@@ -251,13 +271,20 @@ def bidegree_basis(bd, h):
     Returns [(CoeffMonomial, SteenrodMonomial)], read from the handle's table.
     """
     d, w = bd
-    return basis_table(h, d, abs(w)).get(bd, [])
+    return basis_table(h, d, abs(w))[2].get(bd, [])
+
+
+def basis_blocks(bd, h):
+    """{c: (e, start)} in c order: positions start, start + 1, ... of the bd
+    basis hold c | m for the monomials m of monomial_index's bucket e."""
+    d, w = bd
+    return basis_table(h, d, abs(w))[3].get(bd, {})
 
 
 def populated_bidegrees(h, dmax, wmax):
     """All bidegrees with |d| <= dmax, |w| <= wmax carrying a basis monomial, sorted."""
     return sorted(
-        bd for bd in basis_table(h, dmax, wmax)
+        bd for bd in basis_table(h, dmax, wmax)[2]
         if -dmax <= bd.d <= dmax and -wmax <= bd.w <= wmax
     )
 

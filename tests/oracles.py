@@ -4,7 +4,8 @@ These are the earlier, duplicated code paths that motsteen replaced with one
 path each: two enumeration recursions (one bounded on d - w, one on d), a
 per-bidegree re-scan of every monomial for bases and populated bidegrees,
 a dimension report that rebuilds the Bockstein matrix of the augmentation
-ideal and of the coefficient ring beside the full one, a Bockstein
+ideal and of the coefficient ring beside the full one, the beta matrix
+keyed by (c, mono) tuples with its split ranks read off regrouped rows, a Bockstein
 that builds raw terms and sends them through normalize, the Z u U kernel
 basis multiplied out element by element, and the generic
 column-major elimination over F_p that once served every prime.  Below them
@@ -21,7 +22,7 @@ the toggling GF(2) paths to.
 
 from itertools import combinations
 
-from motsteen import bockstein
+from motsteen import bockstein, steenrod
 from motsteen.bockstein import y
 from motsteen.elements import (
     COEFF_ONE,
@@ -275,6 +276,40 @@ def _matrix(src, dst, h):
 
 def beta_matrix(bd, h):
     return _matrix(bidegree_basis(bd, h), bidegree_basis(bd + BETA_SHIFT, h), h)
+
+
+def leibniz_beta_matrix(bd, h):
+    """The beta matrix as assembled before the block layout: every entry
+    looked up as a (c, mono) key of the target basis, from the two factor
+    memos, column by column in the order beta lists its terms."""
+    src = steenrod.bidegree_basis(bd, h)
+    dst = steenrod.bidegree_basis(bd + BETA_SHIFT, h)
+    rows = {key: i for i, key in enumerate(dst)}
+    entries = {}
+    for col, (c, m) in enumerate(src):
+        sign, coeff_terms = bockstein._coeff_beta(c, h)
+        for mono, s in bockstein._steenrod_beta(m, h):
+            entries[(rows[c, mono], col)] = sign * s % h.p
+        for nc, s in coeff_terms:
+            entries[(rows[nc, m], col)] = s
+    return FpMatrix(h.p, len(dst), len(src), entries)
+
+
+def split_ranks(bd, M, h):
+    """The four numbers of bockstein.split_ranks from a beta matrix M: its
+    entries regrouped into row dicts of the coefficient and the ideal block,
+    each ranked on its own; an entry crossing the split raises."""
+    coeff_cols = [m.is_one() for _, m in steenrod.bidegree_basis(bd, h)]
+    coeff_rows = [m.is_one() for _, m in steenrod.bidegree_basis(bd + BETA_SHIFT, h)]
+    rows = ({}, {})  # ideal rows, coefficient rows: {row: {col: value}}
+    for (r, c), v in M.entries.items():
+        one = coeff_cols[c]
+        if coeff_rows[r] != one:
+            raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
+        rows[one].setdefault(r, {})[c] = v
+    coeff = rank_of_columns(h.p, rows[True].values())
+    ideal = rank_of_columns(h.p, rows[False].values())
+    return len(coeff_cols), sum(coeff_cols), coeff, ideal
 
 
 def homology_dims(bd, h):

@@ -102,17 +102,19 @@ def cached_dims(directory, **window):
 
 
 def count_beta_matrix(monkeypatch):
-    """A list that grows by one per beta_matrix call the cache makes."""
-    from motsteen import cache
+    """A list that grows by one per beta assembly (bockstein._beta_blocks) the
+    run makes: split_ranks, which the cache calls, and beta_matrix both go
+    through it."""
+    from motsteen import bockstein
 
     calls = []
-    real = cache.beta_matrix
+    real = bockstein._beta_blocks
 
     def counted(bd, h):
         calls.append(bd)
         return real(bd, h)
 
-    monkeypatch.setattr(cache, "beta_matrix", counted)
+    monkeypatch.setattr(bockstein, "_beta_blocks", counted)
     return calls
 
 
@@ -197,7 +199,8 @@ def test_cache_fully_warm_run_calls_no_beta_matrix(tmp_path, monkeypatch):
     want, path = cached_dims(tmp_path)
     stamp = path.stat().st_mtime_ns
     calls = count_beta_matrix(monkeypatch)
-    monkeypatch.setattr(bockstein, "beta_matrix", None)  # beta_report's default path
+    monkeypatch.setattr(bockstein, "beta_matrix", None)
+    monkeypatch.setattr(bockstein, "split_ranks", None)  # beta_report's default path
     assert cached_dims(tmp_path)[0] == want
     assert calls == []
     assert path.stat().st_mtime_ns == stamp  # and nothing computed, nothing written

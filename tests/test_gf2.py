@@ -7,7 +7,9 @@ order, over every p = 2 scheme, in both ambients for the product.  The keys
 are drawn with 4 tau indices, so tau sets often meet, and with coefficient
 exponents up to 2, so z-half and finite q = 3 (eps^2 = 0, eps rho = 0, and
 eps as the rewrite's rho) kill keys.  The embedding rank of verify chi, on
-packed columns, equals the rank of the dict columns.
+packed columns, equals the rank of the dict columns; the certificate that
+verify chi tries first, the rank on the source rows alone, is full on the
+README windows and hands over to that rank wherever it falls short.
 """
 
 import itertools
@@ -25,6 +27,8 @@ from motsteen.elements import (
 from motsteen.steenrod import (
     _conjugate_packed, _mz_image_packed, basis_index, bidegree_basis, populated_bidegrees,
 )
+from motsteen import steenrod, verify
+from motsteen.cli import Config
 from motsteen.verify import _embedding_rank
 from test_oracles import handle_id
 
@@ -120,3 +124,35 @@ def test_embedding_rank_on_packed_columns(h_a):
     for bd in populated_bidegrees(h, 10, 5):
         src = bidegree_basis(bd, h)
         assert _embedding_rank(src, h_a) == oracles.embedding_rank(src, h_a)
+
+
+@pytest.mark.parametrize("scheme,p,q", [("real-p2", 2, None), ("z-half", 2, None),
+                                        ("finite-field", 3, 7)])
+def test_embedding_certificate_falls_back_to_the_rank(monkeypatch, scheme, p, q):
+    cfg = Config(p=p, scheme=scheme, q=q, dmax=10, wmax=5)
+    h_a, hmz = algebra(scheme, p, q, ambient="a"), cfg.handle()
+    bidegrees = populated_bidegrees(hmz, 10, 5)
+    # the rank on the source rows is full everywhere, so no bidegree falls back
+    monkeypatch.setitem(steenrod._chi_mono_cache, h_a, {})  # a memo of its own
+    for bd in bidegrees:
+        src = bidegree_basis(bd, hmz)
+        assert verify._square_rank(src, h_a) == len(src)
+    # forced low, every bidegree goes through the rank test, which passes
+    fallbacks = []
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_square_rank", lambda src, h: len(src) - 1)
+        mp.setattr(verify, "_embedding_rank",
+                  lambda src, h: fallbacks.append(src) or _embedding_rank(src, h))
+        [(_, status, detail)] = verify.check_chi_embedding(cfg, h_a)
+    assert status == "PASS" and detail == f"{len(bidegrees)} bidegrees, degree <= 10"
+    assert len(fallbacks) == len(bidegrees)
+    # chi of one monomial with its terms dropped: its columns are 0 on both
+    # paths, and the check fails at the first bidegree holding one of them
+    mono = bidegree_basis(bidegrees[-1], hmz)[-1][1]
+    steenrod._chi_mono_cache[h_a][_pack((CoeffMonomial(), mono))] = {}
+    first = next(bd for bd in bidegrees if any(m == mono for _, m in bidegree_basis(bd, hmz)))
+    src = bidegree_basis(first, hmz)
+    assert verify._square_rank(src, h_a) < len(src)
+    assert _embedding_rank(src, h_a) < len(src)
+    assert verify.check_chi_embedding(cfg, h_a) == [
+        ("integral-form embedding injective", "FAIL", f"rank drop at {first}")]

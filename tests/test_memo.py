@@ -43,7 +43,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 
 def _clear():
-    for memo in (y, u_maximal_by_degree, bockstein._steenrod_beta,
+    for memo in (y, u_maximal_by_degree, bockstein._steenrod_beta, bockstein._bucket_beta,
                  bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
                  elements._pack, elements._unpack, elements._unpack_xi,
                  elements._unpack_taus, elements._meet_deltas, elements._foreign_bits):

@@ -22,11 +22,12 @@ from motsteen.bockstein import (
     coeff_split,
     constructive_kernel,
     free_bbeta_generators,
+    split_ranks,
     u_maximal_by_degree,
 )
 from motsteen.elements import (
     _TAUS, CoeffMonomial, Element, SteenrodMonomial, _live, _mul_packed, _pack, _tau_rewrite,
-    _unpacked_terms, mul, term_element,
+    _unpacked_terms, coeff_degree, mul, term_element,
 )
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
@@ -35,6 +36,7 @@ from motsteen.relations import product_relation_sweep
 from motsteen.steenrod import (
     BasisIndex,
     _mz_image_packed,
+    basis_blocks,
     basis_index,
     bidegree_basis,
     conjugate,
@@ -167,6 +169,47 @@ def test_beta_matrix_matches_oracle(h):
         want = oracles.beta_matrix(bd, h)
         assert (M.nrows, M.ncols) == (want.nrows, want.ncols)
         assert list(M.entries.items()) == list(want.entries.items())
+
+
+BLOCK_HANDLES = ALL_MZ + ALL_A + [
+    algebra("algclosed", 5), algebra("algclosed", 5, ambient="a"),
+    algebra("bare", 2), algebra("bare", 3), algebra("bare", 5),
+]
+
+
+@pytest.mark.parametrize("h", BLOCK_HANDLES, ids=handle_id)
+def test_block_assembly_matches_tuple_keyed_reference(h):
+    # each basis is its blocks concatenated in c order, each block exactly its
+    # bucket; beta_matrix and split_ranks, built block by block, equal the
+    # (c, mono)-keyed matrix and the split of its regrouped rows, and the
+    # full algebra's crossing at tau_0 raises in both
+    window = {2: (10, 7), 3: (20, 9), 5: (40, 12)}[h.p]
+    buckets = {}
+    for mono in oracles.steenrod_monomials(h.p, sum(window), h.min_tau):
+        buckets.setdefault(oracles._degree(mono, h.p), []).append(mono)
+    crossed = 0
+    for bd in populated_bidegrees(h, *window):
+        blocks = basis_blocks(bd, h)
+        assert list(blocks) == sorted(blocks)
+        laid_out = []
+        for c, (e, start) in blocks.items():
+            assert start == len(laid_out)
+            assert e == bd - coeff_degree(c, h.scheme)
+            laid_out += [(c, m) for m in buckets[e]]
+        assert laid_out == bidegree_basis(bd, h)
+        M = beta_matrix(bd, h)
+        want = oracles.leibniz_beta_matrix(bd, h)
+        assert (M.nrows, M.ncols) == (want.nrows, want.ncols)
+        assert list(M.entries.items()) == list(want.entries.items())
+        try:
+            want_ranks = oracles.split_ranks(bd, want, h)
+        except ValueError:
+            crossed += 1
+            with pytest.raises(ValueError, match="crosses"):
+                split_ranks(bd, h)
+        else:
+            assert split_ranks(bd, h) == want_ranks
+    assert bool(crossed) == (h.ambient == "a")
 
 
 @pytest.mark.parametrize("p", [2, 3])
