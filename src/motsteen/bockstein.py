@@ -5,9 +5,11 @@ the full algebra), beta(xi_j) = 0, extended by the Leibniz rule with Koszul
 sign (-1)^d on passing a factor of topological degree d.  In the mz form the
 coefficient symbols additionally carry the scheme's coefficient Bockstein
 (e.g. beta(tau) = rho over the reals at p = 2); in the full algebra the
-coefficient symbols are Bockstein-free.  beta works on normalized terms as
-they stand: the image of one term is already normalized, so it needs no
-tau_j^2 rewrite.
+coefficient symbols are Bockstein-free.  beta is a checked wrapper, as mul
+and conjugate are, around elements._beta_packed, which runs on mul's packed
+ints: the image of a normalized term needs no tau_j^2 rewrite, only the
+coefficient relations.  Terms are taken last to first; each gives its tau
+bits from high to low, then its coefficient generators from high to low.
 
 The coefficient-free model splits as a tensor product of two-term acyclic
 complexes: block slot i >= 0 holds xi_{i+1}-exponent-plus-tau_{i+1} mass m_i,
@@ -48,18 +50,10 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
-    COEFF_ONE,
-    CoeffMonomial,
-    Element,
-    STEENROD_ONE,
-    SteenrodMonomial,
-    _add,
-    _coeff_zero,
-    coeff_degree,
-    term_element,
+    COEFF_ONE, Element, STEENROD_ONE, SteenrodMonomial, _beta_packed, _checked,
+    _unpacked_terms, coeff_degree, term_element,
 )
 from .linalg import FpBasis, FpMatrix, gf2_rank, kernel_basis, rank, rank_of_columns
-from .schemes import COEFF_ORDER
 from .steenrod import (
     basis_blocks, basis_index, basis_table, bidegree_basis, coeff_monomials, eta, index_of,
     monomial_index, u_maximal,
@@ -69,72 +63,22 @@ _ONE = Bidegree(0, 0)  # the bucket of the monomial 1
 _TAU0 = _ONE - BETA_SHIFT  # the bucket of tau_0, whose beta is 1
 
 
-def _beta_coeff_monomial(c, h):
-    """Coefficient Bockstein on one coefficient monomial, as [(scalar, CoeffMonomial)].
-
-    Derivation over the coefficient generators in canonical order; the sign
-    on passing earlier odd generators is (-1) per odd factor passed.
-    """
-    table = h.coeff_bockstein()
-    if not table:
-        return []
-    p = h.p
-    scheme = h.scheme
-    out = []
-    passed_odd = 0
-    for i, e in enumerate(c):
-        if not e:
-            continue
-        name = COEFF_ORDER[i]
-        target = table.get(name)
-        if target is not None:
-            # e * g^(e-1) * beta(g) * rest, beta(g) = target
-            s = (e % p) * (-1 if passed_odd & 1 else 1)
-            if s % p:
-                nc = list(c)
-                nc[i] -= 1
-                nc[COEFF_ORDER.index(target)] += 1
-                nc = CoeffMonomial(*nc)
-                if not _coeff_zero(nc, scheme):
-                    out.append((s % p, nc))
-        if scheme.degree(name).d & 1:
-            passed_odd += e
-    return out
-
-
 def beta(x, h):
-    """The Bockstein of a normalized homogeneous element.
+    """The Bockstein of a normalized homogeneous element, on packed terms.
 
-    A normalized term (c, m) yields only (beta c, m) and (c, beta m) terms:
-    no tau square, no two alike, each normalized as it stands.  So the
-    scalars are summed mod p straight into the result and nothing goes
-    through the tau_j^2 rewrite.  Terms are visited last to first, so the
-    result lists its terms in the order that normalizing them would give.
+    A checked wrapper around elements._beta_packed, as mul is around
+    _mul_packed: a term foreign to h is refused first, with mul's errors,
+    then an element of two or more terms must be homogeneous.  The result
+    lists its terms in the order that normalizing them would give.
     """
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
-    scheme = h.scheme
-    if len(x.terms) > 1:
-        x.homogeneous_bidegree(scheme)  # rejects mixed degrees
-    p = h.p
-    out = {}
-    for (c, m), s in reversed(x.terms.items()):
-        # xi/tau part: pass the whole coefficient, then earlier tau factors;
-        # coeff_degree also rejects foreign coefficient generators
-        sign_c = -1 if coeff_degree(c, scheme).d & 1 else 1
-        for t in range(len(m.taus) - 1, -1, -1):
-            j = m.taus[t]
-            xi = m.xi
-            if j > 0:  # beta(tau_0) = 1 in the full algebra
-                bumped = dict(xi)
-                bumped[j] = bumped.get(j, 0) + 1
-                xi = tuple(sorted(bumped.items()))
-            mono = SteenrodMonomial(xi, m.taus[:t] + m.taus[t + 1 :])
-            _add(out, (c, mono), s * sign_c * (-1 if t & 1 else 1), p)
-        # coefficient part
-        for cs, nc in reversed(_beta_coeff_monomial(c, h)):
-            _add(out, (nc, m), s * cs, p)
-    return Element(p, out)
+    # each monomial reaches beta about once (the beta memos keep the images,
+    # block_complex reads each column once), so beta skips the pack memos
+    acc = _checked(x.terms, h, memo=False)
+    if len(acc) > 1:
+        x.homogeneous_bidegree(h.scheme)  # rejects mixed degrees
+    return Element(h.p, _unpacked_terms(_beta_packed(acc, h), memo=False))
 
 
 @cache
@@ -324,13 +268,14 @@ def free_bbeta_generators(bound, p):
         yb = eb + BETA_SHIFT
         if yb.d <= dmax and yb.w <= wmax:
             found[yb] = idxs
-    basis_table(h, dmax + 1, wmax)  # beta_matrix reads yb and yb + (1, 0)
+    basis_table(h, dmax + 1, wmax)  # split_ranks reads yb and yb + (1, 0)
     for yb, idxs in sorted(found.items()):
         rows = {key: i for i, key in enumerate(bidegree_basis(yb, h))}
         vecs = [element_vector(y(i, h), rows) for i in idxs]
         if rank_of_columns(p, vecs) != len(vecs):
             raise AssertionError(f"U-maximal y classes dependent at {yb}")
-        if rank(beta_matrix(yb - BETA_SHIFT, h)) != len(vecs):
+        # beta keeps the coefficient/ideal split, so its rank is the sum of the two
+        if sum(split_ranks(yb - BETA_SHIFT, h)[2:]) != len(vecs):
             raise AssertionError(f"U-maximal y classes do not span im beta at {yb}")
     return [i for _, idxs in sorted(found.items()) for i in idxs]
 

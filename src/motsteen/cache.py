@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .bockstein import split_ranks
-from .steenrod import bidegree_basis
+from .steenrod import bidegree_basis, coeff_monomials
 
 
 def _source_digest():
@@ -66,8 +66,8 @@ class RanksTable:
         """
         key = f"{bd.d},{bd.w}"
         entry = self.entries.get(key)
-        basis = bidegree_basis(bd, self.h)
-        dim, coeff_dim = len(basis), sum(m.is_one() for _, m in basis)
+        dim = len(bidegree_basis(bd, self.h))
+        coeff_dim = len(coeff_monomials(bd, self.h.scheme))
         if (
             type(entry) is list and len(entry) == 4
             and all(type(v) is int for v in entry)

@@ -37,7 +37,11 @@ other keys when one goes, the surviving terms keep their order too.
 The core, _mul_packed, multiplies packed accumulators {int: scalar}.  At
 p = 2 every scalar is 1, so a key collects by a toggle: it is popped if
 present and appended otherwise, the same keys in the same order as summing
-mod 2.
+mod 2.  The Bockstein core, _beta_packed, runs on the same accumulators:
+removing tau_j clears bit j and adds one to xi_j's field, and the
+coefficient Bockstein moves one unit between two coefficient fields.  It
+takes the terms last to first, each giving its tau bits from high to low,
+then its coefficient generators from high to low.
 
 Koszul signs use the topological degree only, so all tau_j are odd, all xi_j
 are even, and rho, eps are odd coefficient symbols.  Within a monomial the
@@ -363,9 +367,11 @@ def _meet_deltas(t1, t2, h):
                  for c, xi, leaf_taus in _tau_rewrite(taus, h))
 
 
-def _unpacked_terms(acc):
-    """The terms of a packed accumulator {int: scalar}, in its order."""
-    return dict(zip(map(_unpack, acc), acc.values()))
+def _unpacked_terms(acc, memo=True):
+    """The terms of a packed accumulator {int: scalar}, in its order;
+    memo=False unpacks past the _unpack memo, for a caller that sees each
+    monomial once."""
+    return dict(zip(map(_unpack if memo else _unpack.__wrapped__, acc), acc.values()))
 
 
 def _live(acc, h):
@@ -387,10 +393,11 @@ def _foreign_bits(h):
     return bits
 
 
-def _checked(terms, h):
+def _checked(terms, h, memo=True):
     """A terms dict {(coeff, mono): scalar} as a packed accumulator, in its
-    order; raises on the first term that is foreign to h."""
-    acc = dict(zip(map(_pack, terms), terms.values()))
+    order; raises on the first term that is foreign to h.  memo=False packs
+    past the _pack memo, for a caller that sees each monomial once."""
+    acc = dict(zip(map(_pack if memo else _pack.__wrapped__, terms), terms.values()))
     foreign = _foreign_bits(h)
     for k in acc:
         if k & foreign:
@@ -484,6 +491,48 @@ def mul(x, y, h):
         raise AmbientMismatch("elements belong to different algebras")
     xa, ya = _checked(x.terms, h), _checked(y.terms, h)
     return Element(h.p, _unpacked_terms(_mul_packed(xa, ya, h)))
+
+
+@cache
+def _beta_fields(h):
+    """(odd, moves) for _beta_packed.  odd has the lowest bit of each odd
+    coefficient field, so the popcount of k & odd is the parity of the odd
+    factors of k; moves lists (g, g') for each coefficient Bockstein
+    g -> g' as the shifts of the two fields, highest g first."""
+    shift = [_TAU_BITS + _W * i for i in range(len(COEFF_ORDER))]
+    odd = sum(1 << shift[i] for i in h.scheme.relation_positions[3])
+    moves = [(shift[COEFF_ORDER.index(g)], shift[COEFF_ORDER.index(t)])
+             for g, t in h.coeff_bockstein().items()]
+    return odd, sorted(moves, reverse=True)
+
+
+def _beta_packed(acc, h):
+    """The Bockstein of a packed accumulator {int: scalar}, as one.
+
+    Removing tau_j from a term clears bit j and adds one to xi_j's field
+    (beta(tau_0) = 1 in the full algebra), with the sign of passing the
+    odd coefficient fields and the lower tau bits.  The coefficient
+    Bockstein g -> g' moves one unit from g's field to g''s, with scalar
+    the exponent e of g and the sign of passing the odd fields below g.
+    The terms come out in the order that normalizing the images gives (see
+    the module docstring), less the keys the coefficient relations kill.
+    """
+    p = h.p
+    odd, moves = _beta_fields(h)
+    out = {}
+    for k, s in reversed(acc.items()):
+        odd_c = (k & odd).bit_count()
+        t = k & _TAUS
+        while t:
+            j = t.bit_length() - 1
+            t ^= 1 << j
+            xi_j = 1 << (_XI_SHIFT + _W * j) if j else 0
+            _add(out, k - (1 << j) + xi_j, -s if (odd_c + t.bit_count()) & 1 else s, p)
+        for g, target in moves:
+            if e := k >> g & _FIELD:
+                passed = (k & odd & ((1 << g) - 1)).bit_count()
+                _add(out, k - (1 << g) + (1 << target), -e * s if passed & 1 else e * s, p)
+    return _live(out, h)
 
 
 # ---------------------------------------------------------------------------

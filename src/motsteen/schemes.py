@@ -20,7 +20,7 @@ square to zero at every prime.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 
 from .grading import Bidegree
@@ -144,8 +144,10 @@ class SchemePresentation:
         }
 
 
+@cache
 def make_scheme(scheme_id, p, q=None):
-    """Build the presentation for one base scheme at the prime p."""
+    """Build the presentation for one base scheme at the prime p, once per
+    argument list, so that a memo finds equal handles by identity."""
     if not _is_prime(p):
         raise SchemeError(f"p = {p} is not prime")
     if q is not None and scheme_id != "finite-field":

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from motsteen import algebra, element_text, mul, term_element
+from motsteen import SchemeError, algebra, bockstein, element_text, mul, term_element
 from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, mono_degree
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.bockstein import (
@@ -18,13 +18,16 @@ from motsteen.bockstein import (
     element_vector,
     free_bbeta_generators,
     ker_beta_basis,
+    split_ranks,
     u_maximal_by_degree,
     y,
 )
+from motsteen.linalg import rank
 from motsteen.steenrod import (
     basis_index,
     bidegree_basis,
     eta,
+    populated_bidegrees,
     steenrod_monomials_by_degree,
 )
 
@@ -84,6 +87,20 @@ def test_beta_rejects_inhomogeneous():
     x = eta(basis_index({1: 1}, []), H2) + term_element(2, 1)
     with pytest.raises(ValueError):
         beta(x, H2)
+
+
+def test_beta_refuses_terms_foreign_to_the_handle():
+    # tau_0 is no class of the mz form
+    t0 = term_element(2, 1, COEFF_ONE, SteenrodMonomial((), (0,)))
+    with pytest.raises(ValueError, match="tau index 0 below the minimum 1"):
+        beta(t0, HR)
+    theta = term_element(2, 1, CoeffMonomial(theta=1))
+    with pytest.raises(SchemeError,
+                       match="coefficient generator 'theta' not present for scheme real-p2"):
+        beta(theta, HR)
+    # a foreign term is refused before the degree check, whatever the term count
+    with pytest.raises(SchemeError, match="coefficient generator 'theta'"):
+        beta(theta + eta(basis_index({1: 1}, []), HR), HR)
 
 
 def test_beta_is_derivation_sampled():
@@ -196,6 +213,28 @@ def test_free_generators_examples():
     gens = free_bbeta_generators(Bidegree(9, 4), 2)
     at_94 = [g for g in gens if mono_degree(g, 2) + BETA_SHIFT == Bidegree(9, 4)]
     assert at_94 == [basis_index({}, [1, 2])]
+
+
+@pytest.mark.parametrize("p,bound", [(2, (30, 12)), (3, (30, 12)), (5, (40, 12))])
+def test_free_generators_rank_beta_by_split_ranks(monkeypatch, p, bound):
+    """beta keeps the coefficient/ideal split, so the sum of split_ranks'
+    two ranks is the rank of the beta matrix; free_bbeta_generators reads
+    the sum and builds no matrix."""
+    h = algebra("bare", p)
+    for bd in populated_bidegrees(h, *bound):
+        assert sum(split_ranks(bd, h)[2:]) == rank(beta_matrix(bd, h)), bd
+
+    def refuse(bd, h):
+        raise AssertionError("free_bbeta_generators built a beta matrix")
+
+    monkeypatch.setattr(bockstein, "beta_matrix", refuse)
+    assert free_bbeta_generators(Bidegree(*bound), p)
+    # one rank too many, and the y classes no longer span the image
+    real = bockstein.split_ranks
+    monkeypatch.setattr(bockstein, "split_ranks",
+                        lambda bd, h: (*real(bd, h)[:3], real(bd, h)[3] + 1))
+    with pytest.raises(AssertionError, match="do not span im beta"):
+        free_bbeta_generators(Bidegree(*bound), p)
 
 
 def test_u_maximal_filter():

@@ -13,6 +13,7 @@ from motsteen.steenrod import (
     _mz_image_packed,
     basis_index,
     bidegree_basis,
+    coeff_monomials,
     conjugate,
     eta,
     index_of,
@@ -88,6 +89,18 @@ def test_basis_enumeration_is_exhaustive():
                 from motsteen.elements import bidegree_of
 
                 assert bidegree_of((c, m), h.scheme) == bd
+
+
+@pytest.mark.parametrize("config,window", [
+    (("real-p2", 2), (25, 13)), (("finite-field", 3, 7), (27, 13)), (("z-half", 2), (18, 9)),
+    (("algclosed", 2), (20, 20)), (("real-odd", 3), (30, 15)), (("finite-field", 2, 3), (20, 10)),
+])
+def test_coeff_monomials_count_the_coefficient_part_of_each_basis(config, window):
+    # the dims cache fits an entry against len(coeff_monomials(bd)), not a scan of the basis
+    h = algebra(*config)
+    for bd in populated_bidegrees(h, *window):
+        n = sum(m.is_one() for _, m in bidegree_basis(bd, h))
+        assert len(coeff_monomials(bd, h.scheme)) == n, bd
 
 
 def test_chi_generator_values():
