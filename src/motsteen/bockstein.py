@@ -23,40 +23,42 @@ beta has one assembly, _beta_blocks, block by block by the Leibniz rule
 beta(c m) = (-1)^|c| c beta(m) + beta(c) m: the memo _bucket_beta(e) holds
 beta(1 | m) for the bucket e as positions in the bucket e - (1, 0), which
 c's block shifts to its own start in the target, and each term of beta(c)
-adds an identity block.  Both factors come from beta itself, through
-_steenrod_beta(m) = beta(1 | m) and _coeff_beta(c) = ((-1)^|c|,
-beta(c | 1)), and each column lists its entries in beta's order, so
-beta_matrix equals the one per-monomial beta calls would build.
-block_complex calls beta directly: each of its columns is read once, so a
-memo would only hold them.
+adds an identity block.  _bucket_beta takes each column from
+elements._beta_packed on the packed monomial and keeps positions only;
+_coeff_beta(c) = ((-1)^|c|, beta(c | 1)) comes from beta itself.  Each
+column lists its entries in beta's order, so beta_matrix equals the one
+per-monomial beta calls would build, and _columns gives the same columns
+as ints at p = 2 and sparse dicts at odd p.  block_complex calls beta
+directly: each of its columns is read once, so a memo would only hold
+them.
 
-split_ranks reduces beta at one bidegree to four numbers, read off the
-assembly's columns with no matrix built: the dims of the bidegree and of
-its coefficient part (Steenrod part 1), and the ranks of beta's two
-diagonal blocks, the coefficient ring and the augmentation ideal.
-beta_report reads a dims row off those numbers at bd and at bd + (1, 0):
-the rank, the image, and both splitting checks.  ker_beta_basis builds the
-matrix, takes the generic kernel from it and checks the constructive
-(Z u U) basis, which constructive_kernel reads off the factor memos.  The
-matrix must kill each constructive vector, and the vectors must be
-independent and as many as its nullity: then they span its kernel.
+split_ranks reduces beta at one bidegree to four numbers, read off those
+columns with no matrix built: the dims of the bidegree and of its
+coefficient part (Steenrod part 1), and the ranks of beta's two diagonal
+blocks, the coefficient ring and the augmentation ideal.  beta_report
+reads a dims row off those numbers at bd and at bd + (1, 0): the rank, the
+image, and both splitting checks.  ker_beta_basis takes the generic kernel
+from the matrix and checks the constructive (Z u U) basis, which
+constructive_kernel lays out block by block as vectors over the basis
+positions.  The columns must kill each constructive vector, and the vectors
+must be independent and as many as the matrix's nullity: then they span its
+kernel.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial, reduce
-from operator import xor
+from functools import cache, partial
 from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
-    COEFF_ONE, Element, STEENROD_ONE, SteenrodMonomial, _beta_packed, _checked,
+    COEFF_ONE, Element, SteenrodMonomial, _add, _beta_packed, _checked, _pack,
     _unpacked_terms, coeff_degree, term_element,
 )
 from .linalg import FpBasis, FpMatrix, gf2_rank, kernel_basis, rank, rank_of_columns
 from .steenrod import (
-    basis_blocks, basis_index, basis_table, bidegree_basis, coeff_monomials, eta, index_of,
-    monomial_index, u_maximal,
+    basis_blocks, basis_index, basis_table, bidegree_basis, eta, index_of, monomial_index,
+    u_maximal,
 )
 
 _ONE = Bidegree(0, 0)  # the bucket of the monomial 1
@@ -87,13 +89,6 @@ def y(idx, h):
     if h.ambient != "mz":
         raise ValueError("y classes live in the mz form")
     return beta(eta(idx, h), h)
-
-
-@cache
-def _steenrod_beta(m, h):
-    """beta(1 | m) as ((m', scalar), ...): one column of the block differential."""
-    img = beta(term_element(h.p, 1, COEFF_ONE, m), h)
-    return tuple((mono, s) for (_, mono), s in img.terms.items())
 
 
 @cache
@@ -178,12 +173,23 @@ def _bucket_beta(e, h):
     Returns (columns, packed): columns[i] is ((position, scalar), ...) for the
     i-th monomial of the bucket, in the order beta lists its terms, and at
     p = 2 packed[i] is the same column as an int, bit r for position r.
-    Filled through _steenrod_beta, so beta stays the one definition.
+    Each column is elements._beta_packed of the packed monomial, the core
+    beta wraps, read through the target bucket's rows keyed by their packed
+    ints; the monomials are packed past the _pack memo, as beta packs them.
     """
     buckets = monomial_index(h.p, e.d - e.w, h.min_tau)
-    rows = {m: i for i, m in enumerate(buckets.get(e + BETA_SHIFT, ()))}
-    cols = tuple(tuple((rows[m], s) for m, s in _steenrod_beta(mono, h)) for mono in buckets[e])
+    pack = _pack.__wrapped__
+    rows = {pack((COEFF_ONE, m)): i for i, m in enumerate(buckets.get(e + BETA_SHIFT, ()))}
+    cols = tuple(tuple((rows[k], s) for k, s in _beta_packed({pack((COEFF_ONE, m)): 1}, h).items())
+                 for m in buckets[e])
     return cols, tuple(sum(1 << r for r, _ in col) for col in cols) if h.p == 2 else None
+
+
+@cache
+def _u_maximal_at(eb, p):
+    """The positions of the U-maximal monomials in the mz bucket eb."""
+    bucket = monomial_index(p, eb.d - eb.w, 1).get(eb, ())
+    return tuple(i for i, m in enumerate(bucket) if u_maximal(index_of(m)))
 
 
 def _beta_blocks(bd, h):
@@ -204,6 +210,29 @@ def _beta_blocks(bd, h):
                [(dst[nc][1], s) for nc, s in coeff_terms] if coeff_terms else ())
 
 
+def _columns(bd, h):
+    """beta's columns at bd, block by block: (e, columns) for each block c |
+    bucket e, the columns in basis order.  At p = 2 a column is an int, bit
+    r for row r: its bucket column shifted to c's block in the target plus
+    the bits of beta(c) shifted by its position j in the block; at odd p it
+    is a sparse dict {row: scalar}."""
+    p = h.p
+    for e, _, cols, packed, at, sign, coeff in _beta_blocks(bd, h):
+        if p == 2:
+            bits = 0
+            for row, _ in coeff:
+                bits |= 1 << row
+            yield e, [k << at | bits << j for j, k in enumerate(packed)]
+            continue
+        vecs = []
+        for j, col in enumerate(cols):
+            vec = {at + r: sign * s % p for r, s in col}
+            for row, s in coeff:
+                vec[row + j] = s
+            vecs.append(vec)
+        yield e, vecs
+
+
 def beta_matrix(bd, h):
     """Matrix of beta from the bd basis to the (bd - (1,0)) basis, from _beta_blocks."""
     p = h.p
@@ -216,27 +245,6 @@ def beta_matrix(bd, h):
                 entries[row + j, start + j] = s
     return FpMatrix(p, len(bidegree_basis(bd + BETA_SHIFT, h)),
                     len(bidegree_basis(bd, h)), entries)
-
-
-def element_vector(x, rows):
-    """x as a sparse vector {row: scalar} over the basis indexed by rows."""
-    try:
-        return {rows[key]: s for key, s in x.terms.items()}
-    except KeyError:
-        raise ValueError("element does not lie in the given bidegree basis") from None
-
-
-def coeff_split(bd, h):
-    """The coefficient monomials of degree bd, split into (Z, R).
-
-    Z spans ker(beta) on the coefficient ring and R maps bijectively onto a
-    basis of the image: c is in R exactly when beta(c) != 0, read off the
-    _coeff_beta memo.
-    """
-    zs, rs = [], []
-    for c in coeff_monomials(bd, h.scheme):
-        (rs if _coeff_beta(c, h)[1] else zs).append(c)
-    return zs, rs
 
 
 @cache
@@ -257,7 +265,8 @@ def free_bbeta_generators(bound, p):
 
     Asserts per bidegree that the corresponding y vectors are independent
     and span the image of the differential there (in the coefficient-free
-    model).
+    model).  Each y[a, U] is its _bucket_beta column, shifted to the start
+    of the block of 1.
     """
     from .elements import algebra
 
@@ -270,8 +279,10 @@ def free_bbeta_generators(bound, p):
             found[yb] = idxs
     basis_table(h, dmax + 1, wmax)  # split_ranks reads yb and yb + (1, 0)
     for yb, idxs in sorted(found.items()):
-        rows = {key: i for i, key in enumerate(bidegree_basis(yb, h))}
-        vecs = [element_vector(y(i, h), rows) for i in idxs]
+        eb = yb - BETA_SHIFT
+        cols = _bucket_beta(eb, h)[0]
+        start = basis_blocks(yb, h)[COEFF_ONE][1]
+        vecs = [{start + r: s for r, s in cols[i]} for i in _u_maximal_at(eb, p)]
         if rank_of_columns(p, vecs) != len(vecs):
             raise AssertionError(f"U-maximal y classes dependent at {yb}")
         # beta keeps the coefficient/ideal split, so its rank is the sum of the two
@@ -284,92 +295,89 @@ class KernelBases(NamedTuple):
     bidegree: Bidegree
     labels: list          # the ambient monomial basis of the bidegree
     generic: FpBasis      # kernel of the beta matrix
-    constructive: list    # Elements of the Z u U construction
+    constructive: list    # vectors over labels' positions: the Z u U construction
 
 
 def constructive_kernel(bd, h):
-    """The Z u U kernel basis of one bidegree, read off the Leibniz memos.
+    """The Z u U kernel basis of one bidegree, as vectors over the positions
+    of its basis, in the column forms of _columns.
 
-    Z: coefficient cycles times (1 or a U-maximal y class).
+    Z: coefficient cycles c times (1 or a U-maximal y class).
     U: beta(r) eta[a,U] + (-1)^{deg r} r y[a,U] for coefficient preimages r
-    and U-maximal eta; the sign is the one forced by the Leibniz rule (it
-    agrees with the stated one at p = 2).  y[a,U] is _steenrod_beta(eta[a,U])
-    and ((-1)^|r|, beta(r)) is _coeff_beta(r); c, r and the terms of beta(r)
-    are nonzero and stand before the Steenrod part, so no coefficient
-    relation or Koszul sign arises.
+    (beta(r | 1) != 0 in the _coeff_beta memo) and U-maximal eta; the sign
+    is the one forced by the Leibniz rule (it agrees with the stated one at
+    p = 2).  Block by block: c | 1 gives the vector at c's start, and c | e
+    one vector per U-maximal position i of the eta bucket eb = e + (1, 0),
+    where y[a,U] is column i of _bucket_beta(eb), shifted to c's start, and
+    each term s nc of beta(r) is s at nc's start + i, nc's bucket being eb.
+    c, r and the terms of beta(r) are nonzero and stand before the Steenrod
+    part, so no coefficient relation or Koszul sign arises.
     """
     if h.ambient != "mz":
         raise ValueError("y classes live in the mz form")
     p = h.p
-    d, w = bd
-    out = [Element(p, {(c, STEENROD_ONE): 1}) for c in coeff_split(bd, h)[0]]
-    # every xi/tau generator costs at least 1 in d - w, and the coefficient
-    # remainders below cost at least -1, so budget d - w + 1 is exhaustive
-    if d - w + 1 >= 0:
-        for eb, idxs in u_maximal_by_degree(p, d - w + 1).items():
-            # |beta r| + |eta| = bd forces the same remainder for Z and R
-            zs, rs = coeff_split(Bidegree(d - eb.d + 1, w - eb.w), h)
-            if not zs and not rs:
-                continue
-            betas = [(r, *_coeff_beta(r, h)) for r in rs]
-            for idx in idxs:
-                m = SteenrodMonomial(*idx)
-                ys = _steenrod_beta(m, h)
-                for c in zs:
-                    out.append(Element(p, {(c, mono): s for mono, s in ys}))
-                for r, sign, beta_r in betas:
-                    terms = {(nc, m): s for nc, s in beta_r}
-                    terms.update(((r, mono), sign * s % p) for mono, s in ys)
-                    out.append(Element(p, terms))
+    blocks = basis_blocks(bd, h)
+    out = []
+    for c, (e, start) in blocks.items():
+        sign, beta_c = _coeff_beta(c, h)
+        if e == _ONE:
+            if not beta_c:
+                out.append(1 << start if p == 2 else {start: 1})
+            continue
+        eb = e - BETA_SHIFT
+        if not (at := _u_maximal_at(eb, p)):
+            continue
+        cols, packed = _bucket_beta(eb, h)
+        targets = [(blocks[nc][1], s) for nc, s in beta_c]
+        if p == 2:
+            bits = sum(1 << t for t, _ in targets)
+            out += [packed[i] << start | bits << i for i in at]
+            continue
+        scale = sign if targets else 1
+        for i in at:
+            vec = {start + r: scale * s % p for r, s in cols[i]}
+            for t, s in targets:
+                vec[t + i] = s
+            out.append(vec)
     return out
-
-
-def _cycles(M, vecs):
-    """Whether M kills every sparse vector in vecs.  At p = 2 a column is
-    packed into an integer, one bit per row, and its vector's columns XOR to 0."""
-    p = M.p
-    if p == 2:
-        cols = [0] * M.ncols
-        for r, c in M.entries:
-            cols[c] |= 1 << r
-        return not any(reduce(xor, map(cols.__getitem__, vec), 0) for vec in vecs)
-    cols = [[] for _ in range(M.ncols)]
-    for (r, c), v in M.entries.items():
-        cols[c].append((r, v))
-    for vec in vecs:
-        img = {}
-        for c, s in vec.items():
-            for r, v in cols[c]:
-                img[r] = (img.get(r, 0) + s * v) % p
-        if any(img.values()):
-            return False
-    return True
 
 
 def ker_beta_basis(bd, h):
     """Generic and constructive kernel bases of one bidegree; asserts agreement.
 
-    Three checks decide agreement.  The matrix M the generic kernel is taken
-    from kills each constructive vector, so they span a subspace of ker M;
-    they are independent; and there are as many as the generic kernel has
-    vectors, nullity(M).  Independent vectors of ker M as many as its
+    Three checks decide agreement.  beta's columns (_columns) kill each
+    constructive vector, so they span a subspace of ker beta: at p = 2 the
+    columns at a vector's set bits XOR to 0.  They are independent, and
+    there are as many as the generic kernel of the beta matrix has vectors,
+    its nullity.  Independent vectors of the kernel as many as its
     dimension span it, so the two bases span the same space.
     """
-    basis_list = bidegree_basis(bd, h)
-    M = beta_matrix(bd, h)
-    generic = kernel_basis(M)
-    construct = constructive_kernel(bd, h)
-    rows = {key: i for i, key in enumerate(basis_list)}
-    vecs = [element_vector(el, rows) for el in construct]
-    if not _cycles(M, vecs):
-        raise AssertionError("constructive kernel element is not a beta cycle")
+    p = h.p
+    generic = kernel_basis(beta_matrix(bd, h))
+    vecs = constructive_kernel(bd, h)
+    cols = [col for _, block_cols in _columns(bd, h) for col in block_cols]
+    for vec in vecs:
+        if p == 2:
+            img = 0
+            while vec:
+                low = vec & -vec
+                img ^= cols[low.bit_length() - 1]
+                vec ^= low
+        else:
+            img = {}
+            for c, s in vec.items():
+                for r, v in cols[c].items():
+                    _add(img, r, s * v, p)
+        if img:
+            raise AssertionError("constructive kernel element is not a beta cycle")
     n = len(generic.vectors)
-    if len(vecs) != n or rank_of_columns(h.p, vecs) != len(vecs):
+    rank_of = gf2_rank if p == 2 else partial(rank_of_columns, p)
+    if len(vecs) != n or rank_of(vecs) != len(vecs):
         raise AssertionError(
             f"constructive kernel disagrees with the generic kernel at {bd}: "
             f"{len(vecs)} constructive vs {n} generic"
         )
-    return KernelBases(bd, basis_list, generic, construct)
+    return KernelBases(bd, bidegree_basis(bd, h), generic, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +389,16 @@ def split_ranks(bd, h):
 
     The blocks over the bucket of 1, one column each, span the coefficient
     ring and the others the augmentation ideal.  beta preserves that split
-    in the mz form; in the full algebra beta(tau_0) = 1 crosses it, and a
-    nonzero column over tau_0's bucket raises.  Each part is ranked on its
-    columns: ints at p = 2, where column j of a block is its bucket column
-    shifted to c's block plus the bits of beta(c) shifted by j, and sparse
-    dicts at odd p.
+    in the mz form; in the full algebra, whose coefficients carry no
+    Bockstein, beta(tau_0) = 1 crosses it, and a nonzero column over
+    tau_0's bucket raises.  Each part is ranked on its _columns.
     """
-    p = h.p
     parts = ([], [])  # ideal columns, coefficient columns
-    for e, start, cols, packed, at, sign, coeff in _beta_blocks(bd, h):
+    for e, cols in _columns(bd, h):
         if e == _TAU0 and any(cols):
             raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
-        part = parts[e == _ONE]
-        if p == 2:
-            bits = 0
-            for row, _ in coeff:
-                bits |= 1 << row
-            part += [k << at | bits << j for j, k in enumerate(packed)]
-            continue
-        for j, col in enumerate(cols):
-            vec = {at + r: sign * s % p for r, s in col}
-            for row, s in coeff:
-                vec[row + j] = s
-            part.append(vec)
-    rank_of = gf2_rank if p == 2 else partial(rank_of_columns, p)
+        parts[e == _ONE].extend(cols)
+    rank_of = gf2_rank if h.p == 2 else partial(rank_of_columns, h.p)
     return (len(bidegree_basis(bd, h)), len(parts[True]),
             rank_of(parts[True]), rank_of(parts[False]))
 

@@ -12,7 +12,8 @@ free monomial has additive order 0 and its coefficient is never reduced, and
 everything in the augmentation ideal is simple p-torsion.  The one lift kept
 here is fiber_coordinate, the coordinates (0, tau^i tau_j) and (0, tau^i xi_j)
 of the Z[1/2] relation table; a y class is pb_torsion(y(idx, h), h, ring), and
-the U elements of constructive_kernel are the other torsion lifts.
+the U elements of bockstein.constructive_kernel, vectors over the basis
+positions of their bidegree, are the other torsion lifts.
 
 Integral monomial shapes per scheme:
 

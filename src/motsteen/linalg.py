@@ -69,17 +69,14 @@ def _gf2_echelon(rows):
     return pivots
 
 
-def _gf2_packed(vectors):
-    return (sum(1 << c for c in vec) for vec in vectors)
-
-
 def _gf2_rref(rows):
-    """Reduced row echelon form over GF(2) as {pivot col: {col: 1}}.
+    """Reduced row echelon form of GF(2) rows packed into integers, as
+    {pivot col: row}.
 
     Back-substitution runs highest pivot first, so every row it subtracts
     is already reduced and holds no pivot bit but its own.
     """
-    rows = _gf2_echelon(_gf2_packed(rows))
+    rows = _gf2_echelon(rows)
     mask = 0
     for c in rows:
         mask |= 1 << c
@@ -91,14 +88,7 @@ def _gf2_rref(rows):
             row ^= rows[low.bit_length() - 1]
             hits ^= low
         rows[c] = row
-    out = {}
-    for c, row in rows.items():
-        out[c] = entries = {}
-        while row:
-            low = row & -row
-            entries[low.bit_length() - 1] = 1
-            row ^= low
-    return out
+    return rows
 
 
 def _subtract(row, f, prow, p):
@@ -154,7 +144,7 @@ def gf2_rank(packed):
 def rank_of_columns(p, vectors):
     """Rank of the span of sparse vectors {coordinate: residue}."""
     if p == 2:
-        return gf2_rank(_gf2_packed(vectors))
+        return gf2_rank(sum(1 << c for c in vec) for vec in vectors)
     return len(_echelon(p, vectors))
 
 
@@ -168,12 +158,26 @@ def kernel_basis(M):
     One sparse vector per free column f, in column order: 1 at f, and -a
     at each pivot column whose reduced row holds a at f.  The reduced row
     echelon form is unique, so the basis does not depend on how it was
-    reached.
+    reached.  At p = 2 each row of M is packed straight from its entries
+    into an int, and each free column's vector is read off the reduced ints.
     """
     p = M.p
-    reduced = _gf2_rref(_rows(M)) if p == 2 else _rref(p, _rows(M))
+    if p == 2:
+        rows = [0] * M.nrows
+        for r, c in M.entries:
+            rows[r] |= 1 << c
+        reduced = _gf2_rref(rows)
+    else:
+        reduced = _rref(p, _rows(M))
     at_free = {c: {c: 1} for c in range(M.ncols) if c not in reduced}
     for col, row in reduced.items():
+        if p == 2:
+            row ^= 1 << col
+            while row:
+                low = row & -row
+                at_free[low.bit_length() - 1][col] = 1
+                row ^= low
+            continue
         for c, a in row.items():
             if c != col:
                 at_free[c][col] = (-a) % p

@@ -153,17 +153,20 @@ def monomial_index(p, budget, min_tau):
     return hit[1]
 
 
-def steenrod_monomials_by_degree(p, dmax, min_tau):
-    """All (xi, taus) monomials with topological degree <= dmax, sorted.
-
-    Every monomial has 2(d - w) = d + (number of taus), so all of these lie
-    in the index with d - w <= (dmax + T) / 2, T the number of tau_j of
-    degree <= dmax.
-    """
+def _degree_budget(p, dmax, min_tau):
+    """The d - w budget that covers every (xi, taus) monomial of topological
+    degree <= dmax: 2(d - w) = d + (number of taus) <= dmax + T, T the
+    number of tau_j of degree <= dmax."""
     n_tau = 0
     while tau_degree(p, min_tau + n_tau).d <= dmax:
         n_tau += 1
-    buckets = monomial_index(p, (dmax + n_tau) // 2, min_tau)
+    return (dmax + n_tau) // 2
+
+
+def steenrod_monomials_by_degree(p, dmax, min_tau):
+    """All (xi, taus) monomials with topological degree <= dmax, sorted,
+    read off the index at _degree_budget."""
+    buckets = monomial_index(p, _degree_budget(p, dmax, min_tau), min_tau)
     return sorted(m for bd, monos in buckets.items() if bd.d <= dmax for m in monos)
 
 
@@ -212,16 +215,20 @@ def _enumerate_bases(h, dmax, wmax):
     c.w <= c.d <= 0, every populated bd has d >= w >= -wmax, and only e with
     e.d - e.w <= dmax + wmax and c with c.w >= -wmax - e.w can reach the
     window.  -c.d is the exponent sum of the degree -1 generators, so it is
-    at most the sum of their caps when each of them has one.  Each c of bd
-    fixes its bucket e, so the basis is c | m for each c in order and each m
-    of its bucket in order; blocks maps c to (e, position of c | first m).
+    at most the sum of their caps when each of them has one; then e.d <=
+    dmax + that sum, and the enumeration budget is _degree_budget there if
+    that is lower.  Each c of bd fixes its bucket e, so the basis is c | m
+    for each c in order and each m of its bucket in order; blocks maps c to
+    (e, position of c | first m).
     """
+    scheme = h.scheme
+    caps = [scheme.caps.get(g) for g in scheme.gens if scheme.degree(g).d == -1]
     budget = dmax + wmax
+    if None not in caps:
+        budget = min(budget, _degree_budget(h.p, dmax + sum(caps), h.min_tau))
     buckets = monomial_index(h.p, budget, h.min_tau)
     etas = [e for e in buckets if e.d - e.w <= budget]
     low = -wmax - max((e.w for e in etas), default=0)
-    scheme = h.scheme
-    caps = [scheme.caps.get(g) for g in scheme.gens if scheme.degree(g).d == -1]
     dlow = low if None in caps else max(low, -sum(caps))
     by_weight = {}  # c.w -> [(c.d, the c of (c.d, c.w)), ...], c.d ascending
     for d in range(dlow, 1):

@@ -7,7 +7,8 @@ a dimension report that rebuilds the Bockstein matrix of the augmentation
 ideal and of the coefficient ring beside the full one, the beta matrix
 keyed by (c, mono) tuples with its split ranks read off regrouped rows, a Bockstein
 that builds raw terms and sends them through normalize, the Z u U kernel
-basis multiplied out element by element, and the generic
+basis multiplied out element by element (element_vector maps it onto the
+positions of a basis), and the generic
 column-major elimination over F_p that once served every prime.  Below them
 are the product that sends every pair of terms through the rewrite
 worklist, the conjugation that rebuilds each monomial from its
@@ -26,6 +27,7 @@ from motsteen import bockstein, steenrod
 from motsteen.bockstein import y
 from motsteen.elements import (
     COEFF_ONE,
+    AlgebraHandle,
     STEENROD_ONE,
     CoeffMonomial,
     Element,
@@ -41,7 +43,7 @@ from motsteen.elements import (
 )
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.linalg import FpMatrix, rank_of_columns
-from motsteen.schemes import COEFF_ORDER, SchemeError
+from motsteen.schemes import COEFF_ORDER, SchemeError, SchemePresentation
 from motsteen.relations import ConventionError, _exponent_vectors, product_formula_terms
 from motsteen.steenrod import _chi_packed, basis_index, coeff_monomials, eta, index_of
 
@@ -280,15 +282,16 @@ def beta_matrix(bd, h):
 
 def leibniz_beta_matrix(bd, h):
     """The beta matrix as assembled before the block layout: every entry
-    looked up as a (c, mono) key of the target basis, from the two factor
-    memos, column by column in the order beta lists its terms."""
+    looked up as a (c, mono) key of the target basis, from beta(1 | m) and
+    the _coeff_beta memo, column by column in the order beta lists its
+    terms."""
     src = steenrod.bidegree_basis(bd, h)
     dst = steenrod.bidegree_basis(bd + BETA_SHIFT, h)
     rows = {key: i for i, key in enumerate(dst)}
     entries = {}
     for col, (c, m) in enumerate(src):
         sign, coeff_terms = bockstein._coeff_beta(c, h)
-        for mono, s in bockstein._steenrod_beta(m, h):
+        for (_, mono), s in bockstein.beta(term_element(h.p, 1, COEFF_ONE, m), h).terms.items():
             entries[(rows[c, mono], col)] = sign * s % h.p
         for nc, s in coeff_terms:
             entries[(rows[nc, m], col)] = s
@@ -392,6 +395,38 @@ def coeff_split(bd, scheme):
     for c in cs:
         (zs if c.eps or c.tau % scheme.p == 0 else rs).append(c)
     return zs, rs
+
+
+# A presentation no base scheme has: F_3[tau, eps, rho]/(eps^2, rho^2) with
+# beta(tau) = eps.  rho tau^k (3 not dividing k) is a coefficient preimage of
+# odd degree, so the sign (-1)^|r| of the U elements shows only here.
+ODD_PREIMAGE = AlgebraHandle(
+    SchemePresentation("odd-preimage", 3, gens=("eps", "rho", "tau"),
+                       caps={"eps": 1, "rho": 1}, coeff_bockstein={"tau": "eps"}),
+    "mz",
+)
+
+
+def element_vector(x, rows):
+    """x as a sparse vector {row: scalar} over the basis indexed by rows."""
+    try:
+        return {rows[key]: s for key, s in x.terms.items()}
+    except KeyError:
+        raise ValueError("element does not lie in the given bidegree basis") from None
+
+
+def as_dict(vec):
+    """A vector in either column form of bockstein, an int at p = 2 (bit i
+    for position i) or a sparse dict at odd p, as a sparse dict."""
+    if isinstance(vec, dict):
+        return vec
+    return {i: 1 for i in range(vec.bit_length()) if vec >> i & 1}
+
+
+def vector_element(vec, labels, p):
+    """The inverse of element_vector: the Element with scalar s at labels[i]
+    for each entry i: s of the vector."""
+    return Element(p, {labels[i]: s for i, s in as_dict(vec).items()})
 
 
 def constructive_kernel(bd, h):

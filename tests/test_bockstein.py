@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from motsteen import SchemeError, algebra, bockstein, element_text, mul, term_element
 from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, mono_degree
 from motsteen.grading import BETA_SHIFT, Bidegree
@@ -15,7 +16,6 @@ from motsteen.bockstein import (
     block_complex,
     block_homology,
     constructive_kernel,
-    element_vector,
     free_bbeta_generators,
     ker_beta_basis,
     split_ranks,
@@ -248,9 +248,11 @@ def test_u_maximal_filter():
 
 def test_ker_beta_examples():
     kb = ker_beta_basis(Bidegree(2, 1), H2)
-    assert [element_text(e) for e in kb.constructive] == ["1 | xi1^1 | tau{}"]
+    texts = [element_text(oracles.vector_element(v, kb.labels, 2)) for v in kb.constructive]
+    assert texts == ["1 | xi1^1 | tau{}"]
     kb = ker_beta_basis(Bidegree(0, -2), HR)
-    assert "tau^2 | 1 | tau{}" in [element_text(e) for e in kb.constructive]
+    texts = [element_text(oracles.vector_element(v, kb.labels, 2)) for v in kb.constructive]
+    assert "tau^2 | 1 | tau{}" in texts
     assert len(kb.generic.vectors) == len(kb.constructive)
 
 
@@ -258,30 +260,31 @@ def test_element_vector_sparse_and_rejects_foreign_terms():
     # xi_1 tau_1 at (5, 2), xi_1 alone one bidegree down: not in that basis
     rows = {key: i for i, key in enumerate(bidegree_basis(Bidegree(5, 2), H2))}
     x = eta(basis_index({1: 1}, [1]), H2)
-    assert element_vector(x, rows) == {rows[next(iter(x.terms))]: 1}
+    assert oracles.element_vector(x, rows) == {rows[next(iter(x.terms))]: 1}
     with pytest.raises(ValueError, match="does not lie"):
-        element_vector(eta(basis_index({1: 1}, []), H2), rows)
+        oracles.element_vector(eta(basis_index({1: 1}, []), H2), rows)
 
 
 def test_constructive_kernel_elements_are_cycles():
-    for h in (HR, HZ, HF3):
+    for h in (HR, HZ, HF3, oracles.ODD_PREIMAGE):
         for bd in [Bidegree(1, 0), Bidegree(2, 0), Bidegree(4, 1), Bidegree(0, -3)]:
-            for el in constructive_kernel(bd, h):
-                assert beta(el, h).is_zero()
+            labels = bidegree_basis(bd, h)
+            for vec in constructive_kernel(bd, h):
+                assert beta(oracles.vector_element(vec, labels, h.p), h).is_zero()
 
 
 @pytest.mark.parametrize(
     "h,bd", [(H2, Bidegree(3, 1)), (HR, Bidegree(3, 0)), (HF3, Bidegree(5, 1))]
 )
 def test_ker_beta_basis_rejects_a_non_cycle(monkeypatch, h, bd):
-    """A constructive element that beta does not kill fails the matrix check."""
+    """A constructive vector that beta does not kill fails the cycle check."""
     import motsteen.bockstein as bockstein
 
-    bad = next(
-        term_element(h.p, 1, c, m)
-        for c, m in bockstein.bidegree_basis(bd, h)
+    j = next(
+        j for j, (c, m) in enumerate(bockstein.bidegree_basis(bd, h))
         if not beta(term_element(h.p, 1, c, m), h).is_zero()
     )
+    bad = 1 << j if h.p == 2 else {j: 1}
     real = bockstein.constructive_kernel
     monkeypatch.setattr(bockstein, "constructive_kernel", lambda b, g: real(b, g) + [bad])
     with pytest.raises(AssertionError, match="not a beta cycle"):
@@ -303,12 +306,26 @@ def test_ker_beta_basis_rejects_a_wrong_count_or_a_dependent_set(monkeypatch, h,
     assert len(real(bd, h)) >= 2
 
     def mutated(b, g):
-        els = real(b, g)
-        return [els[0]] + els[:-1] if mutation == "dependent" else els[1:]
+        vecs = real(b, g)
+        return [vecs[0]] + vecs[:-1] if mutation == "dependent" else vecs[1:]
 
     monkeypatch.setattr(bockstein, "constructive_kernel", mutated)
     with pytest.raises(AssertionError, match="disagrees"):
         ker_beta_basis(bd, h)
+
+
+def test_kernel_agreement_with_odd_preimages():
+    """The U elements beta(r) eta + (-1)^|r| r y are cycles only with the
+    sign: on ODD_PREIMAGE, where some preimages r have odd degree, the
+    kernels agree on every populated bidegree."""
+    h = oracles.ODD_PREIMAGE
+    odd = 0
+    for bd in populated_bidegrees(h, 16, 8):
+        ker_beta_basis(bd, h)  # raises on any disagreement
+        for c in bockstein.basis_blocks(bd, h):
+            sign, beta_c = bockstein._coeff_beta(c, h)
+            odd += sign == -1 and bool(beta_c)
+    assert odd
 
 
 @pytest.mark.parametrize(

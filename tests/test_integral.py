@@ -2,11 +2,12 @@
 
 import pytest
 
+import oracles
 from motsteen import algebra, element_text
 from motsteen.elements import CoeffMonomial, Element, mul, term_element
 from motsteen.grading import Bidegree
 from motsteen.bockstein import beta, constructive_kernel, y
-from motsteen.steenrod import basis_index, eta
+from motsteen.steenrod import basis_index, bidegree_basis, eta
 from motsteen.integral import (
     IntCoeffRing,
     PullbackElement,
@@ -56,7 +57,10 @@ def tau_pow_y(i, a, U, h):
 
 
 def in_constructive_kernel(k, h):
-    return k in constructive_kernel(k.homogeneous_bidegree(h.scheme), h)
+    # the constructive vectors, mapped through their basis labels
+    bd = k.homogeneous_bidegree(h.scheme)
+    labels = bidegree_basis(bd, h)
+    return k in [oracles.vector_element(v, labels, h.p) for v in constructive_kernel(bd, h)]
 
 
 def test_default_w_table():

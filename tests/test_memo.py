@@ -14,7 +14,9 @@ from motsteen import (
 )
 from motsteen.bockstein import beta_matrix, beta_report, u_maximal_by_degree, y
 from motsteen.cli import Config, main
-from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, _checked, _pack
+from motsteen.elements import (
+    COEFF_ONE, CoeffMonomial, SteenrodMonomial, _checked, _pack, mono_degree,
+)
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
     _mz_image_packed,
@@ -43,7 +45,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 
 def _clear():
-    for memo in (y, u_maximal_by_degree, bockstein._steenrod_beta, bockstein._bucket_beta,
+    for memo in (y, u_maximal_by_degree, bockstein._u_maximal_at, bockstein._bucket_beta,
                  bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
                  elements._pack, elements._unpack, elements._unpack_xi,
                  elements._unpack_taus, elements._meet_deltas, elements._foreign_bits):
@@ -144,9 +146,11 @@ def test_finite_fields_with_different_q_get_separate_entries(monkeypatch):
     c_tau, tau_1 = CoeffMonomial(tau=1), SteenrodMonomial((), (1,))
     assert bockstein._coeff_beta(c_tau, h3) == (1, ((CoeffMonomial(eps=1), 1),))
     assert bockstein._coeff_beta(c_tau, h5) == (1, ())
+    # beta(tau_1) = xi_1, the one monomial of its bucket
+    assert mono_degree(tau_1, 2) == Bidegree(3, 1)
     for h in (h3, h5):
-        assert bockstein._steenrod_beta(tau_1, h) == ((SteenrodMonomial(((1, 1),), ()), 1),)
-    for memo in (bockstein._coeff_beta, bockstein._steenrod_beta):
+        assert bockstein._bucket_beta(Bidegree(3, 1), h) == ((((0, 1),),), (1,))
+    for memo in (bockstein._coeff_beta, bockstein._bucket_beta):
         assert memo.cache_info().currsize == 2
         assert memo.cache_info().hits == 0
     tau = term_element(2, 1, CoeffMonomial(tau=1))
@@ -192,7 +196,7 @@ def test_blocks_suite_leaves_the_beta_memo_empty():
     # block_complex reads each column once, so it calls beta directly
     _clear()
     assert suite_blocks(Config(p=2, scheme="z-half"))[0][1] == "PASS"
-    assert bockstein._steenrod_beta.cache_info().currsize == 0
+    assert bockstein._bucket_beta.cache_info().currsize == 0
     _clear()
 
 
@@ -305,3 +309,44 @@ def test_windows_agree_whatever_the_table_holds(h, small, large, lone, large_fir
     _clear()
     assert bidegree_basis(lone, h) == want
     _clear()
+
+
+CAPPED = [
+    (algebra("algclosed", 2), (8, 8), (16, 12)),
+    (algebra("algclosed", 2, ambient="a"), (8, 8), (16, 12)),
+    (algebra("finite-field", 2, 3), (8, 4), (16, 8)),
+    (algebra("finite-field", 2, 5), (8, 4), (16, 8)),
+    (algebra("bare", 2), (8, 4), (16, 8)),
+    (algebra("algclosed", 3), (12, 12), (24, 16)),
+    (algebra("finite-field", 3, 7), (12, 6), (27, 13)),
+    (algebra("real-odd", 3), (12, 6), (24, 12)),
+    (algebra("bare", 3), (12, 6), (24, 12)),
+    (algebra("algclosed", 5), (20, 10), (40, 20)),
+]
+
+
+@pytest.mark.parametrize("h,small,large", CAPPED,
+                         ids=lambda v: f"{v.ambient}-{v.scheme.id}-p{v.p}" if hasattr(v, "p")
+                         else "{}-{}".format(*v))
+@pytest.mark.parametrize("large_first", [False, True], ids=["small-first", "large-first"])
+def test_tight_budget_tables_equal_the_dmax_plus_wmax_tables(h, small, large, large_first,
+                                                             monkeypatch):
+    # where every degree -1 coefficient generator has a cap, the enumeration
+    # asks for fewer xi/tau monomials than d - w <= dmax + wmax, and the table
+    # it builds, bases and block layouts, is the one that budget builds, read
+    # after each window of a nested pair in either order
+    def tables():
+        # the tables after each window, and the d - w budget enumerated
+        _clear()
+        steenrod._mono_index.clear()
+        windows = (large, small) if large_first else (small, large)
+        out = [steenrod.basis_table(h, *window) for window in windows]
+        return out, steenrod._mono_index[h.p, h.min_tau][0]
+
+    tight, budget = tables()
+    assert budget < sum(large)
+    # no bound below dmax + wmax from the degree
+    monkeypatch.setattr(steenrod, "_degree_budget", lambda p, dmax, min_tau: float("inf"))
+    assert tables() == (tight, sum(large))
+    _clear()
+    steenrod._mono_index.clear()

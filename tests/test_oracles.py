@@ -18,8 +18,8 @@ from motsteen.bockstein import (
     beta_matrix,
     beta_report,
     block,
+    _coeff_beta,
     block_complex,
-    coeff_split,
     constructive_kernel,
     free_bbeta_generators,
     split_ranks,
@@ -248,17 +248,33 @@ def test_kernel_basis_matches_oracle(h):
 
 
 @pytest.mark.parametrize(
-    "h,window", [(h, (10, 7)) for h in ALL_MZ] + [(algebra("real-p2", 2), (16, 8))],
+    "h,window", [(h, (10, 7)) for h in ALL_MZ] + [(algebra("real-p2", 2), (16, 8)),
+                                                 (algebra("algclosed", 5), (30, 15)),
+                                                 (oracles.ODD_PREIMAGE, (16, 8))],
     ids=lambda v: handle_id(v) if hasattr(v, "scheme") else "{}-{}".format(*v),
 )
 def test_constructive_kernel_matches_oracle(h, window):
-    # the same Elements in the same order on every populated bidegree: the
-    # library reads them off the Leibniz memos and splits the coefficients by
-    # whether beta kills them, the oracle multiplies them out and splits by
-    # the hand rule; the two splits agree on every bidegree, in order
+    # the same vectors on every populated bidegree: the library lays them out
+    # block by block over the basis positions, ints at p = 2 and dicts at odd
+    # p, from the bucket memo and the _coeff_beta split; the oracle
+    # multiplies Elements out, splits by the hand rule and goes through
+    # element_vector.  The two splits agree, in order.  The library lists
+    # the vectors by block, the oracle by eta bidegree, so the lists are
+    # compared sorted.  ODD_PREIMAGE has coefficient preimages of odd
+    # degree, whose sign (-1)^|r| no base scheme shows
+    p = h.p
     for bd in populated_bidegrees(h, *window):
-        assert coeff_split(bd, h) == oracles.coeff_split(bd, h.scheme)
-        assert constructive_kernel(bd, h) == oracles.constructive_kernel(bd, h)
+        cs = steenrod.coeff_monomials(bd, h.scheme)
+        split = ([c for c in cs if not _coeff_beta(c, h)[1]],
+                 [c for c in cs if _coeff_beta(c, h)[1]])
+        assert split == oracles.coeff_split(bd, h.scheme)
+        rows = {key: i for i, key in enumerate(bidegree_basis(bd, h))}
+        want = [oracles.element_vector(x, rows) for x in oracles.constructive_kernel(bd, h)]
+        got = constructive_kernel(bd, h)
+        assert all(isinstance(v, int if p == 2 else dict) for v in got)
+        assert sorted(sorted(oracles.as_dict(v).items()) for v in got) == (
+            sorted(sorted(v.items()) for v in want)
+        )
 
 
 @pytest.mark.parametrize(
