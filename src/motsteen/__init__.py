@@ -24,7 +24,7 @@ _EXPORTS = {
     "linalg": ("FpBasis", "FpMatrix", "kernel_basis", "rank"),
     "steenrod": ("BasisIndex", "basis_index", "bidegree_basis", "conjugate", "eta"),
     "bockstein": (
-        "Block", "beta", "beta_matrix", "beta_report", "block", "block_complex",
+        "Block", "beta", "beta_report", "block", "block_complex",
         "block_homology", "free_bbeta_generators", "ker_beta_basis", "y",
     ),
     "integral": (

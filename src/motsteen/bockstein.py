@@ -26,23 +26,23 @@ c's block shifts to its own start in the target, and each term of beta(c)
 adds an identity block.  _bucket_beta takes each column from
 elements._beta_packed on the packed monomial and keeps positions only;
 _coeff_beta(c) = ((-1)^|c|, beta(c | 1)) comes from beta itself.  Each
-column lists its entries in beta's order, so beta_matrix equals the one
-per-monomial beta calls would build, and _columns gives the same columns
-as ints at p = 2 and sparse dicts at odd p.  block_complex calls beta
-directly: each of its columns is read once, so a memo would only hold
-them.
+column lists its entries in beta's order, so _columns, which gives them
+as ints at p = 2 and sparse dicts at odd p, holds the matrix per-monomial
+beta calls would build, column by column; no FpMatrix is built.
+block_complex calls beta directly: each of its columns is read once, so a
+memo would only hold them.
 
 split_ranks reduces beta at one bidegree to four numbers, read off those
 columns with no matrix built: the dims of the bidegree and of its
 coefficient part (Steenrod part 1), and the ranks of beta's two diagonal
 blocks, the coefficient ring and the augmentation ideal.  beta_report
 reads a dims row off those numbers at bd and at bd + (1, 0): the rank, the
-image, and both splitting checks.  ker_beta_basis takes the generic kernel
-from the matrix and checks the constructive (Z u U) basis, which
-constructive_kernel lays out block by block as vectors over the basis
-positions.  The columns must kill each constructive vector, and the vectors
-must be independent and as many as the matrix's nullity: then they span its
-kernel.
+image, and both splitting checks.  ker_beta_basis walks the blocks once
+per bidegree: the generic kernel (linalg.kernel_basis) and the check of
+the constructive (Z u U) basis, which constructive_kernel lays out block
+by block as vectors over the basis positions, read the same columns.  The
+columns must kill each constructive vector, and the vectors must be
+independent and as many as the generic kernel's: then they span it.
 """
 
 from __future__ import annotations
@@ -233,20 +233,6 @@ def _columns(bd, h):
         yield e, vecs
 
 
-def beta_matrix(bd, h):
-    """Matrix of beta from the bd basis to the (bd - (1,0)) basis, from _beta_blocks."""
-    p = h.p
-    entries = {}
-    for _, start, cols, _, at, sign, coeff in _beta_blocks(bd, h):
-        for j, col in enumerate(cols):
-            for r, s in col:
-                entries[at + r, start + j] = sign * s % p
-            for row, s in coeff:
-                entries[row + j, start + j] = s
-    return FpMatrix(p, len(bidegree_basis(bd + BETA_SHIFT, h)),
-                    len(bidegree_basis(bd, h)), entries)
-
-
 @cache
 def u_maximal_by_degree(p, budget):
     """Map eta-bidegree -> U-maximal indices, over all eta with d - w <= budget."""
@@ -294,7 +280,7 @@ def free_bbeta_generators(bound, p):
 class KernelBases(NamedTuple):
     bidegree: Bidegree
     labels: list          # the ambient monomial basis of the bidegree
-    generic: FpBasis      # kernel of the beta matrix
+    generic: FpBasis      # kernel of beta's columns, in the column forms of _columns
     constructive: list    # vectors over labels' positions: the Z u U construction
 
 
@@ -345,17 +331,18 @@ def constructive_kernel(bd, h):
 def ker_beta_basis(bd, h):
     """Generic and constructive kernel bases of one bidegree; asserts agreement.
 
-    Three checks decide agreement.  beta's columns (_columns) kill each
-    constructive vector, so they span a subspace of ker beta: at p = 2 the
-    columns at a vector's set bits XOR to 0.  They are independent, and
-    there are as many as the generic kernel of the beta matrix has vectors,
-    its nullity.  Independent vectors of the kernel as many as its
-    dimension span it, so the two bases span the same space.
+    beta's columns (_columns) are built once; the generic kernel is
+    kernel_basis of them, and three checks on them decide agreement.  The
+    columns kill each constructive vector, so the vectors span a subspace
+    of ker beta: at p = 2 the columns at a vector's set bits XOR to 0.
+    They are independent, and there are as many as the generic kernel has
+    vectors, its nullity.  Independent vectors of the kernel as many as
+    its dimension span it, so the two bases span the same space.
     """
     p = h.p
-    generic = kernel_basis(beta_matrix(bd, h))
-    vecs = constructive_kernel(bd, h)
     cols = [col for _, block_cols in _columns(bd, h) for col in block_cols]
+    generic = kernel_basis(p, cols)
+    vecs = constructive_kernel(bd, h)
     for vec in vecs:
         if p == 2:
             img = 0

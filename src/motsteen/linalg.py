@@ -1,13 +1,15 @@
 """Exact sparse linear algebra over F_p: ranks and kernel bases.
 
-A vector is a sparse dict {coordinate: residue in 1..p-1}, and a matrix
-is eliminated as an iterable of such rows.  Both eliminations insert the
-rows one at a time into an echelon form keyed by each row's lowest
-nonzero column.  Over GF(2) a row is packed into an integer, one bit per
-coordinate; over odd p it stays a dict, scaled to 1 at its pivot.  When a
-kernel is asked for, back-substitution, highest pivot first, ends in the
-unique reduced row echelon form, so kernel bases are reproducible bit for
-bit.
+A vector is a sparse dict {coordinate: residue in 1..p-1}, or over GF(2)
+an integer, one bit per coordinate.  Every elimination inserts vectors
+one at a time into an echelon form keyed by each vector's lowest nonzero
+coordinate; over odd p a stored vector is scaled to 1 there.  A rank
+inserts a matrix's rows, or any iterable of vectors.  A kernel inserts
+the columns, each carrying a tracking part that records the combination
+of columns it has become: a column that reduces to zero leaves its
+tracking part as a kernel vector.  With no back-substitution these are
+the vectors of the unique reduced row echelon form, so kernel bases are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class FpMatrix:
 class FpBasis:
     def __init__(self, p, ambient_dim, vectors):
         self.p, self.ambient_dim = p, ambient_dim
-        self.vectors = vectors  # sparse dicts {coordinate: residue}
+        self.vectors = vectors  # ints at p = 2, sparse dicts {coordinate: residue} at odd p
 
     def __len__(self):
         return len(self.vectors)
@@ -67,28 +69,6 @@ def _gf2_echelon(rows):
                 break
             row ^= hit
     return pivots
-
-
-def _gf2_rref(rows):
-    """Reduced row echelon form of GF(2) rows packed into integers, as
-    {pivot col: row}.
-
-    Back-substitution runs highest pivot first, so every row it subtracts
-    is already reduced and holds no pivot bit but its own.
-    """
-    rows = _gf2_echelon(rows)
-    mask = 0
-    for c in rows:
-        mask |= 1 << c
-    for c in sorted(rows, reverse=True):
-        row = rows[c]
-        hits = (row & mask) ^ (1 << c)
-        while hits:
-            low = hits & -hits
-            row ^= rows[low.bit_length() - 1]
-            hits ^= low
-        rows[c] = row
-    return rows
 
 
 def _subtract(row, f, prow, p):
@@ -122,19 +102,6 @@ def _echelon(p, rows):
     return pivots
 
 
-def _rref(p, rows):
-    """Reduced row echelon form over odd p as {pivot col: {col: value}}.
-
-    As in _gf2_rref, back-substitution runs highest pivot first.
-    """
-    pivots = _echelon(p, rows)
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        for c in [c for c in row if c != col and c in pivots]:
-            _subtract(row, row[c], pivots[c], p)
-    return pivots
-
-
 def gf2_rank(packed):
     """Rank of the span of GF(2) vectors packed into integers, bit c the
     coordinate c."""
@@ -152,33 +119,52 @@ def rank(M):
     return rank_of_columns(M.p, _rows(M))
 
 
-def kernel_basis(M):
-    """Basis of the null space {v : M v = 0}; size = ncols - rank.
+def kernel_basis(p, columns):
+    """Basis of the null space of the matrix with the given columns; size =
+    number of columns - rank.
 
-    One sparse vector per free column f, in column order: 1 at f, and -a
-    at each pivot column whose reduced row holds a at f.  The reduced row
-    echelon form is unique, so the basis does not depend on how it was
-    reached.  At p = 2 each row of M is packed straight from its entries
-    into an int, and each free column's vector is read off the reduced ints.
+    A column is an int at p = 2, bit r for row r, and a sparse dict {row:
+    residue} at odd p.  The columns are inserted in order, each carrying a
+    tracking part, 1 at its own index: it is reduced by the stored pivots,
+    keyed by their lowest row, the same operations applied to the tracking
+    part, and stored as a pivot (at odd p scaled, with its tracking part,
+    to 1 at the pivot row) once its lowest row has none.  A column that
+    reduces to zero leaves its tracking part as a kernel vector, in the
+    column form: 1 at the column f and minus the unique combination of the
+    pivot columns before f that equals column f.  That is the vector the
+    reduced row echelon form gives for the free column f, so the basis
+    does not depend on how it was reached.
     """
-    p = M.p
+    vectors = []
+    pivots = {}  # lowest row -> (reduced column, its tracking part)
+    n = 0
     if p == 2:
-        rows = [0] * M.nrows
-        for r, c in M.entries:
-            rows[r] |= 1 << c
-        reduced = _gf2_rref(rows)
-    else:
-        reduced = _rref(p, _rows(M))
-    at_free = {c: {c: 1} for c in range(M.ncols) if c not in reduced}
-    for col, row in reduced.items():
-        if p == 2:
-            row ^= 1 << col
-            while row:
-                low = row & -row
-                at_free[low.bit_length() - 1][col] = 1
-                row ^= low
-            continue
-        for c, a in row.items():
-            if c != col:
-                at_free[c][col] = (-a) % p
-    return FpBasis(p, M.ncols, list(at_free.values()))
+        for n, col in enumerate(columns, 1):
+            track = 1 << n - 1
+            while col:
+                low = col & -col
+                hit = pivots.get(low)
+                if hit is None:
+                    pivots[low] = col, track
+                    break
+                col ^= hit[0]
+                track ^= hit[1]
+            else:
+                vectors.append(track)
+        return FpBasis(p, n, vectors)
+    for n, col in enumerate(columns, 1):
+        col, track = dict(col), {n - 1: 1}
+        while col:
+            row = min(col)
+            hit = pivots.get(row)
+            if hit is None:
+                inv = pow(col[row], p - 2, p)
+                pivots[row] = ({c: v * inv % p for c, v in col.items()},
+                               {c: v * inv % p for c, v in track.items()})
+                break
+            f = col[row]
+            _subtract(col, f, hit[0], p)
+            _subtract(track, f, hit[1], p)
+        else:
+            vectors.append(track)
+    return FpBasis(p, n, vectors)

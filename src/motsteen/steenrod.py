@@ -206,6 +206,24 @@ def coeff_monomials(bd, scheme):
 _basis_table = {}
 
 
+def _caps(scheme):
+    """The caps of the degree -1 coefficient generators, None where one has none."""
+    return [scheme.caps.get(g) for g in scheme.gens if scheme.degree(g).d == -1]
+
+
+def window_budget(h, dmax, wmax):
+    """The d - w budget _enumerate_bases asks monomial_index for: every xi/tau
+    monomial that reaches the window d <= dmax, |w| <= wmax has d - w <=
+    dmax + wmax, and, when every degree -1 coefficient generator has a cap,
+    topological degree <= dmax + the sum of the caps, so _degree_budget
+    there if that is lower."""
+    caps = _caps(h.scheme)
+    budget = dmax + wmax
+    if None not in caps:
+        budget = min(budget, _degree_budget(h.p, dmax + sum(caps), h.min_tau))
+    return budget
+
+
 def _enumerate_bases(h, dmax, wmax):
     """({bidegree: sorted basis}, {bidegree: blocks}) for every nonempty
     bidegree of the window, in one pass.
@@ -216,16 +234,14 @@ def _enumerate_bases(h, dmax, wmax):
     e.d - e.w <= dmax + wmax and c with c.w >= -wmax - e.w can reach the
     window.  -c.d is the exponent sum of the degree -1 generators, so it is
     at most the sum of their caps when each of them has one; then e.d <=
-    dmax + that sum, and the enumeration budget is _degree_budget there if
-    that is lower.  Each c of bd fixes its bucket e, so the basis is c | m
-    for each c in order and each m of its bucket in order; blocks maps c to
-    (e, position of c | first m).
+    dmax + that sum, and the enumeration budget is window_budget.  Each c
+    of bd fixes its bucket e, so the basis is c | m for each c in order and
+    each m of its bucket in order; blocks maps c to (e, position of c |
+    first m).
     """
     scheme = h.scheme
-    caps = [scheme.caps.get(g) for g in scheme.gens if scheme.degree(g).d == -1]
-    budget = dmax + wmax
-    if None not in caps:
-        budget = min(budget, _degree_budget(h.p, dmax + sum(caps), h.min_tau))
+    caps = _caps(scheme)
+    budget = window_budget(h, dmax, wmax)
     buckets = monomial_index(h.p, budget, h.min_tau)
     etas = [e for e in buckets if e.d - e.w <= budget]
     low = -wmax - max((e.w for e in etas), default=0)

@@ -27,8 +27,10 @@ from .elements import _mul_packed, _pack
 from .steenrod import (
     bidegree_basis,
     conjugate,
+    monomial_index,
     populated_bidegrees,
     steenrod_monomials_by_degree,
+    window_budget,
 )
 from .steenrod import _chi_mono_cache, _chi_packed, _conjugate_packed, _mz_image_packed
 from .bockstein import (
@@ -437,6 +439,11 @@ def suite_kerbasis(config):
     n = 0
     detail = ""
     ok = True
+    fb = min(config.dmax, 30)
+    # one enumeration covers every xi/tau monomial the suite reads: the eta
+    # buckets e + (1, 0) of the constructive kernel, one past the window's
+    # budget, and the eta of the freeness check, d - w <= fb + 1
+    monomial_index(h.p, max(window_budget(h, dmax, config.wmax), fb) + 1, h.min_tau)
     for bd in populated_bidegrees(h, dmax, config.wmax):
         try:
             ker_beta_basis(bd, h)
@@ -449,7 +456,6 @@ def suite_kerbasis(config):
         ("kernel basis: constructive = generic", _status(ok),
          detail or f"{n} bidegrees, degree <= {dmax}, scheme {h.scheme.id}")
     )
-    fb = min(config.dmax, 30)
     try:
         gens = free_bbeta_generators(Bidegree(fb, config.wmax), config.p)
         results.append(

@@ -113,9 +113,29 @@ def kernel_basis(M):
     return vectors
 
 
+def columns(M):
+    """M's columns in the forms linalg.kernel_basis takes and
+    bockstein._columns gives: an int at p = 2, bit r for row r, and a
+    sparse dict {row: residue} at odd p, its entries in M's order."""
+    cols = [{} for _ in range(M.ncols)]
+    for (r, c), v in M.entries.items():
+        cols[c][r] = v
+    if M.p == 2:
+        return [sum(1 << r for r in col) for col in cols]
+    return cols
+
+
+def matrix(p, nrows, cols):
+    """The FpMatrix with the given columns, in either form of columns."""
+    return FpMatrix(p, nrows, len(cols), {(r, c): v for c, col in enumerate(cols)
+                                          for r, v in as_dict(col).items()})
+
+
 def dense(basis):
-    """An FpBasis's sparse vectors as dense tuples, the form kernel_basis gives."""
-    return [tuple(v.get(c, 0) for c in range(basis.ambient_dim)) for v in basis.vectors]
+    """An FpBasis's vectors, ints at p = 2 (bit c for coordinate c) or
+    sparse dicts, as dense tuples, the form kernel_basis gives."""
+    return [tuple(v.get(c, 0) for c in range(basis.ambient_dim))
+            for v in map(as_dict, basis.vectors)]
 
 
 def _enumerate(gens, budget):

@@ -10,7 +10,6 @@ from motsteen.elements import COEFF_ONE, CoeffMonomial, SteenrodMonomial, mono_d
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.bockstein import (
     beta,
-    beta_matrix,
     beta_report,
     block,
     block_complex,
@@ -219,16 +218,18 @@ def test_free_generators_examples():
 def test_free_generators_rank_beta_by_split_ranks(monkeypatch, p, bound):
     """beta keeps the coefficient/ideal split, so the sum of split_ranks'
     two ranks is the rank of the beta matrix; free_bbeta_generators reads
-    the sum and builds no matrix."""
+    the sum, and neither it nor ker_beta_basis builds a matrix."""
     h = algebra("bare", p)
     for bd in populated_bidegrees(h, *bound):
-        assert sum(split_ranks(bd, h)[2:]) == rank(beta_matrix(bd, h)), bd
+        assert sum(split_ranks(bd, h)[2:]) == rank(oracles.beta_matrix(bd, h)), bd
 
-    def refuse(bd, h):
-        raise AssertionError("free_bbeta_generators built a beta matrix")
+    def refuse(*args):
+        raise AssertionError("a beta matrix was built")
 
-    monkeypatch.setattr(bockstein, "beta_matrix", refuse)
+    monkeypatch.setattr(bockstein, "FpMatrix", refuse)
     assert free_bbeta_generators(Bidegree(*bound), p)
+    for bd in populated_bidegrees(h, *bound):
+        ker_beta_basis(bd, h)
     # one rank too many, and the y classes no longer span the image
     real = bockstein.split_ranks
     monkeypatch.setattr(bockstein, "split_ranks",
@@ -361,10 +362,13 @@ def test_beta_report_schema_and_notes():
 
 
 def test_beta_matrix_example():
-    # the single Bockstein block at (3, 1): tau_1 -> xi_1
-    M = beta_matrix(Bidegree(3, 1), H2)
-    assert (M.nrows, M.ncols) == (1, 1)
-    assert M.entries == {(0, 0): 1}
+    # the single Bockstein block at (3, 1): tau_1 -> xi_1, one column with
+    # its one entry in row 0, in both column forms
+    assert len(bidegree_basis(Bidegree(2, 1), H2)) == 1
+    assert list(bockstein._columns(Bidegree(3, 1), H2)) == [(Bidegree(3, 1), [1])]
+    # and at p = 3, tau_1 -> xi_1 at (5, 2)
+    assert len(bidegree_basis(Bidegree(4, 2), H3)) == 1
+    assert list(bockstein._columns(Bidegree(5, 2), H3)) == [(Bidegree(5, 2), [{0: 1}])]
 
 
 def test_report_splitting_holds_everywhere():

@@ -101,10 +101,10 @@ def cached_dims(directory, **window):
     return rows, path
 
 
-def count_beta_matrix(monkeypatch):
+def count_beta_assemblies(monkeypatch):
     """A list that grows by one per beta assembly (bockstein._beta_blocks) the
-    run makes: split_ranks, which the cache calls, and beta_matrix both go
-    through it."""
+    run makes: split_ranks, which the cache calls, and ker_beta_basis both
+    go through it."""
     from motsteen import bockstein
 
     calls = []
@@ -125,7 +125,7 @@ def test_cache_version_mismatch_recomputes(tmp_path, monkeypatch):
     doc = json.loads(path.read_text())
     doc["version"] = "0"
     path.write_text(json.dumps(doc))
-    calls = count_beta_matrix(monkeypatch)
+    calls = count_beta_assemblies(monkeypatch)
     assert cached_dims(tmp_path)[0] == want
     assert calls  # the stale file was not served
     assert json.loads(path.read_text()) == {**doc, "version": CACHE_VERSION}
@@ -188,7 +188,7 @@ def test_cache_file_that_is_not_an_entry_is_a_miss(tmp_path):
 def test_cache_two_windows_of_one_configuration_share_one_file(tmp_path, monkeypatch):
     small = cli.cmd_dims(cli.Config(**{**WINDOW, "dmax": 4, "wmax": 3}))
     want, path = cached_dims(tmp_path)
-    calls = count_beta_matrix(monkeypatch)
+    calls = count_beta_assemblies(monkeypatch)
     assert cached_dims(tmp_path, dmax=4, wmax=3) == (small, path)
     assert calls == []  # the smaller window is served from the larger one's file
 
@@ -198,8 +198,7 @@ def test_cache_fully_warm_run_calls_no_beta_matrix(tmp_path, monkeypatch):
 
     want, path = cached_dims(tmp_path)
     stamp = path.stat().st_mtime_ns
-    calls = count_beta_matrix(monkeypatch)
-    monkeypatch.setattr(bockstein, "beta_matrix", None)
+    calls = count_beta_assemblies(monkeypatch)
     monkeypatch.setattr(bockstein, "split_ranks", None)  # beta_report's default path
     assert cached_dims(tmp_path)[0] == want
     assert calls == []

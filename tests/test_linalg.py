@@ -44,15 +44,15 @@ def test_rank_trivial():
 
 def test_kernel_trivial():
     eye = FpMatrix(3, 3, 3, {(i, i): 1 for i in range(3)})
-    assert oracles.dense(kernel_basis(eye)) == []
+    assert oracles.dense(kernel_basis(eye.p, oracles.columns(eye))) == []
     m = FpMatrix(2, 1, 2, {(0, 0): 1, (0, 1): 1})
-    assert oracles.dense(kernel_basis(m)) == [(1, 1)]
+    assert oracles.dense(kernel_basis(m.p, oracles.columns(m))) == [(1, 1)]
 
 
 def test_kernel_bockstein_block_example():
     # beta on span{xi_1 tau_2, xi_2 tau_1}: both map to xi_1 xi_2
     m = FpMatrix(2, 1, 2, {(0, 0): 1, (0, 1): 1})
-    kb = kernel_basis(m)
+    kb = kernel_basis(m.p, oracles.columns(m))
     assert oracles.dense(kb) == [(1, 1)]
 
 
@@ -90,7 +90,7 @@ def test_kernel_vectors_annihilated_and_dims_add_up():
     for p in (2, 3, 5):
         for _ in range(6):
             M = _random_sparse(rng, p, 25, 35, 0.15)
-            kb = kernel_basis(M)
+            kb = kernel_basis(M.p, oracles.columns(M))
             assert len(kb) + rank(M) == M.ncols
             for v in oracles.dense(kb):
                 assert all(x == 0 for x in mul_vec(M, v))
@@ -100,7 +100,7 @@ def test_dense_fallback_path():
     rng = random.Random(13)
     M = _random_sparse(rng, 3, 15, 15, 0.6)  # dense input through the one sparse path
     assert rank(M) == rank(transpose(M))
-    kb = kernel_basis(M)
+    kb = kernel_basis(M.p, oracles.columns(M))
     for v in oracles.dense(kb):
         assert all(x == 0 for x in mul_vec(M, v))
 
@@ -110,7 +110,7 @@ def test_kernel_image_orthogonality_on_composites():
     rng = random.Random(17)
     p = 3
     A = _random_sparse(rng, p, 12, 18, 0.2)
-    kb = kernel_basis(A)
+    kb = kernel_basis(A.p, oracles.columns(A))
     B = FpMatrix(  # maps into ker(A)
         p, A.ncols, len(kb), {(r, j): v for j, vec in enumerate(kb.vectors) for r, v in vec.items()}
     )
@@ -135,10 +135,52 @@ def sparse_matrices(draw):
 @example(FpMatrix(3, 0, 4))
 @example(FpMatrix(5, 4, 0))
 def test_elimination_properties(M):
-    kb = kernel_basis(M)
+    kb = kernel_basis(M.p, oracles.columns(M))
     r = rank(M)
     assert len(kb) + r == M.ncols
     assert all(not any(mul_vec(M, v)) for v in oracles.dense(kb))
     assert r == rank(transpose(M))
     assert oracles.dense(kb) == oracles.kernel_basis(M)
     assert rank_of_columns(M.p, sparse_columns(M)) == oracles.rank(M)
+
+
+@st.composite
+def column_lists(draw):
+    """(p, nrows, columns) in kernel_basis's forms, ints at p = 2 and dicts at
+    odd p; some columns are zero and some repeat an earlier column."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 10))
+    fresh = st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(1, p - 1),
+                            max_size=n)
+    cols = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat"]))
+        if kind == "repeat" and cols:
+            col = dict(draw(st.sampled_from(cols)))
+            if draw(st.booleans()):  # a nonzero multiple of it
+                f = draw(st.integers(1, p - 1))
+                col = {r: v * f % p for r, v in col.items()}
+        else:
+            col = draw(fresh) if n and kind == "fresh" else {}
+        cols.append(col)
+    if p == 2:
+        cols = [sum(1 << r for r in col) for col in cols]
+    return p, n, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(column_lists())
+@example((2, 0, []))
+@example((3, 3, []))
+@example((2, 2, [0, 0, 3, 3, 1]))
+@example((5, 2, [{}, {0: 2, 1: 1}, {0: 4, 1: 2}, {1: 3}, {}]))
+def test_kernel_of_columns_equals_the_dense_rref_kernel(case):
+    # the column-insertion kernel is the reduced row echelon form's, vector
+    # for vector and in order, each vector in the columns' own form
+    p, n, cols = case
+    M = oracles.matrix(p, n, cols)
+    kb = kernel_basis(p, iter(cols))
+    assert kb.ambient_dim == len(cols)
+    assert all(isinstance(v, int if p == 2 else dict) for v in kb.vectors)
+    assert oracles.dense(kb) == oracles.kernel_basis(M)
+    assert len(kb) + oracles.rank(M) == len(cols)

@@ -12,7 +12,7 @@ from motsteen import (
     SchemePresentation, algebra, bockstein, element_text, elements, make_scheme, mul,
     steenrod, term_element,
 )
-from motsteen.bockstein import beta_matrix, beta_report, u_maximal_by_degree, y
+from motsteen.bockstein import _columns, beta_report, u_maximal_by_degree, y
 from motsteen.cli import Config, main
 from motsteen.elements import (
     COEFF_ONE, CoeffMonomial, SteenrodMonomial, _checked, _pack, mono_degree,
@@ -71,8 +71,7 @@ def _answers(handles):
     out = {}
     for h in handles:
         out[h, "basis"] = [bidegree_basis(bd, h) for bd in BIDEGREES]
-        matrices = [beta_matrix(bd, h) for bd in BIDEGREES]
-        out[h, "beta"] = [(M.nrows, M.ncols, list(M.entries.items())) for M in matrices]
+        out[h, "beta"] = [list(_columns(bd, h)) for bd in BIDEGREES]
         if h.ambient == "mz":
             out[h, "y"] = [y(idx, h) for idx in INDICES]
         else:
@@ -278,6 +277,35 @@ def test_each_command_enumerates_each_table_once(argv, want, monkeypatch, capsys
     capsys.readouterr()
     assert builds == want
     _clear()
+
+
+@pytest.mark.parametrize("argv,size", [
+    ("verify kerbasis --prime 2 --scheme real-p2 --dmax 11 --wmax 5", 315),
+    ("verify kerbasis --prime 2 --scheme algclosed --dmax 20 --wmax 10", 608),
+    ("verify kerbasis --prime 2 --scheme finite --q 3 --dmax 16 --wmax 8", 315),
+], ids=["real-p2", "algclosed", "finite-q3"])
+def test_verify_kerbasis_enumerates_the_monomials_once(argv, size, monkeypatch, capsys):
+    # the window's bases, the eta buckets one past their budget that the
+    # constructive kernel reads, and the freeness check's eta all come from
+    # one enumeration.  Each reader enumerating its own budget took two
+    # (263 + 315 monomials) on real-p2, three (94 + 118 + 608) on algclosed
+    # and two (74 + 315) on finite q = 3.
+    _clear()
+    steenrod._mono_index.clear()
+    sizes = []
+    real = steenrod.steenrod_monomials
+
+    def counted(p, budget, min_tau):
+        out = real(p, budget, min_tau)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(steenrod, "steenrod_monomials", counted)
+    assert main(argv.split()) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert sizes == [size]
+    _clear()
+    steenrod._mono_index.clear()
 
 
 WINDOWS = [

@@ -14,14 +14,15 @@ import pytest
 import oracles
 from motsteen import algebra, cli, relations, steenrod
 from motsteen.bockstein import (
+    _columns,
     beta,
-    beta_matrix,
     beta_report,
     block,
     _coeff_beta,
     block_complex,
     constructive_kernel,
     free_bbeta_generators,
+    ker_beta_basis,
     split_ranks,
     u_maximal_by_degree,
 )
@@ -157,18 +158,31 @@ def test_beta_matches_oracle(h):
             assert list(beta(x, h).terms.items()) == list(want.terms.items())
 
 
+def beta_columns(bd, h):
+    """beta's columns at bd as ker_beta_basis reads them: _columns flattened."""
+    return [col for _, cols in _columns(bd, h) for col in cols]
+
+
+def assert_columns_equal(bd, h, want):
+    """beta_columns(bd, h) are the columns of the matrix want, each in its
+    form (an int at p = 2, a dict at odd p, its entries in want's order)."""
+    cols = beta_columns(bd, h)
+    assert (len(bidegree_basis(bd + BETA_SHIFT, h)), len(cols)) == (want.nrows, want.ncols)
+    got, exp = cols, oracles.columns(want)
+    if h.p != 2:
+        got, exp = [list(c.items()) for c in got], [list(c.items()) for c in exp]
+    assert got == exp
+
+
 @pytest.mark.parametrize(
     "h", ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)], ids=handle_id
 )
 def test_beta_matrix_matches_oracle(h):
-    # the matrix assembled from the factor memos has the entries of one beta
-    # call per basis monomial, in the same order
+    # the columns assembled from the factor memos have the entries of one
+    # beta call per basis monomial, in the same order
     window = (10, 7) if h.p == 2 else (20, 9)
     for bd in populated_bidegrees(h, *window):
-        M = beta_matrix(bd, h)
-        want = oracles.beta_matrix(bd, h)
-        assert (M.nrows, M.ncols) == (want.nrows, want.ncols)
-        assert list(M.entries.items()) == list(want.entries.items())
+        assert_columns_equal(bd, h, oracles.beta_matrix(bd, h))
 
 
 BLOCK_HANDLES = ALL_MZ + ALL_A + [
@@ -180,7 +194,7 @@ BLOCK_HANDLES = ALL_MZ + ALL_A + [
 @pytest.mark.parametrize("h", BLOCK_HANDLES, ids=handle_id)
 def test_block_assembly_matches_tuple_keyed_reference(h):
     # each basis is its blocks concatenated in c order, each block exactly its
-    # bucket; beta_matrix and split_ranks, built block by block, equal the
+    # bucket; beta's columns and split_ranks, built block by block, equal the
     # (c, mono)-keyed matrix and the split of its regrouped rows, and the
     # full algebra's crossing at tau_0 raises in both
     window = {2: (10, 7), 3: (20, 9), 5: (40, 12)}[h.p]
@@ -197,10 +211,8 @@ def test_block_assembly_matches_tuple_keyed_reference(h):
             assert e == bd - coeff_degree(c, h.scheme)
             laid_out += [(c, m) for m in buckets[e]]
         assert laid_out == bidegree_basis(bd, h)
-        M = beta_matrix(bd, h)
         want = oracles.leibniz_beta_matrix(bd, h)
-        assert (M.nrows, M.ncols) == (want.nrows, want.ncols)
-        assert list(M.entries.items()) == list(want.entries.items())
+        assert_columns_equal(bd, h, want)
         try:
             want_ranks = oracles.split_ranks(bd, want, h)
         except ValueError:
@@ -233,18 +245,33 @@ def test_block_complex_matches_oracle(p):
 
 @pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
 def test_kernel_basis_matches_oracle(h):
-    # the same kernel vectors, bit for bit, and the same rank, from the
-    # beta matrix of every populated bidegree of the window
+    # the same kernel vectors, bit for bit, and the same rank, from beta's
+    # columns at every populated bidegree of the window
     window = (10, 7) if h.p == 2 else (20, 9)
     for bd in populated_bidegrees(h, *window):
-        M = beta_matrix(bd, h)
-        assert oracles.dense(kernel_basis(M)) == oracles.kernel_basis(M)
+        cols = beta_columns(bd, h)
+        M = oracles.matrix(h.p, len(bidegree_basis(bd + BETA_SHIFT, h)), cols)
+        assert oracles.dense(kernel_basis(h.p, cols)) == oracles.kernel_basis(M)
         want = oracles.rank(M)
         assert rank(M) == want
-        cols = [{} for _ in range(M.ncols)]
-        for (r, c), v in M.entries.items():
-            cols[c][r] = v
-        assert rank_of_columns(h.p, cols) == want
+        assert rank_of_columns(h.p, [oracles.as_dict(col) for col in cols]) == want
+
+
+@pytest.mark.parametrize("h,window", [
+    (algebra("real-p2", 2), (16, 8)),
+    (algebra("z-half", 2), (12, 6)),
+    (algebra("finite-field", 2, q=3), (14, 7)),
+    (algebra("finite-field", 3, q=7), (20, 10)),
+    (algebra("real-odd", 3), (16, 8)),
+    (algebra("algclosed", 5), (30, 15)),
+], ids=lambda v: handle_id(v) if hasattr(v, "scheme") else "{}-{}".format(*v))
+def test_kernel_of_beta_columns_matches_the_dense_kernel(h, window):
+    # ker_beta_basis's generic kernel, vector for vector and in order, is
+    # the dense reduced row echelon form's on larger windows
+    for bd in populated_bidegrees(h, *window):
+        cols = beta_columns(bd, h)
+        M = oracles.matrix(h.p, len(bidegree_basis(bd + BETA_SHIFT, h)), cols)
+        assert oracles.dense(ker_beta_basis(bd, h).generic) == oracles.kernel_basis(M)
 
 
 @pytest.mark.parametrize(
