@@ -18,17 +18,18 @@ with U inside the support, graded by tau count.  Its homology vanishes unless
 m = 0, which beta_report and the kernel-basis machinery exploit.
 
 Each basis is laid out in coefficient blocks, c | m for one coefficient
-monomial c and every m of one xi/tau bucket (steenrod.basis_blocks), so
-beta has one assembly, _beta_blocks, block by block by the Leibniz rule
-beta(c m) = (-1)^|c| c beta(m) + beta(c) m: the memo _bucket_beta(e) holds
-beta(1 | m) for the bucket e as positions in the bucket e - (1, 0), which
-c's block shifts to its own start in the target, and each term of beta(c)
-adds an identity block.  _bucket_beta takes each column from
-elements._beta_packed on the packed monomial and keeps positions only;
-_coeff_beta(c) = ((-1)^|c|, beta(c | 1)) comes from beta itself.  Each
-column lists its entries in beta's order, so _columns, which gives them
-as ints at p = 2 and sparse dicts at odd p, holds the matrix per-monomial
-beta calls would build, column by column; no FpMatrix is built.
+monomial c and every m of one xi/tau bucket (the blocks of a
+steenrod.Basis), so beta has one assembly, _columns, block by block by the
+Leibniz rule beta(c m) = (-1)^|c| c beta(m) + beta(c) m: the memo
+_bucket_beta(e) holds beta(1 | m) for the bucket e as positions in the
+bucket e - (1, 0), which c's block shifts to its own start in the target,
+and each term of beta(c) adds an identity block.  _bucket_beta takes each
+column from elements._beta_packed on the packed monomial and keeps
+positions only; _coeff_beta(c) = ((-1)^|c|, beta(c | 1)) comes from beta
+itself.  Each column lists its entries in beta's order, so _columns, which
+gives them as ints at p = 2 and sparse dicts at odd p, holds the matrix
+per-monomial beta calls would build, column by column; no FpMatrix is
+built.
 block_complex calls beta directly: each of its columns is read once, so a
 memo would only hold them.
 
@@ -57,8 +58,8 @@ from .elements import (
 )
 from .linalg import FpBasis, FpMatrix, gf2_rank, kernel_basis, rank, rank_of_columns
 from .steenrod import (
-    basis_blocks, basis_index, basis_table, bidegree_basis, eta, index_of, monomial_index,
-    u_maximal,
+    Basis, _degree_budget, basis_index, basis_table, bidegree_basis, eta, index_of,
+    monomial_index, u_maximal,
 )
 
 _ONE = Bidegree(0, 0)  # the bucket of the monomial 1
@@ -192,36 +193,25 @@ def _u_maximal_at(eb, p):
     return tuple(i for i, m in enumerate(bucket) if u_maximal(index_of(m)))
 
 
-def _beta_blocks(bd, h):
-    """beta from the bd basis to the bd - (1, 0) basis, one coefficient
-    block of bd at a time, by beta(c m) = (-1)^|c| c beta(m) + beta(c) m.
-
-    Yields (e, start, columns, packed, at, sign, coeff) for each block c |
-    bucket e of bd, in order: columns and packed are _bucket_beta(e), to be
-    shifted to at, the start of c's block in the target (0 when its bucket
-    e - (1, 0) is empty, and so is every column); sign is (-1)^|c|; coeff
-    lists (start of nc's block, s) for each term s nc of beta(c): nc's
-    bucket is e again, so column j gets s at that start + j.
-    """
-    dst = basis_blocks(bd + BETA_SHIFT, h)
-    for c, (e, start) in basis_blocks(bd, h).items():
-        sign, coeff_terms = _coeff_beta(c, h)
-        yield (e, start, *_bucket_beta(e, h), dst[c][1] if c in dst else 0, sign,
-               [(dst[nc][1], s) for nc, s in coeff_terms] if coeff_terms else ())
-
-
 def _columns(bd, h):
-    """beta's columns at bd, block by block: (e, columns) for each block c |
-    bucket e, the columns in basis order.  At p = 2 a column is an int, bit
-    r for row r: its bucket column shifted to c's block in the target plus
-    the bits of beta(c) shifted by its position j in the block; at odd p it
-    is a sparse dict {row: scalar}."""
+    """beta's columns at bd, block by block, by beta(c m) = (-1)^|c| c beta(m)
+    + beta(c) m: (e, columns) for each block c | bucket e of bd, the columns
+    in basis order.  Column j of the block is column j of _bucket_beta(e),
+    shifted to the start of c's block in the bd - (1, 0) basis (c has no
+    block there exactly when the bucket e - (1, 0) is empty, and so is every
+    column), plus s at the start of nc's block + j for each term s nc of
+    beta(c), nc's bucket being e again.  At p = 2 a column is an int, bit r
+    for row r; at odd p it is a sparse dict {row: scalar}, the bucket part
+    scaled by (-1)^|c|."""
     p = h.p
-    for e, _, cols, packed, at, sign, coeff in _beta_blocks(bd, h):
+    dst = bidegree_basis(bd + BETA_SHIFT, h).blocks
+    for c, (e, _) in bidegree_basis(bd, h).blocks.items():
+        sign, beta_c = _coeff_beta(c, h)
+        cols, packed = _bucket_beta(e, h)
+        at = dst[c][1] if c in dst else 0
+        coeff = [(dst[nc][1], s) for nc, s in beta_c]
         if p == 2:
-            bits = 0
-            for row, _ in coeff:
-                bits |= 1 << row
+            bits = sum(1 << row for row, _ in coeff)
             yield e, [k << at | bits << j for j, k in enumerate(packed)]
             continue
         vecs = []
@@ -231,19 +221,6 @@ def _columns(bd, h):
                 vec[row + j] = s
             vecs.append(vec)
         yield e, vecs
-
-
-@cache
-def u_maximal_by_degree(p, budget):
-    """Map eta-bidegree -> U-maximal indices, over all eta with d - w <= budget."""
-    out = {}
-    for eb, monos in monomial_index(p, budget, 1).items():
-        if eb.d - eb.w > budget:
-            continue
-        idxs = [idx for idx in map(index_of, monos) if u_maximal(idx)]
-        if idxs:
-            out[eb] = idxs
-    return out
 
 
 def free_bbeta_generators(bound, p):
@@ -258,28 +235,30 @@ def free_bbeta_generators(bound, p):
 
     h = algebra("bare", p)
     dmax, wmax = bound
-    found = {}
-    for eb, idxs in u_maximal_by_degree(p, dmax + 1).items():
-        yb = eb + BETA_SHIFT
-        if yb.d <= dmax and yb.w <= wmax:
-            found[yb] = idxs
+    # |eta| = |y| + (1, 0) has d <= dmax + 1, so d - w <= this budget
+    buckets = monomial_index(p, _degree_budget(p, dmax + 1, 1), 1)
+    ybs = sorted(yb for eb in buckets
+                 if (yb := eb + BETA_SHIFT).d <= dmax and yb.w <= wmax and _u_maximal_at(eb, p))
     basis_table(h, dmax + 1, wmax)  # split_ranks reads yb and yb + (1, 0)
-    for yb, idxs in sorted(found.items()):
+    found = []
+    for yb in ybs:
         eb = yb - BETA_SHIFT
         cols = _bucket_beta(eb, h)[0]
-        start = basis_blocks(yb, h)[COEFF_ONE][1]
-        vecs = [{start + r: s for r, s in cols[i]} for i in _u_maximal_at(eb, p)]
+        start = bidegree_basis(yb, h).blocks[COEFF_ONE][1]
+        at = _u_maximal_at(eb, p)
+        vecs = [{start + r: s for r, s in cols[i]} for i in at]
         if rank_of_columns(p, vecs) != len(vecs):
             raise AssertionError(f"U-maximal y classes dependent at {yb}")
         # beta keeps the coefficient/ideal split, so its rank is the sum of the two
-        if sum(split_ranks(yb - BETA_SHIFT, h)[2:]) != len(vecs):
+        if sum(split_ranks(eb, h)[2:]) != len(vecs):
             raise AssertionError(f"U-maximal y classes do not span im beta at {yb}")
-    return [i for _, idxs in sorted(found.items()) for i in idxs]
+        found += [index_of(buckets[eb][i]) for i in at]
+    return found
 
 
 class KernelBases(NamedTuple):
     bidegree: Bidegree
-    labels: list          # the ambient monomial basis of the bidegree
+    labels: Basis         # the ambient monomial basis of the bidegree, a block view
     generic: FpBasis      # kernel of beta's columns, in the column forms of _columns
     constructive: list    # vectors over labels' positions: the Z u U construction
 
@@ -302,7 +281,7 @@ def constructive_kernel(bd, h):
     if h.ambient != "mz":
         raise ValueError("y classes live in the mz form")
     p = h.p
-    blocks = basis_blocks(bd, h)
+    blocks = bidegree_basis(bd, h).blocks
     out = []
     for c, (e, start) in blocks.items():
         sign, beta_c = _coeff_beta(c, h)

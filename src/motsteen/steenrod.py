@@ -15,8 +15,9 @@ with its bucket bd - |c|; it is finite because every coefficient generator
 has nonpositive degree and weight while d - w > 0 on every xi/tau
 generator.  Each basis is then laid out in blocks: the c in sorted order,
 each followed by its bucket, which is the sorted order of the keys (c, m).
-_basis_table keeps one such table per handle, the bases and their block
-layouts, read by bidegree_basis, basis_blocks and populated_bidegrees.
+The layout is the basis: a Basis keeps {c: (bucket, start)} and its dim,
+and lists its keys (c, m) only when iterated.  _basis_table keeps one
+table of them per handle, read by bidegree_basis and populated_bidegrees.
 
 The conjugation chi of the full algebra is computed from the generator
 recursions (with xi_0 = chi(xi_0) = 1)
@@ -201,8 +202,32 @@ def coeff_monomials(bd, scheme):
     return tuple(out)
 
 
-# handle -> (dmax, wmax, {bidegree: basis}, {bidegree: blocks}), every
-# nonempty basis of the window d <= dmax, |w| <= wmax and its block layout
+class Basis:
+    """One bidegree's basis as its block layout: blocks maps each coefficient
+    monomial c, in order, to (e, start), and positions start, start + 1, ...
+    hold c | m for the m of monomial_index's bucket e.  len is the dim, and
+    iterating yields the keys (c, m) in order, read off the buckets; a bucket
+    inside the budget is the same in every larger index, so the positions
+    outlive a re-enumeration."""
+
+    __slots__ = ("blocks", "_dim", "_p", "_min_tau")
+
+    def __init__(self, blocks, dim, p, min_tau):
+        self.blocks, self._dim, self._p, self._min_tau = blocks, dim, p, min_tau
+
+    def __len__(self):
+        return self._dim
+
+    def __iter__(self):
+        for c, (e, _) in self.blocks.items():
+            for m in monomial_index(self._p, e.d - e.w, self._min_tau)[e]:
+                yield c, m
+
+
+_EMPTY = Basis({}, 0, None, None)
+
+# handle -> (dmax, wmax, {bidegree: Basis}), every nonempty basis of the
+# window d <= dmax, |w| <= wmax
 _basis_table = {}
 
 
@@ -225,8 +250,7 @@ def window_budget(h, dmax, wmax):
 
 
 def _enumerate_bases(h, dmax, wmax):
-    """({bidegree: sorted basis}, {bidegree: blocks}) for every nonempty
-    bidegree of the window, in one pass.
+    """{bidegree: Basis} for every nonempty bidegree of the window, in one pass.
 
     A basis monomial c | m pairs an xi/tau monomial m of bidegree e with a
     coefficient monomial c of bidegree bd - e.  Since e.d >= e.w >= 0 and
@@ -236,7 +260,7 @@ def _enumerate_bases(h, dmax, wmax):
     at most the sum of their caps when each of them has one; then e.d <=
     dmax + that sum, and the enumeration budget is window_budget.  Each c
     of bd fixes its bucket e, so the basis is c | m for each c in order and
-    each m of its bucket in order; blocks maps c to (e, position of c |
+    each m of its bucket in order: its blocks map c to (e, position of c |
     first m).
     """
     scheme = h.scheme
@@ -259,22 +283,21 @@ def _enumerate_bases(h, dmax, wmax):
                 if cd > dmax - ed:
                     break
                 pairs.setdefault((ed + cd, ew + cw), []).extend([(c, e) for c in cs])
-    bases, blocks = {}, {}
+    bases = {}
     for key, ces in pairs.items():
         ces.sort()  # the c of one bidegree are distinct
-        bd = Bidegree(*key)
-        bases[bd] = [(c, m) for c, e in ces for m in buckets[e]]
-        layout = blocks[bd] = {}
+        blocks = {}
         start = 0
         for c, e in ces:
-            layout[c] = e, start
+            blocks[c] = e, start
             start += len(buckets[e])
-    return bases, blocks
+        bases[Bidegree(*key)] = Basis(blocks, start, h.p, h.min_tau)
+    return bases
 
 
 def basis_table(h, dmax, wmax):
-    """The handle's table (dmax, wmax, {bidegree: basis}, {bidegree: blocks})
-    holding every nonempty basis with d <= dmax, |w| <= wmax.
+    """The handle's table (dmax, wmax, {bidegree: Basis}) holding every
+    nonempty basis with d <= dmax, |w| <= wmax.
 
     One table per handle; asking for a window it does not cover re-enumerates
     the smallest window covering both, so a caller that will read a whole
@@ -284,24 +307,16 @@ def basis_table(h, dmax, wmax):
     if hit is None or hit[0] < dmax or hit[1] < wmax:
         if hit is not None:
             dmax, wmax = max(dmax, hit[0]), max(wmax, hit[1])
-        hit = _basis_table[h] = (dmax, wmax, *_enumerate_bases(h, dmax, wmax))
+        hit = _basis_table[h] = (dmax, wmax, _enumerate_bases(h, dmax, wmax))
     return hit
 
 
 def bidegree_basis(bd, h):
-    """Coefficient-twisted monomial basis of one bidegree, sorted canonically.
-
-    Returns [(CoeffMonomial, SteenrodMonomial)], read from the handle's table.
-    """
+    """The coefficient-twisted monomial basis of one bidegree, as a Basis read
+    from the handle's table: its keys (CoeffMonomial, SteenrodMonomial) come
+    in canonical order, and an empty bidegree gives the shared empty Basis."""
     d, w = bd
-    return basis_table(h, d, abs(w))[2].get(bd, [])
-
-
-def basis_blocks(bd, h):
-    """{c: (e, start)} in c order: positions start, start + 1, ... of the bd
-    basis hold c | m for the monomials m of monomial_index's bucket e."""
-    d, w = bd
-    return basis_table(h, d, abs(w))[3].get(bd, {})
+    return basis_table(h, d, abs(w))[2].get(bd, _EMPTY)
 
 
 def populated_bidegrees(h, dmax, wmax):

@@ -25,8 +25,10 @@ from .elements import (
 )
 from .elements import _mul_packed, _pack
 from .steenrod import (
+    _degree_budget,
     bidegree_basis,
     conjugate,
+    index_of,
     monomial_index,
     populated_bidegrees,
     steenrod_monomials_by_degree,
@@ -39,8 +41,8 @@ from .bockstein import (
     ker_beta_basis,
     block,
     block_homology,
-    u_maximal_by_degree,
     y,
+    _u_maximal_at,
 )
 from .linalg import gf2_rank, rank_of_columns
 
@@ -301,10 +303,11 @@ def _torsion_probe_indices(p):
     """The first 8 U-maximal indices (a, U) of topological degree <= 12.
 
     Taken in monomial order; d - w <= d on every xi/tau monomial, so the
-    U-maximal sets up to budget 12 hold them all.
+    buckets up to budget 12 hold them all, at the _u_maximal_at positions.
     """
+    buckets = monomial_index(p, 12, 1)
     return sorted(
-        idx for eb, idxs in u_maximal_by_degree(p, 12).items() if eb.d <= 12 for idx in idxs
+        index_of(buckets[eb][i]) for eb in buckets if eb.d <= 12 for i in _u_maximal_at(eb, p)
     )[:8]
 
 
@@ -442,8 +445,9 @@ def suite_kerbasis(config):
     fb = min(config.dmax, 30)
     # one enumeration covers every xi/tau monomial the suite reads: the eta
     # buckets e + (1, 0) of the constructive kernel, one past the window's
-    # budget, and the eta of the freeness check, d - w <= fb + 1
-    monomial_index(h.p, max(window_budget(h, dmax, config.wmax), fb) + 1, h.min_tau)
+    # budget, and the eta of the freeness check, of degree <= fb + 1
+    monomial_index(h.p, max(window_budget(h, dmax, config.wmax) + 1,
+                            _degree_budget(h.p, fb + 1, 1)), h.min_tau)
     for bd in populated_bidegrees(h, dmax, config.wmax):
         try:
             ker_beta_basis(bd, h)

@@ -455,14 +455,14 @@ def constructive_kernel(bd, h):
     Z: c, and c y[a,U], for coefficient cycles c.  U: beta(r) eta[a,U] +
     (-1)^|r| r y[a,U] for coefficient preimages r.  The cycles and
     preimages come from the hand rule of coeff_split and the U-maximal
-    indices are the library's, so the elements come in its order; y,
-    beta(r) and every product go through normalize.
+    indices from this module's u_maximal_by_degree; y, beta(r) and every
+    product go through normalize.
     """
     p = h.p
     d, w = bd
     out = [term_element(p, 1, c) for c in coeff_split(bd, h.scheme)[0]]
     if d - w + 1 >= 0:
-        for eb, idxs in bockstein.u_maximal_by_degree(p, d - w + 1).items():
+        for eb, idxs in u_maximal_by_degree(p, d - w + 1).items():
             zs, rs = coeff_split(Bidegree(d - eb.d + 1, w - eb.w), h.scheme)
             for idx in idxs:
                 y_idx = beta(eta(idx, h), h)

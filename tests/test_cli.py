@@ -102,19 +102,19 @@ def cached_dims(directory, **window):
 
 
 def count_beta_assemblies(monkeypatch):
-    """A list that grows by one per beta assembly (bockstein._beta_blocks) the
+    """A list that grows by one per beta assembly (bockstein._columns) the
     run makes: split_ranks, which the cache calls, and ker_beta_basis both
     go through it."""
     from motsteen import bockstein
 
     calls = []
-    real = bockstein._beta_blocks
+    real = bockstein._columns
 
     def counted(bd, h):
         calls.append(bd)
         return real(bd, h)
 
-    monkeypatch.setattr(bockstein, "_beta_blocks", counted)
+    monkeypatch.setattr(bockstein, "_columns", counted)
     return calls
 
 

@@ -59,7 +59,7 @@ def tau_pow_y(i, a, U, h):
 def in_constructive_kernel(k, h):
     # the constructive vectors, mapped through their basis labels
     bd = k.homogeneous_bidegree(h.scheme)
-    labels = bidegree_basis(bd, h)
+    labels = list(bidegree_basis(bd, h))
     return k in [oracles.vector_element(v, labels, h.p) for v in constructive_kernel(bd, h)]
 
 

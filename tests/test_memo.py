@@ -2,6 +2,7 @@
 in the product, by monomials and their packed ints, and the per-handle basis
 table of steenrod."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,7 +13,7 @@ from motsteen import (
     SchemePresentation, algebra, bockstein, element_text, elements, make_scheme, mul,
     steenrod, term_element,
 )
-from motsteen.bockstein import _columns, beta_report, u_maximal_by_degree, y
+from motsteen.bockstein import _columns, beta_report, y
 from motsteen.cli import Config, main
 from motsteen.elements import (
     COEFF_ONE, CoeffMonomial, SteenrodMonomial, _checked, _pack, mono_degree,
@@ -45,7 +46,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 
 def _clear():
-    for memo in (y, u_maximal_by_degree, bockstein._u_maximal_at, bockstein._bucket_beta,
+    for memo in (y, bockstein._u_maximal_at, bockstein._bucket_beta,
                  bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
                  elements._pack, elements._unpack, elements._unpack_xi,
                  elements._unpack_taus, elements._meet_deltas, elements._foreign_bits):
@@ -70,7 +71,7 @@ def _count_builds(monkeypatch):
 def _answers(handles):
     out = {}
     for h in handles:
-        out[h, "basis"] = [bidegree_basis(bd, h) for bd in BIDEGREES]
+        out[h, "basis"] = [list(bidegree_basis(bd, h)) for bd in BIDEGREES]
         out[h, "beta"] = [list(_columns(bd, h)) for bd in BIDEGREES]
         if h.ambient == "mz":
             out[h, "y"] = [y(idx, h) for idx in INDICES]
@@ -117,12 +118,29 @@ def test_clearing_forgets_every_basis():
     # a corrupted table entry is gone once the memos are cleared
     h = algebra("real-p2", 2)
     _clear()
-    bidegree_basis(Bidegree(5, 2), h).append("corrupted")
+    bidegree_basis(Bidegree(5, 2), h).blocks["corrupted"] = None
     assert populated_bidegrees(h, 6, 3)
     _clear()
     assert not steenrod._basis_table
-    assert bidegree_basis(Bidegree(5, 2), h) == oracles.bidegree_basis(Bidegree(5, 2), h)
+    assert list(bidegree_basis(Bidegree(5, 2), h)) == oracles.bidegree_basis(Bidegree(5, 2), h)
     _clear()
+
+
+def test_the_basis_table_keeps_blocks_not_key_lists():
+    # each basis is held as its block layout, its keys listed only when it is
+    # iterated: real-p2 18/9, monomial index included, traces about 1.3 MB,
+    # and 4.7 MB when every basis was also held as a list of its keys
+    h = algebra("real-p2", 2)
+    _clear()
+    steenrod._mono_index.clear()
+    tracemalloc.start()
+    try:
+        steenrod.basis_table(h, 18, 9)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _clear()
+    assert size < 2_000_000
 
 
 def test_finite_fields_with_different_q_get_separate_entries(monkeypatch):
@@ -281,15 +299,17 @@ def test_each_command_enumerates_each_table_once(argv, want, monkeypatch, capsys
 
 @pytest.mark.parametrize("argv,size", [
     ("verify kerbasis --prime 2 --scheme real-p2 --dmax 11 --wmax 5", 315),
-    ("verify kerbasis --prime 2 --scheme algclosed --dmax 20 --wmax 10", 608),
-    ("verify kerbasis --prime 2 --scheme finite --q 3 --dmax 16 --wmax 8", 315),
+    ("verify kerbasis --prime 2 --scheme algclosed --dmax 20 --wmax 10", 118),
+    ("verify kerbasis --prime 2 --scheme finite --q 3 --dmax 16 --wmax 8", 94),
 ], ids=["real-p2", "algclosed", "finite-q3"])
 def test_verify_kerbasis_enumerates_the_monomials_once(argv, size, monkeypatch, capsys):
     # the window's bases, the eta buckets one past their budget that the
     # constructive kernel reads, and the freeness check's eta all come from
     # one enumeration.  Each reader enumerating its own budget took two
     # (263 + 315 monomials) on real-p2, three (94 + 118 + 608) on algclosed
-    # and two (74 + 315) on finite q = 3.
+    # and two (74 + 315) on finite q = 3.  The freeness check's eta have
+    # degree <= F + 1, so d - w <= _degree_budget(p, F + 1, 1); enumerating
+    # to d - w <= F + 1 took 608 on algclosed and 315 on finite q = 3.
     _clear()
     steenrod._mono_index.clear()
     sizes = []
@@ -333,9 +353,9 @@ def test_windows_agree_whatever_the_table_holds(h, small, large, lone, large_fir
     assert len(inside) < len(rows[large])
     assert lone.d > large[0] + 1
     want = oracles.bidegree_basis(lone, h)
-    assert want and bidegree_basis(lone, h) == want
+    assert want and list(bidegree_basis(lone, h)) == want
     _clear()
-    assert bidegree_basis(lone, h) == want
+    assert list(bidegree_basis(lone, h)) == want
     _clear()
 
 
@@ -364,11 +384,15 @@ def test_tight_budget_tables_equal_the_dmax_plus_wmax_tables(h, small, large, la
     # it builds, bases and block layouts, is the one that budget builds, read
     # after each window of a nested pair in either order
     def tables():
-        # the tables after each window, and the d - w budget enumerated
+        # the tables after each window, each basis as its keys and its
+        # blocks, and the d - w budget enumerated
         _clear()
         steenrod._mono_index.clear()
         windows = (large, small) if large_first else (small, large)
-        out = [steenrod.basis_table(h, *window) for window in windows]
+        out = []
+        for window in windows:
+            dmax, wmax, bases = steenrod.basis_table(h, *window)
+            out.append((dmax, wmax, {bd: (list(b), b.blocks) for bd, b in bases.items()}))
         return out, steenrod._mono_index[h.p, h.min_tau][0]
 
     tight, budget = tables()

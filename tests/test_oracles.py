@@ -24,8 +24,8 @@ from motsteen.bockstein import (
     free_bbeta_generators,
     ker_beta_basis,
     split_ranks,
-    u_maximal_by_degree,
 )
+from motsteen.bockstein import _u_maximal_at
 from motsteen.elements import (
     _TAUS, CoeffMonomial, Element, SteenrodMonomial, _live, _mul_packed, _pack, _tau_rewrite,
     _unpacked_terms, coeff_degree, mul, term_element,
@@ -37,12 +37,12 @@ from motsteen.relations import product_relation_sweep
 from motsteen.steenrod import (
     BasisIndex,
     _mz_image_packed,
-    basis_blocks,
     basis_index,
     bidegree_basis,
     conjugate,
     eta,
     index_of,
+    monomial_index,
     populated_bidegrees,
     steenrod_monomials,
     steenrod_monomials_by_degree,
@@ -79,7 +79,12 @@ def test_bases_match_oracle(h):
     assert bds == oracles.populated_bidegrees(h, *window)
     for bd in bds:
         for b in (bd, bd + BETA_SHIFT, bd - BETA_SHIFT):
-            assert bidegree_basis(b, h) == oracles.bidegree_basis(b, h)
+            # a basis is its block layout: its len is the number of keys it
+            # yields, and they are the oracle's basis, in order
+            basis = bidegree_basis(b, h)
+            keys = list(basis)
+            assert len(basis) == len(keys)
+            assert keys == oracles.bidegree_basis(b, h)
 
 
 @pytest.mark.parametrize(
@@ -96,8 +101,12 @@ def test_populated_bidegrees_matches_oracle(h, window):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_u_maximal_matches_oracle(p):
+    # the U-maximal positions of each bucket within the budget, as indices
     for budget in range(-1, 20):
-        assert u_maximal_by_degree(p, budget) == oracles.u_maximal_by_degree(p, budget)
+        buckets = monomial_index(p, budget, 1)
+        got = {eb: [index_of(buckets[eb][i]) for i in at] for eb in buckets
+               if eb.d - eb.w <= budget and (at := _u_maximal_at(eb, p))}
+        assert got == oracles.u_maximal_by_degree(p, budget)
     for bound in (Bidegree(0, 0), Bidegree(9, 4), Bidegree(16, 8), Bidegree(30, 12)):
         assert free_bbeta_generators(bound, p) == (
             oracles.free_bbeta_generators(bound, p)
@@ -148,7 +157,7 @@ def test_beta_matches_oracle(h):
     p = h.p
     window = (10, 7) if p == 2 else (20, 9)
     for bd in populated_bidegrees(h, *window):
-        basis = bidegree_basis(bd, h)
+        basis = list(bidegree_basis(bd, h))
         xs = [term_element(p, 1, c, m) for c, m in basis]
         for _ in range(8):
             keys = rng.sample(basis, rng.randint(1, min(6, len(basis))))
@@ -203,14 +212,14 @@ def test_block_assembly_matches_tuple_keyed_reference(h):
         buckets.setdefault(oracles._degree(mono, h.p), []).append(mono)
     crossed = 0
     for bd in populated_bidegrees(h, *window):
-        blocks = basis_blocks(bd, h)
+        blocks = bidegree_basis(bd, h).blocks
         assert list(blocks) == sorted(blocks)
         laid_out = []
         for c, (e, start) in blocks.items():
             assert start == len(laid_out)
             assert e == bd - coeff_degree(c, h.scheme)
             laid_out += [(c, m) for m in buckets[e]]
-        assert laid_out == bidegree_basis(bd, h)
+        assert laid_out == list(bidegree_basis(bd, h))
         want = oracles.leibniz_beta_matrix(bd, h)
         assert_columns_equal(bd, h, want)
         try:
@@ -314,7 +323,7 @@ def test_mul_matches_oracle(h):
     rng = random.Random(f"mul-{handle_id(h)}")
     p = h.p
     window = (8, 5) if p == 2 else (18, 9)
-    bases = [bidegree_basis(bd, h) for bd in populated_bidegrees(h, *window)]
+    bases = [list(bidegree_basis(bd, h)) for bd in populated_bidegrees(h, *window)]
     xs = []
     for _ in range(300):
         basis = rng.choice(bases)

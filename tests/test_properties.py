@@ -25,7 +25,7 @@ from test_oracles import ALL_A, ALL_MZ, handle_id
 HANDLES = ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)]
 BASES = {
     handle_id(h): [
-        bidegree_basis(bd, h)
+        list(bidegree_basis(bd, h))
         for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (18, 9)))
     ]
     for h in HANDLES
