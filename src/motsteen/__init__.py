@@ -21,7 +21,7 @@ _EXPORTS = {
         "algebra", "bidegree_of", "element_text", "mono_degree", "mul", "term_element",
         "term_text",
     ),
-    "linalg": ("FpBasis", "FpMatrix", "kernel_basis", "rank"),
+    "linalg": ("FpBasis", "kernel_basis", "rank"),
     "steenrod": ("BasisIndex", "basis_index", "bidegree_basis", "conjugate", "eta"),
     "bockstein": (
         "Block", "beta", "beta_report", "block", "block_complex",

@@ -27,11 +27,11 @@ and each term of beta(c) adds an identity block.  _bucket_beta takes each
 column from elements._beta_packed on the packed monomial and keeps
 positions only; _coeff_beta(c) = ((-1)^|c|, beta(c | 1)) comes from beta
 itself.  Each column lists its entries in beta's order, so _columns, which
-gives them as ints at p = 2 and sparse dicts at odd p, holds the matrix
-per-monomial beta calls would build, column by column; no FpMatrix is
-built.
-block_complex calls beta directly: each of its columns is read once, so a
-memo would only hold them.
+gives them in linalg's column form (ints at p = 2, sparse dicts at odd p),
+holds the matrix per-monomial beta calls would build, column by column.
+block_complex calls beta directly and keeps each differential as its
+columns in the same form: each is read once, so a memo would only hold
+them.
 
 split_ranks reduces beta at one bidegree to four numbers, read off those
 columns with no matrix built: the dims of the bidegree and of its
@@ -48,15 +48,15 @@ independent and as many as the generic kernel's: then they span it.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
-    COEFF_ONE, Element, SteenrodMonomial, _add, _beta_packed, _checked, _pack,
+    COEFF_ONE, Element, SteenrodMonomial, _beta_packed, _checked, _pack,
     _unpacked_terms, coeff_degree, term_element,
 )
-from .linalg import FpBasis, FpMatrix, gf2_rank, kernel_basis, rank, rank_of_columns
+from .linalg import FpBasis, image, kernel_basis, rank
 from .steenrod import (
     Basis, _degree_budget, basis_index, basis_table, bidegree_basis, eta, index_of,
     monomial_index, u_maximal,
@@ -116,7 +116,7 @@ class BlockComplex(NamedTuple):
     blk: Block
     p: int
     bases: tuple       # bases[t] = tuple of BasisIndex with tau count t
-    differentials: tuple  # differentials[t]: FpMatrix mapping C_t -> C_{t-1}
+    differentials: tuple  # differentials[t]: C_t -> C_{t-1} as its columns, linalg's form
 
 
 def block_complex(blk, p):
@@ -140,12 +140,12 @@ def block_complex(blk, p):
     diffs = [None]
     for t in range(1, n + 1):
         rows = {idx: i for i, idx in enumerate(bases[t - 1])}
-        entries = {}
-        for col, idx in enumerate(bases[t]):
+        cols = []
+        for idx in bases[t]:
             img = beta(term_element(p, 1, COEFF_ONE, SteenrodMonomial(*idx)), h)
-            for (_, mono), s in img.terms.items():
-                entries[(rows[index_of(mono)], col)] = s
-        diffs.append(FpMatrix(p, len(bases[t - 1]), len(bases[t]), entries))
+            col = {rows[index_of(mono)]: s for (_, mono), s in img.terms.items()}
+            cols.append(sum(1 << r for r in col) if p == 2 else col)
+        diffs.append(cols)
     return BlockComplex(blk, p, tuple(tuple(b) for b in bases), tuple(diffs))
 
 
@@ -155,7 +155,7 @@ def block_homology(blk, p):
     n = len(cx.bases) - 1
     ranks = [0] * (n + 2)
     for t in range(1, n + 1):
-        ranks[t] = rank(cx.differentials[t])
+        ranks[t] = rank(p, cx.differentials[t])
     out = []
     for t in range(n + 1):
         dim = len(cx.bases[t])
@@ -171,19 +171,20 @@ def block_homology(blk, p):
 def _bucket_beta(e, h):
     """beta(1 | m) for each m of the bucket e, as positions in the bucket e - (1, 0).
 
-    Returns (columns, packed): columns[i] is ((position, scalar), ...) for the
-    i-th monomial of the bucket, in the order beta lists its terms, and at
-    p = 2 packed[i] is the same column as an int, bit r for position r.
-    Each column is elements._beta_packed of the packed monomial, the core
-    beta wraps, read through the target bucket's rows keyed by their packed
-    ints; the monomials are packed past the _pack memo, as beta packs them.
+    Column i, for the i-th monomial of the bucket, is an int at p = 2, bit r
+    for position r, and ((position, scalar), ...) at odd p, in the order
+    beta lists its terms.  Each column is elements._beta_packed of the
+    packed monomial, the core beta wraps, read through the target bucket's
+    rows keyed by their packed ints; the monomials are packed past the
+    _pack memo, as beta packs them.
     """
     buckets = monomial_index(h.p, e.d - e.w, h.min_tau)
     pack = _pack.__wrapped__
     rows = {pack((COEFF_ONE, m)): i for i, m in enumerate(buckets.get(e + BETA_SHIFT, ()))}
-    cols = tuple(tuple((rows[k], s) for k, s in _beta_packed({pack((COEFF_ONE, m)): 1}, h).items())
-                 for m in buckets[e])
-    return cols, tuple(sum(1 << r for r, _ in col) for col in cols) if h.p == 2 else None
+    cols = (_beta_packed({pack((COEFF_ONE, m)): 1}, h) for m in buckets[e])
+    if h.p == 2:
+        return tuple(sum(1 << rows[k] for k in col) for col in cols)
+    return tuple(tuple((rows[k], s) for k, s in col.items()) for col in cols)
 
 
 @cache
@@ -207,12 +208,12 @@ def _columns(bd, h):
     dst = bidegree_basis(bd + BETA_SHIFT, h).blocks
     for c, (e, _) in bidegree_basis(bd, h).blocks.items():
         sign, beta_c = _coeff_beta(c, h)
-        cols, packed = _bucket_beta(e, h)
+        cols = _bucket_beta(e, h)
         at = dst[c][1] if c in dst else 0
         coeff = [(dst[nc][1], s) for nc, s in beta_c]
         if p == 2:
             bits = sum(1 << row for row, _ in coeff)
-            yield e, [k << at | bits << j for j, k in enumerate(packed)]
+            yield e, [k << at | bits << j for j, k in enumerate(cols)]
             continue
         vecs = []
         for j, col in enumerate(cols):
@@ -243,11 +244,14 @@ def free_bbeta_generators(bound, p):
     found = []
     for yb in ybs:
         eb = yb - BETA_SHIFT
-        cols = _bucket_beta(eb, h)[0]
+        cols = _bucket_beta(eb, h)
         start = bidegree_basis(yb, h).blocks[COEFF_ONE][1]
         at = _u_maximal_at(eb, p)
-        vecs = [{start + r: s for r, s in cols[i]} for i in at]
-        if rank_of_columns(p, vecs) != len(vecs):
+        if p == 2:
+            vecs = [cols[i] << start for i in at]
+        else:
+            vecs = [{start + r: s for r, s in cols[i]} for i in at]
+        if rank(p, vecs) != len(vecs):
             raise AssertionError(f"U-maximal y classes dependent at {yb}")
         # beta keeps the coefficient/ideal split, so its rank is the sum of the two
         if sum(split_ranks(eb, h)[2:]) != len(vecs):
@@ -292,11 +296,11 @@ def constructive_kernel(bd, h):
         eb = e - BETA_SHIFT
         if not (at := _u_maximal_at(eb, p)):
             continue
-        cols, packed = _bucket_beta(eb, h)
+        cols = _bucket_beta(eb, h)
         targets = [(blocks[nc][1], s) for nc, s in beta_c]
         if p == 2:
             bits = sum(1 << t for t, _ in targets)
-            out += [packed[i] << start | bits << i for i in at]
+            out += [cols[i] << start | bits << i for i in at]
             continue
         scale = sign if targets else 1
         for i in at:
@@ -313,8 +317,8 @@ def ker_beta_basis(bd, h):
     beta's columns (_columns) are built once; the generic kernel is
     kernel_basis of them, and three checks on them decide agreement.  The
     columns kill each constructive vector, so the vectors span a subspace
-    of ker beta: at p = 2 the columns at a vector's set bits XOR to 0.
-    They are independent, and there are as many as the generic kernel has
+    of ker beta: linalg.image of each vector on the columns is 0.  They
+    are independent, and there are as many as the generic kernel has
     vectors, its nullity.  Independent vectors of the kernel as many as
     its dimension span it, so the two bases span the same space.
     """
@@ -322,23 +326,10 @@ def ker_beta_basis(bd, h):
     cols = [col for _, block_cols in _columns(bd, h) for col in block_cols]
     generic = kernel_basis(p, cols)
     vecs = constructive_kernel(bd, h)
-    for vec in vecs:
-        if p == 2:
-            img = 0
-            while vec:
-                low = vec & -vec
-                img ^= cols[low.bit_length() - 1]
-                vec ^= low
-        else:
-            img = {}
-            for c, s in vec.items():
-                for r, v in cols[c].items():
-                    _add(img, r, s * v, p)
-        if img:
-            raise AssertionError("constructive kernel element is not a beta cycle")
+    if any(image(p, cols, vec) for vec in vecs):
+        raise AssertionError("constructive kernel element is not a beta cycle")
     n = len(generic.vectors)
-    rank_of = gf2_rank if p == 2 else partial(rank_of_columns, p)
-    if len(vecs) != n or rank_of(vecs) != len(vecs):
+    if len(vecs) != n or rank(p, vecs) != len(vecs):
         raise AssertionError(
             f"constructive kernel disagrees with the generic kernel at {bd}: "
             f"{len(vecs)} constructive vs {n} generic"
@@ -364,9 +355,8 @@ def split_ranks(bd, h):
         if e == _TAU0 and any(cols):
             raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
         parts[e == _ONE].extend(cols)
-    rank_of = gf2_rank if h.p == 2 else partial(rank_of_columns, h.p)
     return (len(bidegree_basis(bd, h)), len(parts[True]),
-            rank_of(parts[True]), rank_of(parts[False]))
+            rank(h.p, parts[True]), rank(h.p, parts[False]))
 
 
 def beta_report(bidegrees, h, ranks=None):

@@ -1,39 +1,19 @@
-"""Exact sparse linear algebra over F_p: ranks and kernel bases.
+"""Exact sparse linear algebra over F_p: ranks, images and kernel bases.
 
-A vector is a sparse dict {coordinate: residue in 1..p-1}, or over GF(2)
-an integer, one bit per coordinate.  Every elimination inserts vectors
+Every vector is in the column form: an integer at p = 2, bit r for
+coordinate r, and a sparse dict {coordinate: residue in 1..p-1} at odd p.
+A matrix is the list of its columns.  Every elimination inserts vectors
 one at a time into an echelon form keyed by each vector's lowest nonzero
 coordinate; over odd p a stored vector is scaled to 1 there.  A rank
-inserts a matrix's rows, or any iterable of vectors.  A kernel inserts
-the columns, each carrying a tracking part that records the combination
-of columns it has become: a column that reduces to zero leaves its
-tracking part as a kernel vector.  With no back-substitution these are
-the vectors of the unique reduced row echelon form, so kernel bases are
-reproducible bit for bit.
+inserts any iterable of vectors.  A kernel inserts the columns, each
+carrying a tracking part that records the combination of columns it has
+become: a column that reduces to zero leaves its tracking part as a
+kernel vector.  With no back-substitution these are the vectors of the
+unique reduced row echelon form, so kernel bases are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
-class FpMatrix:
-    """An nrows x ncols matrix over F_p as {(row, col): residue in 1..p-1}."""
-
-    def __init__(self, p, nrows, ncols, entries=None):
-        """Check the entries in place: inside the shape, each a residue in 1..p-1."""
-        self.p, self.nrows, self.ncols = p, nrows, ncols
-        self.entries = entries = {} if entries is None else entries
-        for (r, c), v in entries.items():
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise DimensionMismatch(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            if not 0 < v < p:
-                raise ValueError(f"entry ({r},{c}) = {v} is not a residue in 1..{p - 1}")
-
-    def __repr__(self):
-        return f"FpMatrix({self.p}, {self.nrows}, {self.ncols}, {self.entries!r})"
 
 
 class FpBasis:
@@ -43,13 +23,6 @@ class FpBasis:
 
     def __len__(self):
         return len(self.vectors)
-
-
-def _rows(M):
-    rows = {}
-    for (r, c), v in M.entries.items():
-        rows.setdefault(r, {})[c] = v
-    return rows.values()
 
 
 def _gf2_echelon(rows):
@@ -102,33 +75,35 @@ def _echelon(p, rows):
     return pivots
 
 
-def gf2_rank(packed):
-    """Rank of the span of GF(2) vectors packed into integers, bit c the
-    coordinate c."""
-    return len(_gf2_echelon(packed))
+def rank(p, vectors):
+    """Rank of the span of vectors in the column form, from any iterable."""
+    return len(_gf2_echelon(vectors) if p == 2 else _echelon(p, vectors))
 
 
-def rank_of_columns(p, vectors):
-    """Rank of the span of sparse vectors {coordinate: residue}."""
+def image(p, columns, vec):
+    """The combination sum_i vec_i * columns[i], in the column form."""
     if p == 2:
-        return gf2_rank(sum(1 << c for c in vec) for vec in vectors)
-    return len(_echelon(p, vectors))
-
-
-def rank(M):
-    return rank_of_columns(M.p, _rows(M))
+        img = 0
+        while vec:
+            low = vec & -vec
+            img ^= columns[low.bit_length() - 1]
+            vec ^= low
+        return img
+    img = {}
+    for c, s in vec.items():
+        _subtract(img, -s, columns[c], p)
+    return img
 
 
 def kernel_basis(p, columns):
     """Basis of the null space of the matrix with the given columns; size =
     number of columns - rank.
 
-    A column is an int at p = 2, bit r for row r, and a sparse dict {row:
-    residue} at odd p.  The columns are inserted in order, each carrying a
-    tracking part, 1 at its own index: it is reduced by the stored pivots,
-    keyed by their lowest row, the same operations applied to the tracking
-    part, and stored as a pivot (at odd p scaled, with its tracking part,
-    to 1 at the pivot row) once its lowest row has none.  A column that
+    The columns, in the column form, are inserted in order, each carrying
+    a tracking part, 1 at its own index: it is reduced by the stored
+    pivots, keyed by their lowest row, the same operations applied to the
+    tracking part, and stored as a pivot (at odd p scaled, with its
+    tracking part, to 1 at the pivot row) once its lowest row has none.  A column that
     reduces to zero leaves its tracking part as a kernel vector, in the
     column form: 1 at the column f and minus the unique combination of the
     pivot columns before f that equals column f.  That is the vector the

@@ -145,7 +145,9 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
     # one row per exponent vector, one column per subset
     indices = [[basis_index(a, U) for U in subsets] for a in vectors]
     ys = {}  # BasisIndex -> packed y class, the formula's indices included
-    formulas = {}  # (a + b, U, T) -> {convention: packed formula or ConventionError}
+    # (a + b, U, T) -> {convention: packed formula or the refusal's text}; a
+    # stored ConventionError would keep expand's frame, and so this one, alive
+    formulas = {}
 
     def y_packed(idx):
         if idx not in ys:
@@ -158,7 +160,7 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
             try:
                 terms = product_formula_terms(aU, bT, p, convention)
             except ConventionError as e:
-                outcomes[convention] = e
+                outcomes[convention] = str(e)
                 continue
             acc = {}
             for tau_pow, scalar, idx in terms:
@@ -185,7 +187,7 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
                     outcomes = formulas[key]
                     matched = False
                     for conv, el in outcomes.items():
-                        if el == oracle:  # a ConventionError equals no dict
+                        if el == oracle:  # a refusal's text equals no dict
                             per_convention[conv] += 1
                             matched = True
                     if not matched:
@@ -207,7 +209,7 @@ def _failures(outcomes, oracle, p):
         return element_text(Element(p, _unpacked_terms(acc)))
 
     return {
-        conv: str(el) if isinstance(el, ConventionError)
+        conv: el if isinstance(el, str)
         else f"formula gives {text(el)}, oracle {text(oracle)}"
         for conv, el in outcomes.items()
     }

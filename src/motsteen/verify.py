@@ -44,7 +44,7 @@ from .bockstein import (
     y,
     _u_maximal_at,
 )
-from .linalg import gf2_rank, rank_of_columns
+from .linalg import rank
 
 SUITES = ("beta2", "chi", "products", "linear", "blocks", "kerbasis", "z12", "all")
 
@@ -228,7 +228,7 @@ def _embedding_rank(src, h):
     each column is packed into an int while its rows are indexed."""
     rows = {}
     if h.p != 2:
-        return rank_of_columns(h.p, [
+        return rank(h.p, [
             {rows.setdefault(k, len(rows)): s for k, s in
              _mz_image_packed(key, h).items()}
             for key in src])
@@ -238,7 +238,7 @@ def _embedding_rank(src, h):
         for k in _mz_image_packed(key, h):
             col |= 1 << rows.setdefault(k, len(rows))
         cols.append(col)
-    return gf2_rank(cols)
+    return rank(h.p, cols)
 
 
 def _square_rank(src, h):
@@ -250,14 +250,14 @@ def _square_rank(src, h):
     parts = [(_pack((c, STEENROD_ONE)), _pack((COEFF_ONE, m))) for c, m in src]
     rows = {shift + k: i for i, (shift, k) in enumerate(parts)}
     if h.p != 2:
-        return rank_of_columns(h.p, [
+        return rank(h.p, [
             {r: s for k, s in _mz_image_packed(key, h).items()
              if (r := rows.get(k)) is not None}
             for key in src])
     memo = _chi_mono_cache.setdefault(h, {})
-    return gf2_rank(sum(1 << r for key in _chi_packed(k, h, memo)
-                        if (r := rows.get(key + shift)) is not None)
-                    for shift, k in parts)
+    return rank(h.p, (sum(1 << r for key in _chi_packed(k, h, memo)
+                          if (r := rows.get(key + shift)) is not None)
+                      for shift, k in parts))
 
 
 def check_chi_embedding(config, h):

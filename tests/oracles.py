@@ -22,6 +22,7 @@ the toggling GF(2) paths to.
 """
 
 from itertools import combinations
+from typing import NamedTuple
 
 from motsteen import bockstein, steenrod
 from motsteen.bockstein import y
@@ -42,10 +43,17 @@ from motsteen.elements import (
     _TAUS, _add, _below, _checked, _live, _meet_deltas, _odd_word, _pack,
 )
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
-from motsteen.linalg import FpMatrix, rank_of_columns
 from motsteen.schemes import COEFF_ORDER, SchemeError, SchemePresentation
 from motsteen.relations import ConventionError, _exponent_vectors, product_formula_terms
 from motsteen.steenrod import _chi_packed, basis_index, coeff_monomials, eta, index_of
+
+
+class Matrix(NamedTuple):
+    """A plain nrows x ncols matrix over F_p as {(row, col): residue in 1..p-1}."""
+    p: int
+    nrows: int
+    ncols: int
+    entries: dict
 
 
 def _rref(M):
@@ -126,8 +134,8 @@ def columns(M):
 
 
 def matrix(p, nrows, cols):
-    """The FpMatrix with the given columns, in either form of columns."""
-    return FpMatrix(p, nrows, len(cols), {(r, c): v for c, col in enumerate(cols)
+    """The Matrix with the given columns, in either form of columns."""
+    return Matrix(p, nrows, len(cols), {(r, c): v for c, col in enumerate(cols)
                                           for r, v in as_dict(col).items()})
 
 
@@ -293,7 +301,7 @@ def _matrix(src, dst, h):
         img = beta(term_element(h.p, 1, c, mono), h)
         for key, s in img.terms.items():
             entries[(rows[key], col)] = s  # KeyError if beta leaves dst
-    return FpMatrix(h.p, len(dst), len(src), entries)
+    return Matrix(h.p, len(dst), len(src), entries)
 
 
 def beta_matrix(bd, h):
@@ -315,23 +323,23 @@ def leibniz_beta_matrix(bd, h):
             entries[(rows[c, mono], col)] = sign * s % h.p
         for nc, s in coeff_terms:
             entries[(rows[nc, m], col)] = s
-    return FpMatrix(h.p, len(dst), len(src), entries)
+    return Matrix(h.p, len(dst), len(src), entries)
 
 
 def split_ranks(bd, M, h):
     """The four numbers of bockstein.split_ranks from a beta matrix M: its
-    entries regrouped into row dicts of the coefficient and the ideal block,
-    each ranked on its own; an entry crossing the split raises."""
+    entries split into the coefficient and the ideal block, each ranked on
+    its own; an entry crossing the split raises."""
     coeff_cols = [m.is_one() for _, m in steenrod.bidegree_basis(bd, h)]
     coeff_rows = [m.is_one() for _, m in steenrod.bidegree_basis(bd + BETA_SHIFT, h)]
-    rows = ({}, {})  # ideal rows, coefficient rows: {row: {col: value}}
+    parts = ({}, {})  # ideal entries, coefficient entries
     for (r, c), v in M.entries.items():
         one = coeff_cols[c]
         if coeff_rows[r] != one:
             raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
-        rows[one].setdefault(r, {})[c] = v
-    coeff = rank_of_columns(h.p, rows[True].values())
-    ideal = rank_of_columns(h.p, rows[False].values())
+        parts[one][r, c] = v
+    coeff = rank(M._replace(entries=parts[True]))
+    ideal = rank(M._replace(entries=parts[False]))
     return len(coeff_cols), sum(coeff_cols), coeff, ideal
 
 
@@ -366,7 +374,7 @@ def coeff_homology_dim(bd, h):
         for col, c in enumerate(cols):
             for s, nc in _beta_coeff_monomial(c, h):
                 entries[(rows[nc], col)] = s
-        return FpMatrix(h.p, len(rows_list), len(cols), entries)
+        return Matrix(h.p, len(rows_list), len(cols), entries)
 
     r1 = rank(mat(src, dst))
     r2 = rank(mat(pre, src))
@@ -824,4 +832,4 @@ def embedding_rank(src, h):
     rows = {}
     cols = [{rows.setdefault(k, len(rows)): s for k, s in
              mz_image_packed(c, index_of(mono), h).items()} for c, mono in src]
-    return rank_of_columns(h.p, cols)
+    return rank(matrix(h.p, len(rows), cols))

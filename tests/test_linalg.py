@@ -1,12 +1,12 @@
-"""Exact F_p linear algebra: ranks and kernels."""
+"""Exact F_p linear algebra: ranks, images and kernels, in the column form."""
 
 import random
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from motsteen.linalg import DimensionMismatch, FpMatrix, kernel_basis, rank, rank_of_columns
+from motsteen.linalg import image, kernel_basis, rank
+from oracles import Matrix
 
 
 def column(M, j):
@@ -17,15 +17,12 @@ def column(M, j):
     return tuple(col)
 
 
-def sparse_columns(M):
-    cols = [{} for _ in range(M.ncols)]
-    for (r, c), v in M.entries.items():
-        cols[c][r] = v
-    return cols
+def rank_of(M):
+    return rank(M.p, oracles.columns(M))
 
 
 def transpose(M):
-    return FpMatrix(M.p, M.ncols, M.nrows, {(c, r): v for (r, c), v in M.entries.items()})
+    return Matrix(M.p, M.ncols, M.nrows, {(c, r): v for (r, c), v in M.entries.items()})
 
 
 def mul_vec(M, vec):
@@ -36,45 +33,31 @@ def mul_vec(M, vec):
 
 
 def test_rank_trivial():
-    assert rank(FpMatrix(2, 0, 0)) == 0
-    eye = FpMatrix(2, 3, 3, {(i, i): 1 for i in range(3)})
-    assert rank(eye) == 3
-    assert rank(FpMatrix(2, 1, 1, {(0, 0): 1})) == 1  # a single Bockstein block
+    assert rank(2, []) == 0
+    assert rank(2, [1, 2, 4]) == 3  # the 3 x 3 identity
+    assert rank(2, [1]) == 1  # a single Bockstein block
+    assert rank(3, [{0: 1}, {1: 2}, {2: 1}]) == 3
 
 
 def test_kernel_trivial():
-    eye = FpMatrix(3, 3, 3, {(i, i): 1 for i in range(3)})
+    eye = Matrix(3, 3, 3, {(i, i): 1 for i in range(3)})
     assert oracles.dense(kernel_basis(eye.p, oracles.columns(eye))) == []
-    m = FpMatrix(2, 1, 2, {(0, 0): 1, (0, 1): 1})
+    m = Matrix(2, 1, 2, {(0, 0): 1, (0, 1): 1})
     assert oracles.dense(kernel_basis(m.p, oracles.columns(m))) == [(1, 1)]
 
 
 def test_kernel_bockstein_block_example():
     # beta on span{xi_1 tau_2, xi_2 tau_1}: both map to xi_1 xi_2
-    m = FpMatrix(2, 1, 2, {(0, 0): 1, (0, 1): 1})
+    m = Matrix(2, 1, 2, {(0, 0): 1, (0, 1): 1})
     kb = kernel_basis(m.p, oracles.columns(m))
     assert oracles.dense(kb) == [(1, 1)]
-
-
-def test_entry_bounds_checked():
-    with pytest.raises(DimensionMismatch):
-        FpMatrix(2, 1, 1, {(1, 0): 1})
-
-
-def test_entry_values_checked_not_reduced():
-    # entries are residues in 1..p-1 as given; nothing is reduced for the caller
-    for p, v in ((2, 2), (3, 0), (3, -1)):
-        with pytest.raises(ValueError, match="not a residue"):
-            FpMatrix(p, 1, 1, {(0, 0): v})
-    entries = {(0, 0): 1}
-    assert FpMatrix(3, 1, 1, entries).entries is entries
 
 
 def _random_sparse(rng, p, n, m, fill):
     entries = {}
     for _ in range(int(n * m * fill)):
         entries[(rng.randrange(n), rng.randrange(m))] = rng.randrange(1, p)
-    return FpMatrix(p, n, m, entries)
+    return Matrix(p, n, m, entries)
 
 
 def test_rank_equals_rank_of_transpose():
@@ -82,7 +65,7 @@ def test_rank_equals_rank_of_transpose():
     for p in (2, 3, 5):
         for n, m, fill in [(20, 30, 0.1), (60, 60, 0.05), (200, 200, 0.01)]:
             M = _random_sparse(rng, p, n, m, fill)
-            assert rank(M) == rank(transpose(M))
+            assert rank_of(M) == rank_of(transpose(M))
 
 
 def test_kernel_vectors_annihilated_and_dims_add_up():
@@ -91,7 +74,7 @@ def test_kernel_vectors_annihilated_and_dims_add_up():
         for _ in range(6):
             M = _random_sparse(rng, p, 25, 35, 0.15)
             kb = kernel_basis(M.p, oracles.columns(M))
-            assert len(kb) + rank(M) == M.ncols
+            assert len(kb) + rank_of(M) == M.ncols
             for v in oracles.dense(kb):
                 assert all(x == 0 for x in mul_vec(M, v))
 
@@ -99,7 +82,7 @@ def test_kernel_vectors_annihilated_and_dims_add_up():
 def test_dense_fallback_path():
     rng = random.Random(13)
     M = _random_sparse(rng, 3, 15, 15, 0.6)  # dense input through the one sparse path
-    assert rank(M) == rank(transpose(M))
+    assert rank_of(M) == rank_of(transpose(M))
     kb = kernel_basis(M.p, oracles.columns(M))
     for v in oracles.dense(kb):
         assert all(x == 0 for x in mul_vec(M, v))
@@ -111,7 +94,7 @@ def test_kernel_image_orthogonality_on_composites():
     p = 3
     A = _random_sparse(rng, p, 12, 18, 0.2)
     kb = kernel_basis(A.p, oracles.columns(A))
-    B = FpMatrix(  # maps into ker(A)
+    B = Matrix(  # maps into ker(A)
         p, A.ncols, len(kb), {(r, j): v for j, vec in enumerate(kb.vectors) for r, v in vec.items()}
     )
     for j in range(B.ncols):
@@ -126,22 +109,22 @@ def sparse_matrices(draw):
     m = draw(st.integers(0, 12))
     cells = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(m - 1, 0)))
     entries = draw(st.dictionaries(cells, st.integers(1, p - 1), max_size=n * m // 3))
-    return FpMatrix(p, n, m, entries)
+    return Matrix(p, n, m, entries)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices())
-@example(FpMatrix(2, 0, 0))
-@example(FpMatrix(3, 0, 4))
-@example(FpMatrix(5, 4, 0))
+@example(Matrix(2, 0, 0, {}))
+@example(Matrix(3, 0, 4, {}))
+@example(Matrix(5, 4, 0, {}))
 def test_elimination_properties(M):
     kb = kernel_basis(M.p, oracles.columns(M))
-    r = rank(M)
+    r = rank_of(M)
     assert len(kb) + r == M.ncols
     assert all(not any(mul_vec(M, v)) for v in oracles.dense(kb))
-    assert r == rank(transpose(M))
+    assert r == rank_of(transpose(M))
     assert oracles.dense(kb) == oracles.kernel_basis(M)
-    assert rank_of_columns(M.p, sparse_columns(M)) == oracles.rank(M)
+    assert r == oracles.rank(M)
 
 
 @st.composite
@@ -184,3 +167,48 @@ def test_kernel_of_columns_equals_the_dense_rref_kernel(case):
     assert all(isinstance(v, int if p == 2 else dict) for v in kb.vectors)
     assert oracles.dense(kb) == oracles.kernel_basis(M)
     assert len(kb) + oracles.rank(M) == len(cols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(column_lists())
+@example((2, 0, []))
+@example((5, 3, []))
+@example((2, 3, [0, 0]))
+@example((3, 2, [{}, {0: 2}, {0: 1}, {}]))
+def test_rank_of_vectors_equals_the_dense_rank(case):
+    # one rank for the column form, from a list or a generator, with zero
+    # vectors and multiples among the vectors, which it leaves as they were
+    p, n, cols = case
+    before = [v if p == 2 else dict(v) for v in cols]
+    want = oracles.rank(oracles.matrix(p, n, cols))
+    assert rank(p, cols) == want
+    assert rank(p, (v for v in cols)) == want
+    assert cols == before
+
+
+@st.composite
+def column_combinations(draw):
+    """(p, nrows, columns, vec): columns as column_lists draws them and a
+    vector in the same form over the column indices."""
+    p, n, cols = draw(column_lists())
+    scalars = draw(st.lists(st.integers(0, p - 1), min_size=len(cols), max_size=len(cols)))
+    vec = {i: s for i, s in enumerate(scalars) if s}
+    return p, n, cols, sum(1 << i for i in vec) if p == 2 else vec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(column_combinations())
+@example((2, 0, [], 0))
+@example((3, 2, [], {}))
+@example((2, 2, [3, 3, 1], 3))
+@example((5, 2, [{0: 2, 1: 1}, {0: 3, 1: 4}], {0: 1, 1: 1}))
+def test_image_is_the_dense_product(case):
+    # the combination sum_i vec_i * columns[i], in the columns' own form
+    p, n, cols, vec = case
+    got = image(p, cols, vec)
+    assert isinstance(got, int if p == 2 else dict)
+    got = oracles.as_dict(got)
+    assert all(0 <= r < n and 0 < s < p for r, s in got.items())
+    weights = oracles.as_dict(vec)
+    product = mul_vec(oracles.matrix(p, n, cols), [weights.get(i, 0) for i in range(len(cols))])
+    assert tuple(got.get(r, 0) for r in range(n)) == product

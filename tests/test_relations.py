@@ -1,5 +1,7 @@
 """Product and linear relation verifiers, Z[1/2] table."""
 
+import gc
+
 import pytest
 
 import oracles
@@ -83,6 +85,20 @@ def test_product_sweep_uniform_convention():
     assert hard == []
     assert report["uniform_convention"] == "subscript"
     assert report["matches"]["printed"] < report["cases"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_product_sweep_leaves_no_reference_cycle(p):
+    # the printed convention refuses some keys; a refusal kept as an exception
+    # would hold its traceback, expand's frame and through it the sweep's
+    # frame with every formula, a cycle only the cyclic collector frees
+    gc.collect()
+    gc.disable()
+    try:
+        product_relation_sweep(p, 2, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_linear_relation_examples():
