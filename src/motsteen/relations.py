@@ -12,8 +12,9 @@ beta(eta[a,U]) * beta(eta[b,T]); the report says which convention
 reproduces the oracle.  The formula reads a and b only through a + b, so the
 sweep expands it once per key (a + b, U, T) and convention, into a packed
 accumulator {int: scalar} summed from tau^k * y products, and reuses it for
-every pair sharing the key.  Each y class is packed once, the oracle is the
-packed product of the two, and each case compares packed dicts; failure
+every pair sharing the key.  Each y class is computed once, as
+elements._beta_packed of the packed eta, the oracle is the packed product
+of the two, and each case compares packed dicts; failure
 text is built only for a case that no convention matches.
 
 The linear relations among the y with |U| = j are generated by expanding
@@ -39,11 +40,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .elements import (
-    STEENROD_ONE, CoeffMonomial, Element, _add, _checked, _mul_packed, _pack,
+    STEENROD_ONE, CoeffMonomial, Element, _add, _beta_packed, _checked, _mul_packed, _pack,
     _unpacked_terms, algebra, element_text, mul,
 )
 from .bockstein import beta, y
-from .steenrod import basis_index
+from .steenrod import basis_index, eta
 from .integral import IntCoeffRing, PullbackElement, fiber_coordinate, pb_mul, q_map
 
 
@@ -151,7 +152,7 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
 
     def y_packed(idx):
         if idx not in ys:
-            ys[idx] = _checked(y(idx, h).terms, h)
+            ys[idx] = _beta_packed(_checked(eta(idx, h).terms, h), h)
         return ys[idx]
 
     def expand(aU, bT):

@@ -27,13 +27,17 @@ recursions (with xi_0 = chi(xi_0) = 1)
     0 =         sum_{i=0..r} xi_i^(p^(r-i)) chi(xi_{r-i}),
 
 and extended multiplicatively.  All coefficient symbols other than tau are
-fixed by chi.  _chi_mono_cache, the one chi memo, maps each handle to
+fixed by chi, and chi(xi_r) is tau-free, since its recursion has no tau.
+So chi is computed by parts: a monomial is c xi^a (tau^x tau_U) with c in
+theta, eps and rho, and chi of it is c * chi(xi^a) * chi(tau^x tau_U),
+where only the last factor holds a tau_j and the tau_j^2 rewrites stay
+inside it.  _chi_mono_cache, the one chi memo, maps each handle to
 {packed monomial: packed chi}, in the int layout of mul: chi of a generator
-sits at its own int, computed there by the recursions, and chi of any other
-monomial is chi of it less its top factor (the highest tau_j, else one unit
-of the highest xi_j, else one unit of the coefficient tau) times chi of that
-factor, multiplied by elements._mul_packed.  Values are unpacked only when
-conjugate returns.
+sits at its own int, computed there by the recursions, chi of a monomial of
+one part is chi of it less its top factor (the highest tau_j, else one unit
+of the highest xi_j, else one unit of the coefficient tau) times chi of
+that factor, and the products are elements._mul_packed's.  Values are
+unpacked only when conjugate returns.
 """
 
 from __future__ import annotations
@@ -52,7 +56,10 @@ from .elements import (
     mono_degree,
     term_element,
 )
-from .elements import _TAUS, _W, _XI_SHIFT, _add, _checked, _mul_packed, _pack, _unpacked_terms
+from .elements import (
+    _FIELD, _TAU_BITS, _TAUS, _W, _XI_SHIFT, _add, _checked, _live, _mul_packed, _pack,
+    _unpacked_terms,
+)
 
 
 class BasisIndex(NamedTuple):
@@ -339,10 +346,24 @@ def _require_full(h):
 _chi_mono_cache = {}
 
 
+# The parts of a packed monomial for chi: the theta, eps and rho fields,
+# which chi fixes, and the tau part, the tau bits and the coefficient tau's
+# field; the xi part is the rest.
+_FIXED = ((1 << 3 * _W) - 1) << _TAU_BITS
+_TAU_PART = _TAUS | _FIELD << _XI_SHIFT
+
+
 def _chi_packed(k, h, memo=None):
-    """chi of the packed monomial k by the chain of the module docstring (the
-    coefficient tau's field lies just below xi_1's).  memo is the handle's
-    entry of _chi_mono_cache, looked up here if not given and passed down.
+    """chi of the packed monomial k by parts, as in the module docstring.
+    memo is the handle's entry of _chi_mono_cache, looked up here if not
+    given and passed down.
+
+    A monomial of two or more parts is the fixed part times chi of its xi
+    part, which meets no tau, times chi of its tau part if it has one:
+    _mul_packed takes the tau-free factor on the left and gives the signs,
+    and either way the keys the coefficient relations kill are dropped.  A
+    monomial of one part takes the chain of top factors (the coefficient
+    tau's field lies just below xi_1's).
 
     A generator's chi is kept at its own int.  chi(tau) = tau + rho tau_0,
     and chi(tau_r), chi(xi_r) follow the recursions, where multiplying by the
@@ -353,6 +374,16 @@ def _chi_packed(k, h, memo=None):
     """
     if memo is None:
         memo = _chi_mono_cache.setdefault(h, {})
+    if (hit := memo.get(k)) is not None:
+        return hit
+    fixed, tau = k & _FIXED, k & _TAU_PART
+    xi = k - fixed - tau
+    if k not in (fixed, xi, tau):  # two or more parts
+        left = {fixed: 1}
+        if xi:
+            left = {fixed + key: s for key, s in _chi_packed(xi, h, memo).items()}
+        hit = memo[k] = _mul_packed(left, _chi_packed(tau, h, memo), h) if tau else _live(left, h)
+        return hit
     chain = []  # (monomial, its top factor), from k down to a known monomial
     while (hit := memo.get(k)) is None:
         if t := k & _TAUS:
@@ -394,10 +425,16 @@ def _chi_packed(k, h, memo=None):
 def _conjugate_packed(acc, h):
     """chi of a packed accumulator, term by term.
 
-    At p = 2 each key of each chi toggles in the sum, as in _mul_packed.
+    One key with scalar 1 gives the memo's own value, which the caller
+    reads and never changes.  Otherwise at p = 2 each key of each chi
+    toggles in the sum, as in _mul_packed.
     """
-    out = {}
     memo = _chi_mono_cache.setdefault(h, {})
+    if len(acc) == 1:
+        (k, s), = acc.items()
+        if s == 1:
+            return _chi_packed(k, h, memo)
+    out = {}
     if h.p == 2:
         pop = out.pop
         for k in acc:

@@ -18,7 +18,9 @@ and the sweep of a window built case by case from it.  They carry no memo, and t
 on their own bases, so test_oracles.py can hold the single-path code to
 them on small windows.  Last come the packed product, conjugation and
 embedding rank that sum scalars mod p at p = 2 too, which test_gf2.py holds
-the toggling GF(2) paths to.
+the toggling GF(2) paths to, and chi_chain, the packed conjugation as a
+chain of top factors on a memo its caller passes, which the by-parts chi of
+steenrod replaced.
 """
 
 from itertools import combinations
@@ -40,7 +42,8 @@ from motsteen.elements import (
     term_element,
 )
 from motsteen.elements import (
-    _TAUS, _add, _below, _checked, _live, _meet_deltas, _odd_word, _pack,
+    _TAUS, _W, _XI_SHIFT, _add, _below, _checked, _live, _meet_deltas, _mul_packed, _odd_word,
+    _pack,
 )
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.schemes import COEFF_ORDER, SchemeError, SchemePresentation
@@ -833,3 +836,50 @@ def embedding_rank(src, h):
     cols = [{rows.setdefault(k, len(rows)): s for k, s in
              mz_image_packed(c, index_of(mono), h).items()} for c, mono in src]
     return rank(matrix(h.p, len(rows), cols))
+
+
+# ---------------------------------------------------------------------------
+# The packed conjugation as it stood before chi was computed by parts.
+
+
+def chi_chain(k, h, memo):
+    """chi of the packed monomial k as a chain of products: chi of k less its
+    top factor (the highest tau_j, else one unit of the highest xi_j, else
+    one unit of the coefficient tau) times chi of that factor, whatever
+    parts k has, with each generator's chi by its recursion at its own int.
+    memo is the caller's {packed monomial: packed chi} for h, apart from
+    steenrod._chi_mono_cache unless the caller passes that."""
+    chain = []  # (monomial, its top factor), from k down to a known monomial
+    while (hit := memo.get(k)) is None:
+        if t := k & _TAUS:
+            top = 1 << (t.bit_length() - 1)
+        elif f := k >> _XI_SHIFT:
+            top = 1 << (_XI_SHIFT + (f.bit_length() - 1) // _W * _W)
+        else:
+            hit = memo[k] = {k: 1}
+            break
+        if k == top:
+            p = h.p
+            if t:  # tau_r: the sum runs over i = 1..r
+                r = t.bit_length() - 1
+                lower = [SteenrodMonomial((), (r - i,)) for i in range(1, r + 1)]
+            elif r := (f.bit_length() - 1) // _W:  # xi_r: i = 1..r-1
+                lower = [SteenrodMonomial(((r - i, 1),), ()) for i in range(1, r)]
+            else:  # the coefficient tau
+                hit = memo[k] = {k: 1}
+                if (rho := h.scheme.rho_element) is not None:
+                    hit[_pack((COEFF_ONE.bump(rho), SteenrodMonomial((), (0,))))] = 1
+                break
+            shifts = [_pack((COEFF_ONE, SteenrodMonomial(((i, p ** (r - i)),), ())))
+                      for i in range(1, len(lower) + 1)]
+            hit = {k: p - 1}
+            for shift, g in zip(shifts, lower):
+                for key, s in reversed(chi_chain(_pack((COEFF_ONE, g)), h, memo).items()):
+                    _add(hit, key + shift, -s, p)
+            memo[k] = hit
+            break
+        chain.append((k, top))
+        k -= top
+    for k, top in reversed(chain):
+        hit = memo[k] = _mul_packed(hit, chi_chain(top, h, memo), h)
+    return hit

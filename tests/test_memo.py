@@ -2,6 +2,7 @@
 in the product, by monomials and their packed ints, and the per-handle basis
 table of steenrod."""
 
+import copy
 import tracemalloc
 from collections import Counter
 
@@ -20,6 +21,7 @@ from motsteen.elements import (
 )
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
+    _conjugate_packed,
     _mz_image_packed,
     basis_index,
     bidegree_basis,
@@ -233,16 +235,18 @@ def test_packed_memos_stay_small():
 
 
 def test_chi_memo_is_bounded_and_holds_only_live_keys():
-    # suite_chi on real-p2 8/4 memoizes chi of 1,188 packed monomials, 12,041
-    # stored terms in all; the bounds leave about 1.5x headroom
+    # suite_chi on real-p2 8/4 memoizes chi of 916 packed monomials, 10,387
+    # stored terms in all, since chi is taken by parts (1,192 and 12,113 as
+    # a chain of top factors); the bounds leave about 1.5x headroom
     _clear()
     suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
     (h, memo), = steenrod._chi_mono_cache.items()
     assert h == algebra("real-p2", 2, ambient="a")
-    assert len(memo) <= 1800
-    assert sum(map(len, memo.values())) <= 18000
+    assert len(memo) <= 1400
+    assert sum(map(len, memo.values())) <= 16000
     # over z-half (eps^2 = eps rho = 0) no memoized monomial and no stored
-    # term is one that the caps or zero pairs kill, while eps and rho each
+    # term is one that the caps or zero pairs kill, the products of the
+    # fixed part with chi of the tau part included, while eps and rho each
     # occur in the stored keys
     _clear()
     suite_chi(Config(p=2, scheme="z-half", dmax=8, wmax=4))
@@ -250,6 +254,25 @@ def test_chi_memo_is_bounded_and_holds_only_live_keys():
     coeffs = [elements._unpack(k)[0] for k in set(memo).union(*memo.values())]
     assert not any(elements._coeff_zero(c, h.scheme) for c in coeffs)
     assert any(c.eps for c in coeffs) and any(c.rho for c in coeffs)
+    _clear()
+
+
+@pytest.mark.parametrize("scheme", ["real-p2", "z-half"])
+def test_one_key_conjugate_is_the_memo_value_and_stays_unchanged(scheme):
+    # _conjugate_packed of one key with scalar 1 returns the memo's own
+    # value, which callers only read: a second suite_chi run leaves every
+    # stored value as a deep copy taken after the first, order included
+    h = algebra(scheme, 2, ambient="a")
+    _clear()
+    k = _pack((CoeffMonomial(tau=1), SteenrodMonomial(((1, 1),), (0, 2))))
+    assert _conjugate_packed({k: 1}, h) is steenrod._chi_mono_cache[h][k]
+    config = Config(p=2, scheme=scheme, dmax=8, wmax=4)
+    suite_chi(config)
+    before = copy.deepcopy(steenrod._chi_mono_cache)
+    suite_chi(config)
+    assert steenrod._chi_mono_cache == before
+    assert all(list(v.items()) == list(before[h][key].items())
+               for key, v in steenrod._chi_mono_cache[h].items())
     _clear()
 
 

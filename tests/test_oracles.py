@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from motsteen import algebra, cli, relations, steenrod
+from motsteen import algebra, cli, relations, steenrod, verify
 from motsteen.bockstein import (
     _columns,
     beta,
@@ -27,13 +27,14 @@ from motsteen.bockstein import (
 )
 from motsteen.bockstein import _u_maximal_at
 from motsteen.elements import (
-    _TAUS, CoeffMonomial, Element, SteenrodMonomial, _live, _mul_packed, _pack, _tau_rewrite,
-    _unpacked_terms, coeff_degree, mul, term_element,
+    _TAUS, CoeffMonomial, Element, SteenrodMonomial, _coeff_zero, _live, _mul_packed, _pack,
+    _tau_rewrite, _unpacked_terms, coeff_degree, mono_degree, mul, term_element,
 )
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.linalg import kernel_basis, rank
 from motsteen.relations import product_relation_sweep
+from motsteen.schemes import COEFF_ORDER
 from motsteen.steenrod import (
     BasisIndex,
     _mz_image_packed,
@@ -441,6 +442,38 @@ def test_packed_chi_refuses_an_exponent_outside_the_layout():
     with pytest.raises(ValueError, match=f"exponent {3 ** 20} does not fit"):
         conjugate(oracles.generator("tau", 21, 3), h)
     assert not steenrod._chi_mono_cache[h]
+
+
+CHI_PARTS = [algebra(s, p, q, ambient="a") for s, p, q in (
+    ("real-p2", 2, None), ("z-half", 2, None), ("finite-field", 2, 3),
+    ("real-odd", 3, None), ("finite-field", 3, 7), ("real-odd", 5, None),
+)]
+
+
+@pytest.mark.parametrize("h", CHI_PARTS, ids=handle_id)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "chain-warmed"])
+def test_chi_by_parts_matches_the_chain(h, warm, monkeypatch):
+    # chi of every c | m, c of verify's coefficient sweep (exponents <= 2)
+    # and m of degree <= 8, by parts against the chain of top factors, on a
+    # cold memo and on one the chain filled first for degree <= 4; then on
+    # the keys of the same exponents that the coefficient relations kill
+    monos = steenrod_monomials_by_degree(h.p, 8, 0)
+    live = verify._coeff_sweep(h.scheme, cap=2)
+    ranges = [range(3 if g in h.scheme.gens else 1) for g in COEFF_ORDER]
+    killed = [c for c in map(CoeffMonomial._make, itertools.product(*ranges))
+              if _coeff_zero(c, h.scheme)]
+    assert bool(killed) == bool(h.scheme.caps or h.scheme.zero_pairs)
+    monkeypatch.setitem(steenrod._chi_mono_cache, h, {})
+    if warm:
+        for c in live:
+            for m in monos:
+                if mono_degree(m, h.p).d <= 4:
+                    oracles.chi_chain(_pack((c, m)), h, steenrod._chi_mono_cache[h])
+    chain = {}
+    for c in live + killed:
+        for m in monos:
+            k = _pack((c, m))
+            assert steenrod._chi_packed(k, h) == oracles.chi_chain(k, h, chain)
 
 
 ODD_MEET = [algebra(s, p, q, ambient) for p, q7 in ((3, 7), (5, 11)) for s, q, ambient in (
