@@ -21,17 +21,19 @@ Each basis is laid out in coefficient blocks, c | m for one coefficient
 monomial c and every m of one xi/tau bucket (the blocks of a
 steenrod.Basis), so beta has one assembly, _columns, block by block by the
 Leibniz rule beta(c m) = (-1)^|c| c beta(m) + beta(c) m: the memo
-_bucket_beta(e) holds beta(1 | m) for the bucket e as positions in the
+_bucket_beta(e) holds beta(1 | m) for the bucket e as columns over the
 bucket e - (1, 0), which c's block shifts to its own start in the target,
-and each term of beta(c) adds an identity block.  _bucket_beta takes each
-column from elements._beta_packed on the packed monomial and keeps
-positions only; _coeff_beta(c) = ((-1)^|c|, beta(c | 1)) comes from beta
-itself.  Each column lists its entries in beta's order, so _columns, which
-gives them in linalg's column form (ints at p = 2, sparse dicts at odd p),
-holds the matrix per-monomial beta calls would build, column by column.
-block_complex calls beta directly and keeps each differential as its
-columns in the same form: each is read once, so a memo would only hold
-them.
+and each term of beta(c) adds an identity block.  _coeff_beta(c) =
+((-1)^|c|, beta(c | 1)) comes from beta itself.
+
+One builder, _beta_columns(src, dst, h), makes every column beta(1 | m):
+elements._beta_packed on the packed monomial m of src, read over the
+positions of dst in linalg's column form, an int at p = 2 (bit r for row
+r) and a sparse dict {row: scalar} at odd p, the one odd-p form.  Each
+column lists its entries in beta's order, so _columns holds the matrix
+per-monomial beta calls would build, column by column.  _bucket_beta reads
+the builder on one bucket; block_complex reads it on the tau-count bases of
+one block and keeps no memo, as each of its differentials is read once.
 
 split_ranks reduces beta at one bidegree to four numbers, read off those
 columns with no matrix built: the dims of the bidegree and of its
@@ -53,12 +55,12 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
-    COEFF_ONE, Element, SteenrodMonomial, _beta_packed, _checked, _pack,
-    _unpacked_terms, coeff_degree, term_element,
+    COEFF_ONE, Element, _beta_packed, _checked, _pack, _unpacked_terms, algebra,
+    coeff_degree, term_element,
 )
 from .linalg import FpBasis, image, kernel_basis, rank
 from .steenrod import (
-    Basis, _degree_budget, basis_index, basis_table, bidegree_basis, eta, index_of,
+    Basis, BasisIndex, _degree_budget, basis_table, bidegree_basis, eta, index_of,
     monomial_index, u_maximal,
 )
 
@@ -77,7 +79,7 @@ def beta(x, h):
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
     # each monomial reaches beta about once (the beta memos keep the images,
-    # block_complex reads each column once), so beta skips the pack memos
+    # suite_beta2 sweeps each c | m once), so beta skips the pack memos
     acc = _checked(x.terms, h, memo=False)
     if len(acc) > 1:
         x.homogeneous_bidegree(h.scheme)  # rejects mixed degrees
@@ -121,32 +123,19 @@ class BlockComplex(NamedTuple):
 
 def block_complex(blk, p):
     """The finite subcomplex of the coefficient-free model spanned by one block."""
-    from .elements import algebra
-
     h = algebra("bare", p)
     slots = [i for i, v in blk.m]
     n = len(slots)
     bases = [[] for _ in range(n + 1)]
     for bits in range(1 << n):
+        # the slots ascend, so a and U come out sorted
         U = tuple(slots[k] + 1 for k in range(n) if bits >> k & 1)
-        a = {}
-        for i, v in blk.m:
-            e = v - (1 if i + 1 in U else 0)
-            if e:
-                a[i + 1] = e
-        bases[len(U)].append(basis_index(a, U))
+        a = tuple((i + 1, e) for i, v in blk.m if (e := v - (i + 1 in U)))
+        bases[len(U)].append(BasisIndex(a, U))
     for t in range(n + 1):
         bases[t].sort()
-    diffs = [None]
-    for t in range(1, n + 1):
-        rows = {idx: i for i, idx in enumerate(bases[t - 1])}
-        cols = []
-        for idx in bases[t]:
-            img = beta(term_element(p, 1, COEFF_ONE, SteenrodMonomial(*idx)), h)
-            col = {rows[index_of(mono)]: s for (_, mono), s in img.terms.items()}
-            cols.append(sum(1 << r for r in col) if p == 2 else col)
-        diffs.append(cols)
-    return BlockComplex(blk, p, tuple(tuple(b) for b in bases), tuple(diffs))
+    diffs = [None] + [list(_beta_columns(bases[t], bases[t - 1], h)) for t in range(1, n + 1)]
+    return BlockComplex(blk, p, tuple(map(tuple, bases)), tuple(diffs))
 
 
 def block_homology(blk, p):
@@ -167,24 +156,25 @@ def block_homology(blk, p):
 # Per-bidegree matrices and kernel bases
 
 
+def _beta_columns(src, dst, h):
+    """beta(1 | m) for each monomial m of src, in linalg's column form over
+    the positions of dst, entries in beta's order: elements._beta_packed of
+    m packed past the _pack memo, as beta packs it, read through dst's rows
+    keyed by their packed ints."""
+    pack = _pack.__wrapped__
+    rows = {pack((COEFF_ONE, m)): i for i, m in enumerate(dst)}
+    cols = (_beta_packed({pack((COEFF_ONE, m)): 1}, h) for m in src)
+    if h.p == 2:
+        return (sum(1 << rows[k] for k in col) for col in cols)
+    return ({rows[k]: s for k, s in col.items()} for col in cols)
+
+
 @cache
 def _bucket_beta(e, h):
-    """beta(1 | m) for each m of the bucket e, as positions in the bucket e - (1, 0).
-
-    Column i, for the i-th monomial of the bucket, is an int at p = 2, bit r
-    for position r, and ((position, scalar), ...) at odd p, in the order
-    beta lists its terms.  Each column is elements._beta_packed of the
-    packed monomial, the core beta wraps, read through the target bucket's
-    rows keyed by their packed ints; the monomials are packed past the
-    _pack memo, as beta packs them.
-    """
+    """beta(1 | m) for each m of the bucket e, as _beta_columns over the
+    bucket e - (1, 0)."""
     buckets = monomial_index(h.p, e.d - e.w, h.min_tau)
-    pack = _pack.__wrapped__
-    rows = {pack((COEFF_ONE, m)): i for i, m in enumerate(buckets.get(e + BETA_SHIFT, ()))}
-    cols = (_beta_packed({pack((COEFF_ONE, m)): 1}, h) for m in buckets[e])
-    if h.p == 2:
-        return tuple(sum(1 << rows[k] for k in col) for col in cols)
-    return tuple(tuple((rows[k], s) for k, s in col.items()) for col in cols)
+    return tuple(_beta_columns(buckets[e], buckets.get(e + BETA_SHIFT, ()), h))
 
 
 @cache
@@ -217,7 +207,7 @@ def _columns(bd, h):
             continue
         vecs = []
         for j, col in enumerate(cols):
-            vec = {at + r: sign * s % p for r, s in col}
+            vec = {at + r: sign * s % p for r, s in col.items()}
             for row, s in coeff:
                 vec[row + j] = s
             vecs.append(vec)
@@ -232,8 +222,6 @@ def free_bbeta_generators(bound, p):
     model).  Each y[a, U] is its _bucket_beta column, shifted to the start
     of the block of 1.
     """
-    from .elements import algebra
-
     h = algebra("bare", p)
     dmax, wmax = bound
     # |eta| = |y| + (1, 0) has d <= dmax + 1, so d - w <= this budget
@@ -250,7 +238,7 @@ def free_bbeta_generators(bound, p):
         if p == 2:
             vecs = [cols[i] << start for i in at]
         else:
-            vecs = [{start + r: s for r, s in cols[i]} for i in at]
+            vecs = [{start + r: s for r, s in cols[i].items()} for i in at]
         if rank(p, vecs) != len(vecs):
             raise AssertionError(f"U-maximal y classes dependent at {yb}")
         # beta keeps the coefficient/ideal split, so its rank is the sum of the two
@@ -304,7 +292,7 @@ def constructive_kernel(bd, h):
             continue
         scale = sign if targets else 1
         for i in at:
-            vec = {start + r: scale * s % p for r, s in cols[i]}
+            vec = {start + r: scale * s % p for r, s in cols[i].items()}
             for t, s in targets:
                 vec[t + i] = s
             out.append(vec)

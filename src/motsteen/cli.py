@@ -225,8 +225,8 @@ def cmd_present(config, bound):
             bits.append(f"tau_{i+1}*{rho}")
         return " + ".join(bits)
 
-    full_rel = [quad_relation(i, True) for i in range(0, bound) if i + 1 <= bound]
-    mz_rel = [quad_relation(i, False) for i in range(1, bound) if i + 1 <= bound]
+    full_rel = [quad_relation(i, True) for i in range(bound)]
+    mz_rel = [quad_relation(i, False) for i in range(1, bound)]
 
     # a generator of order 1 is zero, so it is not listed
     int_gens = [

@@ -40,26 +40,50 @@ class SchemeError(ValueError):
     """Invalid scheme/prime/q combination or foreign generator."""
 
 
+# p and q must lie below 2^64, where Miller-Rabin on these bases decides
+# primality exactly (it does below 3.3 * 10^24)
+_LIMIT = 1 << 64
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
+    """Miller-Rabin on the bases 2, ..., 37: exact for n < 3.3 * 10^24."""
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
+
+
+def _iroot(n, k):
+    """The integer k-th root of n >= 1, rounded down: Newton's method from
+    2^ceil(bits / k), which lies above it, descends to it exactly."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _is_prime_power(n):
     if n < 2:
         return False
-    for k in range(2, n.bit_length() + 1):
-        r = round(n ** (1.0 / k))
-        for c in (r - 1, r, r + 1):
-            if c >= 2 and c**k == n and _is_prime(c):
-                return True
-    return _is_prime(n)
+    return any(_is_prime(r) for k in range(1, n.bit_length() + 1)
+               if (r := _iroot(n, k)) ** k == n)
 
 
 class SchemePresentation:
@@ -148,6 +172,9 @@ class SchemePresentation:
 def make_scheme(scheme_id, p, q=None):
     """Build the presentation for one base scheme at the prime p, once per
     argument list, so that a memo finds equal handles by identity."""
+    for name, n in (("p", p), ("q", q)):
+        if n is not None and n >= _LIMIT:
+            raise SchemeError(f"{name} must be below 2^64")
     if not _is_prime(p):
         raise SchemeError(f"p = {p} is not prime")
     if q is not None and scheme_id != "finite-field":

@@ -20,7 +20,9 @@ them on small windows.  Last come the packed product, conjugation and
 embedding rank that sum scalars mod p at p = 2 too, which test_gf2.py holds
 the toggling GF(2) paths to, and chi_chain, the packed conjugation as a
 chain of top factors on a memo its caller passes, which the by-parts chi of
-steenrod replaced.
+steenrod replaced.  At the end stand the primality test by trial division
+and the prime-power test by rounded float roots, which schemes replaced
+with Miller-Rabin and exact integer roots.
 """
 
 from itertools import combinations
@@ -883,3 +885,28 @@ def chi_chain(k, h, memo):
     for k, top in reversed(chain):
         hit = memo[k] = _mul_packed(hit, chi_chain(top, h, memo), h)
     return hit
+
+
+def is_prime(n):
+    """Trial division: exact, and slow past about 10^14."""
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
+def is_prime_power(n):
+    """Rounded float k-th roots, each checked exactly with its neighbours;
+    the float power overflows for n past about 10^308."""
+    if n < 2:
+        return False
+    for k in range(2, n.bit_length() + 1):
+        r = round(n ** (1.0 / k))
+        for c in (r - 1, r, r + 1):
+            if c >= 2 and c**k == n and is_prime(c):
+                return True
+    return is_prime(n)

@@ -391,6 +391,24 @@ def test_finite_field_refuses_p_not_dividing_q_minus_1(capsys):
                             "(p = 3, q = 5)\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--prime", "2", "--scheme", "finite", "--q", str(3**700)], "q must be below 2^64"),
+    (["--prime", str(2**64 + 13), "--scheme", "algclosed"], "p must be below 2^64"),
+])
+def test_a_prime_or_q_past_2_64_is_refused(capsys, argv, message):
+    # q = 3^700 used to overflow a float root and end in a traceback
+    assert cli.main(["dims", *argv]) == 1
+    assert capsys.readouterr() == ("", f"motsteen: error: {message}\n")
+
+
+def test_a_large_prime_is_accepted():
+    # 2^61 - 1: trial division used to run for minutes
+    code, out = run_cli(["dims", "--prime", str(2**61 - 1), "--scheme", "algclosed",
+                         "--dmax", "4", "--wmax", "2"])
+    assert code == 0
+    assert out.splitlines()[1].split() == ["0", "-2", "1", "0", "1", "0", "1"]
+
+
 def test_present_algclosed_bound2():
     code, out = run_cli(
         ["present", "--prime", "2", "--scheme", "algclosed", "--bound", "2"]

@@ -212,10 +212,13 @@ def test_answers_do_not_depend_on_call_order():
 
 
 def test_blocks_suite_leaves_the_beta_memo_empty():
-    # block_complex reads each column once, so it calls beta directly
+    # block_complex reads each column once, so it takes them from
+    # _beta_columns, which packs past the _pack memo and unpacks nothing
     _clear()
     assert suite_blocks(Config(p=2, scheme="z-half"))[0][1] == "PASS"
-    assert bockstein._bucket_beta.cache_info().currsize == 0
+    for memo in (bockstein._bucket_beta, elements._pack, elements._unpack,
+                 elements._unpack_xi, elements._unpack_taus):
+        assert memo.cache_info().currsize == 0, memo.__name__
     _clear()
 
 

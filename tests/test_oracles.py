@@ -34,7 +34,7 @@ from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
 from motsteen.linalg import kernel_basis, rank
 from motsteen.relations import product_relation_sweep
-from motsteen.schemes import COEFF_ORDER
+from motsteen.schemes import COEFF_ORDER, _is_prime, _is_prime_power
 from motsteen.steenrod import (
     BasisIndex,
     _mz_image_packed,
@@ -237,7 +237,7 @@ def test_block_assembly_matches_tuple_keyed_reference(h):
     assert bool(crossed) == (h.ambient == "a")
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_block_complex_matches_oracle(p):
     # every block of total mass <= 4 on slots 0..3, the empty block among them
     h = algebra("bare", p)
@@ -567,3 +567,18 @@ def test_split_crossing_raises():
         oracles.beta_report([Bidegree(1, 0)], h)
     with pytest.raises(ValueError, match="crosses"):
         beta_report([Bidegree(1, 0)], h)
+
+
+def test_primality_matches_oracle():
+    # Miller-Rabin and exact roots against trial division and float roots
+    for n in range(-2, 20_000):
+        assert _is_prime(n) == oracles.is_prime(n), n
+        assert _is_prime_power(n) == oracles.is_prime_power(n), n
+    # past the oracles' reach: 2^61 - 1 is prime (trial division takes
+    # minutes), and the bases above 23 refuse a strong pseudoprime to 2..23
+    m61 = 2**61 - 1
+    assert _is_prime(m61) and _is_prime_power(m61)
+    assert not _is_prime(m61**2) and _is_prime_power(m61**2)
+    assert not _is_prime_power(m61 * 3) and not _is_prime_power(m61 * (2**31 - 1))
+    assert not _is_prime(3825123056546413051)  # 149491 * 747451 * 34233211
+    assert _is_prime_power(3**700) and not _is_prime_power(3**700 + 1)
