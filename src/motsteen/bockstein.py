@@ -28,12 +28,12 @@ and each term of beta(c) adds an identity block.  _coeff_beta(c) =
 
 One builder, _beta_columns(src, dst, h), makes every column beta(1 | m):
 elements._beta_packed on the packed monomial m of src, read over the
-positions of dst in linalg's column form, an int at p = 2 (bit r for row
-r) and a sparse dict {row: scalar} at odd p, the one odd-p form.  Each
-column lists its entries in beta's order, so _columns holds the matrix
-per-monomial beta calls would build, column by column.  _bucket_beta reads
-the builder on one bucket; block_complex reads it on the tau-count bases of
-one block and keeps no memo, as each of its differentials is read once.
+positions of dst by linalg.column.  Each column lists its entries in beta's
+order, so _columns holds the matrix per-monomial beta calls would build,
+column by column.  beta's columns, the kernel vectors and the y classes are
+all Leibniz blocks of them, built by linalg.block_columns.  _bucket_beta
+reads the builder on one bucket; block_complex reads it on the tau-count
+bases of one block and keeps no memo, as each differential is read once.
 
 split_ranks reduces beta at one bidegree to four numbers, read off those
 columns with no matrix built: the dims of the bidegree and of its
@@ -58,7 +58,7 @@ from .elements import (
     COEFF_ONE, Element, _beta_packed, _checked, _pack, _unpacked_terms, algebra,
     coeff_degree, term_element,
 )
-from .linalg import FpBasis, image, kernel_basis, rank
+from .linalg import FpBasis, block_columns, column, image, kernel_basis, rank
 from .steenrod import (
     Basis, BasisIndex, _degree_budget, basis_table, bidegree_basis, eta, index_of,
     monomial_index, u_maximal,
@@ -164,9 +164,7 @@ def _beta_columns(src, dst, h):
     pack = _pack.__wrapped__
     rows = {pack((COEFF_ONE, m)): i for i, m in enumerate(dst)}
     cols = (_beta_packed({pack((COEFF_ONE, m)): 1}, h) for m in src)
-    if h.p == 2:
-        return (sum(1 << rows[k] for k in col) for col in cols)
-    return ({rows[k]: s for k, s in col.items()} for col in cols)
+    return (column(h.p, {rows[k]: s for k, s in col.items()}) for col in cols)
 
 
 @cache
@@ -191,27 +189,15 @@ def _columns(bd, h):
     shifted to the start of c's block in the bd - (1, 0) basis (c has no
     block there exactly when the bucket e - (1, 0) is empty, and so is every
     column), plus s at the start of nc's block + j for each term s nc of
-    beta(c), nc's bucket being e again.  At p = 2 a column is an int, bit r
-    for row r; at odd p it is a sparse dict {row: scalar}, the bucket part
-    scaled by (-1)^|c|."""
-    p = h.p
+    beta(c), nc's bucket being e again, and the bucket part scaled by
+    (-1)^|c|: the linalg.block_columns of the bucket's columns."""
     dst = bidegree_basis(bd + BETA_SHIFT, h).blocks
     for c, (e, _) in bidegree_basis(bd, h).blocks.items():
         sign, beta_c = _coeff_beta(c, h)
         cols = _bucket_beta(e, h)
         at = dst[c][1] if c in dst else 0
-        coeff = [(dst[nc][1], s) for nc, s in beta_c]
-        if p == 2:
-            bits = sum(1 << row for row, _ in coeff)
-            yield e, [k << at | bits << j for j, k in enumerate(cols)]
-            continue
-        vecs = []
-        for j, col in enumerate(cols):
-            vec = {at + r: sign * s % p for r, s in col.items()}
-            for row, s in coeff:
-                vec[row + j] = s
-            vecs.append(vec)
-        yield e, vecs
+        yield e, block_columns(h.p, cols, at, sign, [(dst[nc][1], s) for nc, s in beta_c],
+                               range(len(cols)))
 
 
 def free_bbeta_generators(bound, p):
@@ -220,7 +206,7 @@ def free_bbeta_generators(bound, p):
     Asserts per bidegree that the corresponding y vectors are independent
     and span the image of the differential there (in the coefficient-free
     model).  Each y[a, U] is its _bucket_beta column, shifted to the start
-    of the block of 1.
+    of the block of 1: a linalg.block_columns with no diagonal.
     """
     h = algebra("bare", p)
     dmax, wmax = bound
@@ -232,32 +218,28 @@ def free_bbeta_generators(bound, p):
     found = []
     for yb in ybs:
         eb = yb - BETA_SHIFT
-        cols = _bucket_beta(eb, h)
         start = bidegree_basis(yb, h).blocks[COEFF_ONE][1]
-        at = _u_maximal_at(eb, p)
-        if p == 2:
-            vecs = [cols[i] << start for i in at]
-        else:
-            vecs = [{start + r: s for r, s in cols[i].items()} for i in at]
+        maximal = _u_maximal_at(eb, p)
+        vecs = block_columns(p, _bucket_beta(eb, h), start, 1, (), maximal)
         if rank(p, vecs) != len(vecs):
             raise AssertionError(f"U-maximal y classes dependent at {yb}")
         # beta keeps the coefficient/ideal split, so its rank is the sum of the two
         if sum(split_ranks(eb, h)[2:]) != len(vecs):
             raise AssertionError(f"U-maximal y classes do not span im beta at {yb}")
-        found += [index_of(buckets[eb][i]) for i in at]
+        found += [index_of(buckets[eb][i]) for i in maximal]
     return found
 
 
 class KernelBases(NamedTuple):
     bidegree: Bidegree
     labels: Basis         # the ambient monomial basis of the bidegree, a block view
-    generic: FpBasis      # kernel of beta's columns, in the column forms of _columns
+    generic: FpBasis      # kernel of beta's columns, in linalg's column form
     constructive: list    # vectors over labels' positions: the Z u U construction
 
 
 def constructive_kernel(bd, h):
     """The Z u U kernel basis of one bidegree, as vectors over the positions
-    of its basis, in the column forms of _columns.
+    of its basis, in linalg's column form.
 
     Z: coefficient cycles c times (1 or a U-maximal y class).
     U: beta(r) eta[a,U] + (-1)^{deg r} r y[a,U] for coefficient preimages r
@@ -265,8 +247,9 @@ def constructive_kernel(bd, h):
     is the one forced by the Leibniz rule (it agrees with the stated one at
     p = 2).  Block by block: c | 1 gives the vector at c's start, and c | e
     one vector per U-maximal position i of the eta bucket eb = e + (1, 0),
-    where y[a,U] is column i of _bucket_beta(eb), shifted to c's start, and
-    each term s nc of beta(r) is s at nc's start + i, nc's bucket being eb.
+    the Leibniz block of _bucket_beta(eb) at c's start, as in _columns: for
+    a preimage c it is column i of block c of _columns(bd + (1, 0)),
+    beta(c eta), and for a cycle c it is c y, that column times (-1)^|c|.
     c, r and the terms of beta(r) are nonzero and stand before the Steenrod
     part, so no coefficient relation or Koszul sign arises.
     """
@@ -279,23 +262,13 @@ def constructive_kernel(bd, h):
         sign, beta_c = _coeff_beta(c, h)
         if e == _ONE:
             if not beta_c:
-                out.append(1 << start if p == 2 else {start: 1})
+                out.append(column(p, {start: 1}))
             continue
         eb = e - BETA_SHIFT
-        if not (at := _u_maximal_at(eb, p)):
-            continue
-        cols = _bucket_beta(eb, h)
-        targets = [(blocks[nc][1], s) for nc, s in beta_c]
-        if p == 2:
-            bits = sum(1 << t for t, _ in targets)
-            out += [cols[i] << start | bits << i for i in at]
-            continue
-        scale = sign if targets else 1
-        for i in at:
-            vec = {start + r: scale * s % p for r, s in cols[i].items()}
-            for t, s in targets:
-                vec[t + i] = s
-            out.append(vec)
+        if maximal := _u_maximal_at(eb, p):
+            diagonal = [(blocks[nc][1], s) for nc, s in beta_c]
+            out += block_columns(p, _bucket_beta(eb, h), start, sign if diagonal else 1,
+                                 diagonal, maximal)
     return out
 
 

@@ -1,16 +1,16 @@
 """Exact sparse linear algebra over F_p: ranks, images and kernel bases.
 
 Every vector is in the column form: an integer at p = 2, bit r for
-coordinate r, and a sparse dict {coordinate: residue in 1..p-1} at odd p.
-A matrix is the list of its columns.  Every elimination inserts vectors
-one at a time into an echelon form keyed by each vector's lowest nonzero
-coordinate; over odd p a stored vector is scaled to 1 there.  A rank
-inserts any iterable of vectors.  A kernel inserts the columns, each
-carrying a tracking part that records the combination of columns it has
-become: a column that reduces to zero leaves its tracking part as a
-kernel vector.  With no back-substitution these are the vectors of the
-unique reduced row echelon form, so kernel bases are reproducible bit
-for bit.
+coordinate r, and a sparse dict {coordinate: residue in 1..p-1} at odd p;
+other modules build it only by column and block_columns.  A matrix is the
+list of its columns.  Every elimination inserts vectors one at a time into
+an echelon form keyed by each vector's lowest nonzero coordinate; over odd p
+a stored vector is scaled to 1 there.  A rank inserts any iterable of
+vectors.  A kernel inserts the columns, each carrying a tracking part that
+records the combination of columns it has become: a column that reduces to
+zero leaves its tracking part as a kernel vector.  With no back-substitution
+these are the vectors of the unique reduced row echelon form, so kernel
+bases are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +23,31 @@ class FpBasis:
 
     def __len__(self):
         return len(self.vectors)
+
+
+def column(p, entries):
+    """The vector {coordinate: nonzero residue} in the column form."""
+    if p == 2:
+        return sum(1 << r for r in entries)
+    return entries
+
+
+def block_columns(p, columns, at, scale, diagonal, positions):
+    """The Leibniz block: for each j in positions, scale (+-1) * columns[j]
+    moved down by at, plus the residue s at t + j for each (t, s) in diagonal,
+    rows that miss each other and the moved column, as distinct blocks do."""
+    if p == 2:
+        bits = 0
+        for t, _ in diagonal:
+            bits |= 1 << t
+        return [columns[j] << at | bits << j for j in positions]
+    out = []
+    for j in positions:
+        vec = {at + r: scale * s % p for r, s in columns[j].items()}
+        for t, s in diagonal:
+            vec[t + j] = s
+        out.append(vec)
+    return out
 
 
 def _gf2_echelon(rows):

@@ -44,7 +44,7 @@ from .bockstein import (
     y,
     _u_maximal_at,
 )
-from .linalg import rank
+from .linalg import column, rank
 
 SUITES = ("beta2", "chi", "products", "linear", "blocks", "kerbasis", "z12", "all")
 
@@ -224,21 +224,11 @@ def check_chi_quadratic_relation(config, h):
 
 def _embedding_rank(src, h):
     """Rank of the images of the mz basis monomials src in the full algebra;
-    rows are the monomials that actually appear in the images.  At p = 2
-    each column is packed into an int while its rows are indexed."""
+    rows are the monomials that actually appear in the images."""
     rows = {}
-    if h.p != 2:
-        return rank(h.p, [
-            {rows.setdefault(k, len(rows)): s for k, s in
-             _mz_image_packed(key, h).items()}
-            for key in src])
-    cols = []
-    for key in src:
-        col = 0
-        for k in _mz_image_packed(key, h):
-            col |= 1 << rows.setdefault(k, len(rows))
-        cols.append(col)
-    return rank(h.p, cols)
+    return rank(h.p, [column(h.p, {rows.setdefault(k, len(rows)): s for k, s in
+                                   _mz_image_packed(key, h).items()})
+                      for key in src])
 
 
 def _square_rank(src, h):
@@ -251,8 +241,8 @@ def _square_rank(src, h):
     rows = {shift + k: i for i, (shift, k) in enumerate(parts)}
     if h.p != 2:
         return rank(h.p, [
-            {r: s for k, s in _mz_image_packed(key, h).items()
-             if (r := rows.get(k)) is not None}
+            column(h.p, {r: s for k, s in _mz_image_packed(key, h).items()
+                         if (r := rows.get(k)) is not None})
             for key in src])
     memo = _chi_mono_cache.setdefault(h, {})
     return rank(h.p, (sum(1 << r for key in _chi_packed(k, h, memo)

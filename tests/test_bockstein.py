@@ -20,7 +20,7 @@ from motsteen.bockstein import (
     split_ranks,
     y,
 )
-from motsteen.linalg import rank
+from motsteen.linalg import column, rank
 from motsteen.steenrod import (
     basis_index,
     bidegree_basis,
@@ -283,7 +283,7 @@ def test_ker_beta_basis_rejects_a_non_cycle(monkeypatch, h, bd):
         j for j, (c, m) in enumerate(bockstein.bidegree_basis(bd, h))
         if not beta(term_element(h.p, 1, c, m), h).is_zero()
     )
-    bad = 1 << j if h.p == 2 else {j: 1}
+    bad = column(h.p, {j: 1})
     real = bockstein.constructive_kernel
     monkeypatch.setattr(bockstein, "constructive_kernel", lambda b, g: real(b, g) + [bad])
     with pytest.raises(AssertionError, match="not a beta cycle"):
@@ -325,6 +325,33 @@ def test_kernel_agreement_with_odd_preimages():
             sign, beta_c = bockstein._coeff_beta(c, h)
             odd += sign == -1 and bool(beta_c)
     assert odd
+
+
+def test_constructive_vectors_are_the_columns_of_beta():
+    """One Leibniz block: each constructive vector but a c | 1 cycle is
+    column i of block c of beta's columns one bidegree up, beta(c eta), for
+    each U-maximal position i, and c y = (-1)^|c| beta(c eta) for a cycle c."""
+    negated = {}  # odd-p handle -> vectors negated
+    for h in ALL_MZ + [oracles.ODD_PREIMAGE]:
+        for bd in populated_bidegrees(h, 10, 7):
+            up = bidegree_basis(bd - BETA_SHIFT, h).blocks
+            beta_up = dict(zip(up, (cols for _, cols in bockstein._columns(bd - BETA_SHIFT, h))))
+            want = []
+            for c, (e, start) in bidegree_basis(bd, h).blocks.items():
+                sign, beta_c = bockstein._coeff_beta(c, h)
+                if e == Bidegree(0, 0):
+                    if not beta_c:
+                        want.append({start: 1})
+                    continue
+                flip = sign == -1 and not beta_c
+                for i in bockstein._u_maximal_at(e - BETA_SHIFT, h.p):
+                    col = oracles.as_dict(beta_up[c][i])
+                    want.append({r: -s % h.p for r, s in col.items()} if flip else col)
+                    if flip and h.p != 2:
+                        key = (h.scheme.id, h.scheme.q)
+                        negated[key] = negated.get(key, 0) + 1
+            assert [oracles.as_dict(v) for v in constructive_kernel(bd, h)] == want
+    assert negated == {("finite-field", 7): 20, ("odd-preimage", None): 27}
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ order, over every p = 2 scheme, in both ambients for the product.  The keys
 are drawn with 4 tau indices, so tau sets often meet, and with coefficient
 exponents up to 2, so z-half and finite q = 3 (eps^2 = 0, eps rho = 0, and
 eps as the rewrite's rho) kill keys.  The embedding rank of verify chi, on
-packed columns, equals the rank of the dict columns; the certificate that
-verify chi tries first, the rank on the source rows alone, is full on the
-README windows and hands over to that rank wherever it falls short.
+packed columns, equals the rank of the dict columns, as it does at odd p
+through the same column builder; the certificate that verify chi tries
+first, the rank on the source rows alone, is full on the README windows and
+hands over to that rank wherever it falls short.
 """
 
 import itertools
@@ -36,6 +37,8 @@ SCHEMES = [("real-p2", None), ("z-half", None), ("algclosed", None),
            ("finite-field", 3), ("bare", None)]
 HANDLES = [algebra(s, 2, q, ambient) for s, q in SCHEMES for ambient in ("a", "mz")]
 FULL = [h for h in HANDLES if h.ambient == "a"]
+ODD_FULL = [algebra(s, p, q, "a") for s, p, q in
+            [("finite-field", 3, 7), ("real-odd", 3, None), ("algclosed", 5, None)]]
 
 
 def key_pool(h):
@@ -116,11 +119,11 @@ def test_gf2_mz_image_matches_mod_p_summing(h_a):
             assert list(got.items()) == list(oracles.mz_image_packed(c, idx, h_a).items())
 
 
-@pytest.mark.parametrize("h_a", FULL, ids=handle_id)
+@pytest.mark.parametrize("h_a", FULL + ODD_FULL, ids=handle_id)
 def test_embedding_rank_on_packed_columns(h_a):
     # the rank verify chi takes of each bidegree's images, on the window of
-    # verify chi in the README examples
-    h = algebra(h_a.scheme.id, 2, h_a.scheme.q)
+    # verify chi in the README examples, at odd p too: one column builder
+    h = algebra(h_a.scheme.id, h_a.p, h_a.scheme.q)
     for bd in populated_bidegrees(h, 10, 5):
         src = bidegree_basis(bd, h)
         assert _embedding_rank(src, h_a) == oracles.embedding_rank(src, h_a)

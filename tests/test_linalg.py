@@ -5,11 +5,11 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from motsteen.linalg import image, kernel_basis, rank
+from motsteen.linalg import block_columns, column, image, kernel_basis, rank
 from oracles import Matrix
 
 
-def column(M, j):
+def dense_column(M, j):
     col = [0] * M.nrows
     for (r, c), v in M.entries.items():
         if c == j:
@@ -98,7 +98,7 @@ def test_kernel_image_orthogonality_on_composites():
         p, A.ncols, len(kb), {(r, j): v for j, vec in enumerate(kb.vectors) for r, v in vec.items()}
     )
     for j in range(B.ncols):
-        col = column(B, j)
+        col = dense_column(B, j)
         assert all(x == 0 for x in mul_vec(A, col))
 
 
@@ -212,3 +212,47 @@ def test_image_is_the_dense_product(case):
     weights = oracles.as_dict(vec)
     product = mul_vec(oracles.matrix(p, n, cols), [weights.get(i, 0) for i in range(len(cols))])
     assert tuple(got.get(r, 0) for r in range(n)) == product
+
+
+@st.composite
+def leibniz_blocks(draw):
+    """(p, nrows, columns, at, scale, diagonal, positions) for block_columns:
+    columns as column_lists draws them, moved to the block at `at`, and
+    identity blocks as wide as the list of columns starting at each t of
+    diagonal, the blocks apart in a random order with random gaps."""
+    p, n, cols = draw(column_lists())
+    k = draw(st.integers(0, 3))
+    sizes = [n] + [len(cols)] * k
+    starts, nrows = [0] * (k + 1), 0
+    for b in draw(st.permutations(range(k + 1))):
+        nrows += draw(st.integers(0, 2))
+        starts[b], nrows = nrows, nrows + sizes[b]
+    diagonal = [(t, draw(st.integers(1, p - 1))) for t in starts[1:]]
+    positions = sorted(draw(st.sets(st.sampled_from(range(len(cols))))) if cols else ())
+    return p, nrows, cols, starts[0], draw(st.sampled_from([1, -1])), diagonal, positions
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(leibniz_blocks())
+@example((2, 0, [], 0, 1, [], []))
+@example((5, 3, [], 1, -1, [(0, 2)], []))
+@example((3, 5, [{0: 1, 1: 2}, {}, {2: 2}], 2, -1, [], [0, 2]))
+@example((2, 6, [3, 1], 4, 1, [(0, 1), (2, 1)], []))
+def test_column_builders_are_the_dense_leibniz_block(case):
+    # column j of the block is scale * columns[j] moved down by at, plus s
+    # at t + j for each (t, s) of the diagonal, in the column form
+    p, nrows, cols, at, scale, diagonal, positions = case
+    entries = {t: s for t, s in diagonal}
+    assert oracles.as_dict(column(p, dict(entries))) == entries
+    got = block_columns(p, cols, at, scale, diagonal, positions)
+    assert len(got) == len(positions)
+    for j, vec in zip(positions, got):
+        assert isinstance(vec, int if p == 2 else dict)
+        want = [0] * nrows
+        for r, s in oracles.as_dict(cols[j]).items():
+            want[at + r] = (want[at + r] + scale * s) % p
+        for t, s in diagonal:
+            want[t + j] = (want[t + j] + s) % p
+        vec = oracles.as_dict(vec)
+        assert all(0 < s < p for s in vec.values())
+        assert [vec.get(r, 0) for r in range(nrows)] == want
