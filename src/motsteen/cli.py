@@ -1,14 +1,14 @@
 """Command line front end.
 
-    motsteen dims    --prime P --scheme S [--q Q] [--dmax D] [--wmax W]
-                     [--format F] [--cache DIR]
-    motsteen verify SUITE --prime P --scheme S [--q Q] [--dmax D] [--wmax W]
-                     [--format F] [--w-table FILE] [--strict]
-    motsteen present --prime P --scheme S [--q Q] [--bound N] [--w-table FILE]
+motsteen dims    --prime P --scheme S [--q Q] [--dmax D] [--wmax W]
+                 [--format json|tsv|pretty] [--cache DIR]
+motsteen verify SUITE --prime P --scheme S [--q Q] [--dmax D] [--wmax W]
+                 [--format json|tsv|pretty] [--w-table FILE] [--strict]
+motsteen present --prime P --scheme S [--q Q] [--bound N] [--w-table FILE]
 
 Each command takes only the flags it reads, and --q only the finite-field
-scheme; F is json, tsv or pretty.  present always prints JSON, where the
-additive order "free" marks an integral generator of infinite order.  Only
+scheme; -h or --help prints these lines.  present always prints JSON, where
+the additive order "free" marks an integral generator of infinite order.  Only
 dims reads the cache: one file per configuration keeps, per bidegree, the
 four numbers of split_ranks that the row is read from (see motsteen.cache).
 The environment variable MOTSTEEN_CACHE overrides the cache directory.
@@ -20,7 +20,6 @@ warm-cache runs are byte-identical to cold runs.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -31,16 +30,7 @@ from .steenrod import basis_table, populated_bidegrees
 from .bockstein import beta_report
 from .verify import SUITES, run_suite
 
-SCHEME_ALIASES = {
-    "algclosed": "algclosed",
-    "real": "real",
-    "real-p2": "real-p2",
-    "real-odd": "real-odd",
-    "finite": "finite-field",
-    "finite-field": "finite-field",
-    "zhalf": "z-half",
-    "z-half": "z-half",
-}
+SCHEME_ALIASES = {"finite": "finite-field", "zhalf": "z-half"}  # the other names are ids
 
 
 class ConfigError(ValueError):
@@ -57,7 +47,7 @@ class Config:
         if fmt not in ("json", "tsv", "pretty"):
             raise ConfigError(f"unknown format {fmt!r}")
         try:
-            scheme = make_scheme(scheme, p, q).id  # the resolved scheme id
+            scheme = make_scheme(SCHEME_ALIASES.get(scheme, scheme), p, q).id  # the resolved id
         except SchemeError as e:
             raise ConfigError(str(e))
         self.p, self.scheme, self.q = p, scheme, q
@@ -288,79 +278,109 @@ def cmd_present(config, bound):
 # ---------------------------------------------------------------------------
 
 
-# Every flag, with the Config parameter it sets as its dest.  A flag left
-# out of the command line sets nothing, so Config's own default applies.
+# Each flag's parameter and kind: int, str, bool (a switch) or a tuple of choices.
+# A flag left out sets nothing, so Config's default applies; present's bound is 2.
 FLAGS = {
-    "--prime": dict(dest="p", type=int, required=True, metavar="P"),
-    "--scheme": dict(required=True, choices=sorted(SCHEME_ALIASES)),
-    "--q": dict(type=int),
-    "--dmax": dict(type=int, metavar="D"),
-    "--wmax": dict(type=int, metavar="W"),
-    "--format": dict(dest="fmt", choices=("json", "tsv", "pretty")),
-    "--cache": dict(dest="cache_dir", metavar="DIR"),
-    "--w-table": dict(dest="w_table_path", metavar="FILE"),
-    "--strict": dict(action="store_true"),
+    "-h": ("help", bool),
+    "--help": ("help", bool),
+    "--prime": ("p", int),
+    "--scheme": ("scheme", ("algclosed", "finite", "finite-field", "real", "real-odd",
+                            "real-p2", "z-half", "zhalf")),
+    "--q": ("q", int),
+    "--dmax": ("dmax", int),
+    "--wmax": ("wmax", int),
+    "--format": ("fmt", ("json", "tsv", "pretty")),
+    "--cache": ("cache_dir", str),
+    "--w-table": ("w_table_path", str),
+    "--strict": ("strict", bool),
+    "--bound": ("bound", int),
 }
-COMMON = ("--prime", "--scheme", "--q")
+# The flags each command reads, none a prefix of another, and verify's SUITE.
+COMMON = ("-h", "--help", "--prime", "--scheme", "--q")
+COMMANDS = {
+    "dims": (*COMMON, "--dmax", "--wmax", "--format", "--cache"),
+    "verify": (*COMMON, "--dmax", "--wmax", "--format", "--w-table", "--strict"),
+    "present": (*COMMON, "--bound", "--w-table"),
+}
+_USAGE = (__doc__ or "\n\n").split("\n\n")[1] + "\n"  # the synopsis above
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="motsteen",
-        description="Dual Steenrod algebra and Bockstein homology calculator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, *flags):
-        sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-        for flag in COMMON + flags:
-            sp.add_argument(flag, **FLAGS[flag])
-        return sp
-
-    command(
-        "dims", "per-bidegree Bockstein dimension table",
-        "--dmax", "--wmax", "--format", "--cache",
-    )
-    sp = command(
-        "verify", "run a verification suite",
-        "--dmax", "--wmax", "--format", "--w-table", "--strict",
-    )
-    sp.add_argument("suite", choices=SUITES)
-    sp = command(
-        "present", "emit generator/relation presentations", "--w-table",
-    )
-    sp.add_argument("--bound", type=int, default=2, metavar="N")
-    return parser
+def _refuse(reason):
+    """End a refused line as argparse does: usage and reason on stderr, exit 2."""
+    sys.stderr.write(f"{_USAGE}motsteen: error: {reason}\n")
+    raise SystemExit(2)
 
 
-def config_from_args(args):
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "suite", "bound")}
-    return Config(**{**given, "scheme": SCHEME_ALIASES[args.scheme]})
+def _is_value(arg):
+    """Whether arg is no option: one that starts with "-" is "-" or a number."""
+    head, dot, tail = arg[1:].partition(".")
+    number = tail.isdecimal() and (head + "0").isdecimal() if dot else head.isdecimal()
+    return arg[:1] != "-" or arg == "-" or number
+
+
+def parse_args(argv):
+    """The command of the line argv and {parameter: value} of the flags it
+    gives (by name or unique prefix) and of verify's "suite".  A refused line
+    ends in SystemExit(2); -h or --help prints the usage, SystemExit(0)."""
+    command, values, reads, rest = None, {}, ("-h", "--help"), iter(argv)
+    for arg in rest:
+        if _is_value(arg):  # the command, then verify's suite
+            if command is None and arg in COMMANDS:
+                command, reads = arg, COMMANDS[arg]
+            elif command == "verify" and "suite" not in values and arg in SUITES:
+                values["suite"] = arg
+            else:
+                _refuse(f"invalid or unrecognized argument {arg!r}")
+            continue
+        name, eq, value = arg.partition("=")
+        hits = [f for f in reads if f.startswith(name) and name != "--"]
+        if len(hits) != 1:
+            _refuse(f"ambiguous option {name}" if hits else f"unrecognized argument {arg!r}")
+        dest, kind = FLAGS[hits[0]]
+        if kind is bool and eq:
+            _refuse(f"{name} takes no value")
+        if dest == "help":
+            sys.stdout.write(_USAGE)
+            raise SystemExit(0)
+        if kind is not bool and not eq:
+            value = next(rest, None)
+            if value is None or not _is_value(value):
+                _refuse(f"{name} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _refuse(f"{name}: invalid int value {value!r}")
+        elif kind not in (str, bool) and value not in kind:
+            _refuse(f"{name}: invalid choice {value!r} (choose from {', '.join(kind)})")
+        values[dest] = True if kind is bool else value
+    missing = [f for f in ("--prime", "--scheme") if FLAGS[f][0] not in values]
+    if command is None or missing or command == "verify" and "suite" not in values:
+        _refuse(f"missing {', '.join(missing or ['SUITE']) if command else 'the command'}")
+    return command, values
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, values = parse_args(sys.argv[1:] if argv is None else argv)
+    suite, bound = values.pop("suite", None), values.pop("bound", 2)
     try:
-        config = config_from_args(args)
-        if args.command == "dims":
+        config = Config(**values)
+        if command == "dims":
             rows = cmd_dims(config)
             sys.stdout.write(format_dims(rows, config))
             return 0
-        if args.command == "verify":
-            code, results = cmd_verify(config, args.suite)
-            sys.stdout.write(format_verify(results, config, args.suite))
+        if command == "verify":
+            code, results = cmd_verify(config, suite)
+            sys.stdout.write(format_verify(results, config, suite))
             return code
-        if args.command == "present":
-            import json
+        import json  # present
 
-            doc = cmd_present(config, args.bound)
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            return 0
+        doc = cmd_present(config, bound)
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return 0
     except (ConfigError, SchemeError, OSError, ValueError) as e:
         print(f"motsteen: error: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

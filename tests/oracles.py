@@ -20,11 +20,14 @@ them on small windows.  Last come the packed product, conjugation and
 embedding rank that sum scalars mod p at p = 2 too, which test_gf2.py holds
 the toggling GF(2) paths to, and chi_chain, the packed conjugation as a
 chain of top factors on a memo its caller passes, which the by-parts chi of
-steenrod replaced.  At the end stand the primality test by trial division
+steenrod replaced.  Then stand the primality test by trial division
 and the prime-power test by rounded float roots, which schemes replaced
-with Miller-Rabin and exact integer roots.
+with Miller-Rabin and exact integer roots.  Last is the argparse parser of
+the command line, which cli.parse_args replaced so that no command imports
+argparse, gettext or locale.
 """
 
+import argparse
 from itertools import combinations
 from typing import NamedTuple
 
@@ -51,6 +54,7 @@ from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.schemes import COEFF_ORDER, SchemeError, SchemePresentation
 from motsteen.relations import ConventionError, _exponent_vectors, product_formula_terms
 from motsteen.steenrod import _chi_packed, basis_index, coeff_monomials, eta, index_of
+from motsteen.verify import SUITES
 
 
 class Matrix(NamedTuple):
@@ -910,3 +914,58 @@ def is_prime_power(n):
             if c >= 2 and c**k == n and is_prime(c):
                 return True
     return is_prime(n)
+
+
+# Every flag, with the Config parameter it sets as its dest.  A flag left
+# out of the command line sets nothing, so Config's own default applies.
+CLI_FLAGS = {
+    "--prime": dict(dest="p", type=int, required=True, metavar="P"),
+    "--scheme": dict(required=True, choices=sorted(
+        ("algclosed", "real", "real-p2", "real-odd", "finite", "finite-field", "zhalf", "z-half")
+    )),
+    "--q": dict(type=int),
+    "--dmax": dict(type=int, metavar="D"),
+    "--wmax": dict(type=int, metavar="W"),
+    "--format": dict(dest="fmt", choices=("json", "tsv", "pretty")),
+    "--cache": dict(dest="cache_dir", metavar="DIR"),
+    "--w-table": dict(dest="w_table_path", metavar="FILE"),
+    "--strict": dict(action="store_true"),
+}
+CLI_COMMON = ("--prime", "--scheme", "--q")
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="motsteen",
+        description="Dual Steenrod algebra and Bockstein homology calculator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help, *flags):
+        sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for flag in CLI_COMMON + flags:
+            sp.add_argument(flag, **CLI_FLAGS[flag])
+        return sp
+
+    command(
+        "dims", "per-bidegree Bockstein dimension table",
+        "--dmax", "--wmax", "--format", "--cache",
+    )
+    sp = command(
+        "verify", "run a verification suite",
+        "--dmax", "--wmax", "--format", "--w-table", "--strict",
+    )
+    sp.add_argument("suite", choices=SUITES)
+    sp = command(
+        "present", "emit generator/relation presentations", "--w-table",
+    )
+    sp.add_argument("--bound", type=int, default=2, metavar="N")
+    return parser
+
+
+def parse_args(argv):
+    """(command, {parameter: value}) of argv, in the shape of cli.parse_args:
+    present's bound is there when the line leaves it out, and the other
+    parameters only when the line gives them."""
+    values = vars(build_parser().parse_args(argv))
+    return values.pop("command"), values

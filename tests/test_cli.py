@@ -3,10 +3,12 @@
 import io
 import json
 import os
+import re
 import sys
 
 import pytest
 
+import oracles
 from motsteen import cli
 
 
@@ -519,3 +521,135 @@ def test_present_refuses_a_malformed_w_table(tmp_path, capsys, table):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("motsteen: error: ")
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def read(*path):
+    with open(os.path.join(ROOT, *path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def documented_lines():
+    """Every command line of the README examples and of CI (some of them CI
+    expects to be refused) but the synopsis, --help and those with a shell
+    variable."""
+    lines = []
+    for text in (read("README.md"), read(".github", "workflows", "tests.yml")):
+        for line in re.findall(r'(?:motsteen |"\d+ )((?:dims|verify|present)\b[^|>;\n]*)', text):
+            if "[" not in line and "$" not in line and "--help" not in line:
+                lines.append(line.split('"')[0].split())
+    return lines
+
+
+# a value for each flag that takes one
+FLAG_VALUES = {
+    "--prime": "3", "--scheme": "zhalf", "--q": "7", "--dmax": "4", "--wmax": "3",
+    "--format": "tsv", "--cache": "c", "--w-table": "w.json", "--bound": "1",
+}
+BASE = ["--prime", "2", "--scheme", "algclosed"]
+
+
+def spellings():
+    """Each flag of each command as --f v, as --f=v and by its shortest unique prefix."""
+    for command, reads in cli.COMMANDS.items():
+        for flag in reads:
+            if flag in ("-h", "--help"):
+                continue
+            k = min(k for k in range(3, len(flag) + 1)
+                    if [f for f in reads if f.startswith(flag[:k])] == [flag])
+            value = [FLAG_VALUES[flag]] if flag in FLAG_VALUES else []
+            yield [*COMMANDS[command], *BASE, flag, *value]
+            yield [*COMMANDS[command], *BASE, flag[:k], *value]
+            if value:
+                yield [*COMMANDS[command], *BASE, f"{flag}={value[0]}"]
+
+
+ACCEPTED = [line.split() for line in json.loads(read("perfbench", "reference.json"))] + [
+    *spellings(),
+    ["verify", "--prime", "2", "--scheme", "real", "--dmax", "4", "all"],  # the suite last
+    ["verify", "--prime", "2", "chi", "--scheme", "real"],  # and between flags
+    ["dims", *BASE, "--dmax", "4", "--dmax", "6"],  # the last value wins
+    ["present", *BASE, "--bound", "-1"],  # a negative number is a value
+    ["dims", *BASE, "--cache", "-1.5"],
+    ["dims", *BASE, "--dmax=-3"],
+    ["present", *BASE, "--w", "w.json"],  # --w is --w-table when present reads no --wmax
+]
+REFUSED = [
+    *([*COMMANDS[command], *BASE, *flag] for command, flags in REFUSED_FLAGS.items()
+      for flag in flags),
+    ["dims", *BASE, "--bogus"],
+    ["dims", *BASE, "--dmax"],  # a missing value
+    ["dims", *BASE, "--dmax", "--wmax", "3"],
+    ["verify", "chi", *BASE, "--strict=1"],
+    ["dims", *BASE, "--dmax", "x"],  # not an int
+    ["dims", *BASE, "--q", "7.0"],
+    ["dims", *BASE, "--format", "xml"],  # not a choice
+    ["dims", "--prime", "2", "--scheme", "moon"],
+    ["verify", "chi", *BASE, "--w", "3"],  # --wmax or --w-table
+    ["verify", "chi", *BASE, "--s"],  # --scheme or --strict
+    ["dims", "--prime", "2"],
+    ["dims", "--scheme", "algclosed"],
+    ["verify", *BASE],
+    [],
+    ["--prime", "2", "dims", "--scheme", "algclosed"],
+    ["draw", *BASE],
+    ["verify", "nosuch", *BASE],
+    ["verify", "chi", "all", *BASE],
+    ["dims", "extra", *BASE],
+    ["dims", *BASE, "--cache", "-x"],
+    ["dims", *BASE, "-x"],
+    ["dims", *BASE, "--help=1"],
+]
+
+
+def outcome(parse, argv, capsys):
+    """(what parse returns, or its exit code; stdout)."""
+    try:
+        result = parse(argv)
+    except SystemExit as exit_:
+        result = exit_.code
+    return result, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,accepted", [
+    *((argv, True) for argv in ACCEPTED),
+    *((argv, False) for argv in REFUSED),
+    *((argv, None) for argv in documented_lines()),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_parse_args_agrees_with_argparse(argv, accepted, capsys):
+    # an accepted line gives the same values, and a refused line exit code 2
+    # from both; neither prints to stdout
+    want, out = outcome(oracles.parse_args, argv, capsys)
+    assert out == ""
+    assert accepted in (None, want != 2)
+    got, out = outcome(cli.parse_args, argv, capsys)
+    assert out == ""
+    if want != 2 and got[0] == "present":
+        got = got[0], {"bound": 2, **got[1]}  # main's default; argparse sets it
+    assert got == want
+
+
+def test_no_flag_a_command_reads_is_a_prefix_of_another():
+    # so that a flag's full name is always its own unique prefix
+    for reads in cli.COMMANDS.values():
+        assert [f for f in reads for g in reads if f != g and g.startswith(f)] == []
+        assert set(reads) <= set(cli.FLAGS)
+
+
+def test_help_prints_the_readme_synopsis(capsys):
+    synopsis = read("README.md").split("## Command line\n\n```\n")[1].split("```")[0]
+    assert synopsis in cli.__doc__
+    for argv in (["--help"], ["-h"], ["--he"], ["verify", "--help"],
+                 ["present", "--prime", "2", "-h"]):
+        assert outcome(cli.main, argv, capsys) == (0, synopsis)
+
+
+def test_a_usage_error_prints_the_synopsis_and_the_reason(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["dims", "--prime", "2", "--dmax", "x"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == cli._USAGE + "motsteen: error: --dmax: invalid int value 'x'\n"

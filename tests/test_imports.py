@@ -93,7 +93,8 @@ def test_cold_import_of_the_cli_loads_only_the_common_path():
         "print(sorted(m for m in sys.modules if m.startswith('motsteen.'))); "
         "import motsteen.cli; "
         "print(sorted(m for m in ('motsteen.integral', 'motsteen.relations', "
-        "'motsteen.cache', 'dataclasses', 'hashlib', 'json', 'random') if m in sys.modules))"
+        "'motsteen.cache', 'dataclasses', 'hashlib', 'json', 'random', 'argparse', 'gettext', "
+        "'locale') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -101,3 +102,21 @@ def test_cold_import_of_the_cli_loads_only_the_common_path():
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     assert out == ["[]", "[]"]
+
+
+def test_commands_load_no_argument_parser():
+    # argparse, and gettext and locale under it, cost about 6 ms of every run
+    code = (
+        "import sys; from motsteen.cli import main; "
+        "argv = ['--prime', '2', '--scheme', 'real-p2', '--dmax', '4', '--wmax', '2']; "
+        "codes = [main(['dims', *argv]), main(['verify', 'chi', *argv])]; "
+        "print(codes, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules], "
+        "file=sys.stderr)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.startswith("d  ") and "PASS" in run.stdout
+    assert run.stderr == "[0, 0] []\n"
