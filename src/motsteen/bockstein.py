@@ -55,8 +55,8 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
-    COEFF_ONE, Element, _beta_packed, _checked, _pack, _unpacked_terms, algebra,
-    coeff_degree, term_element,
+    COEFF_ONE, Element, _beta_packed, _checked, _pack, _unpack, algebra, coeff_degree,
+    term_element,
 )
 from .linalg import FpBasis, block_columns, column, image, kernel_basis, rank
 from .steenrod import (
@@ -69,7 +69,7 @@ _TAU0 = _ONE - BETA_SHIFT  # the bucket of tau_0, whose beta is 1
 
 
 def beta(x, h):
-    """The Bockstein of a normalized homogeneous element, on packed terms.
+    """The Bockstein of a normalized homogeneous element.
 
     A checked wrapper around elements._beta_packed, as mul is around
     _mul_packed: a term foreign to h is refused first, with mul's errors,
@@ -78,12 +78,10 @@ def beta(x, h):
     """
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
-    # each monomial reaches beta about once (the beta memos keep the images,
-    # suite_beta2 sweeps each c | m once), so beta skips the pack memos
-    acc = _checked(x.terms, h, memo=False)
+    acc = _checked(x.terms, h)
     if len(acc) > 1:
         x.homogeneous_bidegree(h.scheme)  # rejects mixed degrees
-    return Element(h.p, _unpacked_terms(_beta_packed(acc, h), memo=False))
+    return Element(h.p, _beta_packed(acc, h))
 
 
 @cache
@@ -99,7 +97,7 @@ def _coeff_beta(c, h):
     """The Koszul sign (-1)^|c| and beta(c | 1) as ((c', scalar), ...)."""
     sign = -1 if coeff_degree(c, h.scheme).d & 1 else 1
     img = beta(term_element(h.p, 1, c), h)
-    return sign, tuple((nc, s) for (nc, _), s in img.terms.items())
+    return sign, tuple((_unpack(k)[0], s) for k, s in img.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +157,8 @@ def block_homology(blk, p):
 def _beta_columns(src, dst, h):
     """beta(1 | m) for each monomial m of src, in linalg's column form over
     the positions of dst, entries in beta's order: elements._beta_packed of
-    m packed past the _pack memo, as beta packs it, read through dst's rows
-    keyed by their packed ints."""
+    m packed past the _pack memo, read through dst's rows keyed by their
+    packed ints."""
     pack = _pack.__wrapped__
     rows = {pack((COEFF_ONE, m)): i for i, m in enumerate(dst)}
     cols = (_beta_packed({pack((COEFF_ONE, m)): 1}, h) for m in src)

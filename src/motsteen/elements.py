@@ -25,7 +25,9 @@ and tau_j^2 -> 0 at odd primes, then applies the scheme's coefficient
 relations and collects like terms mod p.  The rewrite terminates: the
 bidegree is fixed and every replacement tau index is strictly larger.
 
-mul works on packed monomials.  Each key is one int: tau_j is bit j
+An element keys its terms by packed monomials, and mul, beta and
+conjugate compute on them as they are; a key is unpacked only where it is
+printed or its coefficient is read.  Each key is one int: tau_j is bit j
 (j < 32), and above the tau bits sit 32-bit fields for the exponents of
 theta, eps, rho, tau, xi_1, xi_2, ...  The product of two monomials whose
 tau sets do not meet is the sum of their ints; a pair that meets adds the
@@ -155,6 +157,8 @@ def bidegree_of(key, scheme):
 class Element:
     """A finite F_p-linear combination of normalized monomials.
 
+    terms is a packed accumulator {int: scalar}, keyed by packed monomials,
+    not (coeff, mono) keys: term_element packs one, sorted_terms unpacks.
     The element takes ownership of the terms dict it is given, without a
     copy: callers pass a dict they built for it and never touch again.
     """
@@ -163,7 +167,7 @@ class Element:
 
     def __init__(self, p, terms):
         self.p = p
-        self.terms = terms  # (CoeffMonomial, SteenrodMonomial) -> scalar
+        self.terms = terms  # packed monomial -> scalar
 
     @classmethod
     def zero(cls, p):
@@ -171,7 +175,7 @@ class Element:
 
     @classmethod
     def one(cls, p):
-        return cls(p, {(COEFF_ONE, STEENROD_ONE): 1})
+        return cls(p, {_pack((COEFF_ONE, STEENROD_ONE)): 1})
 
     def is_zero(self):
         return not self.terms
@@ -204,13 +208,15 @@ class Element:
         return Element(self.p, {k: (n * s) % self.p for k, s in self.terms.items()})
 
     def sorted_terms(self):
-        return [Term(self.terms[k], *k) for k in sorted(self.terms)]
+        """The terms as Terms, sorted by their (coeff, mono) keys."""
+        return [Term(s, *key) for key, s in sorted(zip(map(_unpack, self.terms),
+                                                        self.terms.values()))]
 
     def homogeneous_bidegree(self, scheme):
         """The common bidegree of all terms; raises on mixed degrees."""
         if not self.terms:
             return None
-        degs = {bidegree_of(k, scheme) for k in self.terms}
+        degs = {bidegree_of(_unpack(k), scheme) for k in self.terms}
         if len(degs) > 1:
             raise ValueError(f"inhomogeneous element: degrees {sorted(degs)}")
         return degs.pop()
@@ -220,10 +226,11 @@ class Element:
 
 
 def term_element(p, scalar, coeff=COEFF_ONE, mono=STEENROD_ONE):
+    """scalar * coeff | mono; ValueError if the key does not fit the packed layout."""
     scalar %= p
     if not scalar:
         return Element.zero(p)
-    return Element(p, {(coeff, mono): scalar})
+    return Element(p, {_pack((coeff, mono)): scalar})
 
 
 # ---------------------------------------------------------------------------
@@ -325,30 +332,18 @@ def _pack(key):
     return k
 
 
-@cache
 def _unpack(k):
     """The (coeff, mono) key of a packed int: the inverse of _pack."""
     c = _new(CoeffMonomial, (k >> _TAU_BITS & _FIELD, k >> (_TAU_BITS + _W) & _FIELD,
                              k >> (_TAU_BITS + 2 * _W) & _FIELD, k >> _XI_SHIFT & _FIELD))
-    return c, _new(SteenrodMonomial, (_unpack_xi(k >> (_XI_SHIFT + _W)), _unpack_taus(k & _TAUS)))
+    xi, j, f = [], 1, k >> (_XI_SHIFT + _W)  # the xi fields, xi_1's lowest
+    while f:
+        if f & _FIELD:
+            xi.append((j, f & _FIELD))
+        j, f = j + 1, f >> _W
+    return c, _new(SteenrodMonomial, (tuple(xi), _unpack_taus(k & _TAUS)))
 
 
-# The xi and tau parts of the unpacked keys repeat (87 and 15 distinct parts
-# among the 3,993 keys of suite_chi on real-p2 8/4), so each has its own memo.
-
-
-@cache
-def _unpack_xi(k):
-    """The xi part of the fields above the coefficient ones."""
-    xi, j = [], 1
-    while k:
-        if k & _FIELD:
-            xi.append((j, k & _FIELD))
-        j, k = j + 1, k >> _W
-    return tuple(xi)
-
-
-@cache
 def _unpack_taus(t):
     """The tau indices of a tau mask, ascending."""
     taus = []
@@ -365,13 +360,6 @@ def _meet_deltas(t1, t2, h):
     taus = tuple(sorted(_unpack_taus(t1) + _unpack_taus(t2)))
     return tuple(_pack((c, SteenrodMonomial(xi, leaf_taus))) - t1 - t2
                  for c, xi, leaf_taus in _tau_rewrite(taus, h))
-
-
-def _unpacked_terms(acc, memo=True):
-    """The terms of a packed accumulator {int: scalar}, in its order;
-    memo=False unpacks past the _unpack memo, for a caller that sees each
-    monomial once."""
-    return dict(zip(map(_unpack if memo else _unpack.__wrapped__, acc), acc.values()))
 
 
 def _live(acc, h):
@@ -393,11 +381,9 @@ def _foreign_bits(h):
     return bits
 
 
-def _checked(terms, h, memo=True):
-    """A terms dict {(coeff, mono): scalar} as a packed accumulator, in its
-    order; raises on the first term that is foreign to h.  memo=False packs
-    past the _pack memo, for a caller that sees each monomial once."""
-    acc = dict(zip(map(_pack if memo else _pack.__wrapped__, terms), terms.values()))
+def _checked(acc, h):
+    """The packed accumulator acc, once no term of it is foreign to h;
+    raises on the first term that is."""
     foreign = _foreign_bits(h)
     for k in acc:
         if k & foreign:
@@ -486,11 +472,10 @@ def _mul_packed(xa, ya, h):
 
 
 def mul(x, y, h):
-    """Graded-commutative product of normalized elements, on packed terms."""
+    """Graded-commutative product of normalized elements."""
     if x.p != y.p or x.p != h.p:
         raise AmbientMismatch("elements belong to different algebras")
-    xa, ya = _checked(x.terms, h), _checked(y.terms, h)
-    return Element(h.p, _unpacked_terms(_mul_packed(xa, ya, h)))
+    return Element(h.p, _mul_packed(_checked(x.terms, h), _checked(y.terms, h), h))
 
 
 @cache

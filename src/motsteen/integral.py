@@ -35,6 +35,7 @@ from .grading import Bidegree
 from .elements import (
     CoeffMonomial,
     Element,
+    _unpack,
     mul,
     term_element,
 )
@@ -301,7 +302,8 @@ def q_map(z, h):
 def augment(k_el, h):
     """ker(beta) -> mod-p coefficients: kill every xi/tau generator."""
     out = Element.zero(k_el.p)
-    for (c, m), s in k_el.terms.items():
+    for k, s in k_el.terms.items():
+        c, m = _unpack(k)
         if m.is_one():
             out = out + term_element(k_el.p, s, c)
     return out

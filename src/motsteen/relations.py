@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .elements import (
-    STEENROD_ONE, CoeffMonomial, Element, _add, _beta_packed, _checked, _mul_packed, _pack,
-    _unpacked_terms, algebra, element_text, mul,
+    STEENROD_ONE, CoeffMonomial, Element, _add, _beta_packed, _mul_packed, _pack, algebra,
+    element_text, mul,
 )
 from .bockstein import beta, y
 from .steenrod import basis_index, eta
@@ -152,7 +152,7 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
 
     def y_packed(idx):
         if idx not in ys:
-            ys[idx] = _beta_packed(_checked(eta(idx, h).terms, h), h)
+            ys[idx] = _beta_packed(eta(idx, h).terms, h)
         return ys[idx]
 
     def expand(aU, bT):
@@ -207,7 +207,7 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
 def _failures(outcomes, oracle, p):
     """convention -> why it differs from the oracle, for a case no convention matches."""
     def text(acc):
-        return element_text(Element(p, _unpacked_terms(acc)))
+        return element_text(Element(p, acc))
 
     return {
         conv: el if isinstance(el, str)

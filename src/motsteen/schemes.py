@@ -168,10 +168,15 @@ class SchemePresentation:
         }
 
 
-@cache
 def make_scheme(scheme_id, p, q=None):
     """Build the presentation for one base scheme at the prime p, once per
-    argument list, so that a memo finds equal handles by identity."""
+    (scheme_id, p, q) however they are passed, so that a memo finds equal
+    handles by identity; "real" gives the presentation of the id it names."""
+    return _make_scheme(scheme_id, p, q)
+
+
+@cache
+def _make_scheme(scheme_id, p, q):
     for name, n in (("p", p), ("q", q)):
         if n is not None and n >= _LIMIT:
             raise SchemeError(f"{name} must be below 2^64")
@@ -183,9 +188,10 @@ def make_scheme(scheme_id, p, q=None):
     if scheme_id == "algclosed":
         return SchemePresentation("algclosed", p, gens=("tau",))
 
-    if scheme_id in ("real", "real-p2", "real-odd"):
-        if scheme_id == "real":
-            scheme_id = "real-p2" if p == 2 else "real-odd"
+    if scheme_id == "real":
+        return _make_scheme("real-p2" if p == 2 else "real-odd", p, None)
+
+    if scheme_id in ("real-p2", "real-odd"):
         if scheme_id == "real-p2":
             if p != 2:
                 raise SchemeError("real-p2 requires p = 2")

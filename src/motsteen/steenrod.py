@@ -36,8 +36,8 @@ inside it.  _chi_mono_cache, the one chi memo, maps each handle to
 sits at its own int, computed there by the recursions, chi of a monomial of
 one part is chi of it less its top factor (the highest tau_j, else one unit
 of the highest xi_j, else one unit of the coefficient tau) times chi of
-that factor, and the products are elements._mul_packed's.  Values are
-unpacked only when conjugate returns.
+that factor, and the products are elements._mul_packed's.  conjugate
+returns a copy of the packed value as the element's terms.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from typing import NamedTuple
 from .grading import Bidegree, tau_degree
 from .elements import (
     COEFF_ONE,
-    STEENROD_ONE,
     CoeffMonomial,
     Element,
     SteenrodMonomial,
@@ -58,7 +57,6 @@ from .elements import (
 )
 from .elements import (
     _FIELD, _TAU_BITS, _TAUS, _W, _XI_SHIFT, _add, _checked, _live, _mul_packed, _pack,
-    _unpacked_terms,
 )
 
 
@@ -351,6 +349,7 @@ _chi_mono_cache = {}
 # field; the xi part is the rest.
 _FIXED = ((1 << 3 * _W) - 1) << _TAU_BITS
 _TAU_PART = _TAUS | _FIELD << _XI_SHIFT
+_COEFFS = _FIXED | _FIELD << _XI_SHIFT  # every coefficient field
 
 
 def _chi_packed(k, h, memo=None):
@@ -458,15 +457,15 @@ def conjugate(x, h):
     _require_full(h)
     if x.p != h.p:
         raise ValueError("element prime does not match the handle")
-    return Element(h.p, _unpacked_terms(_conjugate_packed(_checked(x.terms, h), h)))
+    # _conjugate_packed can give the memo's own dict, which the element would own
+    return Element(h.p, dict(_conjugate_packed(_checked(x.terms, h), h)))
 
 
-def _mz_image_packed(key, h_a):
-    """The image of an mz basis monomial key = (c, m) under the right-subalgebra
-    map, as a packed accumulator: the coefficient acts through the right unit
-    and stays put, and each generator of m maps to its chi, so the image is
-    generated by the chi'd generators."""
+def _mz_image_packed(k, h_a):
+    """The image of the packed mz basis monomial k = c | m under the
+    right-subalgebra map, as a packed accumulator: the coefficient acts
+    through the right unit and stays put, and each generator of m maps to
+    its chi, so the image is generated by the chi'd generators."""
     _require_full(h_a)
-    c, m = key
-    return _mul_packed(_checked({(c, STEENROD_ONE): 1}, h_a),
-                       _chi_packed(_pack((COEFF_ONE, m)), h_a), h_a)
+    c = k & _COEFFS
+    return _mul_packed(_checked({c: 1}, h_a), _chi_packed(k - c, h_a), h_a)

@@ -46,8 +46,6 @@ from .bockstein import (
 )
 from .linalg import column, rank
 
-SUITES = ("beta2", "chi", "products", "linear", "blocks", "kerbasis", "z12", "all")
-
 
 def _coeff_sweep(scheme, cap=None):
     """Coefficient monomials with small per-generator exponents.
@@ -227,7 +225,7 @@ def _embedding_rank(src, h):
     rows are the monomials that actually appear in the images."""
     rows = {}
     return rank(h.p, [column(h.p, {rows.setdefault(k, len(rows)): s for k, s in
-                                   _mz_image_packed(key, h).items()})
+                                   _mz_image_packed(_pack(key), h).items()})
                       for key in src])
 
 
@@ -241,9 +239,9 @@ def _square_rank(src, h):
     rows = {shift + k: i for i, (shift, k) in enumerate(parts)}
     if h.p != 2:
         return rank(h.p, [
-            column(h.p, {r: s for k, s in _mz_image_packed(key, h).items()
-                         if (r := rows.get(k)) is not None})
-            for key in src])
+            column(h.p, {r: s for key, s in _mz_image_packed(shift + k, h).items()
+                         if (r := rows.get(key)) is not None})
+            for shift, k in parts])
     memo = _chi_mono_cache.setdefault(h, {})
     return rank(h.p, (sum(1 << r for key in _chi_packed(k, h, memo)
                           if (r := rows.get(key + shift)) is not None)
@@ -478,23 +476,17 @@ def suite_z12(config):
     return z12_relation_check(w_table=config.w_fn)
 
 
+_RUNNERS = {"beta2": suite_beta2, "chi": suite_chi, "products": suite_products,
+            "linear": suite_linear, "blocks": suite_blocks, "kerbasis": suite_kerbasis,
+            "z12": suite_z12}
+SUITES = (*_RUNNERS, "all")
+
+
 def run_suite(suite, config):
-    runners = {
-        "beta2": suite_beta2,
-        "chi": suite_chi,
-        "products": suite_products,
-        "linear": suite_linear,
-        "blocks": suite_blocks,
-        "kerbasis": suite_kerbasis,
-        "z12": suite_z12,
-    }
+    """One suite, or "all": every suite in table order, z12 on z-half only."""
     if suite == "all":
-        out = []
-        for name in ("beta2", "chi", "products", "linear", "blocks", "kerbasis"):
-            out.extend(runners[name](config))
-        if config.scheme == "z-half":
-            out.extend(suite_z12(config))
-        return out
-    if suite not in runners:
+        return [row for name, run in _RUNNERS.items()
+                if name != "z12" or config.scheme == "z-half" for row in run(config)]
+    if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    return runners[suite](config)
+    return _RUNNERS[suite](config)

@@ -47,14 +47,31 @@ from motsteen.elements import (
     term_element,
 )
 from motsteen.elements import (
-    _TAUS, _W, _XI_SHIFT, _add, _below, _checked, _live, _meet_deltas, _mul_packed, _odd_word,
-    _pack,
+    _TAU_BITS, _TAUS, _W, _XI_SHIFT, _add, _below, _checked, _live, _meet_deltas, _mul_packed,
+    _odd_word, _pack, _unpack,
 )
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.schemes import COEFF_ORDER, SchemeError, SchemePresentation
 from motsteen.relations import ConventionError, _exponent_vectors, product_formula_terms
 from motsteen.steenrod import _chi_packed, basis_index, coeff_monomials, eta, index_of
 from motsteen.verify import SUITES
+
+
+def terms(x):
+    """The terms of an Element as ((coeff, mono), scalar) pairs, in its order:
+    the oracles compute on these tuple keys and pack only what they return."""
+    return [(_unpack(k), s) for k, s in x.terms.items()]
+
+
+def pack_result(key):
+    """The packed int of a (coeff, mono) key of a result, by the layout alone:
+    unlike _pack, which refuses a factor that a product could carry out of,
+    it takes the exponents a product of two such factors reaches."""
+    c, (xi, taus) = key
+    k = (sum(1 << j for j in taus) + sum(e << (_TAU_BITS + _W * i) for i, e in enumerate(c))
+         + sum(e << (_XI_SHIFT + _W * j) for j, e in xi))
+    assert _unpack(k) == key, f"{key} overflows the packed layout"
+    return k
 
 
 class Matrix(NamedTuple):
@@ -285,7 +302,7 @@ def beta(x, h):
     x.homogeneous_bidegree(h.scheme)  # rejects mixed degrees
     p = h.p
     raw = []
-    for (c, m), s in x.terms.items():
+    for (c, m), s in terms(x):
         # coefficient part
         for cs, nc in _beta_coeff_monomial(c, h):
             raw.append(Term((s * cs) % p, nc, m))
@@ -308,7 +325,7 @@ def _matrix(src, dst, h):
     entries = {}
     for col, (c, mono) in enumerate(src):
         img = beta(term_element(h.p, 1, c, mono), h)
-        for key, s in img.terms.items():
+        for key, s in terms(img):
             entries[(rows[key], col)] = s  # KeyError if beta leaves dst
     return Matrix(h.p, len(dst), len(src), entries)
 
@@ -328,7 +345,7 @@ def leibniz_beta_matrix(bd, h):
     entries = {}
     for col, (c, m) in enumerate(src):
         sign, coeff_terms = bockstein._coeff_beta(c, h)
-        for (_, mono), s in bockstein.beta(term_element(h.p, 1, COEFF_ONE, m), h).terms.items():
+        for (_, mono), s in terms(bockstein.beta(term_element(h.p, 1, COEFF_ONE, m), h)):
             entries[(rows[c, mono], col)] = sign * s % h.p
         for nc, s in coeff_terms:
             entries[(rows[nc, m], col)] = s
@@ -447,7 +464,7 @@ ODD_PREIMAGE = AlgebraHandle(
 def element_vector(x, rows):
     """x as a sparse vector {row: scalar} over the basis indexed by rows."""
     try:
-        return {rows[key]: s for key, s in x.terms.items()}
+        return {rows[key]: s for key, s in terms(x)}
     except KeyError:
         raise ValueError("element does not lie in the given bidegree basis") from None
 
@@ -463,7 +480,7 @@ def as_dict(vec):
 def vector_element(vec, labels, p):
     """The inverse of element_vector: the Element with scalar s at labels[i]
     for each entry i: s of the vector."""
-    return Element(p, {labels[i]: s for i, s in as_dict(vec).items()})
+    return Element(p, {_pack(labels[i]): s for i, s in as_dict(vec).items()})
 
 
 def constructive_kernel(bd, h):
@@ -578,7 +595,7 @@ def normalize(raw_terms, h):
         else:
             out.pop(key, None)
 
-    return Element(p, out)
+    return Element(p, {pack_result(key): s for key, s in out.items()})
 
 
 def _odd_ranks(c, m, scheme):
@@ -609,8 +626,8 @@ def mul(x, y, h):
     """Every pair of terms as a raw term, then normalize."""
     raw = []
     scheme = h.scheme
-    for (c1, m1), s1 in x.terms.items():
-        for (c2, m2), s2 in y.terms.items():
+    for (c1, m1), s1 in terms(x):
+        for (c2, m2), s2 in terms(y):
             sign = koszul_sign(c1, m1, c2, m2, scheme)
             c = CoeffMonomial(*(a + b for a, b in zip(c1, c2)))
             xi = dict(m1.xi)
@@ -686,7 +703,7 @@ def _chi_coeff(c, h):
 def conjugate(x, h):
     """chi term by term: chi of the coefficient, then the generators with powers."""
     out = Element.zero(h.p)
-    for (c, m), s in x.terms.items():
+    for (c, m), s in terms(x):
         acc = _chi_coeff(c, h)
         for j, e in m.xi:
             acc = mul(acc, power(chi_generator("xi", j, h), e, h), h)
@@ -833,7 +850,7 @@ def conjugate_packed(acc, h):
 def mz_image_packed(c, idx, h_a):
     """c * chi(eta[a, U]) in the full algebra, through mul_packed."""
     k = _pack((COEFF_ONE, SteenrodMonomial(idx.a, idx.U)))
-    return mul_packed(_checked({(c, STEENROD_ONE): 1}, h_a), _chi_packed(k, h_a), h_a)
+    return mul_packed(_checked({_pack((c, STEENROD_ONE)): 1}, h_a), _chi_packed(k, h_a), h_a)
 
 
 def embedding_rank(src, h):

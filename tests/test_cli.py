@@ -294,7 +294,7 @@ def test_verify_products_warn_not_fail_and_strict():
 def test_verify_chi_negative_control():
     """An intentionally corrupted chi(tau_2) must fail the suite."""
     from motsteen import steenrod
-    from motsteen.elements import COEFF_ONE, CoeffMonomial, _checked, _pack, algebra, term_element
+    from motsteen.elements import COEFF_ONE, CoeffMonomial, _pack, algebra, term_element
 
     bad_h = algebra("algclosed", 2, ambient="a")
     tau_2 = steenrod.SteenrodMonomial((), (2,))
@@ -302,7 +302,7 @@ def test_verify_chi_negative_control():
     # chi(tau_2) = tau_2 instead of tau_2 + xi_1^2 tau_1 + ..., seeded in the
     # one chi memo
     steenrod._chi_mono_cache.clear()
-    steenrod._chi_mono_cache[bad_h] = {_pack((COEFF_ONE, tau_2)): _checked(bad.terms, bad_h)}
+    steenrod._chi_mono_cache[bad_h] = {_pack((COEFF_ONE, tau_2)): bad.terms}
     try:
         code, out = run_cli(
             ["verify", "chi", "--prime", "2", "--scheme", "algclosed",

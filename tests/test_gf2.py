@@ -115,7 +115,7 @@ def test_gf2_mz_image_matches_mod_p_summing(h_a):
             for r in range(4) for U in itertools.combinations((1, 2, 3), r)]
     for c in sorted(coeffs):
         for idx in idxs:
-            got = _mz_image_packed((c, SteenrodMonomial(idx.a, idx.U)), h_a)
+            got = _mz_image_packed(_pack((c, SteenrodMonomial(idx.a, idx.U))), h_a)
             assert list(got.items()) == list(oracles.mz_image_packed(c, idx, h_a).items())
 
 

@@ -17,7 +17,7 @@ from motsteen import (
 from motsteen.bockstein import _columns, beta_report, y
 from motsteen.cli import Config, main
 from motsteen.elements import (
-    COEFF_ONE, CoeffMonomial, SteenrodMonomial, _checked, _pack, mono_degree,
+    COEFF_ONE, CoeffMonomial, SteenrodMonomial, _pack, mono_degree,
 )
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
@@ -50,8 +50,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 def _clear():
     for memo in (y, bockstein._u_maximal_at, bockstein._bucket_beta,
                  bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
-                 elements._pack, elements._unpack, elements._unpack_xi,
-                 elements._unpack_taus, elements._meet_deltas, elements._foreign_bits):
+                 elements._pack, elements._meet_deltas, elements._foreign_bits):
         memo.cache_clear()
     steenrod._basis_table.clear()
     steenrod._chi_mono_cache.clear()
@@ -114,6 +113,18 @@ def test_equal_handles_share_one_entry(monkeypatch):
     assert builds == {h1: 1}
     assert list(steenrod._basis_table) == [h1]
     _clear()
+
+
+@pytest.mark.parametrize("p,resolved", [(2, "real-p2"), (3, "real-odd"), (5, "real-odd")])
+def test_the_real_alias_is_the_resolved_presentation(p, resolved):
+    # one presentation per scheme: "real" gives the very object of the id it
+    # resolves to, with q passed or not, so a memo finds it by identity
+    assert make_scheme("real", p) is make_scheme(resolved, p)
+    for ambient in ("a", "mz"):
+        h = algebra("real", p, ambient=ambient)
+        assert h.scheme is algebra(resolved, p, ambient=ambient).scheme
+    assert make_scheme("real", p).id == resolved
+    assert make_scheme("algclosed", p) is make_scheme("algclosed", p, None)
 
 
 def test_clearing_forgets_every_basis():
@@ -213,26 +224,22 @@ def test_answers_do_not_depend_on_call_order():
 
 def test_blocks_suite_leaves_the_beta_memo_empty():
     # block_complex reads each column once, so it takes them from
-    # _beta_columns, which packs past the _pack memo and unpacks nothing
+    # _beta_columns, which packs past the _pack memo
     _clear()
     assert suite_blocks(Config(p=2, scheme="z-half"))[0][1] == "PASS"
-    for memo in (bockstein._bucket_beta, elements._pack, elements._unpack,
-                 elements._unpack_xi, elements._unpack_taus):
+    for memo in (bockstein._bucket_beta, elements._pack):
         assert memo.cache_info().currsize == 0, memo.__name__
     _clear()
 
 
 def test_packed_memos_stay_small():
-    # suite_chi on real-p2 8/4 packs 526 monomials, unpacks 180 ints and
-    # holds the deltas of 32 pairs of meeting tau masks: the chi memo stays
-    # packed, so only the values that leave conjugate and mul are unpacked.
-    # The bounds leave about 2x headroom; the same run multiplies 15,062
-    # distinct pairs of monomials, so a delta memo keyed by monomial pair
-    # fails them.
+    # suite_chi on real-p2 8/4 packs 454 monomials and holds the deltas of
+    # 32 pairs of meeting tau masks.  The bounds leave 2x headroom or more;
+    # the same run multiplies 15,062 distinct pairs of monomials, so a delta
+    # memo keyed by monomial pair fails them.
     _clear()
     suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
     assert elements._pack.cache_info().currsize <= 1100
-    assert elements._unpack.cache_info().currsize <= 400
     assert elements._meet_deltas.cache_info().currsize <= 64
     _clear()
 
@@ -269,6 +276,11 @@ def test_one_key_conjugate_is_the_memo_value_and_stays_unchanged(scheme):
     _clear()
     k = _pack((CoeffMonomial(tau=1), SteenrodMonomial(((1, 1),), (0, 2))))
     assert _conjugate_packed({k: 1}, h) is steenrod._chi_mono_cache[h][k]
+    # conjugate's element owns its terms, so it holds a copy of that value
+    x = term_element(2, 1, CoeffMonomial(tau=1), SteenrodMonomial(((1, 1),), (0, 2)))
+    chi = conjugate(x, h)
+    assert chi.terms == steenrod._chi_mono_cache[h][k]
+    assert chi.terms is not steenrod._chi_mono_cache[h][k]
     config = Config(p=2, scheme=scheme, dmax=8, wmax=4)
     suite_chi(config)
     before = copy.deepcopy(steenrod._chi_mono_cache)
@@ -290,11 +302,10 @@ def test_clearing_the_chi_memos_forgets_every_chi_value():
     chi_tau_1 = conjugate(oracles.generator("tau", 1, 2), h)
     bad = term_element(2, 1, CoeffMonomial(tau=1), tau_2)
     steenrod._chi_mono_cache.clear()
-    steenrod._chi_mono_cache[h] = {_pack((COEFF_ONE, tau_2)): _checked(bad.terms, h)}
+    steenrod._chi_mono_cache[h] = {_pack((COEFF_ONE, tau_2)): bad.terms}
     try:
         assert conjugate(term_element(2, 1, CoeffMonomial(), tau_2), h) == bad
-        image = _mz_image_packed((CoeffMonomial(), tau_2), h)
-        assert elements._unpacked_terms(image) == bad.terms
+        assert _mz_image_packed(_pack((COEFF_ONE, tau_2)), h) == bad.terms
         tau_12 = term_element(2, 1, CoeffMonomial(), SteenrodMonomial((), (1, 2)))
         assert conjugate(tau_12, h) == mul(chi_tau_1, bad, h)
         steenrod._chi_mono_cache.clear()

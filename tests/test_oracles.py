@@ -28,7 +28,7 @@ from motsteen.bockstein import (
 from motsteen.bockstein import _u_maximal_at
 from motsteen.elements import (
     _TAUS, CoeffMonomial, Element, SteenrodMonomial, _coeff_zero, _live, _mul_packed, _pack,
-    _tau_rewrite, _unpacked_terms, coeff_degree, mono_degree, mul, term_element,
+    _tau_rewrite, coeff_degree, mono_degree, mul, term_element,
 )
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
@@ -165,10 +165,10 @@ def test_beta_matches_oracle(h):
         xs = [term_element(p, 1, c, m) for c, m in basis]
         for _ in range(8):
             keys = rng.sample(basis, rng.randint(1, min(6, len(basis))))
-            xs.append(Element(p, {key: rng.randrange(1, p) for key in keys}))
+            xs.append(Element(p, {_pack(key): rng.randrange(1, p) for key in keys}))
         for x in xs:
             want = oracles.beta(x, h)
-            assert list(beta(x, h).terms.items()) == list(want.terms.items())
+            assert oracles.terms(beta(x, h)) == oracles.terms(want)
 
 
 def beta_columns(bd, h):
@@ -249,7 +249,7 @@ def test_block_complex_matches_oracle(p):
             rows = {idx: i for i, idx in enumerate(cx.bases[t - 1])}
             want = {}
             for col, idx in enumerate(cx.bases[t]):
-                for (_, mono), s in oracles.beta(eta(idx, h), h).terms.items():
+                for (_, mono), s in oracles.terms(oracles.beta(eta(idx, h), h)):
                     want[(rows[index_of(mono)], col)] = s
             cols = cx.differentials[t]
             assert len(cols) == len(cx.bases[t])
@@ -332,7 +332,7 @@ def test_mul_matches_oracle(h):
     for _ in range(300):
         basis = rng.choice(bases)
         keys = rng.sample(basis, rng.randint(1, min(6, len(basis))))
-        xs.append(Element(p, {key: rng.randrange(1, p) for key in keys}))
+        xs.append(Element(p, {_pack(key): rng.randrange(1, p) for key in keys}))
     pairs = list(zip(xs[::2], xs[1::2]))
     if h.ambient == "a":
         gens = [conjugate(oracles.generator(kind, r, p), h)
@@ -340,7 +340,7 @@ def test_mul_matches_oracle(h):
         pairs += [(x, z) for x in gens for z in gens]
     for x, z in pairs:
         want = oracles.mul(x, z, h)
-        assert list(mul(x, z, h).terms.items()) == list(want.terms.items())
+        assert oracles.terms(mul(x, z, h)) == oracles.terms(want)
 
 
 @pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
@@ -377,7 +377,7 @@ def test_normalize_matches_oracle(h):
                     else:
                         acc.pop(k)
         want = oracles.normalize(raw, h)
-        assert list(_unpacked_terms(_live(acc, h)).items()) == list(want.terms.items())
+        assert oracles.terms(Element(p, _live(acc, h))) == oracles.terms(want)
 
 
 @pytest.mark.parametrize("h", ALL_A, ids=handle_id)
@@ -393,7 +393,7 @@ def test_mz_image_matches_oracle(h_a):
     h = algebra(h_a.scheme.id, h_a.p, h_a.scheme.q)
     for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (20, 9))):
         for c, m in bidegree_basis(bd, h):
-            got = _unpacked_terms(_mz_image_packed((c, m), h_a))
+            got = _mz_image_packed(_pack((c, m)), h_a)
             assert got == oracles.mz_image_in_a(c, index_of(m), h_a).terms
 
 
@@ -409,7 +409,7 @@ def test_odd_coefficient_signs_match_oracle():
             assert conjugate(x, h_a) == oracles.conjugate(x, h_a)
     for bd in populated_bidegrees(h, 20, 9):
         for c, m in bidegree_basis(bd, h):
-            got = _unpacked_terms(_mz_image_packed((c, m), h_a))
+            got = _mz_image_packed(_pack((c, m)), h_a)
             assert got == oracles.mz_image_in_a(c, index_of(m), h_a).terms
 
 
@@ -431,7 +431,7 @@ def test_packed_chi_generators_match_oracle(h):
         for r in range(7):
             got = conjugate(oracles.generator(kind, r, h.p), h)
             want = oracles.chi_generator(kind, r, h)
-            assert list(got.terms.items()) == list(want.terms.items())
+            assert oracles.terms(got) == oracles.terms(want)
 
 
 def test_packed_chi_refuses_an_exponent_outside_the_layout():

@@ -7,19 +7,23 @@ sum of 1 to 6 distinct basis monomials of it with nonzero scalars.  The
 examples are derandomized, so a run draws the same ones every time.  The
 next two properties hold the packed monomials of the product: unpack inverts
 pack, and on disjoint tau sets the packed product is the sum of the keys.
-The last holds the order of monomials: sorting the key tuples themselves
-gives the oracle's explicit key order.
+An element refuses a key outside the packed layout when it is built.  The
+last two hold the order of monomials: sorting the key tuples themselves
+gives the oracle's explicit key order, and the text form of a packed element
+is the text of its unpacked keys in that order.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from motsteen import algebra, mul
+from motsteen import algebra, element_text, mul, term_element
 from motsteen.bockstein import beta
 from motsteen.elements import (
-    _EXP_LIMIT, CoeffMonomial, Element, SteenrodMonomial, _pack, _unpack,
+    _EXP_LIMIT, _TAU_BITS, CoeffMonomial, Element, SteenrodMonomial, Term, _pack, _unpack,
+    term_text,
 )
-from motsteen.steenrod import bidegree_basis, conjugate, populated_bidegrees
+from motsteen.steenrod import basis_index, bidegree_basis, conjugate, eta, populated_bidegrees
 from test_oracles import ALL_A, ALL_MZ, handle_id
 
 HANDLES = ALL_MZ + ALL_A + [algebra("bare", 2), algebra("bare", 3)]
@@ -39,7 +43,7 @@ def sums(draw, h):
     basis = draw(st.sampled_from(BASES[handle_id(h)]))
     keys = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=6, unique=True))
     scalars = st.integers(1, h.p - 1)
-    return Element(h.p, {key: draw(scalars) for key in keys})
+    return Element(h.p, {_pack(key): draw(scalars) for key in keys})
 
 
 handles = st.sampled_from(HANDLES)
@@ -117,6 +121,31 @@ def test_packed_keys_add_on_disjoint_tau_sets(c1, c2, xi1, xi2, t1, t2):
     assert _unpack(_pack(_key(c1, xi1, t1)) + _pack(_key(c2, xi2, t2))) == product
 
 
+# one part outside the packed layout: a coefficient or a xi exponent at the
+# limit or above, or a tau index past the 32 tau bits
+too_big = st.integers(_EXP_LIMIT, 2 * _EXP_LIMIT)
+outside = st.one_of(
+    st.builds(lambda i, e: (CoeffMonomial(*(e if k == i else 0 for k in range(4))), {},
+                            frozenset()),
+              st.integers(0, 3), too_big),
+    st.builds(lambda xi, j, e: (CoeffMonomial(), {**xi, j: e}, frozenset()),
+              xi_parts, st.integers(1, 40), too_big),
+    st.builds(lambda taus, j: (CoeffMonomial(), {}, taus | {j}),
+              tau_parts, st.integers(_TAU_BITS, 2 * _TAU_BITS)),
+)
+
+
+@PROPERTY
+@given(outside, st.sampled_from([2, 3, 5]))
+def test_elements_refuse_a_key_outside_the_layout_when_built(parts, p):
+    c, xi, taus = parts
+    with pytest.raises(ValueError, match="do(es)? not fit the packed layout"):
+        term_element(p, 1, *_key(c, xi, taus))
+    if c == CoeffMonomial():
+        with pytest.raises(ValueError, match="do(es)? not fit the packed layout"):
+            eta(basis_index(xi, taus), algebra("algclosed", p, ambient="a"))
+
+
 # small exponents and few indices, so that keys often share a prefix
 small = st.integers(0, 3)
 keys = st.builds(
@@ -135,3 +164,17 @@ def test_plain_key_order_is_the_oracle_order(ks):
     assert sorted(ks) == sorted(ks, key=oracles.monomial_key)
     for a, b in zip(ks, ks[1:]):
         assert (a < b) == (oracles.monomial_key(a) < oracles.monomial_key(b))
+
+
+@PROPERTY
+@given(handles.flatmap(sums))
+def test_text_form_is_that_of_the_unpacked_keys(x):
+    # sorted_terms and element_text of a packed element are those of its
+    # (coeff, mono) keys, unpacked and put in the oracle's key order, and
+    # the same keys built one by one with term_element sum to the element
+    want = [Term(s, *key) for key, s in
+            sorted(oracles.terms(x), key=lambda kv: oracles.monomial_key(kv[0]))]
+    assert x.sorted_terms() == want
+    assert element_text(x) == " + ".join(map(term_text, want))
+    assert sum((term_element(x.p, t.scalar, t.coeff, t.mono) for t in want),
+               Element.zero(x.p)) == x

@@ -6,7 +6,7 @@ import pytest
 
 from motsteen import SchemeError, algebra, element_text, elements, mul, steenrod, term_element
 from motsteen.elements import (
-    COEFF_ONE, CoeffMonomial, Element, SteenrodMonomial, _unpacked_terms, mono_degree,
+    COEFF_ONE, CoeffMonomial, Element, SteenrodMonomial, _pack, mono_degree,
 )
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
@@ -37,9 +37,8 @@ def chi_of(kind, r, h):
 
 
 def mz_image(c, idx, h_a):
-    """The image of c * eta[a, U] in the full algebra, unpacked."""
-    key = (c, SteenrodMonomial(idx.a, idx.U))
-    return Element(h_a.p, _unpacked_terms(_mz_image_packed(key, h_a)))
+    """The image of c * eta[a, U] in the full algebra, as an Element."""
+    return Element(h_a.p, _mz_image_packed(_pack((c, SteenrodMonomial(idx.a, idx.U))), h_a))
 
 
 def test_u_maximal_predicate():
@@ -218,7 +217,7 @@ def test_mz_embedding_injective_sample():
             rows = {}
             entries = {}
             for col, (c, mono) in enumerate(src):
-                img = _unpacked_terms(_mz_image_packed((c, mono), h_a))
+                img = _mz_image_packed(_pack((c, mono)), h_a)
                 for key, s in img.items():
                     entries[(rows.setdefault(key, len(rows)), col)] = s
             M = Matrix(h_a.p, len(rows), len(src), entries)
