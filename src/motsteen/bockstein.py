@@ -19,16 +19,18 @@ m = 0, which beta_report and the kernel-basis machinery exploit.
 
 Each basis is laid out in coefficient blocks, c | m for one coefficient
 monomial c and every m of one xi/tau bucket (the blocks of a
-steenrod.Basis), so beta has one assembly, _columns, block by block by the
-Leibniz rule beta(c m) = (-1)^|c| c beta(m) + beta(c) m: the memo
+steenrod.Basis, keyed by the packed c), so beta has one assembly,
+_columns, block by block by the Leibniz rule beta(c m) = (-1)^|c| c
+beta(m) + beta(c) m: the memo
 _bucket_beta(e) holds beta(1 | m) for the bucket e as columns over the
 bucket e - (1, 0), which c's block shifts to its own start in the target,
 and each term of beta(c) adds an identity block.  _coeff_beta(c) =
-((-1)^|c|, beta(c | 1)) comes from beta itself.
+((-1)^|c|, beta(c | 1)) comes from beta itself, on the packed c.
 
 One builder, _beta_columns(src, dst, h), makes every column beta(1 | m):
 elements._beta_packed on the packed monomial m of src, read over the
-positions of dst by linalg.column.  Each column lists its entries in beta's
+positions of dst by linalg.column.  Bases hold packed ints, so no basis is
+packed or unpacked on the way.  Each column lists its entries in beta's
 order, so _columns holds the matrix per-monomial beta calls would build,
 column by column.  beta's columns, the kernel vectors and the y classes are
 all Leibniz blocks of them, built by linalg.block_columns.  _bucket_beta
@@ -55,8 +57,7 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
-    COEFF_ONE, Element, _beta_packed, _checked, _pack, _unpack, algebra, coeff_degree,
-    term_element,
+    COEFF_ONE, Element, SteenrodMonomial, _beta_fields, _beta_packed, _checked, _pack, algebra,
 )
 from .linalg import FpBasis, block_columns, column, image, kernel_basis, rank
 from .steenrod import (
@@ -94,10 +95,11 @@ def y(idx, h):
 
 @cache
 def _coeff_beta(c, h):
-    """The Koszul sign (-1)^|c| and beta(c | 1) as ((c', scalar), ...)."""
-    sign = -1 if coeff_degree(c, h.scheme).d & 1 else 1
-    img = beta(term_element(h.p, 1, c), h)
-    return sign, tuple((_unpack(k)[0], s) for k, s in img.terms.items())
+    """The Koszul sign (-1)^|c| and beta(c | 1) as its items (packed c',
+    scalar), for the packed coefficient monomial c.  The sign is the parity
+    of the odd coefficient fields of c."""
+    sign = -1 if (c & _beta_fields(h)[0]).bit_count() & 1 else 1
+    return sign, beta(Element(h.p, {c: 1}), h).terms.items()
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def block(masses):
 class BlockComplex(NamedTuple):
     blk: Block
     p: int
-    bases: tuple       # bases[t] = tuple of BasisIndex with tau count t
+    bases: tuple       # bases[t] = the packed monomials of tau count t, in BasisIndex order
     differentials: tuple  # differentials[t]: C_t -> C_{t-1} as its columns, linalg's form
 
 
@@ -130,10 +132,10 @@ def block_complex(blk, p):
         U = tuple(slots[k] + 1 for k in range(n) if bits >> k & 1)
         a = tuple((i + 1, e) for i, v in blk.m if (e := v - (i + 1 in U)))
         bases[len(U)].append(BasisIndex(a, U))
-    for t in range(n + 1):
-        bases[t].sort()
+    bases = [tuple(_pack((COEFF_ONE, SteenrodMonomial(*idx))) for idx in sorted(basis))
+             for basis in bases]
     diffs = [None] + [list(_beta_columns(bases[t], bases[t - 1], h)) for t in range(1, n + 1)]
-    return BlockComplex(blk, p, tuple(map(tuple, bases)), tuple(diffs))
+    return BlockComplex(blk, p, tuple(bases), tuple(diffs))
 
 
 def block_homology(blk, p):
@@ -155,13 +157,10 @@ def block_homology(blk, p):
 
 
 def _beta_columns(src, dst, h):
-    """beta(1 | m) for each monomial m of src, in linalg's column form over
-    the positions of dst, entries in beta's order: elements._beta_packed of
-    m packed past the _pack memo, read through dst's rows keyed by their
-    packed ints."""
-    pack = _pack.__wrapped__
-    rows = {pack((COEFF_ONE, m)): i for i, m in enumerate(dst)}
-    cols = (_beta_packed({pack((COEFF_ONE, m)): 1}, h) for m in src)
+    """beta(1 | m) for each packed monomial m of src, in linalg's column
+    form over the positions of dst, entries in beta's order."""
+    rows = {k: i for i, k in enumerate(dst)}
+    cols = (_beta_packed({m: 1}, h) for m in src)
     return (column(h.p, {rows[k]: s for k, s in col.items()}) for col in cols)
 
 
@@ -216,7 +215,7 @@ def free_bbeta_generators(bound, p):
     found = []
     for yb in ybs:
         eb = yb - BETA_SHIFT
-        start = bidegree_basis(yb, h).blocks[COEFF_ONE][1]
+        start = bidegree_basis(yb, h).blocks[0][1]  # the block of 1
         maximal = _u_maximal_at(eb, p)
         vecs = block_columns(p, _bucket_beta(eb, h), start, 1, (), maximal)
         if rank(p, vecs) != len(vecs):

@@ -312,7 +312,6 @@ _EXP_LIMIT = (1 << (_W - 1)) - 64
 _XI_SHIFT = _TAU_BITS + 3 * _W  # the tau exponent's field; xi_j's is W*j above
 
 
-@cache
 def _pack(key):
     """The int of a (coeff, mono) key; ValueError outside the layout."""
     c, (xi, taus) = key

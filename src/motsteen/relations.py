@@ -146,6 +146,8 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
     # one row per exponent vector, one column per subset
     indices = [[basis_index(a, U) for U in subsets] for a in vectors]
     ys = {}  # BasisIndex -> packed y class, the formula's indices included
+    # the packed tau^k of a formula term, k <= max_index
+    tau_powers = [_pack((CoeffMonomial(tau=k), STEENROD_ONE)) for k in range(max_index + 1)]
     # (a + b, U, T) -> {convention: packed formula or the refusal's text}; a
     # stored ConventionError would keep expand's frame, and so this one, alive
     formulas = {}
@@ -165,7 +167,7 @@ def product_relation_sweep(p, max_index=3, max_exp=2):
                 continue
             acc = {}
             for tau_pow, scalar, idx in terms:
-                tau = {_pack((CoeffMonomial(tau=tau_pow), STEENROD_ONE)): scalar % p}
+                tau = {tau_powers[tau_pow]: scalar % p}
                 for k, s in _mul_packed(tau, y_packed(idx), h).items():
                     _add(acc, k, s, p)
             outcomes[convention] = acc

@@ -7,17 +7,21 @@ monomials
 
 indexed by a finitely supported exponent vector a on positive integers and a
 finite set U of tau indices (positive in the "mz" form, >= 0 in the full
-algebra).  The xi/tau monomials come from one recursion, bucketed by
-bidegree once per (p, min_tau) in monomial_index.  One pass over those
-buckets times the populated coefficient bidegrees finds, for each bidegree
-bd of a window d <= dmax, |w| <= wmax, its coefficient monomials c, each
-with its bucket bd - |c|; it is finite because every coefficient generator
-has nonpositive degree and weight while d - w > 0 on every xi/tau
-generator.  Each basis is then laid out in blocks: the c in sorted order,
-each followed by its bucket, which is the sorted order of the keys (c, m).
-The layout is the basis: a Basis keeps {c: (bucket, start)} and its dim,
-and lists its keys (c, m) only when iterated.  _basis_table keeps one
-table of them per handle, read by bidegree_basis and populated_bidegrees.
+algebra).  The xi/tau monomials come from one recursion, sorted, packed
+into elements' int layout and bucketed by bidegree once per (p, min_tau)
+in monomial_index, so every basis holds the packed ints that beta, chi
+and the ranks compute on; a key is unpacked only for text or a BasisIndex
+(index_of).  One pass over those buckets times the populated coefficient
+bidegrees finds, for each bidegree bd of a window d <= dmax, |w| <= wmax,
+its coefficient monomials c, each with its bucket bd - |c|; it is finite
+because every coefficient generator has nonpositive degree and weight
+while d - w > 0 on every xi/tau generator.  Each basis is then laid out
+in blocks: the c in sorted order, each followed by its bucket, which is
+the sorted order of the keys (c, m).  The layout is the basis: a Basis
+keeps {packed c: (bucket, start)} and its dim, and lists its packed keys
+c + m only when iterated (the coefficient and xi/tau fields do not
+overlap).  _basis_table keeps one table of them per handle, read by
+bidegree_basis and populated_bidegrees.
 
 The conjugation chi of the full algebra is computed from the generator
 recursions (with xi_0 = chi(xi_0) = 1)
@@ -47,16 +51,11 @@ from typing import NamedTuple
 
 from .grading import Bidegree, tau_degree
 from .elements import (
-    COEFF_ONE,
-    CoeffMonomial,
-    Element,
-    SteenrodMonomial,
-    _coeff_zero,
-    mono_degree,
+    COEFF_ONE, STEENROD_ONE, CoeffMonomial, Element, SteenrodMonomial, _coeff_zero, mono_degree,
     term_element,
 )
 from .elements import (
-    _FIELD, _TAU_BITS, _TAUS, _W, _XI_SHIFT, _add, _checked, _live, _mul_packed, _pack,
+    _FIELD, _TAU_BITS, _TAUS, _W, _XI_SHIFT, _add, _checked, _live, _mul_packed, _pack, _unpack,
 )
 
 
@@ -89,8 +88,9 @@ def eta(idx, h):
     return term_element(h.p, 1, COEFF_ONE, mono)
 
 
-def index_of(mono):
-    return BasisIndex(mono.xi, mono.taus)
+def index_of(m):
+    """The index (a, U) of the packed xi/tau monomial m."""
+    return BasisIndex(*_unpack(m)[1])
 
 
 def u_maximal(idx):
@@ -144,7 +144,8 @@ def steenrod_monomials(p, budget, min_tau):
 
 
 def monomial_index(p, budget, min_tau):
-    """{bidegree: sorted monomials} covering every monomial with d - w <= budget.
+    """{bidegree: packed monomials} covering every monomial with d - w <=
+    budget, each bucket in the sorted order of steenrod_monomials.
 
     Memoized per (p, min_tau) and re-enumerated when a larger budget is
     asked for, so buckets past the budget may be present: callers bound
@@ -154,7 +155,7 @@ def monomial_index(p, budget, min_tau):
     if hit is None or hit[0] < budget:
         buckets = {}
         for mono in steenrod_monomials(p, budget, min_tau):
-            buckets.setdefault(mono_degree(mono, p), []).append(mono)
+            buckets.setdefault(mono_degree(mono, p), []).append(_pack((COEFF_ONE, mono)))
         hit = _mono_index[(p, min_tau)] = (budget, buckets)
     return hit[1]
 
@@ -170,10 +171,11 @@ def _degree_budget(p, dmax, min_tau):
 
 
 def steenrod_monomials_by_degree(p, dmax, min_tau):
-    """All (xi, taus) monomials with topological degree <= dmax, sorted,
-    read off the index at _degree_budget."""
+    """All packed xi/tau monomials with topological degree <= dmax, in the
+    sorted order of their (xi, taus), read off the index at _degree_budget."""
     buckets = monomial_index(p, _degree_budget(p, dmax, min_tau), min_tau)
-    return sorted(m for bd, monos in buckets.items() if bd.d <= dmax for m in monos)
+    return sorted((m for bd, monos in buckets.items() if bd.d <= dmax for m in monos),
+                  key=_unpack)
 
 
 @cache
@@ -208,12 +210,13 @@ def coeff_monomials(bd, scheme):
 
 
 class Basis:
-    """One bidegree's basis as its block layout: blocks maps each coefficient
-    monomial c, in order, to (e, start), and positions start, start + 1, ...
-    hold c | m for the m of monomial_index's bucket e.  len is the dim, and
-    iterating yields the keys (c, m) in order, read off the buckets; a bucket
-    inside the budget is the same in every larger index, so the positions
-    outlive a re-enumeration."""
+    """One bidegree's basis as its block layout: blocks maps each packed
+    coefficient monomial c, in the order of its CoeffMonomial, to (e, start),
+    and positions start, start + 1, ... hold c | m for the m of
+    monomial_index's bucket e.  len is the dim, and iterating yields the
+    packed keys c + m in order, read off the buckets (the coefficient and
+    xi/tau fields do not overlap); a bucket inside the budget is the same
+    in every larger index, so the positions outlive a re-enumeration."""
 
     __slots__ = ("blocks", "_dim", "_p", "_min_tau")
 
@@ -226,7 +229,7 @@ class Basis:
     def __iter__(self):
         for c, (e, _) in self.blocks.items():
             for m in monomial_index(self._p, e.d - e.w, self._min_tau)[e]:
-                yield c, m
+                yield c + m
 
 
 _EMPTY = Basis({}, 0, None, None)
@@ -265,8 +268,8 @@ def _enumerate_bases(h, dmax, wmax):
     at most the sum of their caps when each of them has one; then e.d <=
     dmax + that sum, and the enumeration budget is window_budget.  Each c
     of bd fixes its bucket e, so the basis is c | m for each c in order and
-    each m of its bucket in order: its blocks map c to (e, position of c |
-    first m).
+    each m of its bucket in order: its blocks map packed c to (e, position
+    of c | first m).  Each c is packed once, where its bidegree is read.
     """
     scheme = h.scheme
     caps = _caps(scheme)
@@ -275,26 +278,27 @@ def _enumerate_bases(h, dmax, wmax):
     etas = [e for e in buckets if e.d - e.w <= budget]
     low = -wmax - max((e.w for e in etas), default=0)
     dlow = low if None in caps else max(low, -sum(caps))
-    by_weight = {}  # c.w -> [(c.d, the c of (c.d, c.w)), ...], c.d ascending
+    by_weight = {}  # c.w -> [(c.d, [(c, packed c) of (c.d, c.w)]), ...], c.d ascending
     for d in range(dlow, 1):
         for w in range(low, d + 1):
             if cs := coeff_monomials(Bidegree(d, w), scheme):
-                by_weight.setdefault(w, []).append((d, cs))
-    pairs = {}  # (d, w) -> [(c, e), ...]
+                by_weight.setdefault(w, []).append(
+                    (d, [(c, _pack((c, STEENROD_ONE))) for c in cs]))
+    pairs = {}  # (d, w) -> [(c, packed c, e), ...]
     for e in etas:
         ed, ew = e
         for cw in range(-wmax - ew, wmax - ew + 1):
             for cd, cs in by_weight.get(cw, ()):
                 if cd > dmax - ed:
                     break
-                pairs.setdefault((ed + cd, ew + cw), []).extend([(c, e) for c in cs])
+                pairs.setdefault((ed + cd, ew + cw), []).extend([(c, k, e) for c, k in cs])
     bases = {}
     for key, ces in pairs.items():
         ces.sort()  # the c of one bidegree are distinct
         blocks = {}
         start = 0
-        for c, e in ces:
-            blocks[c] = e, start
+        for _, k, e in ces:
+            blocks[k] = e, start
             start += len(buckets[e])
         bases[Bidegree(*key)] = Basis(blocks, start, h.p, h.min_tau)
     return bases
@@ -318,8 +322,9 @@ def basis_table(h, dmax, wmax):
 
 def bidegree_basis(bd, h):
     """The coefficient-twisted monomial basis of one bidegree, as a Basis read
-    from the handle's table: its keys (CoeffMonomial, SteenrodMonomial) come
-    in canonical order, and an empty bidegree gives the shared empty Basis."""
+    from the handle's table: its keys, packed ints c + m, come in the
+    canonical order of their (CoeffMonomial, SteenrodMonomial), and an empty
+    bidegree gives the shared empty Basis."""
     d, w = bd
     return basis_table(h, d, abs(w))[2].get(bd, _EMPTY)
 

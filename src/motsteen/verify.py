@@ -13,49 +13,27 @@ import itertools
 
 from .grading import Bidegree
 from .elements import (
-    COEFF_ONE,
-    STEENROD_ONE,
-    CoeffMonomial,
-    SteenrodMonomial,
-    algebra,
-    element_text,
-    mono_degree,
-    mul,
-    term_element,
+    COEFF_ONE, STEENROD_ONE, CoeffMonomial, Element, SteenrodMonomial, _coeff_zero,
+    _mul_packed, _pack, algebra, element_text, mono_degree, mul, term_element,
 )
-from .elements import _mul_packed, _pack
 from .steenrod import (
-    _degree_budget,
-    bidegree_basis,
-    conjugate,
-    index_of,
-    monomial_index,
-    populated_bidegrees,
-    steenrod_monomials_by_degree,
-    window_budget,
+    _COEFFS, _chi_mono_cache, _chi_packed, _conjugate_packed, _degree_budget, _mz_image_packed,
+    bidegree_basis, conjugate, index_of, monomial_index, populated_bidegrees,
+    steenrod_monomials_by_degree, window_budget,
 )
-from .steenrod import _chi_mono_cache, _chi_packed, _conjugate_packed, _mz_image_packed
 from .bockstein import (
-    beta,
-    free_bbeta_generators,
-    ker_beta_basis,
-    block,
-    block_homology,
-    y,
-    _u_maximal_at,
+    _u_maximal_at, beta, block, block_homology, free_bbeta_generators, ker_beta_basis, y,
 )
 from .linalg import column, rank
 
 
 def _coeff_sweep(scheme, cap=None):
-    """Coefficient monomials with small per-generator exponents.
+    """Packed coefficient monomials with small per-generator exponents.
 
     Exponents up to max(p, 2) exhaust every residue class mod p of the
     derivation coefficients and both Koszul parities, so the sweep exercises
     every sign path of the coefficient Bockstein.
     """
-    from .elements import _coeff_zero
-
     cap = cap or max(scheme.p, 2)
     ranges = []
     for name in ("theta", "eps", "rho", "tau"):
@@ -68,7 +46,7 @@ def _coeff_sweep(scheme, cap=None):
     for t, e, r, x in itertools.product(*ranges):
         c = CoeffMonomial(theta=t, eps=e, rho=r, tau=x)
         if not _coeff_zero(c, scheme):
-            out.append(c)
+            out.append(_pack((c, STEENROD_ONE)))
     return out
 
 
@@ -88,7 +66,7 @@ def suite_beta2(config):
     checked = 0
     for mono in monos:
         for c in coeffs:
-            x = term_element(h.p, 1, c, mono)
+            x = Element(h.p, {c + mono: 1})
             bb = beta(beta(x, h), h)
             if not bb.is_zero():
                 return [(
@@ -138,9 +116,9 @@ def check_chi_involution(config, h):
     n_inv = 0
     for mono in monos:
         for c in coeffs:
-            x = {_pack((c, mono)): 1}
+            x = {c + mono: 1}
             if _conjugate_packed(_conjugate_packed(x, h), h) != x:
-                failure = element_text(term_element(h.p, 1, c, mono))
+                failure = element_text(Element(h.p, x))
                 break
             n_inv += 1
         if failure:
@@ -153,11 +131,11 @@ def check_chi_involution(config, h):
 
 
 def _chi_fails_on(x, z, h):
-    """The text of x * z if chi(xz) != chi(x) chi(z) on packed (coeff, mono) keys."""
-    xa, za = {_pack(x): 1}, {_pack(z): 1}
+    """The text of x * z if chi(xz) != chi(x) chi(z) on the packed monomials x, z."""
+    xa, za = {x: 1}, {z: 1}
     chi = _conjugate_packed
     if chi(_mul_packed(xa, za, h), h) != _mul_packed(chi(xa, h), chi(za, h), h):
-        return " * ".join(element_text(term_element(h.p, 1, *key)) for key in (x, z))
+        return " * ".join(element_text(Element(h.p, {k: 1})) for k in (x, z))
 
 
 def check_chi_multiplicative(config, h):
@@ -169,16 +147,16 @@ def check_chi_multiplicative(config, h):
     p = h.p
     monos = steenrod_monomials_by_degree(p, dmax, 0)
     coeffs = _coeff_sweep(h.scheme, cap=2)
+    degrees = [mono_degree(index_of(m), p).d for m in monos]
     failure = None
     n_mult = 0
-    for m1 in monos:
+    for m1, d1 in zip(monos, degrees):
         if failure:
             break
-        d1 = mono_degree(m1, p).d
-        for m2 in monos:
-            if d1 + mono_degree(m2, p).d > dmax:
+        for m2, d2 in zip(monos, degrees):
+            if d1 + d2 > dmax:
                 continue
-            failure = _chi_fails_on((COEFF_ONE, m1), (COEFF_ONE, m2), h)
+            failure = _chi_fails_on(m1, m2, h)
             if failure:
                 break
             n_mult += 1
@@ -186,8 +164,8 @@ def check_chi_multiplicative(config, h):
     for _ in range(200):
         if failure:
             break
-        failure = _chi_fails_on((rng.choice(coeffs), rng.choice(monos)),
-                                (rng.choice(coeffs), rng.choice(monos)), h)
+        failure = _chi_fails_on(rng.choice(coeffs) + rng.choice(monos),
+                                rng.choice(coeffs) + rng.choice(monos), h)
         n_mult += 1
     return [
         ("chi is multiplicative", _status(failure is None),
@@ -224,28 +202,28 @@ def _embedding_rank(src, h):
     """Rank of the images of the mz basis monomials src in the full algebra;
     rows are the monomials that actually appear in the images."""
     rows = {}
-    return rank(h.p, [column(h.p, {rows.setdefault(k, len(rows)): s for k, s in
-                                   _mz_image_packed(_pack(key), h).items()})
-                      for key in src])
+    return rank(h.p, [column(h.p, {rows.setdefault(key, len(rows)): s for key, s in
+                                   _mz_image_packed(k, h).items()})
+                      for k in src])
 
 
 def _square_rank(src, h):
     """Rank of the images of src restricted to the rows that are the source
-    keys themselves, each the sum of its two parts' packed ints.  At p = 2
-    the image of c | m is chi(m)'s keys, all distinct, shifted by c's int,
-    less the keys the coefficient relations kill, none of them a source key,
-    so a column is the sum of the bits of its shifted keys."""
-    parts = [(_pack((c, STEENROD_ONE)), _pack((COEFF_ONE, m))) for c, m in src]
-    rows = {shift + k: i for i, (shift, k) in enumerate(parts)}
+    keys themselves.  At p = 2 the image of c | m is chi(m)'s keys, all
+    distinct, shifted by c's int, less the keys the coefficient relations
+    kill, none of them a source key, so a column is the sum of the bits of
+    its shifted keys."""
+    rows = {k: i for i, k in enumerate(src)}
     if h.p != 2:
         return rank(h.p, [
-            column(h.p, {r: s for key, s in _mz_image_packed(shift + k, h).items()
+            column(h.p, {r: s for key, s in _mz_image_packed(k, h).items()
                          if (r := rows.get(key)) is not None})
-            for shift, k in parts])
+            for k in src])
     memo = _chi_mono_cache.setdefault(h, {})
-    return rank(h.p, (sum(1 << r for key in _chi_packed(k, h, memo)
-                          if (r := rows.get(key + shift)) is not None)
-                      for shift, k in parts))
+    parts = [(k & _COEFFS, k & ~_COEFFS) for k in src]  # (c, m) of each c | m
+    return rank(h.p, (sum(1 << r for key in _chi_packed(m, h, memo)
+                          if (r := rows.get(key + c)) is not None)
+                      for c, m in parts))
 
 
 def check_chi_embedding(config, h):

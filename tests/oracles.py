@@ -53,7 +53,7 @@ from motsteen.elements import (
 from motsteen.grading import BETA_SHIFT, Bidegree, tau_degree, xi_degree
 from motsteen.schemes import COEFF_ORDER, SchemeError, SchemePresentation
 from motsteen.relations import ConventionError, _exponent_vectors, product_formula_terms
-from motsteen.steenrod import _chi_packed, basis_index, coeff_monomials, eta, index_of
+from motsteen.steenrod import BasisIndex, _chi_packed, basis_index, coeff_monomials, eta
 from motsteen.verify import SUITES
 
 
@@ -61,6 +61,12 @@ def terms(x):
     """The terms of an Element as ((coeff, mono), scalar) pairs, in its order:
     the oracles compute on these tuple keys and pack only what they return."""
     return [(_unpack(k), s) for k, s in x.terms.items()]
+
+
+def unpacked(keys):
+    """The (coeff, mono) keys of packed monomials, in order: a basis, a
+    monomial_index bucket or a list of packed xi/tau monomials."""
+    return [_unpack(k) for k in keys]
 
 
 def pack_result(key):
@@ -87,42 +93,42 @@ def _rref(M):
 
     rows is a list of dicts col -> value covering the nonzero rows.  Columns
     are scanned left to right and each takes the lowest unused row that is
-    nonzero there as its pivot, at every prime.
+    nonzero there as its pivot, at every prime.  holders[c], the set of rows
+    nonzero at column c, is kept in step with the rows, so a column finds
+    its pivot and the rows to clear without a scan of every row.
     """
     p = M.p
     rows = [{} for _ in range(M.nrows)]
+    holders = [set() for _ in range(M.ncols)]
     for (r, c), v in M.entries.items():
         rows[r][c] = v
+        if v:
+            holders[c].add(r)
 
     pivots = {}
     used = [False] * M.nrows
     for col in range(M.ncols):
-        pivot = None
-        for r in range(M.nrows):
-            if not used[r] and rows[r].get(col):
-                pivot = r
-                break
-        if pivot is None:
+        free = [r for r in holders[col] if not used[r]]
+        if not free:
             continue
+        pivot = min(free)
         used[pivot] = True
         pivots[col] = pivot
         inv = pow(rows[pivot][col], p - 2, p) if p > 2 else 1
         if inv != 1:
             rows[pivot] = {c: (v * inv) % p for c, v in rows[pivot].items()}
         prow = rows[pivot]
-        for r in range(M.nrows):
-            if r == pivot:
-                continue
-            f = rows[r].get(col)
-            if not f:
-                continue
+        for r in holders[col] - {pivot}:
             row = rows[r]
+            f = row[col]
             for c, v in prow.items():
                 nv = (row.get(c, 0) - f * v) % p
                 if nv:
                     row[c] = nv
+                    holders[c].add(r)
                 else:
                     row.pop(c, None)
+                    holders[c].discard(r)
     return rows, pivots
 
 
@@ -272,7 +278,7 @@ def u_maximal_by_degree(p, budget):
     for mono in steenrod_monomials(p, budget, 1):
         if not mono.taus:
             continue
-        idx = index_of(mono)
+        idx = BasisIndex(*mono)
         max_a = max((j for j, e in idx.a), default=0)
         if max_a <= max(idx.U):
             out.setdefault(_degree(mono, p), []).append(idx)
@@ -286,7 +292,7 @@ def free_bbeta_generators(bound, p):
     for mono in steenrod_monomials(p, dmax + 1, 1):
         if not mono.taus:
             continue
-        idx = index_of(mono)
+        idx = BasisIndex(*mono)
         if max((j for j, e in idx.a), default=0) > max(idx.U):
             continue
         yb = _degree(mono, p) + BETA_SHIFT
@@ -339,16 +345,16 @@ def leibniz_beta_matrix(bd, h):
     looked up as a (c, mono) key of the target basis, from beta(1 | m) and
     the _coeff_beta memo, column by column in the order beta lists its
     terms."""
-    src = steenrod.bidegree_basis(bd, h)
-    dst = steenrod.bidegree_basis(bd + BETA_SHIFT, h)
+    src = unpacked(steenrod.bidegree_basis(bd, h))
+    dst = unpacked(steenrod.bidegree_basis(bd + BETA_SHIFT, h))
     rows = {key: i for i, key in enumerate(dst)}
     entries = {}
     for col, (c, m) in enumerate(src):
-        sign, coeff_terms = bockstein._coeff_beta(c, h)
+        sign, coeff_terms = bockstein._coeff_beta(_pack((c, STEENROD_ONE)), h)
         for (_, mono), s in terms(bockstein.beta(term_element(h.p, 1, COEFF_ONE, m), h)):
             entries[(rows[c, mono], col)] = sign * s % h.p
         for nc, s in coeff_terms:
-            entries[(rows[nc, m], col)] = s
+            entries[(rows[_unpack(nc)[0], m], col)] = s
     return Matrix(h.p, len(dst), len(src), entries)
 
 
@@ -356,8 +362,8 @@ def split_ranks(bd, M, h):
     """The four numbers of bockstein.split_ranks from a beta matrix M: its
     entries split into the coefficient and the ideal block, each ranked on
     its own; an entry crossing the split raises."""
-    coeff_cols = [m.is_one() for _, m in steenrod.bidegree_basis(bd, h)]
-    coeff_rows = [m.is_one() for _, m in steenrod.bidegree_basis(bd + BETA_SHIFT, h)]
+    coeff_cols = [m.is_one() for _, m in unpacked(steenrod.bidegree_basis(bd, h))]
+    coeff_rows = [m.is_one() for _, m in unpacked(steenrod.bidegree_basis(bd + BETA_SHIFT, h))]
     parts = ({}, {})  # ideal entries, coefficient entries
     for (r, c), v in M.entries.items():
         one = coeff_cols[c]
@@ -478,9 +484,9 @@ def as_dict(vec):
 
 
 def vector_element(vec, labels, p):
-    """The inverse of element_vector: the Element with scalar s at labels[i]
-    for each entry i: s of the vector."""
-    return Element(p, {_pack(labels[i]): s for i, s in as_dict(vec).items()})
+    """The inverse of element_vector: the Element with scalar s at the packed
+    labels[i] for each entry i: s of the vector."""
+    return Element(p, {labels[i]: s for i, s in as_dict(vec).items()})
 
 
 def constructive_kernel(bd, h):
@@ -857,7 +863,7 @@ def embedding_rank(src, h):
     """Rank of the images of src as dict columns, rows indexed in order of appearance."""
     rows = {}
     cols = [{rows.setdefault(k, len(rows)): s for k, s in
-             mz_image_packed(c, index_of(mono), h).items()} for c, mono in src]
+             mz_image_packed(c, BasisIndex(*mono), h).items()} for c, mono in unpacked(src)]
     return rank(matrix(h.p, len(rows), cols))
 
 

@@ -29,7 +29,7 @@ from motsteen.bockstein import (
     free_bbeta_generators,
     y,
 )
-from motsteen.steenrod import basis_index, steenrod_monomials_by_degree
+from motsteen.steenrod import index_of, steenrod_monomials_by_degree
 from motsteen.relations import (
     _exponent_vectors,
     product_relation_sweep,
@@ -133,10 +133,9 @@ def test_criterion_06_degree_formula(p):
     """|y[a,U]| = (-1,0) + sum a_i (p^i - 1)(2,1) + sum (2 p^j - 1, p^j - 1)."""
     h = algebra("algclosed", p)
     n = 0
-    for mono in steenrod_monomials_by_degree(p, 31, 1):
-        if not mono.taus:
+    for idx in map(index_of, steenrod_monomials_by_degree(p, 31, 1)):
+        if not idx.U:
             continue
-        idx = basis_index(dict(mono.xi), mono.taus)
         el = y(idx, h)
         want = Bidegree(-1, 0)
         for i, e in idx.a:

@@ -151,9 +151,10 @@ def test_embedding_certificate_falls_back_to_the_rank(monkeypatch, scheme, p, q)
     assert len(fallbacks) == len(bidegrees)
     # chi of one monomial with its terms dropped: its columns are 0 on both
     # paths, and the check fails at the first bidegree holding one of them
-    mono = list(bidegree_basis(bidegrees[-1], hmz))[-1][1]
+    mono = oracles.unpacked(bidegree_basis(bidegrees[-1], hmz))[-1][1]
     steenrod._chi_mono_cache[h_a][_pack((CoeffMonomial(), mono))] = {}
-    first = next(bd for bd in bidegrees if any(m == mono for _, m in bidegree_basis(bd, hmz)))
+    first = next(bd for bd in bidegrees
+                 if any(m == mono for _, m in oracles.unpacked(bidegree_basis(bd, hmz))))
     src = bidegree_basis(first, hmz)
     assert verify._square_rank(src, h_a) < len(src)
     assert _embedding_rank(src, h_a) < len(src)

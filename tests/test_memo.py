@@ -17,7 +17,7 @@ from motsteen import (
 from motsteen.bockstein import _columns, beta_report, y
 from motsteen.cli import Config, main
 from motsteen.elements import (
-    COEFF_ONE, CoeffMonomial, SteenrodMonomial, _pack, mono_degree,
+    COEFF_ONE, STEENROD_ONE, CoeffMonomial, SteenrodMonomial, _pack, mono_degree,
 )
 from motsteen.grading import Bidegree
 from motsteen.steenrod import (
@@ -50,7 +50,7 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 def _clear():
     for memo in (y, bockstein._u_maximal_at, bockstein._bucket_beta,
                  bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
-                 elements._pack, elements._meet_deltas, elements._foreign_bits):
+                 elements._meet_deltas, elements._foreign_bits):
         memo.cache_clear()
     steenrod._basis_table.clear()
     steenrod._chi_mono_cache.clear()
@@ -135,7 +135,8 @@ def test_clearing_forgets_every_basis():
     assert populated_bidegrees(h, 6, 3)
     _clear()
     assert not steenrod._basis_table
-    assert list(bidegree_basis(Bidegree(5, 2), h)) == oracles.bidegree_basis(Bidegree(5, 2), h)
+    want = oracles.bidegree_basis(Bidegree(5, 2), h)
+    assert oracles.unpacked(bidegree_basis(Bidegree(5, 2), h)) == want
     _clear()
 
 
@@ -173,9 +174,11 @@ def test_finite_fields_with_different_q_get_separate_entries(monkeypatch):
     assert y.cache_info().hits == 0
     # beta(tau) = eps for q = 3 and 0 for q = 5, in the coefficient factor;
     # the Steenrod factor is the same but keyed by each handle
-    c_tau, tau_1 = CoeffMonomial(tau=1), SteenrodMonomial((), (1,))
-    assert bockstein._coeff_beta(c_tau, h3) == (1, ((CoeffMonomial(eps=1), 1),))
-    assert bockstein._coeff_beta(c_tau, h5) == (1, ())
+    c_tau, tau_1 = _pack((CoeffMonomial(tau=1), STEENROD_ONE)), SteenrodMonomial((), (1,))
+    eps = _pack((CoeffMonomial(eps=1), STEENROD_ONE))
+    for h, want in ((h3, [(eps, 1)]), (h5, [])):
+        sign, terms = bockstein._coeff_beta(c_tau, h)
+        assert (sign, list(terms)) == (1, want)
     # beta(tau_1) = xi_1, the one monomial of its bucket
     assert mono_degree(tau_1, 2) == Bidegree(3, 1)
     for h in (h3, h5):
@@ -224,22 +227,20 @@ def test_answers_do_not_depend_on_call_order():
 
 def test_blocks_suite_leaves_the_beta_memo_empty():
     # block_complex reads each column once, so it takes them from
-    # _beta_columns, which packs past the _pack memo
+    # _beta_columns, not from the _bucket_beta memo
     _clear()
     assert suite_blocks(Config(p=2, scheme="z-half"))[0][1] == "PASS"
-    for memo in (bockstein._bucket_beta, elements._pack):
-        assert memo.cache_info().currsize == 0, memo.__name__
+    assert bockstein._bucket_beta.cache_info().currsize == 0
     _clear()
 
 
 def test_packed_memos_stay_small():
-    # suite_chi on real-p2 8/4 packs 454 monomials and holds the deltas of
-    # 32 pairs of meeting tau masks.  The bounds leave 2x headroom or more;
-    # the same run multiplies 15,062 distinct pairs of monomials, so a delta
-    # memo keyed by monomial pair fails them.
+    # suite_chi on real-p2 8/4 holds the deltas of 32 pairs of meeting tau
+    # masks.  The bound leaves 2x headroom; the same run multiplies 15,062
+    # distinct pairs of monomials, so a delta memo keyed by monomial pair
+    # fails it.
     _clear()
     suite_chi(Config(p=2, scheme="real-p2", dmax=8, wmax=4))
-    assert elements._pack.cache_info().currsize <= 1100
     assert elements._meet_deltas.cache_info().currsize <= 64
     _clear()
 
@@ -390,9 +391,9 @@ def test_windows_agree_whatever_the_table_holds(h, small, large, lone, large_fir
     assert len(inside) < len(rows[large])
     assert lone.d > large[0] + 1
     want = oracles.bidegree_basis(lone, h)
-    assert want and list(bidegree_basis(lone, h)) == want
+    assert want and oracles.unpacked(bidegree_basis(lone, h)) == want
     _clear()
-    assert list(bidegree_basis(lone, h)) == want
+    assert oracles.unpacked(bidegree_basis(lone, h)) == want
     _clear()
 
 

@@ -27,8 +27,8 @@ from motsteen.bockstein import (
 )
 from motsteen.bockstein import _u_maximal_at
 from motsteen.elements import (
-    _TAUS, CoeffMonomial, Element, SteenrodMonomial, _coeff_zero, _live, _mul_packed, _pack,
-    _tau_rewrite, coeff_degree, mono_degree, mul, term_element,
+    _TAUS, COEFF_ONE, STEENROD_ONE, CoeffMonomial, Element, SteenrodMonomial, _coeff_zero,
+    _live, _mul_packed, _pack, _tau_rewrite, _unpack, coeff_degree, mono_degree, mul,
 )
 from motsteen.cli import Config, cmd_dims
 from motsteen.grading import BETA_SHIFT, Bidegree
@@ -68,9 +68,9 @@ def test_enumeration_matches_oracle(p, top):
     for min_tau in (0, 1):
         for n in range(top, -1, -1):
             assert steenrod_monomials(p, n, min_tau) == oracles.steenrod_monomials(p, n, min_tau)
-            assert steenrod_monomials_by_degree(p, n, min_tau) == (
-                oracles.steenrod_monomials_by_degree(p, n, min_tau)
-            )
+            assert oracles.unpacked(steenrod_monomials_by_degree(p, n, min_tau)) == [
+                (COEFF_ONE, m) for m in oracles.steenrod_monomials_by_degree(p, n, min_tau)
+            ]
 
 
 @pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
@@ -81,11 +81,34 @@ def test_bases_match_oracle(h):
     for bd in bds:
         for b in (bd, bd + BETA_SHIFT, bd - BETA_SHIFT):
             # a basis is its block layout: its len is the number of keys it
-            # yields, and they are the oracle's basis, in order
+            # yields, and they unpack to the oracle's basis, in order
             basis = bidegree_basis(b, h)
-            keys = list(basis)
+            keys = oracles.unpacked(basis)
             assert len(basis) == len(keys)
             assert keys == oracles.bidegree_basis(b, h)
+
+
+@pytest.mark.parametrize("h", ALL_MZ + ALL_A, ids=handle_id)
+def test_bases_and_buckets_hold_packed_monomials(h):
+    # the enumeration hands out the packed ints that beta, chi and the ranks
+    # compute on: every basis key and every bucket monomial is an int, they
+    # unpack in order to the oracle's tuples, and eta of a bucket monomial's
+    # index is that int alone
+    window = (6, 4) if h.p == 2 else (12, 6)
+    for bd in populated_bidegrees(h, *window):
+        keys = list(bidegree_basis(bd, h))
+        assert all(type(k) is int for k in keys)
+        assert oracles.unpacked(keys) == oracles.bidegree_basis(bd, h)
+    budget = sum(window)
+    want = {}
+    for mono in oracles.steenrod_monomials(h.p, budget, h.min_tau):
+        want.setdefault(oracles._degree(mono, h.p), []).append((COEFF_ONE, mono))
+    buckets = {e: ms for e, ms in monomial_index(h.p, budget, h.min_tau).items()
+               if e.d - e.w <= budget}
+    assert {e: oracles.unpacked(ms) for e, ms in buckets.items()} == want
+    for ms in buckets.values():
+        for m in ms:
+            assert type(m) is int and eta(index_of(m), h).terms == {m: 1}
 
 
 @pytest.mark.parametrize(
@@ -126,7 +149,7 @@ def test_torsion_probe_indices():
         got = _torsion_probe_indices(p)
         assert got == [BasisIndex(*i) for i in idxs]
         old = [
-            index_of(m) for m in oracles.steenrod_monomials_by_degree(p, 12, 1)
+            BasisIndex(*m) for m in oracles.steenrod_monomials_by_degree(p, 12, 1)
             if m.taus and max((j for j, e in m.xi), default=0) <= max(m.taus)
         ]
         assert got == old[:8]
@@ -162,10 +185,10 @@ def test_beta_matches_oracle(h):
     window = (10, 7) if p == 2 else (20, 9)
     for bd in populated_bidegrees(h, *window):
         basis = list(bidegree_basis(bd, h))
-        xs = [term_element(p, 1, c, m) for c, m in basis]
+        xs = [Element(p, {k: 1}) for k in basis]
         for _ in range(8):
             keys = rng.sample(basis, rng.randint(1, min(6, len(basis))))
-            xs.append(Element(p, {_pack(key): rng.randrange(1, p) for key in keys}))
+            xs.append(Element(p, {key: rng.randrange(1, p) for key in keys}))
         for x in xs:
             want = oracles.beta(x, h)
             assert oracles.terms(beta(x, h)) == oracles.terms(want)
@@ -217,13 +240,14 @@ def test_block_assembly_matches_tuple_keyed_reference(h):
     crossed = 0
     for bd in populated_bidegrees(h, *window):
         blocks = bidegree_basis(bd, h).blocks
-        assert list(blocks) == sorted(blocks)
+        cs = [c for c, _ in oracles.unpacked(blocks)]
+        assert cs == sorted(cs)
         laid_out = []
-        for c, (e, start) in blocks.items():
+        for c, (e, start) in zip(cs, blocks.values()):
             assert start == len(laid_out)
             assert e == bd - coeff_degree(c, h.scheme)
             laid_out += [(c, m) for m in buckets[e]]
-        assert laid_out == list(bidegree_basis(bd, h))
+        assert laid_out == oracles.unpacked(bidegree_basis(bd, h))
         want = oracles.leibniz_beta_matrix(bd, h)
         assert_columns_equal(bd, h, want)
         try:
@@ -245,12 +269,15 @@ def test_block_complex_matches_oracle(p):
         if sum(v) > 4:
             continue
         cx = block_complex(block(dict(enumerate(v))), p)
+        for t, basis in enumerate(cx.bases):  # packed ints in BasisIndex order
+            idxs = [index_of(k) for k in basis]
+            assert idxs == sorted(idxs) and all(len(idx.U) == t for idx in idxs)
         for t in range(1, len(cx.bases)):
-            rows = {idx: i for i, idx in enumerate(cx.bases[t - 1])}
+            rows = {k: i for i, k in enumerate(cx.bases[t - 1])}
             want = {}
-            for col, idx in enumerate(cx.bases[t]):
-                for (_, mono), s in oracles.terms(oracles.beta(eta(idx, h), h)):
-                    want[(rows[index_of(mono)], col)] = s
+            for col, k in enumerate(cx.bases[t]):
+                for key, s in oracles.beta(Element(p, {k: 1}), h).terms.items():
+                    want[(rows[key], col)] = s
             cols = cx.differentials[t]
             assert len(cols) == len(cx.bases[t])
             assert cols == oracles.columns(oracles.Matrix(p, len(rows), len(cols), want))
@@ -305,10 +332,10 @@ def test_constructive_kernel_matches_oracle(h, window):
     p = h.p
     for bd in populated_bidegrees(h, *window):
         cs = steenrod.coeff_monomials(bd, h.scheme)
-        split = ([c for c in cs if not _coeff_beta(c, h)[1]],
-                 [c for c in cs if _coeff_beta(c, h)[1]])
+        split = ([c for c in cs if not _coeff_beta(_pack((c, STEENROD_ONE)), h)[1]],
+                 [c for c in cs if _coeff_beta(_pack((c, STEENROD_ONE)), h)[1]])
         assert split == oracles.coeff_split(bd, h.scheme)
-        rows = {key: i for i, key in enumerate(bidegree_basis(bd, h))}
+        rows = {key: i for i, key in enumerate(oracles.unpacked(bidegree_basis(bd, h)))}
         want = [oracles.element_vector(x, rows) for x in oracles.constructive_kernel(bd, h)]
         got = constructive_kernel(bd, h)
         assert all(isinstance(v, int if p == 2 else dict) for v in got)
@@ -332,7 +359,7 @@ def test_mul_matches_oracle(h):
     for _ in range(300):
         basis = rng.choice(bases)
         keys = rng.sample(basis, rng.randint(1, min(6, len(basis))))
-        xs.append(Element(p, {_pack(key): rng.randrange(1, p) for key in keys}))
+        xs.append(Element(p, {key: rng.randrange(1, p) for key in keys}))
     pairs = list(zip(xs[::2], xs[1::2]))
     if h.ambient == "a":
         gens = [conjugate(oracles.generator(kind, r, p), h)
@@ -383,8 +410,8 @@ def test_normalize_matches_oracle(h):
 @pytest.mark.parametrize("h", ALL_A, ids=handle_id)
 def test_conjugate_matches_oracle(h):
     for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (20, 9))):
-        for c, m in bidegree_basis(bd, h):
-            x = term_element(h.p, 1, c, m)
+        for k in bidegree_basis(bd, h):
+            x = Element(h.p, {k: 1})
             assert conjugate(x, h) == oracles.conjugate(x, h)
 
 
@@ -392,9 +419,9 @@ def test_conjugate_matches_oracle(h):
 def test_mz_image_matches_oracle(h_a):
     h = algebra(h_a.scheme.id, h_a.p, h_a.scheme.q)
     for bd in populated_bidegrees(h, *((8, 5) if h.p == 2 else (20, 9))):
-        for c, m in bidegree_basis(bd, h):
-            got = _mz_image_packed(_pack((c, m)), h_a)
-            assert got == oracles.mz_image_in_a(c, index_of(m), h_a).terms
+        for k in bidegree_basis(bd, h):
+            got = _mz_image_packed(k, h_a)
+            assert got == oracles.mz_image_in_a(_unpack(k)[0], index_of(k), h_a).terms
 
 
 def test_odd_coefficient_signs_match_oracle():
@@ -404,13 +431,13 @@ def test_odd_coefficient_signs_match_oracle():
     h_a = algebra("finite-field", 3, q=7, ambient="a")
     h = algebra("finite-field", 3, q=7)
     for bd in populated_bidegrees(h_a, 20, 9):
-        for c, m in bidegree_basis(bd, h_a):
-            x = term_element(3, 1, c, m)
+        for k in bidegree_basis(bd, h_a):
+            x = Element(3, {k: 1})
             assert conjugate(x, h_a) == oracles.conjugate(x, h_a)
     for bd in populated_bidegrees(h, 20, 9):
-        for c, m in bidegree_basis(bd, h):
-            got = _mz_image_packed(_pack((c, m)), h_a)
-            assert got == oracles.mz_image_in_a(c, index_of(m), h_a).terms
+        for k in bidegree_basis(bd, h):
+            got = _mz_image_packed(k, h_a)
+            assert got == oracles.mz_image_in_a(_unpack(k)[0], index_of(k), h_a).terms
 
 
 FULL_235 = [algebra(s, p, q, ambient="a") for s, p, q in (
@@ -460,19 +487,19 @@ def test_chi_by_parts_matches_the_chain(h, warm, monkeypatch):
     monos = steenrod_monomials_by_degree(h.p, 8, 0)
     live = verify._coeff_sweep(h.scheme, cap=2)
     ranges = [range(3 if g in h.scheme.gens else 1) for g in COEFF_ORDER]
-    killed = [c for c in map(CoeffMonomial._make, itertools.product(*ranges))
+    killed = [_pack((c, STEENROD_ONE)) for c in map(CoeffMonomial._make, itertools.product(*ranges))
               if _coeff_zero(c, h.scheme)]
     assert bool(killed) == bool(h.scheme.caps or h.scheme.zero_pairs)
     monkeypatch.setitem(steenrod._chi_mono_cache, h, {})
     if warm:
         for c in live:
             for m in monos:
-                if mono_degree(m, h.p).d <= 4:
-                    oracles.chi_chain(_pack((c, m)), h, steenrod._chi_mono_cache[h])
+                if mono_degree(index_of(m), h.p).d <= 4:
+                    oracles.chi_chain(c + m, h, steenrod._chi_mono_cache[h])
     chain = {}
     for c in live + killed:
         for m in monos:
-            k = _pack((c, m))
+            k = c + m
             assert steenrod._chi_packed(k, h) == oracles.chi_chain(k, h, chain)
 
 

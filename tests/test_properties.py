@@ -43,7 +43,7 @@ def sums(draw, h):
     basis = draw(st.sampled_from(BASES[handle_id(h)]))
     keys = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=6, unique=True))
     scalars = st.integers(1, h.p - 1)
-    return Element(h.p, {_pack(key): draw(scalars) for key in keys})
+    return Element(h.p, {key: draw(scalars) for key in keys})
 
 
 handles = st.sampled_from(HANDLES)
