@@ -37,15 +37,17 @@ all Leibniz blocks of them, built by linalg.block_columns.  _bucket_beta
 reads the builder on one bucket; block_complex reads it on the tau-count
 bases of one block and keeps no memo, as each differential is read once.
 
-split_ranks reduces beta at one bidegree to four numbers, read off those
-columns with no matrix built: the dims of the bidegree and of its
-coefficient part (Steenrod part 1), and the ranks of beta's two diagonal
-blocks, the coefficient ring and the augmentation ideal.  beta_report
+split_ranks reduces beta at one bidegree to four numbers: the dims of the
+bidegree and of its coefficient part (Steenrod part 1), and beta's ranks on
+the coefficient ring and the augmentation ideal.  The basis is C (x) M, the
+coefficients C times the xi/tau monomials M, so by Kunneth the ranks follow
+from b(cb), beta's on C at cb (_coeff_ranks), and r(e), beta's on the bucket
+e (_bucket_ranks), each taken once: no bidegree is eliminated.  beta_report
 reads a dims row off those numbers at bd and at bd + (1, 0): the rank, the
-image, and both splitting checks.  ker_beta_basis walks the blocks once
-per bidegree: the generic kernel (linalg.kernel_basis) and the check of
-the constructive (Z u U) basis, which constructive_kernel lays out block
-by block as vectors over the basis positions, read the same columns.  The
+image, and both splitting checks.  ker_beta_basis walks the blocks once per
+bidegree: the generic kernel (linalg.kernel_basis) and the check of the
+constructive (Z u U) basis, which constructive_kernel lays out block by
+block as vectors over the basis positions, read the same columns.  The
 columns must kill each constructive vector, and the vectors must be
 independent and as many as the generic kernel's: then they span it.
 """
@@ -57,12 +59,13 @@ from typing import NamedTuple
 
 from .grading import BETA_SHIFT, Bidegree
 from .elements import (
-    COEFF_ONE, Element, SteenrodMonomial, _beta_fields, _beta_packed, _checked, _pack, algebra,
+    _W, _XI_SHIFT, COEFF_ONE, STEENROD_ONE, Element, SteenrodMonomial, _beta_fields, _beta_packed,
+    _checked, _pack, algebra,
 )
 from .linalg import FpBasis, block_columns, column, image, kernel_basis, rank
 from .steenrod import (
-    Basis, BasisIndex, _degree_budget, basis_table, bidegree_basis, eta, index_of,
-    monomial_index, u_maximal,
+    Basis, _degree_budget, basis_table, bidegree_basis, coeff_monomials, eta,
+    index_of, monomial_index, u_maximal,
 )
 
 _ONE = Bidegree(0, 0)  # the bucket of the monomial 1
@@ -102,6 +105,17 @@ def _coeff_beta(c, h):
     return sign, beta(Element(h.p, {c: 1}), h).terms.items()
 
 
+@cache
+def _coeff_ranks(cb, h):
+    """(dim, rank of beta) on C(cb): its _coeff_beta columns, rows numbered as
+    they come.  Read off coeff_monomials: cb = bd - e can have |w| > wmax."""
+    src, rows = coeff_monomials(cb, h.scheme), {}
+    return len(src), rank(h.p, [
+        column(h.p, {rows.setdefault(k, len(rows)): s
+                     for k, s in _coeff_beta(_pack((c, STEENROD_ONE)), h)[1]})
+        for c in src])
+
+
 # ---------------------------------------------------------------------------
 # Blocks
 
@@ -124,17 +138,19 @@ class BlockComplex(NamedTuple):
 def block_complex(blk, p):
     """The finite subcomplex of the coefficient-free model spanned by one block."""
     h = algebra("bare", p)
-    slots = [i for i, v in blk.m]
-    n = len(slots)
-    bases = [[] for _ in range(n + 1)]
-    for bits in range(1 << n):
-        # the slots ascend, so a and U come out sorted
-        U = tuple(slots[k] + 1 for k in range(n) if bits >> k & 1)
-        a = tuple((i + 1, e) for i, v in blk.m if (e := v - (i + 1 in U)))
-        bases[len(U)].append(BasisIndex(a, U))
-    bases = [tuple(_pack((COEFF_ONE, SteenrodMonomial(*idx))) for idx in sorted(basis))
-             for basis in bases]
-    diffs = [None] + [list(_beta_columns(bases[t], bases[t - 1], h)) for t in range(1, n + 1)]
+    # (move of xi_j to tau_j for j in U, |U|) for each U on the slots from i on,
+    # in the order of the xi exponents a that U leaves: xi_j^(v - 1) before
+    # xi_j^v, and no xi_j (v = 1) after it unless no xi at all is left
+    order, no_xi = [(0, 0)], True  # no_xi: the first U of order leaves no xi
+    for i, v in reversed(blk.m):
+        j = i + 1
+        taken = [(d + (1 << j) - (1 << _XI_SHIFT + _W * j), t + 1) for d, t in order]
+        order = (taken + order if v > 1 else taken[:1] + order + taken[1:] if no_xi
+                 else order + taken)
+        no_xi = no_xi and v == 1
+    top = _pack((COEFF_ONE, SteenrodMonomial(tuple((i + 1, v) for i, v in blk.m), ())))
+    bases = [tuple(top + d for d, t in order if t == u) for u in range(len(blk.m) + 1)]
+    diffs = [None] + [list(_beta_columns(bases[t], bases[t - 1], h)) for t in range(1, len(bases))]
     return BlockComplex(blk, p, tuple(bases), tuple(diffs))
 
 
@@ -170,6 +186,12 @@ def _bucket_beta(e, h):
     bucket e - (1, 0)."""
     buckets = monomial_index(h.p, e.d - e.w, h.min_tau)
     return tuple(_beta_columns(buckets[e], buckets.get(e + BETA_SHIFT, ()), h))
+
+
+@cache
+def _bucket_ranks(e, h):
+    """(size, rank of beta) on the bucket e: _bucket_beta(e) ranked."""
+    return len(_bucket_beta(e, h)), rank(h.p, _bucket_beta(e, h))
 
 
 @cache
@@ -211,7 +233,7 @@ def free_bbeta_generators(bound, p):
     buckets = monomial_index(p, _degree_budget(p, dmax + 1, 1), 1)
     ybs = sorted(yb for eb in buckets
                  if (yb := eb + BETA_SHIFT).d <= dmax and yb.w <= wmax and _u_maximal_at(eb, p))
-    basis_table(h, dmax + 1, wmax)  # split_ranks reads yb and yb + (1, 0)
+    basis_table(h, dmax + 1, wmax)  # split_ranks reads yb + (1, 0)
     found = []
     for yb in ybs:
         eb = yb - BETA_SHIFT
@@ -302,19 +324,24 @@ def ker_beta_basis(bd, h):
 def split_ranks(bd, h):
     """(dim, coefficient dim, coefficient rank, ideal rank) of beta at bd.
 
-    The blocks over the bucket of 1, one column each, span the coefficient
-    ring and the others the augmentation ideal.  beta preserves that split
-    in the mz form; in the full algebra, whose coefficients carry no
-    Bockstein, beta(tau_0) = 1 crosses it, and a nonzero column over
-    tau_0's bucket raises.  Each part is ranked on its _columns.
-    """
-    parts = ([], [])  # ideal columns, coefficient columns
-    for e, cols in _columns(bd, h):
-        if e == _TAU0 and any(cols):
+    The blocks over the bucket of 1 span C(bd), those over each other
+    bucket e the ideal's part C(bd - e) (x) M(e); beta(tau_0) = 1 crosses
+    that split in the full algebra, and a block over tau_0's bucket raises.
+    By Kunneth, the n - b(bd - e) - b(bd - e + (1, 0)) homology classes of
+    C(bd - e), n its dim, give r(e) each, its b(bd - e) pairs b' -> beta(b')
+    |M(e)| each.  No rank comes from exactness, which dims' notes test."""
+    basis = bidegree_basis(bd, h)
+    ideal = 0
+    for e in dict.fromkeys(e for e, _ in basis.blocks.values()):
+        if e == _ONE:
+            continue
+        size, r = _bucket_ranks(e, h)
+        if e == _TAU0 and r:
             raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
-        parts[e == _ONE].extend(cols)
-    return (len(bidegree_basis(bd, h)), len(parts[True]),
-            rank(h.p, parts[True]), rank(h.p, parts[False]))
+        n, b = _coeff_ranks(Bidegree(bd.d - e.d, bd.w - e.w), h)
+        up = _coeff_ranks(Bidegree(bd.d + 1 - e.d, bd.w - e.w), h)[1] if r else 0
+        ideal += (n - b - up) * r + b * size
+    return (len(basis), *_coeff_ranks(bd, h), ideal)
 
 
 def beta_report(bidegrees, h, ranks=None):

@@ -2,28 +2,31 @@
 
 These are the earlier, duplicated code paths that motsteen replaced with one
 path each: two enumeration recursions (one bounded on d - w, one on d), a
-per-bidegree re-scan of every monomial for bases and populated bidegrees,
-a dimension report that rebuilds the Bockstein matrix of the augmentation
-ideal and of the coefficient ring beside the full one, the beta matrix
-keyed by (c, mono) tuples with its split ranks read off regrouped rows, a Bockstein
-that builds raw terms and sends them through normalize, the Z u U kernel
-basis multiplied out element by element (element_vector maps it onto the
-positions of a basis), and the generic
-column-major elimination over F_p that once served every prime.  Below them
-are the product that sends every pair of terms through the rewrite
-worklist, the conjugation that rebuilds each monomial from its
-generators with powers, and the closed product formula expanded through
-that product, with every failure text formatted as the case is checked,
-and the sweep of a window built case by case from it.  They carry no memo, and they build their matrices
-on their own bases, so test_oracles.py can hold the single-path code to
-them on small windows.  Last come the packed product, conjugation and
-embedding rank that sum scalars mod p at p = 2 too, which test_gf2.py holds
-the toggling GF(2) paths to, and chi_chain, the packed conjugation as a
-chain of top factors on a memo its caller passes, which the by-parts chi of
-steenrod replaced.  Then stand the primality test by trial division
-and the prime-power test by rounded float roots, which schemes replaced
-with Miller-Rabin and exact integer roots.  Last is the argparse parser of
-the command line, which cli.parse_args replaced so that no command imports
+per-bidegree re-scan of every monomial for bases and populated bidegrees, a
+dimension report that rebuilds the Bockstein matrix of the augmentation
+ideal and of the coefficient ring beside the full one, the beta matrix keyed
+by (c, mono) tuples with its split ranks read off regrouped rows, the split
+ranks by one elimination per bidegree on beta's columns, as split_ranks took
+them before Kunneth gave them from ranks per bucket, a Bockstein that builds
+raw terms and sends them through normalize, the Z u U kernel basis
+multiplied out element by element (element_vector maps it onto the positions
+of a basis), and the generic column-major elimination over F_p that once
+served every prime.  Below them are the product that sends every pair of
+terms through the rewrite worklist, the conjugation that rebuilds each
+monomial from its generators with powers, and the closed product formula
+expanded through that product, with every failure text formatted as the case
+is checked, and the sweep of a window built case by case from it.  They
+carry no memo, and they build their matrices on their own bases, so
+test_oracles.py can hold the single-path code to them on small windows.
+Last come the packed product, conjugation and embedding rank that sum
+scalars mod p at p = 2 too, which test_gf2.py holds the toggling GF(2) paths
+to, the rank on the source rows that verify chi took per bidegree before its
+certificate per bucket, and chi_chain, the packed conjugation as a chain of
+top factors on a memo its caller passes, which the by-parts chi of steenrod
+replaced.  Then stand the primality test by trial division and the
+prime-power test by rounded float roots, which schemes replaced with
+Miller-Rabin and exact integer roots.  Last is the argparse parser of the
+command line, which cli.parse_args replaced so that no command imports
 argparse, gettext or locale.
 """
 
@@ -31,7 +34,7 @@ import argparse
 from itertools import combinations
 from typing import NamedTuple
 
-from motsteen import bockstein, steenrod
+from motsteen import bockstein, linalg, steenrod
 from motsteen.bockstein import y
 from motsteen.elements import (
     COEFF_ONE,
@@ -55,6 +58,8 @@ from motsteen.schemes import COEFF_ORDER, SchemeError, SchemePresentation
 from motsteen.relations import ConventionError, _exponent_vectors, product_formula_terms
 from motsteen.steenrod import BasisIndex, _chi_packed, basis_index, coeff_monomials, eta
 from motsteen.verify import SUITES
+
+_TAU0 = Bidegree(1, 0)  # the bucket of tau_0, whose beta is 1
 
 
 def terms(x):
@@ -373,6 +378,20 @@ def split_ranks(bd, M, h):
     coeff = rank(M._replace(entries=parts[True]))
     ideal = rank(M._replace(entries=parts[False]))
     return len(coeff_cols), sum(coeff_cols), coeff, ideal
+
+
+def column_split_ranks(bd, h):
+    """The four numbers of bockstein.split_ranks as it ranked them before
+    Kunneth: beta's columns at bd (bockstein._columns) split by block into
+    the coefficient and the ideal part, each ranked in one elimination; a
+    nonzero column over tau_0's bucket raises."""
+    parts = ([], [])  # ideal columns, coefficient columns
+    for e, cols in bockstein._columns(bd, h):
+        if e == _TAU0 and any(cols):
+            raise ValueError(f"beta crosses the coefficient/ideal split at {bd}")
+        parts[e == Bidegree(0, 0)].extend(cols)
+    return (len(steenrod.bidegree_basis(bd, h)), len(parts[True]),
+            linalg.rank(h.p, parts[True]), linalg.rank(h.p, parts[False]))
 
 
 def homology_dims(bd, h):
@@ -857,6 +876,26 @@ def mz_image_packed(c, idx, h_a):
     """c * chi(eta[a, U]) in the full algebra, through mul_packed."""
     k = _pack((COEFF_ONE, SteenrodMonomial(idx.a, idx.U)))
     return mul_packed(_checked({_pack((c, STEENROD_ONE)): 1}, h_a), _chi_packed(k, h_a), h_a)
+
+
+def square_rank(src, h):
+    """Rank of the images of src restricted to the rows that are the source
+    keys themselves, the certificate verify chi tried first before its
+    bucket certificate.  At p = 2 the image of c | m is chi(m)'s keys, all
+    distinct, shifted by c's int, less the keys the coefficient relations
+    kill, none of them a source key, so a column is the sum of the bits of
+    its shifted keys."""
+    rows = {k: i for i, k in enumerate(src)}
+    if h.p != 2:
+        return linalg.rank(h.p, [
+            linalg.column(h.p, {r: s for key, s in steenrod._mz_image_packed(k, h).items()
+                                if (r := rows.get(key)) is not None})
+            for k in src])
+    memo = steenrod._chi_mono_cache.setdefault(h, {})
+    parts = [(k & steenrod._COEFFS, k & ~steenrod._COEFFS) for k in src]  # (c, m) of each c | m
+    return linalg.rank(h.p, (sum(1 << r for key in _chi_packed(m, h, memo)
+                                 if (r := rows.get(key + c)) is not None)
+                             for c, m in parts))
 
 
 def embedding_rank(src, h):

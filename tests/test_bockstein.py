@@ -22,6 +22,7 @@ from motsteen.bockstein import (
 )
 from motsteen.linalg import column, rank
 from motsteen.steenrod import (
+    _degree_budget,
     basis_index,
     bidegree_basis,
     eta,
@@ -233,6 +234,27 @@ def test_free_generators_rank_beta_by_split_ranks(monkeypatch, p, bound):
                         lambda bd, h: (*real(bd, h)[:3], real(bd, h)[3] + 1))
     with pytest.raises(AssertionError, match="do not span im beta"):
         free_bbeta_generators(Bidegree(*bound), p)
+
+
+@pytest.mark.parametrize("p,dmax,n_buckets,n_monomials",
+                         [(2, 60, 107, 2140), (3, 120, 97, 740), (5, 300, 106, 501)])
+def test_every_mz_bucket_but_the_unit_is_exact(p, dmax, n_buckets, n_monomials):
+    """The augmentation ideal is simple p-torsion past every dims window: by
+    Kunneth its homology at bd is the sum over the buckets e of h_C(bd - e)
+    h_M(e), and h_M(e) = |M(e)| - r(e) - r(e + (1, 0)) is 0 on every mz bucket
+    but that of 1, read off _bucket_ranks.  The buckets depend on p alone."""
+    h = algebra("bare", p)
+    buckets = monomial_index(p, _degree_budget(p, dmax + 1, 1), 1)  # e + (1, 0) too
+    seen = []
+    for e in buckets:
+        if e.d > dmax:
+            continue
+        size, r = bockstein._bucket_ranks(e, h)
+        up = e - BETA_SHIFT
+        r_up = bockstein._bucket_ranks(up, h)[1] if up in buckets else 0
+        assert size - r - r_up == (e == Bidegree(0, 0)), e
+        seen.append(size)
+    assert (len(seen), sum(seen)) == (n_buckets, n_monomials)
 
 
 def test_u_maximal_filter():

@@ -9,8 +9,9 @@ exponents up to 2, so z-half and finite q = 3 (eps^2 = 0, eps rho = 0, and
 eps as the rewrite's rho) kill keys.  The embedding rank of verify chi, on
 packed columns, equals the rank of the dict columns, as it does at odd p
 through the same column builder; the certificate that verify chi tries
-first, the rank on the source rows alone, is full on the README windows and
-hands over to that rank wherever it falls short.
+first, one invertible diagonal block D_e per bucket, holds on every bucket
+of the verify chi windows, where the rank on the source rows is full too,
+and hands over to that rank wherever it falls short.
 """
 
 import itertools
@@ -23,7 +24,7 @@ import oracles
 from motsteen import algebra
 from motsteen.elements import (
     _TAUS, CoeffMonomial, SteenrodMonomial, _coeff_zero, _meet_deltas, _mul_packed, _pack,
-    _unpack,
+    _unpack, mono_degree,
 )
 from motsteen.steenrod import (
     _conjugate_packed, _mz_image_packed, basis_index, bidegree_basis, populated_bidegrees,
@@ -135,28 +136,56 @@ def test_embedding_certificate_falls_back_to_the_rank(monkeypatch, scheme, p, q)
     cfg = Config(p=p, scheme=scheme, q=q, dmax=10, wmax=5)
     h_a, hmz = algebra(scheme, p, q, ambient="a"), cfg.handle()
     bidegrees = populated_bidegrees(hmz, 10, 5)
-    # the rank on the source rows is full everywhere, so no bidegree falls back
+    # every bucket passes the certificate, and the rank on the source rows is
+    # full everywhere, so no bidegree falls back
     monkeypatch.setitem(steenrod._chi_mono_cache, h_a, {})  # a memo of its own
     for bd in bidegrees:
         src = bidegree_basis(bd, hmz)
-        assert verify._square_rank(src, h_a) == len(src)
+        assert all(verify._diagonal_invertible(e, h_a) for e, _ in src.blocks.values())
+        assert oracles.square_rank(src, h_a) == len(src)
     # forced low, every bidegree goes through the rank test, which passes
     fallbacks = []
     with monkeypatch.context() as mp:
-        mp.setattr(verify, "_square_rank", lambda src, h: len(src) - 1)
+        mp.setattr(verify, "_diagonal_invertible", lambda e, h: False)
         mp.setattr(verify, "_embedding_rank",
-                  lambda src, h: fallbacks.append(src) or _embedding_rank(src, h))
+                   lambda src, h: fallbacks.append(src) or _embedding_rank(src, h))
         [(_, status, detail)] = verify.check_chi_embedding(cfg, h_a)
     assert status == "PASS" and detail == f"{len(bidegrees)} bidegrees, degree <= 10"
     assert len(fallbacks) == len(bidegrees)
-    # chi of one monomial with its terms dropped: its columns are 0 on both
-    # paths, and the check fails at the first bidegree holding one of them
+    # chi of one monomial with its terms dropped, a singular D_e of its bucket
+    # e: its columns are 0 on every path, and the check fails at the first
+    # bidegree holding one of them
     mono = oracles.unpacked(bidegree_basis(bidegrees[-1], hmz))[-1][1]
     steenrod._chi_mono_cache[h_a][_pack((CoeffMonomial(), mono))] = {}
+    assert not verify._diagonal_invertible(mono_degree(mono, p), h_a)
     first = next(bd for bd in bidegrees
                  if any(m == mono for _, m in oracles.unpacked(bidegree_basis(bd, hmz))))
     src = bidegree_basis(first, hmz)
-    assert verify._square_rank(src, h_a) < len(src)
+    assert oracles.square_rank(src, h_a) < len(src)
     assert _embedding_rank(src, h_a) < len(src)
     assert verify.check_chi_embedding(cfg, h_a) == [
         ("integral-form embedding injective", "FAIL", f"rank drop at {first}")]
+
+
+# (scheme, p, q, window) of verify chi, and the number of mz buckets the window reads
+CERTIFIED = [("real-p2", 2, None, (20, 10), 103), ("z-half", 2, None, (14, 8), 70),
+             ("finite-field", 3, 7, (20, 10), 11), ("finite-field", 2, 3, (16, 8), 21),
+             ("real-odd", 3, None, (20, 10), 10), ("algclosed", 2, None, (20, 10), 26)]
+
+
+@pytest.mark.parametrize("scheme,p,q,window,n_buckets", CERTIFIED,
+                         ids=[f"{s}-p{p}" + (f"-q{q}" if q else "") for s, p, q, *_ in CERTIFIED])
+def test_certified_bidegrees_have_full_square_rank(scheme, p, q, window, n_buckets):
+    # the bucket certificate on its own: every bucket of the window has D_e
+    # invertible, and every bidegree, all of its buckets passing, has full
+    # rank on its source rows, the rank verify chi took before, and so full
+    # rank on its whole images
+    h_a, hmz = algebra(scheme, p, q, ambient="a"), algebra(scheme, p, q)
+    buckets = set()
+    for bd in populated_bidegrees(hmz, *window):
+        src = bidegree_basis(bd, hmz)
+        es = {e for e, _ in src.blocks.values()}
+        buckets |= es
+        assert all(verify._diagonal_invertible(e, h_a) for e in es)
+        assert oracles.square_rank(src, h_a) == len(src)
+    assert len(buckets) == n_buckets

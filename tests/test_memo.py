@@ -14,7 +14,7 @@ from motsteen import (
     SchemePresentation, algebra, bockstein, element_text, elements, make_scheme, mul,
     steenrod, term_element,
 )
-from motsteen.bockstein import _columns, beta_report, y
+from motsteen.bockstein import _columns, beta_report, split_ranks, y
 from motsteen.cli import Config, main
 from motsteen.elements import (
     COEFF_ONE, STEENROD_ONE, CoeffMonomial, SteenrodMonomial, _pack, mono_degree,
@@ -48,9 +48,9 @@ INDICES = [basis_index({}, [1]), basis_index({1: 1}, [2]), basis_index({}, [1, 2
 
 
 def _clear():
-    for memo in (y, bockstein._u_maximal_at, bockstein._bucket_beta,
-                 bockstein._coeff_beta, steenrod.coeff_monomials, elements._tau_rewrite,
-                 elements._meet_deltas, elements._foreign_bits):
+    for memo in (y, bockstein._u_maximal_at, bockstein._bucket_beta, bockstein._bucket_ranks,
+                 bockstein._coeff_beta, bockstein._coeff_ranks, steenrod.coeff_monomials,
+                 elements._tau_rewrite, elements._meet_deltas, elements._foreign_bits):
         memo.cache_clear()
     steenrod._basis_table.clear()
     steenrod._chi_mono_cache.clear()
@@ -76,6 +76,7 @@ def _answers(handles):
         out[h, "beta"] = [list(_columns(bd, h)) for bd in BIDEGREES]
         if h.ambient == "mz":
             out[h, "y"] = [y(idx, h) for idx in INDICES]
+            out[h, "ranks"] = [split_ranks(bd, h) for bd in BIDEGREES]
         else:
             out[h, "chi"] = [conjugate(oracles.generator(kind, r, h.p), h)
                              for kind in ("xi", "tau") for r in range(4)]

@@ -227,7 +227,7 @@ BLOCK_HANDLES = ALL_MZ + ALL_A + [
 ]
 
 
-@pytest.mark.parametrize("h", BLOCK_HANDLES, ids=handle_id)
+@pytest.mark.parametrize("h", BLOCK_HANDLES + [oracles.ODD_PREIMAGE], ids=handle_id)
 def test_block_assembly_matches_tuple_keyed_reference(h):
     # each basis is its blocks concatenated in c order, each block exactly its
     # bucket; beta's columns and split_ranks, built block by block, equal the
@@ -258,6 +258,35 @@ def test_block_assembly_matches_tuple_keyed_reference(h):
                 split_ranks(bd, h)
         else:
             assert split_ranks(bd, h) == want_ranks
+    assert bool(crossed) == (h.ambient == "a")
+
+
+KUNNETH_HANDLES = [
+    algebra(h.scheme.id, h.p, h.scheme.q, ambient)
+    for h in ALL_MZ + [algebra("algclosed", 5), *(algebra("bare", p) for p in (2, 3, 5))]
+    for ambient in ("mz", "a")
+] + [oracles.ODD_PREIMAGE]
+
+
+@pytest.mark.parametrize("h", KUNNETH_HANDLES, ids=handle_id)
+def test_split_ranks_by_kunneth_match_the_column_ranks(h):
+    # the four numbers from the coefficient and bucket ranks equal those of
+    # one elimination per bidegree on beta's columns, at every bidegree of
+    # windows past the matrix oracle's and one step past them, where the
+    # coefficient bidegrees bd - e leave the window; the full algebra
+    # raises at the same crossings
+    window = {2: (16, 8), 3: (27, 13), 5: (40, 20)}[h.p]
+    crossed = 0
+    for bd in populated_bidegrees(h, *window):
+        for at in (bd, bd - BETA_SHIFT):
+            try:
+                want = oracles.column_split_ranks(at, h)
+            except ValueError:
+                crossed += 1
+                with pytest.raises(ValueError, match="crosses"):
+                    split_ranks(at, h)
+            else:
+                assert split_ranks(at, h) == want
     assert bool(crossed) == (h.ambient == "a")
 
 
